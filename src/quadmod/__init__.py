@@ -49,7 +49,14 @@ from .sqroots import (
     sqrt_unit_mod_2k,
     sqrt_unit_mod_p,
 )
-from .symbols import PkSymbol, class_size, enumerate_symbols, split_class_size, symbol_of
+from .symbols import (
+    PkSymbol,
+    class_size,
+    enumerate_symbols,
+    split_class_size,
+    split_partners,
+    symbol_of,
+)
 
 __version__ = "0.1.0"
 
@@ -91,6 +98,7 @@ __all__ = [
     "sample_type2",
     "sign_p",
     "split_class_size",
+    "split_partners",
     "split_rejection_stats",
     "sqrt_unit_mod_2k",
     "sqrt_unit_mod_p",

@@ -13,13 +13,15 @@ keep arbitrary precision safe in JSON); every emitted number that can
 exceed 64 bits is a decimal string.
 
 Exit codes: 0 success, 1 no solution exists, 2 randomized failure or a
-failed self-check, 3 malformed input.
+failed self-check, 3 malformed input or command line, 4 internal error
+(a bug: one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
 import sys
 from collections import Counter
@@ -28,7 +30,7 @@ from math import gcd
 
 from .blockdiag import TypeI, block_diagonalize, check_symmetric
 from .counting import count_composite, count_form, local_density
-from .modring import DomainError, PrimePower, is_probable_prime
+from .modring import DomainError, PrimePower
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, chi_square_uniform, solutions_mod
 from .sampling import RepKind, sample_composite, sample_form
 from .sqroots import LasVegasFail
@@ -44,6 +46,10 @@ class AsymmetricMatrix(ParseError):
 
 class NotPrime(ParseError):
     """A claimed prime fails a primality test."""
+
+
+class UsageError(ParseError):
+    """The command line does not parse."""
 
 
 @dataclass(frozen=True)
@@ -95,11 +101,12 @@ def _parse_prime_power(raw_p, raw_k, field: str) -> PrimePower:
     name_k = f"{field}.k" if field else "k"
     p = _as_int(raw_p, name_p)
     k = _as_int(raw_k, name_k)
-    if not is_probable_prime(p):
-        raise NotPrime(f"{name_p} = {p} is not prime")
     if k < 1:
         raise ParseError(f"{name_k} = {k} must be at least 1")
-    return PrimePower(p, k)
+    try:
+        return PrimePower(p, k)
+    except DomainError:
+        raise NotPrime(f"{name_p} = {p} is not prime") from None
 
 
 def parse_instance(source: str | None = None) -> Instance:
@@ -295,8 +302,15 @@ def run(command: str, instance: Instance, flags) -> tuple[int, str]:
     return _COMMANDS[command](instance, flags)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit with 2, the code of a randomized failure
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quadmod",
         description="count and sample solutions of x'Qx = t modulo prime powers",
     )
@@ -311,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_intermixed_args(argv)
         instance = parse_instance(args.instance)
         code, report = run(args.command, instance, args)
     except LasVegasFail as exc:
@@ -324,6 +338,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug; never report it as a verdict
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     print(report)
     return code
 

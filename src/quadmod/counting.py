@@ -3,7 +3,8 @@
 Per-block closed forms (1x1 blocks for any p, 2x2 blocks for p = 2)
 are glued together by a dynamic program over p^k-symbols: the count of
 a direct sum at target symbol g is the sum over symbol pairs (g1, g2)
-of split_class_size(g; g1, g2) times the factors' counts.  Totals and
+of the split size (g; g1, g2) times the factors' counts, where g2 runs
+over the non-zero entries of split_partners(g, g1) only.  Totals and
 non-primitive counts both satisfy that convolution (a vector is
 non-primitive iff every component block is), and primitive = total -
 non-primitive.
@@ -22,12 +23,12 @@ from .blockdiag import (
     check_symmetric,
     integer_det,
 )
-from .modring import INF, DomainError, PrimePower, legendre, valuation
+from .modring import INF, TWO, DomainError, PrimePower, legendre, valuation
 from .symbols import (
     PkSymbol,
+    _split_partners,
     class_size,
     enumerate_symbols,
-    split_class_size,
     symbol_of,
 )
 
@@ -90,10 +91,8 @@ def count_type1_two(d: int, k: int, sym_t: PkSymbol) -> RepCounts:
     min(8, 2^(k - ord t)), and the root multiplicity is 4 when at least
     three bits of the unit part are visible, else k - ord(t).
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    q = 2**k
-    pp = PrimePower(2, k)
+    pp = TWO.with_exponent(k)
+    q = pp.q
     ord_d, cop_d = valuation(pp, d % q)
     ord_t, sgn_t = sym_t
 
@@ -131,21 +130,32 @@ def _count_scaled_type2(a: int, b: int, c: int, t2: int, k2: int) -> tuple[int, 
     coordinates even forces t2 = 0 mod 4 and reduces to the same form
     at modulus 2^(k2-2), each solution there giving 4 (the dropped top
     bits of x and y).
+
+    The reduction is applied in closed form, so k2 is not bounded by
+    any stack: it repeats L = min(k2, ord t2) // 2 times, the level it
+    stops at is solved directly, and each of the L levels passed adds
+    its primitive count times 4^level, which is the top level's
+    primitive count every time (the target stays even there, and
+    4^j * 2^(k2-2j-1) = 2^(k2-1)).
     """
-    if k2 == 0:
-        return (0, 1)  # trivial ring: the empty congruence has one solution
-    prim = 0
-    for x0, y0 in ((0, 1), (1, 0), (1, 1)):
-        if (a * x0 + b * x0 * y0 + c * y0 - t2) % 2 == 0:
-            prim += 2 ** (k2 - 1)
-    nprim = 0
-    if k2 == 1:
-        if t2 % 2 == 0:
-            nprim = 1
-    elif t2 % 4 == 0:
-        p2, n2 = _count_scaled_type2(a, b, c, (t2 // 4) % 2 ** (k2 - 2), k2 - 2)
-        nprim = 4 * (p2 + n2)
-    return prim, nprim
+
+    def prim_count(k: int, t: int) -> int:
+        seeds = sum(1 for x0, y0 in ((0, 1), (1, 0), (1, 1)) if (a * x0 + b * x0 * y0 + c * y0 - t) % 2 == 0)
+        return seeds * 2 ** (k - 1)
+
+    ord_t = (t2 & -t2).bit_length() - 1 if t2 else k2
+    levels = min(k2, ord_t) // 2
+    k_last = k2 - 2 * levels
+    t_last = t2 >> (2 * levels)
+    if k_last == 0:
+        prim_last, total_last = 0, 1  # trivial ring: the empty congruence has one solution
+    else:
+        prim_last = prim_count(k_last, t_last)
+        total_last = prim_last + (1 if k_last == 1 and t_last % 2 == 0 else 0)
+    if levels == 0:
+        return prim_last, total_last - prim_last
+    prim = prim_count(k2, t2)
+    return prim, (levels - 1) * prim + 4**levels * total_last
 
 
 def count_type2(blk: TypeII, k: int, sym_t: PkSymbol) -> RepCounts:
@@ -194,8 +204,8 @@ def chain_tables(
     suffix[j][g] counts representations of (any target of symbol g) by
     the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
-    and split_class_size counts how many (head value, tail value) pairs
-    realize a given symbol pair.
+    and split_partners lists the tail symbols a head symbol can pair
+    with, with how many (head value, tail value) pairs realize each.
     """
     syms = _live_symbols(pp)
     per_block = [{g: count_block(blk, pp, g) for g in syms} for blk in blocks]
@@ -206,16 +216,12 @@ def chain_tables(
         for g in syms:
             total = 0
             nprim = 0
-            for g1 in syms:
-                h = head[g1]
+            for g1, h in head.items():
                 if h.total == 0:
                     continue
-                for g2 in syms:
+                for g2, s in _split_partners(pp, g, g1):
                     c = tail[g2]
                     if c.total == 0:
-                        continue
-                    s = split_class_size(pp, g, g1, g2)
-                    if s == 0:
                         continue
                     total += s * h.total * c.total
                     nprim += s * h.nonprimitive * c.nonprimitive

@@ -30,6 +30,7 @@ from .counting import (
 )
 from .modring import (
     INF,
+    TWO,
     DomainError,
     PrimePower,
     RandomSource,
@@ -38,7 +39,7 @@ from .modring import (
     valuation,
 )
 from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
-from .symbols import PkSymbol, class_size, split_class_size, symbol_of
+from .symbols import PkSymbol, _split_partners, class_size, split_class_size, symbol_of
 
 logger = logging.getLogger(__name__)
 
@@ -197,7 +198,7 @@ def sample_type1(
     if p == 2:
         roots = sqrt_unit_mod_2k(mres, u)
     else:
-        roots = lift_sqrt_odd(PrimePower(p, mres), u, rng)
+        roots = lift_sqrt_odd(pp.with_exponent(mres), u, rng)
     r = roots[uniform_below(len(roots), rng)]
     f = uniform_below(p ** ((g.ord + ord_d) // 2), rng)
     return p**e * (r + p**mres * f) % q
@@ -207,7 +208,21 @@ def _sample_scaled_type2(
     a: int, b: int, c: int, t2: int, k2: int, want_prim: bool, rng: RandomSource
 ) -> tuple[int, int]:
     """Uniform solution of a x^2 + b xy + c y^2 = t2 over (Z/2^k2)^2 in
-    the requested parity class (assumed non-empty)."""
+    the requested parity class (assumed non-empty).
+
+    A non-primitive solution is y = 2z with F(z) = t2/4 at two fewer
+    bits and the top bit of each z coordinate free.  The loop walks down
+    those levels first, drawing at each whether the inner solution is
+    primitive, solves the last level, then draws the free top bits on
+    the way back up: the draw order of a recursion, without its depth.
+    """
+    upper = []  # exponents of the non-primitive levels above the last
+    while not want_prim and k2 >= 3:
+        upper.append(k2)
+        k2 -= 2
+        t2 = (t2 // 4) % 2**k2
+        p4, n4 = _count_scaled_type2(a, b, c, t2, k2)
+        want_prim = uniform_below(p4 + n4, rng) < p4
     q2 = 2**k2
     if want_prim:
         seeds = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
@@ -225,22 +240,18 @@ def _sample_scaled_type2(
                 b1 = r
             y1 += b1 << j
             y2 += b2 << j
-        return y1 % q2, y2 % q2
-    # both coordinates even: y = 2z, F(z) = t2/4 at two fewer bits, the
-    # top bit of each z coordinate free
-    if k2 == 1:
-        return 0, 0
-    m = k2 - 2
-    if m == 0:
+        y1, y2 = y1 % q2, y2 % q2
+    elif k2 == 1:
+        y1, y2 = 0, 0
+    else:  # k2 == 2: z is free mod 2
         z1, z2 = uniform_below(2, rng), uniform_below(2, rng)
-    else:
-        t4 = (t2 // 4) % 2**m
-        p4, n4 = _count_scaled_type2(a, b, c, t4, m)
-        inner_prim = uniform_below(p4 + n4, rng) < p4
-        w1, w2 = _sample_scaled_type2(a, b, c, t4, m, inner_prim, rng)
-        z1 = w1 + (uniform_below(2, rng) << m)
-        z2 = w2 + (uniform_below(2, rng) << m)
-    return 2 * z1 % q2, 2 * z2 % q2
+        y1, y2 = 2 * z1 % q2, 2 * z2 % q2
+    for k_up in reversed(upper):
+        m = k_up - 2
+        z1 = y1 + (uniform_below(2, rng) << m)
+        z2 = y2 + (uniform_below(2, rng) << m)
+        y1, y2 = 2 * z1 % 2**k_up, 2 * z2 % 2**k_up
+    return y1, y2
 
 
 def sample_type2(
@@ -250,7 +261,7 @@ def sample_type2(
     q = 2**k
     t %= q
     ell = blk.ell
-    c = count_type2(blk, k, symbol_of(PrimePower(2, k), t))
+    c = count_type2(blk, k, symbol_of(TWO.with_exponent(k), t))
     want_prim = _choose_kind(c, kind, rng)
     if want_prim is None:
         return None
@@ -291,55 +302,54 @@ def _sample_chain(
     blocks: tuple[Block, ...],
     per_block: list[dict[PkSymbol, RepCounts]],
     suffix: list[dict[PkSymbol, RepCounts]],
-    j: int,
     pp: PrimePower,
-    t_cur: int,
+    t: int,
     want_prim: bool,
     rng: RandomSource,
 ) -> list[int]:
-    """Uniform solution of blocks[j:] at target t_cur in the given class."""
-    if j == len(blocks) - 1:
-        return list(_sample_block(blocks[j], pp, t_cur, want_prim, rng))
-    g = symbol_of(pp, t_cur)
-    head_tbl = per_block[j]
-    tail_tbl = suffix[j + 1]
-    # weight every (value-symbol pair, primitivity split) cell by its
-    # exact solution count: split size times head count times tail count
-    cells = []
-    for g1, h in head_tbl.items():
-        if h.total == 0:
-            continue
-        for g2, ct in tail_tbl.items():
-            if ct.total == 0:
+    """Uniform solution of the direct sum of blocks at target t in the
+    given class, one block peeled off per step: draw the cell, split
+    the target, solve the head block, then go on with the tail."""
+    y: list[int] = []
+    for j in range(len(blocks) - 1):
+        g = symbol_of(pp, t)
+        tail_tbl = suffix[j + 1]
+        # weight every (value-symbol pair, primitivity split) cell by its
+        # exact solution count: split size times head count times tail count
+        cells = []
+        for g1, h in per_block[j].items():
+            if h.total == 0:
                 continue
-            s = split_class_size(pp, g, g1, g2)
-            if s == 0:
-                continue
-            if want_prim:
-                for hp, tp in ((False, True), (True, False), (True, True)):
-                    w = (
-                        s
-                        * (h.primitive if hp else h.nonprimitive)
-                        * (ct.primitive if tp else ct.nonprimitive)
-                    )
+            for g2, s in _split_partners(pp, g, g1):
+                ct = tail_tbl[g2]
+                if ct.total == 0:
+                    continue
+                if want_prim:
+                    for hp, tp in ((False, True), (True, False), (True, True)):
+                        w = (
+                            s
+                            * (h.primitive if hp else h.nonprimitive)
+                            * (ct.primitive if tp else ct.nonprimitive)
+                        )
+                        if w:
+                            cells.append((w, g1, g2, hp, tp))
+                else:
+                    w = s * h.nonprimitive * ct.nonprimitive
                     if w:
-                        cells.append((w, g1, g2, hp, tp))
-            else:
-                w = s * h.nonprimitive * ct.nonprimitive
-                if w:
-                    cells.append((w, g1, g2, False, False))
-    total = sum(w for w, *_ in cells)
-    r = uniform_below(total, rng)
-    for w, g1, g2, hp, tp in cells:
-        if r < w:
-            break
-        r -= w
-    pair = sample_split(pp, t_cur, g1, g2, rng)
-    assert pair is not None, "chosen cell has zero split size"
-    a, b_val = pair
-    head = _sample_block(blocks[j], pp, a, hp, rng)
-    tail = _sample_chain(blocks, per_block, suffix, j + 1, pp, b_val, tp, rng)
-    return list(head) + tail
+                        cells.append((w, g1, g2, False, False))
+        total = sum(w for w, *_ in cells)
+        r = uniform_below(total, rng)
+        for w, g1, g2, hp, tp in cells:
+            if r < w:
+                break
+            r -= w
+        pair = sample_split(pp, t, g1, g2, rng)
+        assert pair is not None, "chosen cell has zero split size"
+        a, t = pair
+        y.extend(_sample_block(blocks[j], pp, a, hp, rng))
+        want_prim = tp
+    y.extend(_sample_block(blocks[-1], pp, t, want_prim, rng))
+    return y
 
 
 def sample_form(
@@ -349,7 +359,8 @@ def sample_form(
 
     Diagonalize once, count once, then peel blocks off the front:
     choose how the target splits between the first block and the rest
-    (and how primitivity splits) with exact count weights, then recurse.
+    (and how primitivity splits) with exact count weights, then go on
+    with the rest.
     Block solutions y pull back to x = U y since U'QU is the block form.
     """
     n = check_symmetric(q_mat)
@@ -365,7 +376,7 @@ def sample_form(
         return None
     for _ in range(RETRY_CAP):
         try:
-            y = _sample_chain(bd.blocks, per_block, suffix, 0, pp, t, want_prim, rng)
+            y = _sample_chain(bd.blocks, per_block, suffix, pp, t, want_prim, rng)
             break
         except LasVegasFail:
             continue

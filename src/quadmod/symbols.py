@@ -4,14 +4,19 @@ The symbol of t mod p^k is the pair (ord, sgn): p-adic order together
 with the sign of the coprime part (Legendre symbol for odd p, residue
 mod 8 for p = 2).  Two elements share a symbol iff they differ by a
 unit-square factor, so representation counts depend on targets only
-through their symbol.  ``split_class_size`` counts, for a target t of
-symbol gamma, the pairs (a, b) with prescribed symbols and a + b = t;
-it is the convolution kernel that glues per-block counts together.
+through their symbol.
+
+The convolution kernel that glues per-block counts together is the
+split size: for a target t of symbol g, the number of pairs (a, b) with
+prescribed symbols g1, g2 and a + b = t.  ``split_partners`` is its
+single source: given (g, g1) it lists only the g2 with a non-zero size,
+which is one symbol except when ord(g1) = ord(g), so a dynamic program
+over symbols costs O(S^2) per step rather than S^3.
+``split_class_size`` looks one triple up in that list.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .modring import INF, DomainError, PrimePower, legendre, valuation
@@ -51,20 +56,21 @@ def symbol_of(pp: PrimePower, t: int) -> PkSymbol:
     return PkSymbol(ord_, sgn)
 
 
+def _orders_between(pp: PrimePower, lo: int, hi: int) -> list[PkSymbol]:
+    """The formal symbols of order lo <= ord < hi, in symbol order."""
+    signs = (1, 3, 5, 7) if pp.p == 2 else (1, -1)
+    return [PkSymbol(i, s) for i in range(lo, hi) for s in signs]
+
+
 def enumerate_symbols(pp: PrimePower) -> list[PkSymbol]:
     """All formal symbols: 4k+1 of them for p=2, 2k+1 for odd p.
 
     For p = 2 the classes with k - ord <= 2 admit fewer sign values, so
     some listed symbols have empty classes; class_size reports 0 there.
     """
-    signs = (1, 3, 5, 7) if pp.p == 2 else (1, -1)
-    out = [SYMBOL_ZERO]
-    for i in range(pp.k):
-        out.extend(PkSymbol(i, s) for s in signs)
-    return out
+    return [SYMBOL_ZERO, *_orders_between(pp, 0, pp.k)]
 
 
-@lru_cache(maxsize=None)
 def class_size(pp: PrimePower, g: PkSymbol) -> int:
     """|{x in Z/p^k : symbol(x) = g}|.
 
@@ -74,16 +80,26 @@ def class_size(pp: PrimePower, g: PkSymbol) -> int:
     symbols report 0, keeping the partition sum equal to p^k.
     """
     _check_symbol(pp, g)
+    if _is_empty(pp, g):
+        return 0
+    return _class_size(pp, g)
+
+
+def _is_empty(pp: PrimePower, g: PkSymbol) -> bool:
+    """Is the class of the well-formed symbol g empty?  Only for p = 2:
+    below three free bits the coprime part is canonical below 2^(k-ord),
+    and sgn is its value mod 8, so only residues below 2^(k-ord) occur."""
+    return pp.p == 2 and g.ord != INF and pp.k - g.ord < 3 and g.sgn >= 2 ** (pp.k - g.ord)
+
+
+def _class_size(pp: PrimePower, g: PkSymbol) -> int:
+    """class_size of a well-formed symbol with a non-empty class."""
     if g.ord == INF:
         return 1
     m = pp.k - g.ord
     if pp.p != 2:
         return (pp.p - 1) // 2 * pp.p ** (m - 1)
-    if m >= 3:
-        return 2 ** (m - 3)
-    # cop is canonical below 2^m: sgn is its value mod 8, so only
-    # residues below 2^m occur.
-    return 1 if g.sgn < 2**m else 0
+    return 2 ** (m - 3) if m >= 3 else 1
 
 
 def split_pair_count_mod_p(p: int, leg_a: int, s1: int, s2: int) -> int:
@@ -93,14 +109,18 @@ def split_pair_count_mod_p(p: int, leg_a: int, s1: int, s2: int) -> int:
     """
     if p == 2:
         raise DomainError("split_pair_count_mod_p needs an odd prime")
-    leg_minus1 = 1 if p % 4 == 1 else -1
-    return (p - (p % 4) - (leg_a + s1) * (leg_a * leg_minus1 + s2)) // 4
+    return (p - (p % 4) - (leg_a + s1) * (leg_a * _sign_of_minus_one(p) + s2)) // 4
+
+
+def _sign_of_minus_one(p: int) -> int:
+    """Legendre symbol (-1/p) for odd p."""
+    return 1 if p % 4 == 1 else -1
 
 
 def _negated_symbol(pp: PrimePower, g: PkSymbol) -> PkSymbol:
     """Symbol of -a for a in the (inhabited, finite-order) class g."""
     if pp.p != 2:
-        return PkSymbol(g.ord, legendre(-1, pp.p) * g.sgn)
+        return PkSymbol(g.ord, _sign_of_minus_one(pp.p) * g.sgn)
     # cop(-a) = 2^(k-ord) - cop(a) as a canonical residue; mod 8 that is
     # 8-s, 4-s, 2-s depending on how much room k-ord leaves.
     return PkSymbol(g.ord, (2 ** (pp.k - g.ord) - g.sgn) % 8)
@@ -125,63 +145,81 @@ def _difference_symbol(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> PkSymbol:
         o = g1.ord
         delta = g.ord - g1.ord
         if p != 2:
-            return PkSymbol(o, legendre(-1, p) * g1.sgn)
+            return PkSymbol(o, _sign_of_minus_one(p) * g1.sgn)
         s = (2**delta * g.sgn - g1.sgn) % min(8, 2 ** (k - o))
     return PkSymbol(o, s)
 
 
-@lru_cache(maxsize=None)
-def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) -> int:
-    """|{(a, b) : symbol(a) = g1, symbol(b) = g2, a + b = t mod p^k}|.
+def split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
+    """The non-zero split sizes at (g, g1), as (g2, size) in enumerate_symbols order.
 
-    Well-defined for any t with symbol g.  A target symbol with an empty
-    class is vacuous and reports 0.
+    size = |{(a, b) : symbol(a) = g1, symbol(b) = g2, a + b = t mod p^k}|,
+    the same for every t of symbol g; every g2 whose size is 0 is left
+    out, and every listed g2 has a non-empty class.  An empty target or
+    g1 class has no pairs at all.
 
     Case analysis on the orders (a + b = t forces the two smallest of
     the three orders to be equal):
 
-    * t = 0: pairs are (a, -a), so g2 must be the negated class of g1
-      and every a in the g1-class works.
-    * exactly one of g1, g2 is (INF, 0): the pair is (0, t) or (t, 0),
-      one pair, present iff the other symbol is exactly g.
-    * all three orders equal (odd p only; for p = 2 the sum of two
-      elements of equal order has strictly larger order): reduce to the
-      mod-p unit count with the Legendre substitution, then scale by
-      p^(k-ord-1) free digits.
-    * ord(g1) != ord(t): a determines b = t - a, so the count is the
-      g1-class size provided symbol(t - a) = g2, which is a single
-      symbol computable from g and g1.
+    * a = 0: the pair is (0, t), so g2 = g with one pair.
+    * t = 0: pairs are (a, -a), so g2 is the negated class of g1 and
+      every a in the g1-class works.
+    * ord(g1) != ord(t): a determines b = t - a, whose symbol is a
+      single g2 computable from g and g1; the size is the g1-class size.
+    * ord(g1) = ord(t): b = t - a has order >= ord(t).  b = 0 needs
+      g1 = g (one pair).  b of order ord(t) is possible for odd p only
+      (over the 2-adics two units sum to an even number): reduce to the
+      mod-p unit count with the Legendre substitution and scale by
+      p^(k-ord-1) free digits, which leaves at most two signs.  b of
+      higher order determines a = t - b, so each higher-order g2 whose
+      difference symbol with g is g1 contributes its class size.  That
+      symbol is g itself for every higher order when p is odd, and from
+      three orders up when p = 2, so only g1 = g can pair with orders
+      beyond ord(t) + 2.
     """
-    for s in (g, g1, g2):
-        _check_symbol(pp, s)
-    p, k = pp.p, pp.k
+    _check_symbol(pp, g)
+    _check_symbol(pp, g1)
+    return _split_partners(pp, g, g1)
 
-    if g.ord == INF:
-        if g1.ord == INF:
-            return 1 if g2.ord == INF else 0
-        if g2.ord == INF or g1.ord != g2.ord:
-            return 0
-        n1 = class_size(pp, g1)
-        if n1 == 0:
-            return 0
-        return n1 if g2 == _negated_symbol(pp, g1) else 0
 
-    # t is nonzero from here on.
+def _split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
+    """split_partners for symbols known to be well-formed, such as those
+    of enumerate_symbols: the count tables and the chain walk call it
+    once per (g, g1) cell."""
+    if _is_empty(pp, g) or _is_empty(pp, g1):
+        return []
     if g1.ord == INF:
-        return 1 if g2 == g else 0
-    if g2.ord == INF:
-        return 1 if g1 == g else 0
+        return [(g, 1)]
+    if g.ord == INF:
+        return [(_negated_symbol(pp, g1), _class_size(pp, g1))]
+    if g1.ord != g.ord:
+        return [(_difference_symbol(pp, g, g1), _class_size(pp, g1))]
 
-    if g.ord == g1.ord == g2.ord:
-        if p == 2:
-            return 0
-        mod_p = split_pair_count_mod_p(p, g1.sgn, g2.sgn, g.sgn)
-        return mod_p * p ** (k - g.ord - 1)
+    p, k = pp.p, pp.k
+    out = [(SYMBOL_ZERO, 1)] if g1 == g else []
+    if p != 2:
+        scale = p ** (k - g.ord - 1)
+        for s2 in (1, -1):
+            mod_p = split_pair_count_mod_p(p, g1.sgn, s2, g.sgn)
+            if mod_p:
+                out.append((PkSymbol(g.ord, s2), mod_p * scale))
+    top = k if g1 == g else min(k, g.ord + 3)
+    for g2 in _orders_between(pp, g.ord + 1, top):
+        if not _is_empty(pp, g2) and _difference_symbol(pp, g, g2) == g1:
+            out.append((g2, _class_size(pp, g2)))
+    return out
 
-    if g.ord == g1.ord:
-        g1, g2 = g2, g1  # put the order mismatch on g1
 
-    n1 = class_size(pp, g1)
-    if n1 == 0:
-        return 0
-    return n1 if _difference_symbol(pp, g, g1) == g2 else 0
+def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) -> int:
+    """|{(a, b) : symbol(a) = g1, symbol(b) = g2, a + b = t mod p^k}|.
+
+    Well-defined for any t with symbol g: the size ``split_partners``
+    lists for g2, or 0 when it does not list g2 (in particular for a
+    target symbol with an empty class).  All three symbols are
+    validated.
+    """
+    _check_symbol(pp, g2)
+    for h, size in split_partners(pp, g, g1):
+        if h == g2:
+            return size
+    return 0

@@ -134,3 +134,43 @@ def test_text_format(tmp_path, capsys):
     path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
     assert main(["count", path, "--format", "text"]) == 0
     assert capsys.readouterr().out.splitlines() == ["total: 4", "primitive: 4", "nonprimitive: 0"]
+
+
+def test_options_after_instance_path(tmp_path, capsys):
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
+    assert main(["count", "--format", "text", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["total: 4", "primitive: 4", "nonprimitive: 0"]
+    assert main(["sample", "--seed", "7", path, "--kind", "primitive"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "ok"
+
+
+def test_usage_error_exit_code(tmp_path, capsys):
+    # a malformed command line is malformed input, not a sampler failure
+    path = write_instance(tmp_path, {"q": [[1]], "p": "5", "k": 1, "t": "1"})
+    for argv in (["count", path, "--kind", "bogus"], ["count", path, "extra"], ["bogus", path], ["count", "--seed", "x"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("quadmod.cli.count_form", broken)
+    path = write_instance(tmp_path, {"q": [[1]], "p": "5", "k": 1, "t": "1"})
+    assert main(["count", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: RecursionError: maximum recursion depth exceeded"]
+
+
+def test_strong_pseudoprime_modulus_rejected(tmp_path, capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to every prime base up to 37
+    path = write_instance(tmp_path, {"q": [[1]], "p": "318665857834031151167461", "k": 1, "t": 1})
+    assert main(["count", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not prime" in captured.err

@@ -10,6 +10,7 @@ from quadmod.counting import (
     RepCounts,
     SingularForm,
     ZeroTarget,
+    _count_scaled_type2,
     count_composite,
     count_form,
     count_type1_odd,
@@ -20,7 +21,7 @@ from quadmod.counting import (
 )
 from quadmod.modring import DomainError, PrimePower
 from quadmod.oracle import histogram_counts
-from quadmod.symbols import enumerate_symbols, symbol_of
+from quadmod.symbols import class_size, enumerate_symbols, symbol_of
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -203,3 +204,36 @@ def test_count_composite_gcd_brute():
             prim = sum(1 for v in sols if gcd(q, *v) == 1)
             got = count_composite(mat, facs, t)
             assert got == (len(sols), prim, len(sols) - prim), (facs, mat, t)
+
+
+def recursive_scaled_type2(a, b, c, t2, k2):
+    """Reference: the two-bits-down recursion, read off its definition."""
+    if k2 == 0:
+        return (0, 1)
+    prim = sum(2 ** (k2 - 1) for x0, y0 in ((0, 1), (1, 0), (1, 1)) if (a * x0 + b * x0 * y0 + c * y0 - t2) % 2 == 0)
+    nprim = 0
+    if k2 == 1:
+        nprim = 1 if t2 % 2 == 0 else 0
+    elif t2 % 4 == 0:
+        p2, n2 = recursive_scaled_type2(a, b, c, (t2 // 4) % 2 ** (k2 - 2), k2 - 2)
+        nprim = 4 * (p2 + n2)
+    return prim, nprim
+
+
+def test_scaled_type2_count_matches_recursion():
+    for a, b, c in ((0, 1, 0), (1, 1, 1), (1, 3, 2), (2, 1, 3), (3, 5, 3)):
+        for k2 in range(41):
+            targets = {0} | {2**o * u % 2**k2 for o in range(k2) for u in (1, 3, 5, 7)}
+            for t2 in targets:
+                assert _count_scaled_type2(a, b, c, t2, k2) == recursive_scaled_type2(a, b, c, t2, k2), (a, b, c, t2, k2)
+
+
+def test_type2_count_deep_modulus_partition():
+    # 1200 levels of the two-bits-down reduction at t = 0: deeper than
+    # the interpreter's stack allows a recursion to go
+    pp = PrimePower(2, 2400)
+    table = form_counts_by_symbol([[2, 1], [1, 2]], pp)
+    assert sum(c.total * class_size(pp, g) for g, c in table.items()) == 4**2400
+    assert sum(c.primitive * class_size(pp, g) for g, c in table.items()) == 4**2400 - 4**2399
+    zero = count_form([[2, 1], [1, 2]], pp, 0)
+    assert zero.total == table[symbol_of(pp, 0)].total > 0

@@ -49,6 +49,46 @@ def test_is_probable_prime_carmichael_and_big():
     assert not is_probable_prime(2**67 - 1)  # = 193707721 * 761838257287
 
 
+# psi_12: a strong pseudoprime to every prime base up to 37
+PSI12 = 318665857834031151167461
+# strong pseudoprimes to base 2 (including squares of Wieferich primes),
+# strong Lucas pseudoprimes, and Carmichael numbers
+PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 1093**2, 3511**2, 3215031751, 2152302898747,
+    3474749660383, 341550071728321, 3825123056546413051, PSI12,
+    5459, 5777, 10877, 16109, 18971, 561, 41041, 825265,
+)
+
+
+def test_is_probable_prime_rejects_pseudoprimes():
+    assert PSI12 == 399165290221 * 798330580441
+    for n in PSEUDOPRIMES:
+        assert not is_probable_prime(n), n
+    for n in (2**89 - 1, 2**107 - 1, 2**127 - 1, 85070591730234615865843651857942052973):
+        assert is_probable_prime(n), n
+
+
+def test_is_probable_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in PSEUDOPRIMES:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    rng = random.Random(12)
+    for _ in range(400):
+        n = rng.getrandbits(rng.randint(64, 200))
+        assert is_probable_prime(n) == sympy.isprime(n), n
+        p = sympy.nextprime(n)
+        assert is_probable_prime(p), p
+        assert not is_probable_prime(p * sympy.nextprime(p)), p
+
+
+def test_with_exponent_keeps_the_prime():
+    pp = PrimePower(7, 3)
+    assert pp.with_exponent(5) == PrimePower(7, 5)
+    assert pp.with_exponent(1).q == 7
+    with pytest.raises(DomainError):
+        pp.with_exponent(0)
+
+
 def test_valuation_examples():
     pp = PrimePower(5, 3)
     assert valuation(pp, 50) == Valuation(2, 2)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadmod.modring
 from quadmod.blockdiag import TypeII
-from quadmod.modring import INF, DomainError, PrimePower
+from quadmod.counting import _count_scaled_type2
+from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
     RepKind,
+    _sample_scaled_type2,
     sample_composite,
     sample_form,
     sample_split,
@@ -240,3 +243,68 @@ def test_sample_composite_single_factor_matches_form():
     got = draws(lambda r: sample_composite(I2, [pp], 2, RepKind.ANY, r), 400, seed=3)
     sols, _ = enumerate_reps(I2, pp, 2)
     assert set(got) == set(sols)
+
+
+def recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, rng):
+    """Reference: the sampler as a recursion, one call per two bits."""
+    q2 = 2**k2
+    if want_prim:
+        seeds = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
+        y1, y2 = seeds[uniform_below(len(seeds), rng)]
+        for j in range(1, k2):
+            r = ((t2 - a * y1 * y1 - b * y1 * y2 - c * y2 * y2) >> j) & 1
+            if y1 % 2:
+                b1 = uniform_below(2, rng)
+                b2 = (r - y2 * b1) % 2
+            else:
+                b2 = uniform_below(2, rng)
+                b1 = r
+            y1 += b1 << j
+            y2 += b2 << j
+        return y1 % q2, y2 % q2
+    if k2 == 1:
+        return 0, 0
+    m = k2 - 2
+    if m == 0:
+        z1, z2 = uniform_below(2, rng), uniform_below(2, rng)
+    else:
+        t4 = (t2 // 4) % 2**m
+        p4, n4 = _count_scaled_type2(a, b, c, t4, m)
+        inner_prim = uniform_below(p4 + n4, rng) < p4
+        w1, w2 = recursive_sample_scaled_type2(a, b, c, t4, m, inner_prim, rng)
+        z1 = w1 + (uniform_below(2, rng) << m)
+        z2 = w2 + (uniform_below(2, rng) << m)
+    return 2 * z1 % q2, 2 * z2 % q2
+
+
+def test_scaled_type2_sampler_matches_recursion():
+    # same draws in the same order, so the same transcript, at k <= 40
+    for a, b, c in ((0, 1, 0), (1, 1, 1), (2, 1, 3)):
+        for k2 in range(1, 41):
+            for t2 in {0, 4 % 2**k2, 2 ** (k2 - 1), 2 ** (2 * (k2 // 3)) % 2**k2, 3 * 2 ** (k2 // 2) % 2**k2}:
+                p, n = _count_scaled_type2(a, b, c, t2, k2)
+                for want_prim, size in ((True, p), (False, n)):
+                    if size == 0:
+                        continue
+                    seed = f"{a}{b}{c}:{t2}:{k2}:{want_prim}"
+                    r1, r2 = random.Random(seed), random.Random(seed)
+                    got = _sample_scaled_type2(a, b, c, t2, k2, want_prim, r1)
+                    assert got == recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, r2)
+                    assert r1.getstate() == r2.getstate()
+
+
+def test_sample_form_tests_no_known_prime_again(monkeypatch):
+    # every smaller modulus a draw works in reuses the prime already tested
+    big = PrimePower(85070591730234615865843651857942052973, 8)
+    two = PrimePower(2, 9)
+    calls = []
+    original = quadmod.modring.is_probable_prime
+    monkeypatch.setattr(quadmod.modring, "is_probable_prime", lambda n: calls.append(n) or original(n))
+    q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+    rng = random.Random(8)
+    for t in (7, 0, 3 * big.p**2):
+        x = sample_form(q4, big, t, RepKind.ANY, rng)
+        assert sum(q4[i][j] * x[i] * x[j] for i in range(4) for j in range(4)) % big.q == t % big.q
+    for q_mat, t in (([[1, 0], [0, 3]], 4), ([[2, 1], [1, 2]], 6)):  # type I, type II blocks mod 2^k
+        assert sample_form(q_mat, two, t, RepKind.ANY, rng) is not None
+    assert calls == []

@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmod.modring import INF, DomainError, PrimePower
+import quadmod.symbols
+from quadmod.modring import INF, DomainError, PrimePower, legendre
 from quadmod.symbols import (
     PkSymbol,
     class_size,
     enumerate_symbols,
     split_class_size,
     split_pair_count_mod_p,
+    split_partners,
     symbol_of,
 )
 
@@ -123,3 +125,80 @@ def test_symbol_constant_on_unit_square_orbits(pp, data):
     if u % pp.p == 0:
         u += 1
     assert symbol_of(pp, t * u * u) == symbol_of(pp, t)
+
+
+def dense_split_size(pp, g, g1, g2):
+    """Reference split size of one (g; g1, g2) triple, from the order
+    case analysis with no knowledge of which triples are non-zero."""
+    p, k = pp.p, pp.k
+
+    def diff(g, h):  # symbol of t - a, ord(t) != ord(a)
+        o = min(g.ord, h.ord)
+        if p != 2:
+            return PkSymbol(o, g.sgn if g.ord < h.ord else legendre(-1, p) * h.sgn)
+        lead = g.sgn - 2 ** (h.ord - o) * h.sgn if g.ord < h.ord else 2 ** (g.ord - o) * g.sgn - h.sgn
+        return PkSymbol(o, lead % min(8, 2 ** (k - o)))
+
+    if class_size(pp, g) == 0:
+        return 0
+    if g.ord == INF:
+        if g1.ord == INF or g2.ord == INF:
+            return 1 if g1.ord == g2.ord == INF else 0
+        neg = PkSymbol(g1.ord, legendre(-1, p) * g1.sgn if p != 2 else (2 ** (k - g1.ord) - g1.sgn) % 8)
+        return class_size(pp, g1) if g2 == neg else 0
+    if g1.ord == INF or g2.ord == INF:
+        return 1 if {g1, g2} == {g, PkSymbol(INF, 0)} else 0
+    if g.ord == g1.ord == g2.ord:
+        return 0 if p == 2 else split_pair_count_mod_p(p, g1.sgn, g2.sgn, g.sgn) * p ** (k - g.ord - 1)
+    if g.ord == g1.ord:
+        g1, g2 = g2, g1
+    return class_size(pp, g1) if diff(g, g1) == g2 else 0
+
+
+P127 = 85070591730234615865843651857942052973
+PARTNER_GRID = [
+    PrimePower(p, k)
+    for p, kmax in ((2, 8), (3, 6), (5, 4), (7, 3), (13, 3), (P127, 3))
+    for k in range(1, kmax + 1)
+]
+
+
+@pytest.mark.parametrize("pp", [pp for pp in PARTNER_GRID if pp.q <= 256], ids=str)
+def test_dense_reference_matches_brute_force(pp):
+    syms = enumerate_symbols(pp)
+    table = [symbol_of(pp, t) for t in range(pp.q)]
+    for g in set(table):
+        t = table.index(g)
+        for g1 in syms:
+            for g2 in syms:
+                want = sum(1 for a in range(pp.q) if table[a] == g1 and table[(t - a) % pp.q] == g2)
+                assert dense_split_size(pp, g, g1, g2) == want, (pp, g, g1, g2)
+
+
+@pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
+def test_split_partners_equal_dense_filter(pp):
+    # the sparse list is exactly the dense row with its zeros dropped,
+    # in enumerate_symbols order, and lists only inhabited symbols
+    syms = enumerate_symbols(pp)
+    for g in syms:
+        for g1 in syms:
+            want = [(g2, s) for g2 in syms if (s := dense_split_size(pp, g, g1, g2))]
+            assert split_partners(pp, g, g1) == want, (pp, g, g1)
+            assert all(class_size(pp, g2) > 0 for g2, _ in want)
+            for g2 in syms:
+                assert split_class_size(pp, g, g1, g2) == dict(want).get(g2, 0)
+
+
+def test_split_partners_validate_symbols():
+    pp = PrimePower(5, 2)
+    with pytest.raises(DomainError):
+        split_partners(pp, PkSymbol(0, 3), PkSymbol(0, 1))
+    with pytest.raises(DomainError):
+        split_partners(pp, PkSymbol(0, 1), PkSymbol(2, 1))
+    with pytest.raises(DomainError):
+        split_class_size(pp, PkSymbol(0, 1), PkSymbol(0, 1), PkSymbol(INF, 1))
+
+
+def test_symbols_module_holds_no_caches():
+    # nothing in the module may grow with the moduli it has seen
+    assert not [name for name, value in vars(quadmod.symbols).items() if hasattr(value, "cache_info")]
