@@ -8,6 +8,13 @@ for odd p, add one column into another to pull a minimal-order
 off-diagonal entry onto the diagonal; for p = 2, keep the 2x2 pivot
 whole and clear the rest of its two rows/columns with a Cramer solve.
 
+Each move (a swap, or column c += a * column s) is applied in place:
+to the columns of U, and to the working matrix as column and then row
+operations on indices >= pos only, since the rows and columns before
+the current pivot position pos are already split off and are zero
+against everything after it.  A move costs O(n * (n - pos)), so the
+whole pass is O(n^3).
+
 Matrices are plain lists of lists of ints, reduced mod p^k.
 """
 
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .modring import DomainError, PrimePower, valuation
 
@@ -129,22 +137,6 @@ def integer_det(a: Matrix) -> int:
     return int(det)
 
 
-def mat_inverse_mod(u: Matrix, pp: PrimePower) -> Matrix:
-    """Inverse of u mod p^k (det must be a unit), via the adjugate."""
-    n = len(u)
-    d = integer_det(u)
-    if d % pp.p == 0:
-        raise DomainError("matrix determinant is not a unit")
-    dinv = pow(d % pp.q, -1, pp.q)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[u[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = integer_det(minor) * (-1) ** (i + j)
-            out[i][j] = cof * dinv % pp.q
-    return out
-
-
 def apply_transform(q_mat: Matrix, u: Matrix, pp: PrimePower) -> Matrix:
     """u'Qu reduced mod p^k."""
     n = check_symmetric(q_mat)
@@ -180,6 +172,9 @@ def _entry_order(pp: PrimePower, x: int) -> int:
 def _min_order_entry(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
     """Minimal-order entry (i, j, ord) with pos <= i <= j, diagonal preferred."""
     n = len(m)
+    unit = next((i for i in range(pos, n) if m[i][i] % pp.p), None)
+    if unit is not None:
+        return unit, unit, 0  # no key beats the first diagonal unit
     best = None
     for i in range(pos, n):
         for j in range(i, n):
@@ -190,17 +185,25 @@ def _min_order_entry(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int
     return i, j, o
 
 
-def _swap_matrix(n: int, i: int, j: int) -> Matrix:
-    """Exchange basis vectors i and j, negating one to keep det = +1."""
-    s = identity(n)
-    s[i][i] = s[j][j] = 0
-    s[j][i] = 1
-    s[i][j] = -1
-    return s
+def _swap(m: Matrix, u: Matrix, pos: int, i: int, j: int, q: int) -> None:
+    """Exchange basis vectors i, j >= pos, negating the new j to keep
+    det = +1: on the columns of u, then the columns and rows of m."""
+    for row in chain(u, m[pos:]):
+        row[i], row[j] = row[j], -row[i] % q
+    m[i], m[j] = m[j], [-x % q for x in m[i]]
 
 
-def _congruence(m: Matrix, s: Matrix, q: int) -> Matrix:
-    return mat_mul(transpose(s), mat_mul(m, s, q), q)
+def _add_columns(m: Matrix, u: Matrix, pos: int, moves: list[tuple[int, int, int]], q: int) -> None:
+    """Change basis by column c += a * column s for each (c, s, a) in
+    moves, where no target c is also a source s: on the columns of u,
+    then the columns and rows of m with indices >= pos."""
+    for row in chain(u, m[pos:]):
+        for c, s, a in moves:
+            row[c] = (row[c] + a * row[s]) % q
+    for c, s, a in moves:
+        row, src = m[c], m[s]
+        for x in range(pos, len(row)):
+            row[x] = (row[x] + a * src[x]) % q
 
 
 def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
@@ -220,42 +223,32 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             break
         if i == j:
             if i != pos:
-                s = _swap_matrix(n, pos, i)
-                m = _congruence(m, s, q)
-                u = mat_mul(u, s, q)
+                _swap(m, u, pos, pos, i, q)
             piv = m[pos][pos]
             cop = piv // p**o
             inv_cop = pow(cop, -1, p ** (k - o))
-            shear = identity(n)
+            shear = []
             for col in range(pos + 1, n):
                 x = m[pos][col]
-                if x % q:
+                if x:
                     # x has order >= o, so the quotient below is exact
-                    shear[pos][col] = -((x // p**o) * inv_cop % p ** (k - o))
-            m = _congruence(m, shear, q)
-            u = mat_mul(u, shear, q)
-            blocks.append(TypeI(m[pos][pos] % q))
+                    shear.append((col, pos, -((x // p**o) * inv_cop % p ** (k - o))))
+            _add_columns(m, u, pos, shear, q)
+            blocks.append(TypeI(m[pos][pos]))
             pos += 1
         elif p != 2:
             # pull the off-diagonal minimum onto the diagonal:
             # col_i += col_j makes entry (i,i) = Q_ii + 2 Q_ij + Q_jj,
             # whose order is exactly o (2 Q_ij dominates; diagonals are
             # strictly deeper or they would have been preferred).
-            shear = identity(n)
-            shear[j][i] = 1
-            m = _congruence(m, shear, q)
-            u = mat_mul(u, shear, q)
+            _add_columns(m, u, pos, [(i, j, 1)], q)
             # re-run selection; the pivot is now diagonal
         else:
             # p = 2: the 2x2 pivot stays; move it to (pos, pos+1)
             if i != pos:
-                s = _swap_matrix(n, pos, i)
-                m = _congruence(m, s, q)
-                u = mat_mul(u, s, q)
+                _swap(m, u, pos, pos, i, q)
             if j != pos + 1:
-                s = _swap_matrix(n, pos + 1, j)
-                m = _congruence(m, s, q)
-                u = mat_mul(u, s, q)
+                _swap(m, u, pos, pos + 1, j, q)
             ell = o
             scale = 2**ell
             two_a = m[pos][pos] // scale  # even: diagonal order > ell
@@ -263,22 +256,20 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             two_c = m[pos + 1][pos + 1] // scale
             det = (two_a * two_c - b * b) % 2 ** (k - ell)
             det_inv = pow(det, -1, 2 ** (k - ell))
-            shear = identity(n)
+            shear = []
             for col in range(pos + 2, n):
                 d_m = m[pos][col] // scale
                 e_m = m[pos + 1][col] // scale
                 r = (two_c * d_m - b * e_m) * det_inv % 2 ** (k - ell)
                 s_ = (two_a * e_m - b * d_m) * det_inv % 2 ** (k - ell)
-                shear[pos][col] = -r
-                shear[pos + 1][col] = -s_
-            m = _congruence(m, shear, q)
-            u = mat_mul(u, shear, q)
+                shear += [(col, pos, -r), (col, pos + 1, -s_)]
+            _add_columns(m, u, pos, shear, q)
             blocks.append(
                 TypeII(
                     ell,
-                    (m[pos][pos] % q) // (2 * scale),
-                    (m[pos][pos + 1] % q) // scale,
-                    (m[pos + 1][pos + 1] % q) // (2 * scale),
+                    m[pos][pos] // (2 * scale),
+                    m[pos][pos + 1] // scale,
+                    m[pos + 1][pos + 1] // (2 * scale),
                 )
             )
             pos += 2

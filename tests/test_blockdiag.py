@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from quadmod.blockdiag import (
     blocks_to_matrix,
     check_symmetric,
     integer_det,
-    mat_inverse_mod,
     mat_mul,
     mat_vec,
 )
@@ -38,8 +39,6 @@ def test_matrix_helpers():
     b = [[5, 6], [0, 1]]
     assert mat_mul(a, b, q) == [[5, 1], [1, 1]]
     assert mat_vec(a, [1, 1], q) == [3, 0]
-    inv = mat_inverse_mod(a, PrimePower(7, 1))
-    assert mat_mul(a, inv, q) == [[1, 0], [0, 1]]
 
 
 def test_type2_matrix_scaling():
@@ -104,3 +103,45 @@ def test_block_diagonalize_contract(inst):
         if isinstance(b, TypeII):
             assert b.b % 2 == 1
             assert 0 <= b.ell < pp.k
+
+
+P127 = 2**127 - 1
+
+
+def wide_forms(n, p, k):
+    """Seeded n x n forms mod p^k with entries of every order: a full one,
+    one whose last row and column repeat the first (singular), and one
+    with a zero row and column.  At p = 2 the diagonal is even, so type
+    II pivots occur."""
+    rng = random.Random(f"wide {n} {p} {k}")
+    q = p**k
+    full = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = rng.randrange(q) * p ** rng.randrange(k) % q
+            full[i][j] = full[j][i] = 2 * v % q if p == 2 and i == j else v
+    repeated = [row[:] for row in full]
+    for i in range(n):
+        repeated[i][n - 1] = repeated[n - 1][i] = full[0][i]
+    repeated[n - 1][n - 1] = full[0][0]
+    zero = [row[:] for row in full]
+    z = rng.randrange(n)
+    for i in range(n):
+        zero[i][z] = zero[z][i] = 0
+    return [full, repeated, zero]
+
+
+@pytest.mark.parametrize(
+    "n, p, k",
+    [(n, p, k) for n in (12, 24, 40) for p, k in ((2, 6), (3, 4), (P127, 2))] + [(64, 3, 4)],
+    ids=lambda v: "P127" if v == P127 else str(v),
+)
+def test_block_diagonalize_contract_wide(n, p, k):
+    pp = PrimePower(p, k)
+    for mat in wide_forms(n, p, k):
+        bd = block_diagonalize(mat, pp)
+        u = [list(row) for row in bd.u]
+        assert integer_det(u) % pp.q == 1
+        assert apply_transform(mat, u, pp) == blocks_to_matrix(bd)
+        assert sum(b.dim for b in bd.blocks) == n
+        assert all(b.b % 2 == 1 for b in bd.blocks if isinstance(b, TypeII))

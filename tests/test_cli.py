@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,14 @@ def test_strong_pseudoprime_modulus_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not prime" in captured.err
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadmod", "count", path], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"total": "4", "primitive": "4", "nonprimitive": "0"}

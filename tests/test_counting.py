@@ -20,7 +20,7 @@ from quadmod.counting import (
     local_density,
 )
 from quadmod.modring import DomainError, PrimePower
-from quadmod.oracle import histogram_counts
+from quadmod.oracle import histogram_counts, solutions_mod
 from quadmod.symbols import class_size, enumerate_symbols, symbol_of
 
 I2 = [[1, 0], [0, 1]]
@@ -137,6 +137,44 @@ def test_count_form_unit_square_invariance(inst, data):
         u += 1
     assert count_form(mat, pp, t) == count_form(mat, pp, t * u * u % pp.q)
 
+
+
+@st.composite
+def enumerable_forms(draw):
+    """(pp, Q, t) with q^n <= 4096: entries of every p-order, singular
+    forms (a repeated row and column), an even diagonal at p = 2 (type II
+    pivots), and targets 0 or divisible by p as often as units."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    kmax = max(e for e in range(1, 13) if p ** (e * n) <= 4096)
+    k = draw(st.integers(min_value=1, max_value=kmax))
+    pp = PrimePower(p, k)
+    q = pp.q
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = draw(st.integers(min_value=0, max_value=q - 1)) * p ** draw(st.integers(0, k)) % q
+            mat[i][j] = mat[j][i] = v
+    if p == 2 and draw(st.booleans()):
+        for i in range(n):
+            mat[i][i] = 2 * mat[i][i] % q
+    if n > 1 and draw(st.booleans()):
+        for i in range(n):
+            mat[i][n - 1] = mat[n - 1][i] = mat[0][i]
+        mat[n - 1][n - 1] = mat[0][0]
+    t = draw(st.one_of(st.just(0), st.integers(0, q - 1).map(lambda x: p * x % q), st.integers(0, q - 1)))
+    return pp, mat, t
+
+
+@given(enumerable_forms())
+@settings(max_examples=300, deadline=None)
+def test_count_form_matches_enumeration(inst):
+    pp, mat, t = inst
+    assert pp.q ** len(mat) <= 4096
+    sols = solutions_mod(mat, pp.q, t)
+    primitive = sum(1 for x in sols if any(c % pp.p for c in x))
+    counts = count_form(mat, pp, t)
+    assert (counts.total, counts.primitive) == (len(sols), primitive), (pp, mat, t)
 
 def test_local_density_examples():
     assert local_density([[1]], 5, 1) == 2

@@ -103,3 +103,36 @@ def test_sqrt_unit_mod_2k_exhaustive_small():
             else:
                 with pytest.raises(NotASquare):
                     sqrt_unit_mod_2k(k, t)
+
+
+ODD_PRIMES_TO_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_50)
+def test_lift_sqrt_odd_matches_sympy(p):
+    sympy_sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
+    rng = random.Random(p)
+    for k in (1, 2, 3):
+        pp = PrimePower(p, k)
+        units = [t for t in range(pp.q) if t % p]
+        if len(units) > 2000:
+            units = rng.sample(units, 2000)
+        for t in units:
+            expected = sorted(sympy_sqrt_mod(t, pp.q, all_roots=True))
+            if expected:
+                assert list(lift_sqrt_odd(pp, t, rng)) == expected, (p, k, t)
+            else:
+                with pytest.raises(NonResidue):
+                    lift_sqrt_odd(pp, t, rng)
+
+
+def test_sqrt_unit_mod_2k_matches_sympy():
+    sympy_sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
+    for k in range(1, 11):
+        for t in range(1, 2**k, 2):
+            expected = sorted(sympy_sqrt_mod(t, 2**k, all_roots=True))
+            if expected:
+                assert list(sqrt_unit_mod_2k(k, t)) == expected, (k, t)
+            else:
+                with pytest.raises(NotASquare):
+                    sqrt_unit_mod_2k(k, t)
