@@ -3,11 +3,20 @@
 Per-block closed forms (1x1 blocks for any p, 2x2 blocks for p = 2)
 are glued together by a dynamic program over p^k-symbols: the count of
 a direct sum at target symbol g is the sum over symbol pairs (g1, g2)
-of the split size (g; g1, g2) times the factors' counts, where g2 runs
-over the non-zero entries of split_partners(g, g1) only.  Totals and
+of the split size (g; g1, g2) times the factors' counts.  Totals and
 non-primitive counts both satisfy that convolution (a vector is
 non-primitive iff every component block is), and primitive = total -
 non-primitive.
+
+Each level of the program splits the cells by the order gap G (3 for
+p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
+ord(g) has a partner and a size fixed by the orders alone, so all such
+cells of every target come from three running sums by order, built
+once per level.  Only the near cells, g1 within G of ord(g) paired with
+the finite partners below ord(g) + G, are visited one by one, through
+symbols._near_partners.  A level is O(S) big-integer products over the
+S symbols plus the near cells, a bounded number per target, where the
+full convolution made one per non-zero (g, g1, g2) cell.
 """
 
 from __future__ import annotations
@@ -25,8 +34,12 @@ from .blockdiag import (
 )
 from .modring import INF, TWO, DomainError, PrimePower, legendre, valuation
 from .symbols import (
+    SYMBOL_ZERO,
     PkSymbol,
-    _split_partners,
+    _class_size,
+    _near_partners,
+    _negated_symbol,
+    _split_gap,
     class_size,
     enumerate_symbols,
     symbol_of,
@@ -39,6 +52,9 @@ class RepCounts(NamedTuple):
     total: int
     primitive: int
     nonprimitive: int
+
+
+Table = dict[PkSymbol, RepCounts]  # counts at every inhabited target symbol
 
 
 class SingularForm(DomainError):
@@ -196,38 +212,107 @@ def _live_symbols(pp: PrimePower) -> list[PkSymbol]:
     return [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
 
 
-def chain_tables(
-    blocks: tuple[Block, ...], pp: PrimePower
-) -> tuple[list[dict[PkSymbol, RepCounts]], list[dict[PkSymbol, RepCounts]]]:
+def chain_tables(blocks: tuple[Block, ...], pp: PrimePower) -> tuple[list[Table], list[Table]]:
     """Per-block and suffix count tables, one entry per inhabited symbol.
 
     suffix[j][g] counts representations of (any target of symbol g) by
     the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
-    and split_partners lists the tail symbols a head symbol can pair
-    with, with how many (head value, tail value) pairs realize each.
+    and each level is the split convolution of the head's table with
+    the tail's.
     """
     syms = _live_symbols(pp)
     per_block = [{g: count_block(blk, pp, g) for g in syms} for blk in blocks]
-    suffix: list[dict[PkSymbol, RepCounts]] = [per_block[-1]]
+    convolve = _split_convolution(pp, syms)
+    suffix: list[Table] = [per_block[-1]]
     for head in reversed(per_block[:-1]):
-        tail = suffix[0]
-        level: dict[PkSymbol, RepCounts] = {}
-        for g in syms:
-            total = 0
-            nprim = 0
-            for g1, h in head.items():
-                if h.total == 0:
-                    continue
-                for g2, s in _split_partners(pp, g, g1):
-                    c = tail[g2]
-                    if c.total == 0:
-                        continue
-                    total += s * h.total * c.total
-                    nprim += s * h.nonprimitive * c.nonprimitive
-            level[g] = RepCounts(total, total - nprim, nprim)
-        suffix.insert(0, level)
+        suffix.insert(0, convolve(head, suffix[0]))
     return per_block, suffix
+
+
+def _split_convolution(pp: PrimePower, syms: list[PkSymbol]):
+    """The level step of chain_tables over the inhabited symbols syms:
+    maps the head's and the tail's tables to the table of head + tail,
+    whose entry at g sums split size times h(g1) times c(g2) over the
+    split cells (g1, g2).
+
+    With o = ord(g) and the zero symbol counted at order k with class
+    size 1, every cell whose orders are G apart has a size fixed by the
+    orders alone: a g1 of order >= o + G pairs only with g (size |g1|),
+    a g1 of order <= o - G only with -g1 (size |g1|), and g1 = g with
+    every g2 of order >= o + G (size |g2|).  So
+
+        total[g] = c(g) A[o+G] + h(g) C[o+G] + B[o-G] + near cells
+        total[0] = B[k-1] + h(0) c(0)
+
+    with A[m] = sum |g1| h(g1) and C[m] = sum |g2| c(g2) over orders
+    >= m (the zero symbol in every A and C, since it is above any gap),
+    and B[m] = sum |g1| h(g1) c(-g1) over finite orders <= m.  The near
+    cells are the g1 of band[o] with their finite partners below o + G;
+    their _near_partners lists are memoized for the levels of one
+    chain_tables call.
+    """
+    k, gap = pp.k, _split_gap(pp)
+    finite = [g for g in syms if g.ord != INF]
+    layout = [(g, _class_size(pp, g), _negated_symbol(pp, g)) for g in finite]
+    band = [[g1 for g1 in finite if o - gap < g1.ord < o + gap] for o in range(k)]
+    near: dict[tuple[PkSymbol, PkSymbol], list[tuple[PkSymbol, int]]] = {}
+
+    def convolve(head: Table, tail: Table) -> Table:
+        zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
+        a_tot, a_np = [0] * (k + 1), [0] * (k + 1)
+        c_tot, c_np = [0] * (k + 1), [0] * (k + 1)
+        b_tot, b_np = [0] * k, [0] * k
+        a_tot[k], a_np[k] = zero_h.total, zero_h.nonprimitive
+        c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
+        for g, size, neg in layout:
+            o, h, c = g.ord, head[g], tail[g]
+            c_tot[o] += size * c.total
+            c_np[o] += size * c.nonprimitive
+            if h.total:
+                a_tot[o] += size * h.total
+                a_np[o] += size * h.nonprimitive
+                m = tail[neg]
+                b_tot[o] += size * h.total * m.total
+                b_np[o] += size * h.nonprimitive * m.nonprimitive
+        for o in range(k - 1, -1, -1):
+            a_tot[o] += a_tot[o + 1]
+            a_np[o] += a_np[o + 1]
+            c_tot[o] += c_tot[o + 1]
+            c_np[o] += c_np[o + 1]
+        for o in range(1, k):
+            b_tot[o] += b_tot[o - 1]
+            b_np[o] += b_np[o - 1]
+
+        level: Table = {}
+        for g in syms:
+            if g.ord == INF:
+                total = b_tot[k - 1] + zero_h.total * zero_c.total
+                nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
+                level[g] = RepCounts(total, total - nprim, nprim)
+                continue
+            o, h, c = g.ord, head[g], tail[g]
+            hi = min(o + gap, k)
+            total = c.total * a_tot[hi] + h.total * c_tot[hi]
+            nprim = c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
+            if o >= gap:
+                total += b_tot[o - gap]
+                nprim += b_np[o - gap]
+            for g1 in band[o]:
+                h1 = head[g1]
+                if not h1.total:
+                    continue
+                partners = near.get((g, g1))
+                if partners is None:
+                    partners = near[g, g1] = _near_partners(pp, g, g1)
+                for g2, s in partners:
+                    c2 = tail[g2]
+                    total += s * h1.total * c2.total
+                    nprim += s * h1.nonprimitive * c2.nonprimitive
+            level[g] = RepCounts(total, total - nprim, nprim)
+        return level
+
+    return convolve
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:
@@ -268,6 +353,15 @@ def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
     return Fraction(total, p ** (s * (n - 1)))
 
 
+def _check_factors(factored_q: list[PrimePower]) -> None:
+    """Reject a factorization of the modulus that is empty or repeats a prime."""
+    if not factored_q:
+        raise DomainError("need at least one prime power")
+    primes = [pp.p for pp in factored_q]
+    if len(set(primes)) != len(primes):
+        raise DomainError("duplicate primes in the factorization")
+
+
 def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepCounts:
     """Counts mod q = prod p_i^k_i by CRT.
 
@@ -275,11 +369,7 @@ def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepC
     iff it is primitive at every prime, so the primitive counts
     multiply as well; non-primitive is the complement.
     """
-    if not factored_q:
-        raise DomainError("need at least one prime power")
-    primes = [pp.p for pp in factored_q]
-    if len(set(primes)) != len(primes):
-        raise DomainError("duplicate primes in the factorization")
+    _check_factors(factored_q)
     total = 1
     prim = 1
     for pp in factored_q:

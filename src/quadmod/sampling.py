@@ -21,6 +21,7 @@ from enum import Enum
 from .blockdiag import Block, TypeI, TypeII, block_diagonalize, check_symmetric, mat_vec
 from .counting import (
     RepCounts,
+    _check_factors,
     _count_scaled_type2,
     chain_tables,
     count_form,
@@ -367,7 +368,8 @@ def sample_form(
     q = pp.q
     t %= q
     if n == 0:
-        return None
+        # the empty vector is the one solution, of value 0 and non-primitive
+        return () if t == 0 and kind is not RepKind.PRIMITIVE else None
     bd = block_diagonalize(q_mat, pp)
     per_block, suffix = chain_tables(bd.blocks, pp)
     c = suffix[0][symbol_of(pp, t)]
@@ -397,11 +399,7 @@ def sample_composite(
     branching, with exact weights, between "this factor non-primitive,
     rest unconstrained" and "this factor primitive, constraint pending".
     """
-    primes = [pp.p for pp in factored_q]
-    if not factored_q:
-        raise DomainError("need at least one prime power")
-    if len(set(primes)) != len(primes):
-        raise DomainError("duplicate primes in the factorization")
+    _check_factors(factored_q)
     per = [count_form(q_mat, pp, t) for pp in factored_q]
 
     if kind is RepKind.NONPRIMITIVE:

@@ -10,9 +10,19 @@ The convolution kernel that glues per-block counts together is the
 split size: for a target t of symbol g, the number of pairs (a, b) with
 prescribed symbols g1, g2 and a + b = t.  ``split_partners`` is its
 single source: given (g, g1) it lists only the g2 with a non-zero size,
-which is one symbol except when ord(g1) = ord(g), so a dynamic program
-over symbols costs O(S^2) per step rather than S^3.
+which is one symbol except when ord(g1) = ord(g).
 ``split_class_size`` looks one triple up in that list.
+
+Beyond an order gap G (3 for p = 2, where three bits of the coprime
+part fix the sign; 1 for odd p) a cell no longer depends on signs or
+exact orders: a g1 at least G orders above g pairs only with g, a g1 at
+least G below only with -g1, both with size |g1|, and g1 = g pairs with
+every g2 at least G above, with size |g2| (the zero symbol counts as
+above every order).  ``_near_partners`` lists the rest, and
+``_split_partners`` is the zero partner, the near partners and that far
+tail.  The count tables sum the far cells by order and read only the
+near lists, so one level of their dynamic program costs O(S) products
+plus a bounded number of near cells per target.
 """
 
 from __future__ import annotations
@@ -182,29 +192,57 @@ def split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSy
     return _split_partners(pp, g, g1)
 
 
+def _split_gap(pp: PrimePower) -> int:
+    """The order gap G beyond which a split cell no longer depends on
+    its symbols' signs or exact orders: 3 for p = 2 (three bits of the
+    coprime part decide the sign), 1 for odd p."""
+    return 3 if pp.p == 2 else 1
+
+
 def _split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
     """split_partners for symbols known to be well-formed, such as those
-    of enumerate_symbols: the count tables and the chain walk call it
-    once per (g, g1) cell."""
+    of enumerate_symbols: the chain walk calls it once per (g, g1) cell.
+
+    The list is the zero partner when g1 = g, then the near partners,
+    then, when g1 = g, every inhabited symbol of order >= ord(g) + G."""
     if _is_empty(pp, g) or _is_empty(pp, g1):
         return []
     if g1.ord == INF:
         return [(g, 1)]
     if g.ord == INF:
         return [(_negated_symbol(pp, g1), _class_size(pp, g1))]
+    near = _near_partners(pp, g, g1)
+    if g1 != g:
+        return near
+    far = [
+        (g2, _class_size(pp, g2))
+        for g2 in _orders_between(pp, min(pp.k, g.ord + _split_gap(pp)), pp.k)
+        if not _is_empty(pp, g2)
+    ]
+    return [(SYMBOL_ZERO, 1), *near, *far]
+
+
+def _near_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
+    """The partners g2 of finite order below ord(g) + G at (g, g1), for
+    inhabited finite g and g1, in enumerate_symbols order.
+
+    That is every partner unless g1 = g, whose zero partner and partners
+    at or beyond the gap all have the size of the g2 class.  The count
+    tables fold those far cells, and every cell of a g1 at least G away
+    from ord(g), into running sums, and visit only the g1 within the gap
+    through this list.
+    """
     if g1.ord != g.ord:
         return [(_difference_symbol(pp, g, g1), _class_size(pp, g1))]
-
     p, k = pp.p, pp.k
-    out = [(SYMBOL_ZERO, 1)] if g1 == g else []
+    out = []
     if p != 2:
         scale = p ** (k - g.ord - 1)
         for s2 in (1, -1):
             mod_p = split_pair_count_mod_p(p, g1.sgn, s2, g.sgn)
             if mod_p:
                 out.append((PkSymbol(g.ord, s2), mod_p * scale))
-    top = k if g1 == g else min(k, g.ord + 3)
-    for g2 in _orders_between(pp, g.ord + 1, top):
+    for g2 in _orders_between(pp, g.ord + 1, min(k, g.ord + _split_gap(pp))):
         if not _is_empty(pp, g2) and _difference_symbol(pp, g, g2) == g1:
             out.append((g2, _class_size(pp, g2)))
     return out

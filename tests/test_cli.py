@@ -189,3 +189,16 @@ def test_python_dash_m_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"total": "4", "primitive": "4", "nonprimitive": "0"}
+
+
+def test_count_does_not_load_numpy(tmp_path):
+    # numpy backs the oracle, which only the check command uses
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys\nfrom quadmod.cli import main\ncode = main(sys.argv[1:])\nprint('numpy' in sys.modules, code)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "count", path], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmod.blockdiag import TypeII
+from quadmod.blockdiag import TypeI, TypeII, block_diagonalize
 from quadmod.counting import (
     RepCounts,
     SingularForm,
     ZeroTarget,
     _count_scaled_type2,
+    chain_tables,
+    count_block,
     count_composite,
     count_form,
     count_type1_odd,
@@ -22,6 +25,7 @@ from quadmod.counting import (
 from quadmod.modring import DomainError, PrimePower
 from quadmod.oracle import histogram_counts, solutions_mod
 from quadmod.symbols import class_size, enumerate_symbols, symbol_of
+from test_symbols import dense_split_size
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -275,3 +279,127 @@ def test_type2_count_deep_modulus_partition():
     assert sum(c.primitive * class_size(pp, g) for g, c in table.items()) == 4**2400 - 4**2399
     zero = count_form([[2, 1], [1, 2]], pp, 0)
     assert zero.total == table[symbol_of(pp, 0)].total > 0
+
+
+P127 = 2**127 - 1
+
+
+def reference_chain_tables(blocks, pp):
+    """chain_tables by the dense convolution: every (g1, g2) pair of every
+    target, weighted by the reference split size of test_symbols."""
+    syms = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
+    split = {(g, g1, g2): dense_split_size(pp, g, g1, g2) for g in syms for g1 in syms for g2 in syms}
+    per_block = [{g: count_block(blk, pp, g) for g in syms} for blk in blocks]
+    suffix = [per_block[-1]]
+    for head in reversed(per_block[:-1]):
+        tail = suffix[0]
+        level = {}
+        for g in syms:
+            total = nprim = 0
+            for g1 in syms:
+                for g2 in syms:
+                    s = split[g, g1, g2]
+                    total += s * head[g1].total * tail[g2].total
+                    nprim += s * head[g1].nonprimitive * tail[g2].nonprimitive
+            level[g] = RepCounts(total, total - nprim, nprim)
+        suffix.insert(0, level)
+    return per_block, suffix
+
+
+def random_blocks(rng, pp, first):
+    """1 to 5 blocks led by `first`, the others type I of a random order
+    (d = 0 at order k) or, at p = 2, type II of a random scale."""
+    p, k = pp.p, pp.k
+    blocks = [first]
+    for _ in range(rng.randrange(5)):
+        if p == 2 and rng.random() < 0.4:
+            blocks.append(type2_block(rng, rng.randrange(k + 1)))
+        else:
+            e = rng.randrange(k + 1)
+            blocks.append(TypeI(unit(rng, p) * p**e % pp.q))
+    return tuple(blocks)
+
+
+def type2_block(rng, ell):
+    return TypeII(ell, rng.randrange(8), 2 * rng.randrange(8) + 1, rng.randrange(8))
+
+
+def unit(rng, p):
+    while True:
+        u = rng.randrange(1, 10**6)
+        if u % p:
+            return u
+
+
+DP_GRID = [
+    PrimePower(p, k)
+    for p, kmax in ((2, 8), (3, 4), (5, 4), (7, 4), (13, 4), (P127, 4))
+    for k in range(1, kmax + 1)
+]
+
+
+@pytest.mark.parametrize("pp", DP_GRID, ids=str)
+def test_chain_tables_match_dense_reference(pp):
+    # one tuple led by a type I block of every order (d = 0 at order k)
+    # and, at p = 2, one led by a type II block of every scale ell <= k
+    rng = random.Random(pp.p * 100 + pp.k)
+    firsts = [TypeI(unit(rng, pp.p) * pp.p**e % pp.q) for e in range(pp.k + 1)]
+    if pp.p == 2:
+        firsts += [type2_block(rng, ell) for ell in range(pp.k + 1)]
+    for first in firsts:
+        blocks = random_blocks(rng, pp, first)
+        assert chain_tables(blocks, pp) == reference_chain_tables(blocks, pp), (pp, blocks)
+
+
+def jordan_blocks(seed, p, profile):
+    rng = random.Random(seed)
+    return tuple(TypeI(unit(rng, p) * p**e) for e in profile)
+
+
+def dense_even_form(seed, n):
+    rng = random.Random(seed)
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = 2 * rng.randrange(500)
+        for j in range(i):
+            q[i][j] = q[j][i] = rng.randrange(1000)
+    return q
+
+
+# sha256 of repr(chain_tables(blocks, pp)), recorded before the count
+# tables folded the far split cells into running sums
+CHAIN_TABLE_DIGESTS = {
+    "2^24": (
+        lambda: jordan_blocks(24, 2, (0, 0, 1, 2)),
+        PrimePower(2, 24),
+        "ab189bccf0c120370c64ddf7b57a3ff38043b36c642c792a116932a437e2b9ac",
+    ),
+    "3^60": (
+        lambda: jordan_blocks(60, 3, (0, 0, 1, 2)),
+        PrimePower(3, 60),
+        "1d595b34901347054701f958240786b7ec6f220d18e65ebdc40dd208b092a58f",
+    ),
+    "5^60": (
+        lambda: jordan_blocks(61, 5, (0, 0, 1, 2)),
+        PrimePower(5, 60),
+        "bb56ca852c2320e22160de6e673b2fe98b3e5b3e52b8b9ba7baa4e531a3125cb",
+    ),
+    "P127^30": (
+        lambda: jordan_blocks(30, P127, (0, 0, 1, 2)),
+        PrimePower(P127, 30),
+        "f0a7b4cb5dd5d3d7c8beadf8aa847f5e14a0d457d0f9b1fbe722a600b6ca5e4e",
+    ),
+    "dense-24-2^6": (
+        lambda: block_diagonalize(dense_even_form(6, 24), PrimePower(2, 6)).blocks,
+        PrimePower(2, 6),
+        "c6bce1abcf051b07961e58d267040ab99f6bafce8c02afb720de450069675588",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, pp, digest", CHAIN_TABLE_DIGESTS.values(), ids=CHAIN_TABLE_DIGESTS)
+def test_chain_tables_golden_digests(make, pp, digest):
+    blocks = make()
+    if pp.q == 2**6:
+        assert any(isinstance(blk, TypeII) for blk in blocks)
+    assert hashlib.sha256(repr(chain_tables(blocks, pp)).encode()).hexdigest() == digest

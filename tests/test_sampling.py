@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import quadmod.modring
 from quadmod.blockdiag import TypeII
-from quadmod.counting import _count_scaled_type2
+from quadmod.counting import _count_scaled_type2, count_composite
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
@@ -221,6 +221,39 @@ def test_sample_composite_examples():
     )
     rng = random.Random(0)
     assert sample_composite([[1]], facs, 7, RepKind.ANY, rng) is None
+
+
+def test_sample_form_zero_dimension():
+    # the empty vector is the one solution of the empty form: value 0,
+    # non-primitive; it is returned without a draw
+    rng = random.Random(5)
+    state = rng.getstate()
+    for pp in (PrimePower(2, 3), PrimePower(3, 1)):
+        for t in (0, pp.q):
+            assert sample_form([], pp, t, RepKind.ANY, rng) == ()
+            assert sample_form([], pp, t, RepKind.NONPRIMITIVE, rng) == ()
+            assert sample_form([], pp, t, RepKind.PRIMITIVE, rng) is None
+        for kind in RepKind:
+            assert sample_form([], pp, 1, kind, rng) is None
+    assert rng.getstate() == state
+
+
+def test_sample_composite_zero_dimension():
+    facs = [PrimePower(2, 1), PrimePower(3, 1)]
+    rng = random.Random(5)
+    assert sample_composite([], facs, 0, RepKind.ANY, rng) == ()
+    assert sample_composite([], facs, 6, RepKind.NONPRIMITIVE, rng) == ()
+    assert sample_composite([], facs, 0, RepKind.PRIMITIVE, rng) is None
+    for kind in RepKind:
+        assert sample_composite([], facs, 3, kind, rng) is None
+
+
+def test_sample_composite_validation_matches_count():
+    for facs, message in (([], "at least one prime power"), ([PrimePower(3, 1), PrimePower(3, 2)], "duplicate primes")):
+        with pytest.raises(DomainError, match=message):
+            sample_composite([[1]], facs, 1, RepKind.ANY, random.Random(0))
+        with pytest.raises(DomainError, match=message):
+            count_composite([[1]], facs, 1)
 
 
 def test_sample_composite_nonprimitive_means_some_prime():

@@ -6,6 +6,7 @@ import quadmod.symbols
 from quadmod.modring import INF, DomainError, PrimePower, legendre
 from quadmod.symbols import (
     PkSymbol,
+    _near_partners,
     class_size,
     enumerate_symbols,
     split_class_size,
@@ -187,6 +188,44 @@ def test_split_partners_equal_dense_filter(pp):
             assert all(class_size(pp, g2) > 0 for g2, _ in want)
             for g2 in syms:
                 assert split_class_size(pp, g, g1, g2) == dict(want).get(g2, 0)
+
+
+def symbol_rep(pp, g):
+    """The least p^ord * u of symbol g with u a small positive integer."""
+    u = next(u for u in range(1, 8 * pp.p) if symbol_of(pp, pp.p**g.ord * u) == g)
+    return pp.p**g.ord * u
+
+
+@pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
+def test_split_partners_far_rules_and_near_cells(pp):
+    # with o = ord(g) and G the gap, a cell whose g1 or g2 lies at least
+    # G away from o has a partner and size fixed by the orders alone;
+    # every other cell is listed by _near_partners, in order
+    gap = 3 if pp.p == 2 else 1
+    live = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
+    zero = PkSymbol(INF, 0)
+
+    def beyond(g2, o):
+        return g2.ord == INF or g2.ord >= o + gap
+
+    for g in live:
+        for g1 in live:
+            got = split_partners(pp, g, g1)
+            size1 = class_size(pp, g1)
+            if g1.ord == INF:
+                assert got == [(g, 1)], (pp, g, g1)
+            elif g.ord == INF or g1.ord <= g.ord - gap:
+                negated = symbol_of(pp, -symbol_rep(pp, g1))
+                assert got == [(negated, size1)], (pp, g, g1)
+            elif g1.ord >= g.ord + gap:
+                assert got == [(g, size1)], (pp, g, g1)
+            else:
+                far = [(g2, s) for g2, s in got if beyond(g2, g.ord)]
+                above = [(g2, class_size(pp, g2)) for g2 in live if beyond(g2, g.ord)]
+                assert far == (above if g1 == g else []), (pp, g, g1)
+                assert above[0] == (zero, 1)
+                near = [(g2, s) for g2, s in got if not beyond(g2, g.ord)]
+                assert near == _near_partners(pp, g, g1), (pp, g, g1)
 
 
 def test_split_partners_validate_symbols():
