@@ -20,6 +20,7 @@ failed self-check, 3 malformed input or command line, 4 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import random
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .blockdiag import TypeI, block_diagonalize, check_symmetric
-from .counting import count_composite, count_form, local_density
+from .counting import count_composite, count_factors, count_form, local_density, prepare
 from .modring import DomainError, PrimePower
-from .sampling import RepKind, sample_composite, sample_form
+from .sampling import RepKind, sample_composite, sample_factors, sample_form, sample_prepared
 from .sqroots import LasVegasFail
 
 
@@ -221,7 +222,7 @@ def _cmd_diagonalize(instance: Instance, flags) -> tuple[int, str]:
     return 0, _render({"blocks": blocks, "u": u}, lines, flags.format)
 
 
-def _check_counts(instance: Instance, budget: int | None) -> tuple[str, str]:
+def _check_counts(instance: Instance, budget: int | None, prepared) -> tuple[str, str]:
     # the oracle loads numpy, which only check needs
     from .oracle import DEFAULT_BUDGET, solutions_mod
 
@@ -233,25 +234,22 @@ def _check_counts(instance: Instance, budget: int | None) -> tuple[str, str]:
         return "count==oracle", f"SKIPPED (m^n exceeds budget {budget})"
     sols = solutions_mod(instance.q, m, instance.t, budget=budget)
     prim = sum(1 for v in sols if gcd(m, *v) == 1)
-    if instance.composite:
-        c = count_composite(instance.q, list(instance.factors), instance.t)
-    else:
-        c = count_form(instance.q, instance.factors[0], instance.t)
+    c = count_factors(prepared(), instance.t)
     if (c.total, c.primitive) == (len(sols), prim):
         return "count==oracle", "OK"
     return "count==oracle", f"MISMATCH (counted {c.total}/{c.primitive}, oracle {len(sols)}/{prim})"
 
 
-def _check_sampling(instance: Instance, flags, rng) -> tuple[str, str]:
+def _check_sampling(instance: Instance, flags, rng, prepared) -> tuple[str, str]:
     from .oracle import chi_square_uniform
 
     kind = RepKind(flags.kind)
+    forms = prepared()
+    c = count_factors(forms, instance.t)
     if instance.composite:
-        c = count_composite(instance.q, list(instance.factors), instance.t)
-        draw = lambda: sample_composite(instance.q, list(instance.factors), instance.t, kind, rng)
+        draw = lambda: sample_factors(forms, instance.t, kind, rng)
     else:
-        c = count_form(instance.q, instance.factors[0], instance.t)
-        draw = lambda: sample_form(instance.q, instance.factors[0], instance.t, kind, rng)
+        draw = lambda: sample_prepared(forms[0], instance.t, kind, rng)
     size = {
         RepKind.ANY: c.total,
         RepKind.PRIMITIVE: c.primitive,
@@ -285,9 +283,11 @@ def _check_sampling(instance: Instance, flags, rng) -> tuple[str, str]:
 
 def _cmd_check(instance: Instance, flags) -> tuple[int, str]:
     rng = random.Random(flags.seed)
-    results = [_check_counts(instance, flags.budget)]
+    # the factors, prepared on first use, then shared by the count and every draw
+    prepared = functools.cache(lambda: [prepare(instance.q, pp) for pp in instance.factors])
+    results = [_check_counts(instance, flags.budget, prepared)]
     if flags.trials > 0:
-        results.append(_check_sampling(instance, flags, rng))
+        results.append(_check_sampling(instance, flags, rng, prepared))
     lines = [f"{name}: {verdict}" for name, verdict in results]
     failed = any(v.startswith("MISMATCH") or v.startswith("FAILED") for _, v in results)
     payload = {"checks": {name: verdict for name, verdict in results}, "ok": not failed}

@@ -14,14 +14,21 @@ ord(g) has a partner and a size fixed by the orders alone, so all such
 cells of every target come from three running sums by order, built
 once per level.  Only the near cells, g1 within G of ord(g) paired with
 the finite partners below ord(g) + G, are visited one by one, through
-symbols._near_partners.  A level is O(S) big-integer products over the
-S symbols plus the near cells, a bounded number per target, where the
-full convolution made one per non-zero (g, g1, g2) cell.
+the layout's near lists.  A level is O(S) big-integer products over
+the S symbols plus the near cells, a bounded number per target, where
+the full convolution made one per non-zero (g, g1, g2) cell.
+
+``prepare`` diagonalizes a form and builds its tables once, over one
+SymbolLayout of the modulus; every public count, and every draw of
+the sampling module, reads a prepared form.  A composite modulus is a
+list of prepared factors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .blockdiag import (
@@ -32,18 +39,8 @@ from .blockdiag import (
     check_symmetric,
     integer_det,
 )
-from .modring import INF, TWO, DomainError, PrimePower, legendre, valuation
-from .symbols import (
-    SYMBOL_ZERO,
-    PkSymbol,
-    _class_size,
-    _near_partners,
-    _negated_symbol,
-    _split_gap,
-    class_size,
-    enumerate_symbols,
-    symbol_of,
-)
+from .modring import INF, DomainError, PrimePower, legendre, valuation
+from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, symbol_of
 
 Matrix = list[list[int]]
 
@@ -69,64 +66,49 @@ def _counts(prim: int, nprim: int) -> RepCounts:
     return RepCounts(prim + nprim, prim, nprim)
 
 
-def count_type1_odd(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
-    """Solutions x of d*x^2 = t mod p^k for odd p, with symbol(t) = sym_t.
+def _type1_counter(d: int, pp: PrimePower):
+    """The map g -> counts of d*x^2 = t mod p^k with symbol(t) = g, with
+    the order, coprime part and square class of d taken once.
 
     t = 0: every x with 2*ord(x) + ord(d) >= k works.  t != 0: writing
     x = p^e * y with y a unit needs ord(t) - ord(d) = 2e >= 0 and the
-    unit parts to agree as squares; then y has two choices of root and
-    (ord t + ord d)/2 free digits, giving 2 * p^((ord t + ord d)/2)
-    solutions, primitive exactly when e = 0.
+    unit parts to agree as squares: equal Legendre signs for odd p, and
+    cop(d) = cop(t) modulo min(8, 2^(k - ord t)) for p = 2.  Then y has
+    `mult` roots (2 for odd p; for p = 2, 4 once three bits of the unit
+    part are visible, else k - ord t) and (ord t + ord d)/2 free digits,
+    giving mult * p^((ord t + ord d)/2) solutions, primitive exactly
+    when e = 0.
     """
-    if pp.p == 2:
-        raise DomainError("count_type1_odd needs odd p")
     p, k = pp.p, pp.k
     ord_d, cop_d = valuation(pp, d % pp.q)
-    ord_t, sgn_t = sym_t
+    sign = legendre(cop_d, p) if p != 2 and ord_d != INF else 0
+    none = RepCounts(0, 0, 0)
 
-    if ord_t == INF:
-        if ord_d == INF:
-            return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
-        e = -((k - ord_d) // -2)  # ceil
-        return _counts(0, p ** (k - e))
+    def at(g: PkSymbol) -> RepCounts:
+        if g.ord == INF:
+            if ord_d == INF:
+                return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
+            # x = 0 mod p^ceil((k - ord d)/2), leaving floor((k + ord d)/2) digits
+            return _counts(0, p ** ((k + ord_d) // 2))
+        if ord_d == INF or g.ord < ord_d or (g.ord - ord_d) % 2:
+            return none
+        if p == 2:
+            if (g.sgn - cop_d) % min(8, 2 ** (k - g.ord)):
+                return none
+            mult = 4 if k - g.ord >= 3 else k - g.ord
+        elif g.sgn != sign:
+            return none
+        else:
+            mult = 2
+        reps = mult * p ** ((g.ord + ord_d) // 2)
+        return _counts(reps, 0) if g.ord == ord_d else _counts(0, reps)
 
-    if ord_d == INF or ord_d > ord_t or (ord_t - ord_d) % 2 == 1:
-        return _counts(0, 0)
-    if sgn_t * legendre(cop_d, p) != 1:
-        return _counts(0, 0)
-    reps = 2 * p ** ((ord_t + ord_d) // 2)
-    if ord_d == ord_t:
-        return _counts(reps, 0)
-    return _counts(0, reps)
+    return at
 
 
-def count_type1_two(d: int, k: int, sym_t: PkSymbol) -> RepCounts:
-    """Solutions x of d*x^2 = t mod 2^k, with symbol(t) = sym_t.
-
-    As for odd p, but the unit-square test is cop(d) = cop(t) modulo
-    min(8, 2^(k - ord t)), and the root multiplicity is 4 when at least
-    three bits of the unit part are visible, else k - ord(t).
-    """
-    pp = TWO.with_exponent(k)
-    q = pp.q
-    ord_d, cop_d = valuation(pp, d % q)
-    ord_t, sgn_t = sym_t
-
-    if ord_t == INF:
-        if ord_d == INF:
-            return _counts(2 ** (k - 1), 2 ** (k - 1))
-        e = -((k - ord_d) // -2)
-        return _counts(0, 2 ** (k - e))
-
-    if ord_d == INF or ord_d > ord_t or (ord_t - ord_d) % 2 == 1:
-        return _counts(0, 0)
-    if (sgn_t - cop_d) % min(8, 2 ** (k - ord_t)) != 0:
-        return _counts(0, 0)
-    mult = 4 if k - ord_t >= 3 else k - ord_t
-    reps = mult * 2 ** ((ord_t + ord_d) // 2)
-    if ord_d == ord_t:
-        return _counts(reps, 0)
-    return _counts(0, reps)
+def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
+    """Solutions x of d*x^2 = t mod p^k, with symbol(t) = sym_t."""
+    return _type1_counter(d, pp)(sym_t)
 
 
 def _symbol_rep(k2: int, ord_t, sgn_t: int) -> int:
@@ -201,40 +183,43 @@ def count_type2(blk: TypeII, k: int, sym_t: PkSymbol) -> RepCounts:
 def count_block(blk: Block, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
     """Counts for a single block at a target symbol."""
     if isinstance(blk, TypeI):
-        if pp.p == 2:
-            return count_type1_two(blk.d, pp.k, sym_t)
-        return count_type1_odd(blk.d, pp, sym_t)
+        return count_type1(blk.d, pp, sym_t)
     return count_type2(blk, pp.k, sym_t)
 
 
-def _live_symbols(pp: PrimePower) -> list[PkSymbol]:
-    """Symbols with non-empty classes (all formal symbols for odd p)."""
-    return [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
+def block_table(blk: Block, layout: SymbolLayout) -> Table:
+    """{g: count_block(blk, pp, g) for g in layout.syms}, with a type I
+    block's valuation and square class taken once for the whole table."""
+    pp = layout.pp
+    at = _type1_counter(blk.d, pp) if isinstance(blk, TypeI) else partial(count_type2, blk, pp.k)
+    return {g: at(g) for g in layout.syms}
 
 
-def chain_tables(blocks: tuple[Block, ...], pp: PrimePower) -> tuple[list[Table], list[Table]]:
+def chain_tables(
+    blocks: tuple[Block, ...], pp: PrimePower, layout: SymbolLayout | None = None
+) -> tuple[list[Table], list[Table]]:
     """Per-block and suffix count tables, one entry per inhabited symbol.
 
     suffix[j][g] counts representations of (any target of symbol g) by
     the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
-    the tail's.
+    the tail's.  The layout of pp is made here unless one is passed in;
+    its near lists are filled as the levels need them.
     """
-    syms = _live_symbols(pp)
-    per_block = [{g: count_block(blk, pp, g) for g in syms} for blk in blocks]
-    convolve = _split_convolution(pp, syms)
+    layout = layout or SymbolLayout(pp)
+    per_block = [block_table(blk, layout) for blk in blocks]
     suffix: list[Table] = [per_block[-1]]
     for head in reversed(per_block[:-1]):
-        suffix.insert(0, convolve(head, suffix[0]))
+        suffix.append(_convolve(layout, head, suffix[-1]))
+    suffix.reverse()
     return per_block, suffix
 
 
-def _split_convolution(pp: PrimePower, syms: list[PkSymbol]):
-    """The level step of chain_tables over the inhabited symbols syms:
-    maps the head's and the tail's tables to the table of head + tail,
-    whose entry at g sums split size times h(g1) times c(g2) over the
-    split cells (g1, g2).
+def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
+    """The level step of chain_tables: the table of head + tail, whose
+    entry at g sums split size times h(g1) times c(g2) over the split
+    cells (g1, g2).
 
     With o = ord(g) and the zero symbol counted at order k with class
     size 1, every cell whose orders are G apart has a size fixed by the
@@ -248,90 +233,109 @@ def _split_convolution(pp: PrimePower, syms: list[PkSymbol]):
     with A[m] = sum |g1| h(g1) and C[m] = sum |g2| c(g2) over orders
     >= m (the zero symbol in every A and C, since it is above any gap),
     and B[m] = sum |g1| h(g1) c(-g1) over finite orders <= m.  The near
-    cells are the g1 of band[o] with their finite partners below o + G;
-    their _near_partners lists are memoized for the levels of one
-    chain_tables call.
+    cells are the g1 of band[o] with their finite partners below o + G,
+    read from the layout's near lists.
     """
-    k, gap = pp.k, _split_gap(pp)
-    finite = [g for g in syms if g.ord != INF]
-    layout = [(g, _class_size(pp, g), _negated_symbol(pp, g)) for g in finite]
-    band = [[g1 for g1 in finite if o - gap < g1.ord < o + gap] for o in range(k)]
-    near: dict[tuple[PkSymbol, PkSymbol], list[tuple[PkSymbol, int]]] = {}
+    k, gap = layout.pp.k, layout.gap
+    zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
+    a_tot, a_np = [0] * (k + 1), [0] * (k + 1)
+    c_tot, c_np = [0] * (k + 1), [0] * (k + 1)
+    b_tot, b_np = [0] * k, [0] * k
+    a_tot[k], a_np[k] = zero_h.total, zero_h.nonprimitive
+    c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
+    for g, size, neg in layout.finite:
+        o, h, c = g.ord, head[g], tail[g]
+        c_tot[o] += size * c.total
+        c_np[o] += size * c.nonprimitive
+        if h.total:
+            a_tot[o] += size * h.total
+            a_np[o] += size * h.nonprimitive
+            m = tail[neg]
+            b_tot[o] += size * h.total * m.total
+            b_np[o] += size * h.nonprimitive * m.nonprimitive
+    for o in range(k - 1, -1, -1):
+        a_tot[o] += a_tot[o + 1]
+        a_np[o] += a_np[o + 1]
+        c_tot[o] += c_tot[o + 1]
+        c_np[o] += c_np[o + 1]
+    for o in range(1, k):
+        b_tot[o] += b_tot[o - 1]
+        b_np[o] += b_np[o - 1]
 
-    def convolve(head: Table, tail: Table) -> Table:
-        zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
-        a_tot, a_np = [0] * (k + 1), [0] * (k + 1)
-        c_tot, c_np = [0] * (k + 1), [0] * (k + 1)
-        b_tot, b_np = [0] * k, [0] * k
-        a_tot[k], a_np[k] = zero_h.total, zero_h.nonprimitive
-        c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
-        for g, size, neg in layout:
-            o, h, c = g.ord, head[g], tail[g]
-            c_tot[o] += size * c.total
-            c_np[o] += size * c.nonprimitive
-            if h.total:
-                a_tot[o] += size * h.total
-                a_np[o] += size * h.nonprimitive
-                m = tail[neg]
-                b_tot[o] += size * h.total * m.total
-                b_np[o] += size * h.nonprimitive * m.nonprimitive
-        for o in range(k - 1, -1, -1):
-            a_tot[o] += a_tot[o + 1]
-            a_np[o] += a_np[o + 1]
-            c_tot[o] += c_tot[o + 1]
-            c_np[o] += c_np[o + 1]
-        for o in range(1, k):
-            b_tot[o] += b_tot[o - 1]
-            b_np[o] += b_np[o - 1]
-
-        level: Table = {}
-        for g in syms:
-            if g.ord == INF:
-                total = b_tot[k - 1] + zero_h.total * zero_c.total
-                nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
-                level[g] = RepCounts(total, total - nprim, nprim)
-                continue
-            o, h, c = g.ord, head[g], tail[g]
-            hi = min(o + gap, k)
-            total = c.total * a_tot[hi] + h.total * c_tot[hi]
-            nprim = c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
-            if o >= gap:
-                total += b_tot[o - gap]
-                nprim += b_np[o - gap]
-            for g1 in band[o]:
-                h1 = head[g1]
-                if not h1.total:
-                    continue
-                partners = near.get((g, g1))
-                if partners is None:
-                    partners = near[g, g1] = _near_partners(pp, g, g1)
-                for g2, s in partners:
-                    c2 = tail[g2]
-                    total += s * h1.total * c2.total
-                    nprim += s * h1.nonprimitive * c2.nonprimitive
+    level: Table = {}
+    for g in layout.syms:
+        if g.ord == INF:
+            total = b_tot[k - 1] + zero_h.total * zero_c.total
+            nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
             level[g] = RepCounts(total, total - nprim, nprim)
-        return level
+            continue
+        o, h, c = g.ord, head[g], tail[g]
+        hi = min(o + gap, k)
+        total = c.total * a_tot[hi] + h.total * c_tot[hi]
+        nprim = c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
+        if o >= gap:
+            total += b_tot[o - gap]
+            nprim += b_np[o - gap]
+        for g1 in layout.band[o]:
+            h1 = head[g1]
+            if not h1.total:
+                continue
+            for g2, s in layout.near(g, g1):
+                c2 = tail[g2]
+                total += s * h1.total * c2.total
+                nprim += s * h1.nonprimitive * c2.nonprimitive
+        level[g] = RepCounts(total, total - nprim, nprim)
+    return level
 
-    return convolve
+
+@dataclass(frozen=True, eq=False)
+class PreparedForm:
+    """x'Qx mod p^k with its blocks, basis change and count tables, built
+    once: every count and draw of the form reads them.
+
+    u'Qu is the direct sum of blocks mod p^k; per_block and suffix are
+    chain_tables over the layout's symbols (for the form in no
+    variables, the one solution at target 0), and the layout's near
+    lists grow as draws need them.
+    """
+
+    pp: PrimePower
+    blocks: tuple[Block, ...]
+    u: Matrix
+    layout: SymbolLayout
+    per_block: list[Table]
+    suffix: list[Table]
+
+    @property
+    def table(self) -> Table:
+        """Counts at every inhabited target symbol."""
+        return self.suffix[0]
+
+    def count(self, t: int) -> RepCounts:
+        """Total / primitive / non-primitive counts of x'Qx = t mod p^k."""
+        return self.table.get(symbol_of(self.pp, t), RepCounts(0, 0, 0))
+
+
+def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
+    """Check Q, block-diagonalize it and build its count tables, once."""
+    n = check_symmetric(q_mat)
+    layout = SymbolLayout(pp)
+    if n == 0:
+        return PreparedForm(pp, (), [], layout, [], [{SYMBOL_ZERO: RepCounts(1, 0, 1)}])
+    bd = block_diagonalize(q_mat, pp)
+    per_block, suffix = chain_tables(bd.blocks, pp, layout)
+    return PreparedForm(pp, bd.blocks, [list(row) for row in bd.u], layout, per_block, suffix)
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:
     """Counts of x'Qx = t for every target symbol at once."""
-    n = check_symmetric(q_mat)
-    if n == 0:
-        return {PkSymbol(INF, 0): RepCounts(1, 0, 1)}
-    bd = block_diagonalize(q_mat, pp)
-    _, suffix = chain_tables(bd.blocks, pp)
-    return suffix[0]
+    return prepare(q_mat, pp).table
 
 
 def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     """Total / primitive / non-primitive counts of x'Qx = t mod p^k."""
-    table = form_counts_by_symbol(q_mat, pp)
-    g = symbol_of(pp, t)
-    if g not in table:
-        return RepCounts(0, 0, 0)
-    return table[g]
+    # through the module name: perfbench's worker wraps it to keep the tables it checks
+    return form_counts_by_symbol(q_mat, pp).get(symbol_of(pp, t), RepCounts(0, 0, 0))
 
 
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
@@ -363,17 +367,22 @@ def _check_factors(factored_q: list[PrimePower]) -> None:
 
 
 def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepCounts:
-    """Counts mod q = prod p_i^k_i by CRT.
+    """Counts mod q = prod p_i^k_i by CRT."""
+    return count_factors([prepare(q_mat, pp) for pp in factored_q], t)
+
+
+def count_factors(forms: list[PreparedForm], t: int) -> RepCounts:
+    """Counts mod the product of the prepared factors' moduli, by CRT.
 
     Totals multiply across prime powers.  A vector mod q is primitive
     iff it is primitive at every prime, so the primitive counts
     multiply as well; non-primitive is the complement.
     """
-    _check_factors(factored_q)
+    _check_factors([form.pp for form in forms])
     total = 1
     prim = 1
-    for pp in factored_q:
-        c = count_form(q_mat, pp, t)
+    for form in forms:
+        c = form.count(t)
         total *= c.total
         prim *= c.primitive
     return RepCounts(total, prim, total - prim)

@@ -22,10 +22,6 @@ class DomainError(ValueError):
     """An argument is outside the domain of the operation."""
 
 
-class NotAUnit(DomainError):
-    """Inversion was attempted on a non-unit."""
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -185,53 +181,6 @@ def legendre(t: int, p: int) -> int:
     if t == 0:
         raise DomainError("Legendre symbol needs gcd(t, p) = 1")
     return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
-
-
-def kronecker2(t: int) -> int:
-    """Kronecker symbol (t/2) restricted to odd t: +1 iff t = +-1 mod 8."""
-    if t % 2 == 0:
-        raise DomainError("kronecker2 needs odd t")
-    return 1 if t % 8 in (1, 7) else -1
-
-
-def sign_p(pp: PrimePower, t: int) -> int:
-    """Square-class sign of t mod p^k.
-
-    0 when t = 0 mod p^k; otherwise the Legendre symbol of the coprime
-    part for odd p, and the coprime part mod 8 for p = 2.
-    """
-    r = t % pp.q
-    if r == 0:
-        return 0
-    cop = valuation(pp, r).cop
-    if pp.p == 2:
-        return cop % 8
-    return legendre(cop, pp.p)
-
-
-def digits(pp: PrimePower, x: int) -> list[int]:
-    """The k base-p digits of x mod p^k, least significant first."""
-    r = x % pp.q
-    out = []
-    for _ in range(pp.k):
-        out.append(r % pp.p)
-        r //= pp.p
-    return out
-
-
-def recompose(pp: PrimePower, ds: list[int]) -> int:
-    """Inverse of digits: sum of ds[i] * p**i, reduced mod p^k."""
-    x = 0
-    for d in reversed(ds):
-        x = x * pp.p + d
-    return x % pp.q
-
-
-def inverse(pp: PrimePower, u: int) -> int:
-    """Multiplicative inverse of u in Z/p^k."""
-    if u % pp.p == 0:
-        raise NotAUnit(f"{u} is divisible by {pp.p}, not a unit mod {pp.p}^{pp.k}")
-    return pow(u, -1, pp.q)
 
 
 def uniform_below(n: int, rng: RandomSource) -> int:

@@ -1,5 +1,9 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
+Draws read prepared forms (counting.prepare), whose tables are built
+once per prime-power factor; the chain walk reads the near lists of
+the form's symbol layout, which the table levels filled.
+
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
 solution class returns None (NoSolution); exhausting the retry cap of
@@ -15,19 +19,19 @@ once its random free digits are drawn.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .blockdiag import Block, TypeI, TypeII, block_diagonalize, check_symmetric, mat_vec
+from .blockdiag import Block, TypeI, TypeII, mat_vec
 from .counting import (
+    PreparedForm,
     RepCounts,
     _check_factors,
     _count_scaled_type2,
-    chain_tables,
-    count_form,
-    count_type1_odd,
-    count_type1_two,
+    count_type1,
     count_type2,
+    prepare,
 )
 from .modring import (
     INF,
@@ -40,7 +44,7 @@ from .modring import (
     valuation,
 )
 from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
-from .symbols import PkSymbol, _split_partners, class_size, split_class_size, symbol_of
+from .symbols import PkSymbol, class_size, split_class_size, symbol_of
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +178,7 @@ def sample_type1(
     p, k, q = pp.p, pp.k, pp.q
     t %= q
     g = symbol_of(pp, t)
-    c = count_type1_two(d, k, g) if p == 2 else count_type1_odd(d, pp, g)
+    c = count_type1(d, pp, g)
     want_prim = _choose_kind(c, kind, rng)
     if want_prim is None:
         return None
@@ -299,29 +303,24 @@ def _sample_block(
     return pair
 
 
-def _sample_chain(
-    blocks: tuple[Block, ...],
-    per_block: list[dict[PkSymbol, RepCounts]],
-    suffix: list[dict[PkSymbol, RepCounts]],
-    pp: PrimePower,
-    t: int,
-    want_prim: bool,
-    rng: RandomSource,
-) -> list[int]:
-    """Uniform solution of the direct sum of blocks at target t in the
-    given class, one block peeled off per step: draw the cell, split
-    the target, solve the head block, then go on with the tail."""
+def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource) -> list[int]:
+    """Uniform solution of the direct sum of the form's blocks at target
+    t in the given class, one block peeled off per step: draw the cell,
+    split the target, solve the head block, then go on with the tail.
+    The cells' split sizes come from the layout's near lists, which the
+    table levels and earlier draws of the form have already filled."""
+    pp, layout, blocks = form.pp, form.layout, form.blocks
     y: list[int] = []
     for j in range(len(blocks) - 1):
         g = symbol_of(pp, t)
-        tail_tbl = suffix[j + 1]
+        tail_tbl = form.suffix[j + 1]
         # weight every (value-symbol pair, primitivity split) cell by its
         # exact solution count: split size times head count times tail count
         cells = []
-        for g1, h in per_block[j].items():
+        for g1, h in form.per_block[j].items():
             if h.total == 0:
                 continue
-            for g2, s in _split_partners(pp, g, g1):
+            for g2, s in layout.partners(g, g1):
                 ct = tail_tbl[g2]
                 if ct.total == 0:
                     continue
@@ -353,57 +352,71 @@ def _sample_chain(
     return y
 
 
-def sample_form(
-    q_mat, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
-) -> tuple[int, ...] | None:
-    """Uniform solution of x'Qx = t mod p^k of the requested kind.
+def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
+    """Uniform solution of the prepared x'Qx = t mod p^k of the requested kind.
 
-    Diagonalize once, count once, then peel blocks off the front:
-    choose how the target splits between the first block and the rest
-    (and how primitivity splits) with exact count weights, then go on
-    with the rest.
-    Block solutions y pull back to x = U y since U'QU is the block form.
+    Peel blocks off the front of the form's tables: choose how the
+    target splits between the first block and the rest (and how
+    primitivity splits) with exact count weights, then go on with the
+    rest.  Block solutions y pull back to x = U y since U'QU is the
+    block form.  Nothing is diagonalized or tabulated here, so repeated
+    draws of one prepared form pay only for the walk.
     """
-    n = check_symmetric(q_mat)
-    q = pp.q
-    t %= q
-    if n == 0:
+    pp = form.pp
+    t %= pp.q
+    if not form.blocks:
         # the empty vector is the one solution, of value 0 and non-primitive
         return () if t == 0 and kind is not RepKind.PRIMITIVE else None
-    bd = block_diagonalize(q_mat, pp)
-    per_block, suffix = chain_tables(bd.blocks, pp)
-    c = suffix[0][symbol_of(pp, t)]
-    want_prim = _choose_kind(c, kind, rng)
+    want_prim = _choose_kind(form.count(t), kind, rng)
     if want_prim is None:
         return None
     for _ in range(RETRY_CAP):
         try:
-            y = _sample_chain(bd.blocks, per_block, suffix, pp, t, want_prim, rng)
+            y = _sample_chain(form, t, want_prim, rng)
             break
         except LasVegasFail:
             continue
     else:
         raise LasVegasFail("sampling driver exhausted its restarts")
-    x = mat_vec([list(row) for row in bd.u], y, q)
-    return tuple(x)
+    return tuple(mat_vec(form.u, y, pp.q))
+
+
+def sample_form(
+    q_mat, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
+) -> tuple[int, ...] | None:
+    """Uniform solution of x'Qx = t mod p^k of the requested kind:
+    prepare the form (diagonalize it and build its tables, once) and
+    draw from it with sample_prepared, whose walk reads the near lists
+    the tables were built from."""
+    return sample_prepared(prepare(q_mat, pp), t, kind, rng)
 
 
 def sample_composite(
     q_mat, factored_q: list[PrimePower], t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, ...] | None:
-    """Uniform solution mod q = prod p_i^k_i of the requested kind,
-    assembled per prime power by the Chinese Remainder Theorem.
+    """Uniform solution mod q = prod p_i^k_i of the requested kind:
+    prepare the form once per prime power and draw with sample_factors.
+    Each factor's tables are built once and give both its count weight
+    and its walk, which reads the factor's shared near lists."""
+    return sample_factors([prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
+
+
+def sample_factors(
+    forms: list[PreparedForm], t: int, kind: RepKind, rng: RandomSource
+) -> tuple[int, ...] | None:
+    """Uniform solution mod the product of the prepared factors' moduli,
+    of the requested kind, assembled by the Chinese Remainder Theorem.
 
     Any and Primitive are per-factor constraints.  NonPrimitive means
     non-primitive at *some* prime, sampled by walking the factors and
     branching, with exact weights, between "this factor non-primitive,
     rest unconstrained" and "this factor primitive, constraint pending".
     """
-    _check_factors(factored_q)
-    per = [count_form(q_mat, pp, t) for pp in factored_q]
+    _check_factors([form.pp for form in forms])
+    per = [form.count(t) for form in forms]
 
     if kind is RepKind.NONPRIMITIVE:
-        r = len(factored_q)
+        r = len(forms)
         suffix_tot = [1] * (r + 1)
         suffix_prim = [1] * (r + 1)
         for j in range(r - 1, -1, -1):
@@ -413,33 +426,31 @@ def sample_composite(
             return None
         parts = []
         pending = True
-        for j, pp in enumerate(factored_q):
+        for j, form in enumerate(forms):
             if not pending:
-                parts.append(sample_form(q_mat, pp, t, RepKind.ANY, rng))
+                parts.append(sample_prepared(form, t, RepKind.ANY, rng))
                 continue
             w_non = per[j].nonprimitive * suffix_tot[j + 1]
             w_prim = per[j].primitive * (suffix_tot[j + 1] - suffix_prim[j + 1])
             if uniform_below(w_non + w_prim, rng) < w_non:
-                parts.append(sample_form(q_mat, pp, t, RepKind.NONPRIMITIVE, rng))
+                parts.append(sample_prepared(form, t, RepKind.NONPRIMITIVE, rng))
                 pending = False
             else:
-                parts.append(sample_form(q_mat, pp, t, RepKind.PRIMITIVE, rng))
+                parts.append(sample_prepared(form, t, RepKind.PRIMITIVE, rng))
     else:
         needed = [c.primitive if kind is RepKind.PRIMITIVE else c.total for c in per]
         if any(cnt == 0 for cnt in needed):
             return None
-        parts = [sample_form(q_mat, pp, t, kind, rng) for pp in factored_q]
+        parts = [sample_prepared(form, t, kind, rng) for form in forms]
 
     # componentwise CRT
-    q = 1
-    for pp in factored_q:
-        q *= pp.q
-    n = len(q_mat)
+    q = math.prod(form.pp.q for form in forms)
+    n = len(forms[0].u)
     x = [0] * n
-    for pp, vec in zip(factored_q, parts):
+    for form, vec in zip(forms, parts):
         assert vec is not None
-        m = q // pp.q
-        e = m * pow(m, -1, pp.q)
+        m = q // form.pp.q
+        e = m * pow(m, -1, form.pp.q)
         for i in range(n):
             x[i] = (x[i] + e * vec[i]) % q
     return tuple(x)

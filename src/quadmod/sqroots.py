@@ -13,7 +13,6 @@ from .modring import (
     RandomSource,
     legendre,
     uniform_below,
-    valuation,
 )
 
 # One Las Vegas attempt block: this many rejections in a row aborts with Fail.
@@ -30,19 +29,6 @@ class NotASquare(DomainError):
 
 class LasVegasFail(RuntimeError):
     """A randomized search exhausted its retry cap (probability ~2^-64)."""
-
-
-def is_square(pp: PrimePower, t: int) -> bool:
-    """Is t a square in Z/p^k?  (0 counts as a square.)"""
-    r = t % pp.q
-    if r == 0:
-        return True
-    ord_, cop = valuation(pp, r)
-    if ord_ % 2 == 1:
-        return False
-    if pp.p == 2:
-        return cop % min(8, 2 ** (pp.k - ord_)) == 1
-    return legendre(cop, pp.p) == 1
 
 
 def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:

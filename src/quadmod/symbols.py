@@ -19,10 +19,15 @@ exact orders: a g1 at least G orders above g pairs only with g, a g1 at
 least G below only with -g1, both with size |g1|, and g1 = g pairs with
 every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  ``_near_partners`` lists the rest, and
-``_split_partners`` is the zero partner, the near partners and that far
+``split_partners`` is the zero partner, the near partners and that far
 tail.  The count tables sum the far cells by order and read only the
 near lists, so one level of their dynamic program costs O(S) products
 plus a bounded number of near cells per target.
+
+A ``SymbolLayout`` holds what the count tables and the chain walk read
+of one modulus, with the near lists memoized; its ``partners`` lists
+what ``split_partners`` lists.  Each prepared form owns its layout; the
+module itself keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -186,25 +191,12 @@ def split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSy
       symbol is g itself for every higher order when p is odd, and from
       three orders up when p = 2, so only g1 = g can pair with orders
       beyond ord(t) + 2.
+
+    The list is the zero partner when g1 = g, then the near partners,
+    then, when g1 = g, every inhabited symbol of order >= ord(g) + G.
     """
     _check_symbol(pp, g)
     _check_symbol(pp, g1)
-    return _split_partners(pp, g, g1)
-
-
-def _split_gap(pp: PrimePower) -> int:
-    """The order gap G beyond which a split cell no longer depends on
-    its symbols' signs or exact orders: 3 for p = 2 (three bits of the
-    coprime part decide the sign), 1 for odd p."""
-    return 3 if pp.p == 2 else 1
-
-
-def _split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
-    """split_partners for symbols known to be well-formed, such as those
-    of enumerate_symbols: the chain walk calls it once per (g, g1) cell.
-
-    The list is the zero partner when g1 = g, then the near partners,
-    then, when g1 = g, every inhabited symbol of order >= ord(g) + G."""
     if _is_empty(pp, g) or _is_empty(pp, g1):
         return []
     if g1.ord == INF:
@@ -220,6 +212,13 @@ def _split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkS
         if not _is_empty(pp, g2)
     ]
     return [(SYMBOL_ZERO, 1), *near, *far]
+
+
+def _split_gap(pp: PrimePower) -> int:
+    """The order gap G beyond which a split cell no longer depends on
+    its symbols' signs or exact orders: 3 for p = 2 (three bits of the
+    coprime part decide the sign), 1 for odd p."""
+    return 3 if pp.p == 2 else 1
 
 
 def _near_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
@@ -261,3 +260,42 @@ def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) ->
         if h == g2:
             return size
     return 0
+
+
+class SymbolLayout:
+    """What the count tables and the chain walk read of the symbols of
+    one modulus: ``syms``, the inhabited symbols in enumerate_symbols
+    order; ``finite``, (g, class size, negated symbol) for the finite
+    ones; ``band[o]``, the finite g1 less than G orders from o; and the
+    near lists computed so far, at most one per (g, g1) pair, shared by
+    every table level and every draw of the form that owns the layout.
+    """
+
+    def __init__(self, pp: PrimePower):
+        self.pp, self.gap = pp, _split_gap(pp)
+        self.syms = [g for g in enumerate_symbols(pp) if not _is_empty(pp, g)]
+        self.finite = [(g, _class_size(pp, g), _negated_symbol(pp, g)) for g in self.syms[1:]]
+        by_order: list[list[PkSymbol]] = [[] for _ in range(pp.k)]
+        for g, _, _ in self.finite:
+            by_order[g.ord].append(g)
+        self.band = [sum(by_order[max(0, o - self.gap + 1) : o + self.gap], []) for o in range(pp.k)]
+        self._negated = {g: [(neg, size)] for g, size, neg in self.finite}
+        self._near: dict[tuple[PkSymbol, PkSymbol], list[tuple[PkSymbol, int]]] = {}
+
+    def near(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
+        """_near_partners(pp, g, g1), memoized on the layout."""
+        out = self._near.get((g, g1))
+        if out is None:
+            out = self._near[g, g1] = _near_partners(self.pp, g, g1)
+        return out
+
+    def partners(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
+        """split_partners(pp, g, g1) for inhabited g and g1."""
+        if g1.ord == INF:
+            return [(g, 1)]
+        if g.ord == INF:
+            return self._negated[g1]
+        if g1 != g:
+            return self.near(g, g1)
+        far = [(g2, size) for g2, size, _ in self.finite if g2.ord >= g.ord + self.gap]
+        return [(SYMBOL_ZERO, 1), *self.near(g, g1), *far]

@@ -127,6 +127,36 @@ def test_check_command_json(tmp_path, capsys):
     assert out["checks"]["count==oracle"] == "OK"
 
 
+@pytest.mark.parametrize(
+    "instance, factors",
+    [
+        ({"q": [[2, 1], [1, 4]], "factors": [{"p": "2", "k": 2}, {"p": "3", "k": 1}], "t": "4"}, 2),
+        ({"q": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "p": "3", "k": 2, "t": "6"}, 1),
+    ],
+)
+def test_check_prepares_each_factor_once(tmp_path, capsys, monkeypatch, instance, factors):
+    # the count and all 50 draws read the same prepared factors
+    from quadmod import counting
+
+    calls = []
+    inner = counting.block_diagonalize
+    monkeypatch.setattr(counting, "block_diagonalize", lambda *args: calls.append(args) or inner(*args))
+    path = write_instance(tmp_path, instance)
+    assert main(["check", path, "--trials", "50", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["count==oracle"] == "OK"
+    assert len(calls) == factors
+
+
+def test_check_transcript_is_pinned(tmp_path, capsys):
+    # the draws of a seeded check, through their chi-square statistic
+    composite = {"q": [[2, 1], [1, 4]], "factors": [{"p": "2", "k": 2}, {"p": "3", "k": 1}], "t": "4"}
+    path = write_instance(tmp_path, composite)
+    for kind, want in (("any", "60.32, support 48"), ("primitive", "21.07, support 32"), ("nonprimitive", "12.53, support 16")):
+        argv = ["check", path, "--trials", "300", "--seed", "4", "--kind", kind, "--format", "text"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"count==oracle: OK\nuniformity: OK (chi2 = {want}, trials 300)\n"
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     payload = json.dumps({"q": [[1]], "p": "3", "k": 1, "t": "1"})
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))

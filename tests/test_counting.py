@@ -16,8 +16,7 @@ from quadmod.counting import (
     count_block,
     count_composite,
     count_form,
-    count_type1_odd,
-    count_type1_two,
+    count_type1,
     count_type2,
     form_counts_by_symbol,
     local_density,
@@ -33,18 +32,18 @@ I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 def test_count_type1_odd_examples():
     pp = PrimePower(5, 2)
-    assert count_type1_odd(1, pp, symbol_of(pp, 1)) == (2, 2, 0)
+    assert count_type1(1, pp, symbol_of(pp, 1)) == (2, 2, 0)
     pp = PrimePower(3, 2)
-    assert count_type1_odd(1, pp, symbol_of(pp, 0)) == (3, 0, 3)
+    assert count_type1(1, pp, symbol_of(pp, 0)) == (3, 0, 3)
     pp = PrimePower(5, 1)
-    assert count_type1_odd(1, pp, symbol_of(pp, 2)) == (0, 0, 0)
+    assert count_type1(1, pp, symbol_of(pp, 2)) == (0, 0, 0)
 
 
 def test_count_type1_two_examples():
     two3 = PrimePower(2, 3)
-    assert count_type1_two(1, 3, symbol_of(two3, 1)) == (4, 4, 0)
-    assert count_type1_two(1, 2, symbol_of(PrimePower(2, 2), 1)) == (2, 2, 0)
-    assert count_type1_two(1, 3, symbol_of(two3, 0)) == (2, 0, 2)
+    assert count_type1(1, two3, symbol_of(two3, 1)) == (4, 4, 0)
+    assert count_type1(1, PrimePower(2, 2), symbol_of(PrimePower(2, 2), 1)) == (2, 2, 0)
+    assert count_type1(1, two3, symbol_of(two3, 0)) == (2, 0, 2)
 
 
 def test_count_type1_brute():
@@ -57,7 +56,7 @@ def test_count_type1_brute():
                 per_t = histogram_counts([[d]], pp)
                 for t in range(pp.q):
                     g = symbol_of(pp, t)
-                    got = count_type1_two(d, k, g) if p == 2 else count_type1_odd(d, pp, g)
+                    got = count_type1(d, pp, g)
                     assert got == per_t[t], (p, k, d, t)
 
 

@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 from quadmod.modring import (
     INF,
     DomainError,
-    NotAUnit,
     PrimePower,
     Valuation,
-    digits,
-    inverse,
     is_probable_prime,
-    kronecker2,
     legendre,
-    recompose,
-    sign_p,
     uniform_below,
     valuation,
 )
@@ -130,42 +124,6 @@ def test_legendre_multiplicative():
         b = rng.randrange(1, p)
         if a * b % p:
             assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-
-def test_kronecker2():
-    assert [kronecker2(t) for t in (1, 3, 5, 7)] == [1, -1, -1, 1]
-    assert kronecker2(15) == 1
-    with pytest.raises(DomainError):
-        kronecker2(6)
-
-
-def test_sign_p():
-    assert sign_p(PrimePower(5, 3), 50) == -1  # cop 2 is a non-residue mod 5
-    assert sign_p(PrimePower(5, 3), 25) == 1
-    assert sign_p(PrimePower(2, 5), 24) == 3  # 24 = 8*3
-    assert sign_p(PrimePower(3, 2), 0) == 0
-
-
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=3000))
-def test_digits_recompose_roundtrip(p, k, a):
-    pp = PrimePower(p, k)
-    ds = digits(pp, a)
-    assert len(ds) == k
-    assert all(0 <= d < p for d in ds)
-    assert recompose(pp, ds) == a % pp.q
-
-
-def test_inverse():
-    pp = PrimePower(7, 3)
-    for u in range(1, pp.q):
-        if u % 7 == 0:
-            continue
-        v = inverse(pp, u)
-        assert u * v % pp.q == 1
-    with pytest.raises(NotAUnit):
-        inverse(pp, 14)
-    with pytest.raises(NotAUnit):
-        inverse(pp, 0)
 
 
 def test_uniform_below_deterministic_and_in_range():

@@ -8,29 +8,10 @@ from quadmod.modring import PrimePower
 from quadmod.sqroots import (
     NonResidue,
     NotASquare,
-    is_square,
     lift_sqrt_odd,
     sqrt_unit_mod_2k,
     sqrt_unit_mod_p,
 )
-
-
-def test_is_square_examples():
-    assert is_square(PrimePower(7, 1), 2)  # 3^2 = 9 = 2 mod 7
-    assert not is_square(PrimePower(5, 2), 5)  # odd order
-    assert is_square(PrimePower(2, 4), 9)
-    assert is_square(PrimePower(3, 2), 0)
-
-
-@given(st.sampled_from([(2, 11), (3, 6), (5, 4), (7, 3), (11, 3), (13, 2)]), st.data())
-@settings(max_examples=60)
-def test_is_square_matches_exhaustive(pk, data):
-    p, kmax = pk
-    k = data.draw(st.integers(min_value=1, max_value=kmax))
-    pp = PrimePower(p, k)
-    squares = {x * x % pp.q for x in range(pp.q)}
-    for t in range(pp.q):
-        assert is_square(pp, t) == (t in squares), (p, k, t)
 
 
 def test_sqrt_unit_mod_p_examples():
