@@ -77,6 +77,14 @@ class BlockDiagForm:
     modulus: PrimePower
 
 
+class AsymmetricEntry(DomainError):
+    """The matrix differs from its transpose at entry (i, j), i > j."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(f"matrix not symmetric at ({i},{j})")
+        self.i, self.j = i, j
+
+
 def check_symmetric(q_mat: Matrix) -> int:
     """Validate a square symmetric matrix; return its dimension."""
     n = len(q_mat)
@@ -85,27 +93,12 @@ def check_symmetric(q_mat: Matrix) -> int:
     for i in range(n):
         for j in range(i):
             if q_mat[i][j] != q_mat[j][i]:
-                raise DomainError(f"matrix not symmetric at ({i},{j})")
+                raise AsymmetricEntry(i, j)
     return n
 
 
 def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            out[i][j] = sum(ai[r] * b[r][j] for r in range(inner)) % q
-    return out
 
 
 def mat_vec(a: Matrix, v: list[int], q: int) -> list[int]:
@@ -135,15 +128,6 @@ def integer_det(a: Matrix) -> int:
                     m[r][c] -= f * m[col][c]
     assert det.denominator == 1
     return int(det)
-
-
-def apply_transform(q_mat: Matrix, u: Matrix, pp: PrimePower) -> Matrix:
-    """u'Qu reduced mod p^k."""
-    n = check_symmetric(q_mat)
-    if len(u) != n or any(len(row) != n for row in u):
-        raise DomainError("transform dimensions do not match the form")
-    u = [list(map(int, row)) for row in u]
-    return mat_mul(transpose(u), mat_mul(q_mat, u, pp.q), pp.q)
 
 
 def blocks_to_matrix(bd) -> Matrix:

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .blockdiag import TypeI, block_diagonalize, check_symmetric
+from .blockdiag import AsymmetricEntry, TypeI, block_diagonalize, check_symmetric
 from .counting import count_composite, count_factors, count_form, local_density, prepare
 from .modring import DomainError, PrimePower
 from .sampling import RepKind, sample_composite, sample_factors, sample_form, sample_prepared
@@ -89,10 +89,11 @@ def _parse_matrix(raw, field: str) -> list[list[int]]:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{field}[{i}]: expected a row of {n} entries")
         mat.append([_as_int(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
-    for i in range(n):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise AsymmetricMatrix(f"{field}[{i}][{j}] != {field}[{j}][{i}]")
+    try:
+        check_symmetric(mat)
+    except AsymmetricEntry as exc:
+        i, j = exc.i, exc.j
+        raise AsymmetricMatrix(f"{field}[{i}][{j}] != {field}[{j}][{i}]") from None
     return mat
 
 

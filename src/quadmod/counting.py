@@ -13,10 +13,11 @@ p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
 ord(g) has a partner and a size fixed by the orders alone, so all such
 cells of every target come from three running sums by order, built
 once per level.  Only the near cells, g1 within G of ord(g) paired with
-the finite partners below ord(g) + G, are visited one by one, through
-the layout's near lists.  A level is O(S) big-integer products over
-the S symbols plus the near cells, a bounded number per target, where
-the full convolution made one per non-zero (g, g1, g2) cell.
+the finite partners below ord(g) + G, are visited one by one, each
+computed by rule (symbols._near_partners).  A level is O(S) big-integer
+products over the S symbols plus the near cells, a bounded number per
+target, where the full convolution made one per non-zero (g, g1, g2)
+cell.
 
 ``prepare`` diagonalizes a form and builds its tables once, over one
 SymbolLayout of the modulus; every public count, and every draw of
@@ -40,7 +41,7 @@ from .blockdiag import (
     integer_det,
 )
 from .modring import INF, DomainError, PrimePower, legendre, valuation
-from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, symbol_of
+from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, _near_partners, symbol_of
 
 Matrix = list[list[int]]
 
@@ -204,8 +205,7 @@ def chain_tables(
     the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
-    the tail's.  The layout of pp is made here unless one is passed in;
-    its near lists are filled as the levels need them.
+    the tail's.  The layout of pp is made here unless one is passed in.
     """
     layout = layout or SymbolLayout(pp)
     per_block = [block_table(blk, layout) for blk in blocks]
@@ -234,9 +234,9 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
     >= m (the zero symbol in every A and C, since it is above any gap),
     and B[m] = sum |g1| h(g1) c(-g1) over finite orders <= m.  The near
     cells are the g1 of band[o] with their finite partners below o + G,
-    read from the layout's near lists.
+    computed by _near_partners.
     """
-    k, gap = layout.pp.k, layout.gap
+    pp, k, gap = layout.pp, layout.pp.k, layout.gap
     zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
     a_tot, a_np = [0] * (k + 1), [0] * (k + 1)
     c_tot, c_np = [0] * (k + 1), [0] * (k + 1)
@@ -280,7 +280,7 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
             h1 = head[g1]
             if not h1.total:
                 continue
-            for g2, s in layout.near(g, g1):
+            for g2, s in _near_partners(pp, g, g1):
                 c2 = tail[g2]
                 total += s * h1.total * c2.total
                 nprim += s * h1.nonprimitive * c2.nonprimitive
@@ -295,8 +295,9 @@ class PreparedForm:
 
     u'Qu is the direct sum of blocks mod p^k; per_block and suffix are
     chain_tables over the layout's symbols (for the form in no
-    variables, the one solution at target 0), and the layout's near
-    lists grow as draws need them.
+    variables, the one solution at target 0).  Nothing here changes
+    after prepare: the near cells that tables and draws read are
+    computed by rule, not stored.
     """
 
     pp: PrimePower

@@ -174,13 +174,18 @@ def valuation(pp: PrimePower, a: int) -> Valuation:
 
 
 def legendre(t: int, p: int) -> int:
-    """Legendre symbol (t/p) for odd prime p and t coprime to p."""
+    """Legendre symbol (t/p) for odd prime p and t coprime to p.
+
+    For prime p it equals the Jacobi symbol, which quadratic reciprocity
+    computes in O(log p) division steps: faster than Euler's criterion
+    t^((p-1)/2) mod p, which needs O(log p) modular multiplications.
+    """
     if p == 2:
         raise DomainError("Legendre symbol needs an odd prime")
     t %= p
     if t == 0:
         raise DomainError("Legendre symbol needs gcd(t, p) = 1")
-    return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+    return _jacobi(t, p)
 
 
 def uniform_below(n: int, rng: RandomSource) -> int:

@@ -1,8 +1,8 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
 Draws read prepared forms (counting.prepare), whose tables are built
-once per prime-power factor; the chain walk reads the near lists of
-the form's symbol layout, which the table levels filled.
+once per prime-power factor; the chain walk reads its split cells from
+the form's symbol layout, which computes the near cells by rule.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -119,12 +119,21 @@ def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
 def sample_split(
     pp: PrimePower, t: int, g1: PkSymbol, g2: PkSymbol, rng: RandomSource
 ) -> tuple[int, int] | None:
-    """Uniform pair (a, b) with symbol(a) = g1, symbol(b) = g2, a + b = t."""
-    p, k, q = pp.p, pp.k, pp.q
-    t %= q
+    """Uniform pair (a, b) with symbol(a) = g1, symbol(b) = g2, a + b = t;
+    None when no such pair exists."""
+    t %= pp.q
     g = symbol_of(pp, t)
     if split_class_size(pp, g, g1, g2) == 0:
         return None
+    return _split(pp, t, g, g1, g2, rng)
+
+
+def _split(
+    pp: PrimePower, t: int, g: PkSymbol, g1: PkSymbol, g2: PkSymbol, rng: RandomSource
+) -> tuple[int, int]:
+    """sample_split for a reduced t of symbol g and a cell (g1, g2) with
+    a non-zero split size, which the caller has already checked."""
+    p, k, q = pp.p, pp.k, pp.q
     if g1.ord != g.ord:
         # a determines b, and every element of the g1-class works
         a = sample_symbol_elem(pp, g1, rng)
@@ -307,12 +316,14 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource
     """Uniform solution of the direct sum of the form's blocks at target
     t in the given class, one block peeled off per step: draw the cell,
     split the target, solve the head block, then go on with the tail.
-    The cells' split sizes come from the layout's near lists, which the
-    table levels and earlier draws of the form have already filled."""
+    The cells' split sizes come from the layout, and the chosen cell is
+    split without checking its size again: the walk only picks cells of
+    non-zero weight.  The tail's target b has the symbol g2 of its cell,
+    which carries over as the next step's target symbol."""
     pp, layout, blocks = form.pp, form.layout, form.blocks
+    g = symbol_of(pp, t)
     y: list[int] = []
     for j in range(len(blocks) - 1):
-        g = symbol_of(pp, t)
         tail_tbl = form.suffix[j + 1]
         # weight every (value-symbol pair, primitivity split) cell by its
         # exact solution count: split size times head count times tail count
@@ -343,11 +354,9 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource
             if r < w:
                 break
             r -= w
-        pair = sample_split(pp, t, g1, g2, rng)
-        assert pair is not None, "chosen cell has zero split size"
-        a, t = pair
+        a, t = _split(pp, t, g, g1, g2, rng)
         y.extend(_sample_block(blocks[j], pp, a, hp, rng))
-        want_prim = tp
+        want_prim, g = tp, g2
     y.extend(_sample_block(blocks[-1], pp, t, want_prim, rng))
     return y
 
@@ -386,8 +395,7 @@ def sample_form(
 ) -> tuple[int, ...] | None:
     """Uniform solution of x'Qx = t mod p^k of the requested kind:
     prepare the form (diagonalize it and build its tables, once) and
-    draw from it with sample_prepared, whose walk reads the near lists
-    the tables were built from."""
+    draw from it with sample_prepared."""
     return sample_prepared(prepare(q_mat, pp), t, kind, rng)
 
 
@@ -397,7 +405,7 @@ def sample_composite(
     """Uniform solution mod q = prod p_i^k_i of the requested kind:
     prepare the form once per prime power and draw with sample_factors.
     Each factor's tables are built once and give both its count weight
-    and its walk, which reads the factor's shared near lists."""
+    and the weights of its walk."""
     return sample_factors([prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
 
 

@@ -21,13 +21,16 @@ every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  ``_near_partners`` lists the rest, and
 ``split_partners`` is the zero partner, the near partners and that far
 tail.  The count tables sum the far cells by order and read only the
-near lists, so one level of their dynamic program costs O(S) products
+near cells, so one level of their dynamic program costs O(S) products
 plus a bounded number of near cells per target.
 
-A ``SymbolLayout`` holds what the count tables and the chain walk read
-of one modulus, with the near lists memoized; its ``partners`` lists
-what ``split_partners`` lists.  Each prepared form owns its layout; the
-module itself keeps no state between calls.
+For p = 2 the near partners at equal orders come from one congruence
+on the signs, solved in closed form, so a near cell costs a few integer
+operations wherever it is read.  A ``SymbolLayout`` holds what the count
+tables and the chain walk read of one modulus and does not change after
+construction; its ``partners`` lists what ``split_partners`` lists, with
+the near cells computed by rule.  Each prepared form owns its layout;
+the module itself keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -230,20 +233,35 @@ def _near_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSy
     tables fold those far cells, and every cell of a g1 at least G away
     from ord(g), into running sums, and visit only the g1 within the gap
     through this list.
+
+    With o = ord(g) = ord(g1) and p = 2, a partner g2 of order o + delta
+    (delta = 1, 2, below k) is one whose difference symbol with g is g1:
+    s - 2^delta s2 = s1 modulo m = min(8, 2^(k - o)), for the signs s,
+    s1, s2 of g, g1, g2.  As m >= 2^(delta + 1), that asks d = s - s1
+    (mod m) to be 2^delta times an odd e, and then s2 = e modulo
+    m / 2^delta; the solutions are the inhabited signs, below
+    min(8, 2^r) at room r = k - o - delta, in that residue class.
     """
     if g1.ord != g.ord:
         return [(_difference_symbol(pp, g, g1), _class_size(pp, g1))]
-    p, k = pp.p, pp.k
+    p, k, o = pp.p, pp.k, g.ord
     out = []
     if p != 2:
-        scale = p ** (k - g.ord - 1)
+        scale = p ** (k - o - 1)
         for s2 in (1, -1):
             mod_p = split_pair_count_mod_p(p, g1.sgn, s2, g.sgn)
             if mod_p:
-                out.append((PkSymbol(g.ord, s2), mod_p * scale))
-    for g2 in _orders_between(pp, g.ord + 1, min(k, g.ord + _split_gap(pp))):
-        if not _is_empty(pp, g2) and _difference_symbol(pp, g, g2) == g1:
-            out.append((g2, _class_size(pp, g2)))
+                out.append((PkSymbol(o, s2), mod_p * scale))
+        return out
+    m = min(8, 2 ** (k - o))
+    d = (g.sgn - g1.sgn) % m
+    for delta in range(1, min(3, k - o)):
+        e = d >> delta
+        if d & ((1 << delta) - 1) or not e & 1:
+            continue
+        r = k - o - delta
+        size = 2 ** (r - 3) if r >= 3 else 1
+        out.extend((PkSymbol(o + delta, s2), size) for s2 in range(e, min(8, 2**r), m >> delta))
     return out
 
 
@@ -266,9 +284,9 @@ class SymbolLayout:
     """What the count tables and the chain walk read of the symbols of
     one modulus: ``syms``, the inhabited symbols in enumerate_symbols
     order; ``finite``, (g, class size, negated symbol) for the finite
-    ones; ``band[o]``, the finite g1 less than G orders from o; and the
-    near lists computed so far, at most one per (g, g1) pair, shared by
-    every table level and every draw of the form that owns the layout.
+    ones; and ``band[o]``, the finite g1 less than G orders from o.  It
+    does not change after construction: near cells are computed by rule
+    (``_near_partners``) wherever they are read.
     """
 
     def __init__(self, pp: PrimePower):
@@ -280,14 +298,6 @@ class SymbolLayout:
             by_order[g.ord].append(g)
         self.band = [sum(by_order[max(0, o - self.gap + 1) : o + self.gap], []) for o in range(pp.k)]
         self._negated = {g: [(neg, size)] for g, size, neg in self.finite}
-        self._near: dict[tuple[PkSymbol, PkSymbol], list[tuple[PkSymbol, int]]] = {}
-
-    def near(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
-        """_near_partners(pp, g, g1), memoized on the layout."""
-        out = self._near.get((g, g1))
-        if out is None:
-            out = self._near[g, g1] = _near_partners(self.pp, g, g1)
-        return out
 
     def partners(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
         """split_partners(pp, g, g1) for inhabited g and g1."""
@@ -295,7 +305,8 @@ class SymbolLayout:
             return [(g, 1)]
         if g.ord == INF:
             return self._negated[g1]
+        near = _near_partners(self.pp, g, g1)
         if g1 != g:
-            return self.near(g, g1)
+            return near
         far = [(g2, size) for g2, size, _ in self.finite if g2.ord >= g.ord + self.gap]
-        return [(SYMBOL_ZERO, 1), *self.near(g, g1), *far]
+        return [(SYMBOL_ZERO, 1), *near, *far]

@@ -12,10 +12,10 @@ import time
 from collections import Counter
 from math import gcd
 
+from matrix_helpers import apply_transform
 from quadmod.blockdiag import (
     TypeI,
     TypeII,
-    apply_transform,
     block_diagonalize,
     blocks_to_matrix,
     integer_det,

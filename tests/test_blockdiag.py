@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_helpers import apply_transform, mat_mul
 from quadmod.blockdiag import (
     TypeI,
     TypeII,
-    apply_transform,
     block_diagonalize,
     blocks_to_matrix,
     check_symmetric,
     integer_det,
-    mat_mul,
     mat_vec,
 )
 from quadmod.modring import DomainError, PrimePower

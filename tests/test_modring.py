@@ -126,6 +126,28 @@ def test_legendre_multiplicative():
             assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
 
+# Mersenne primes 2^61 - 1, 2^89 - 1, 2^127 - 1 and a 127-bit prime = 1 mod 4
+BIG_PRIMES = [2**61 - 1, 2**89 - 1, 2**127 - 1, 85070591730234615865843651857942052973]
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_legendre_matches_euler_criterion(p):
+    rng = random.Random(p % 997)
+    for t in [1, 2, 3, p - 1, -1, p + 2] + [rng.randrange(1, p) for _ in range(200)]:
+        euler = pow(t, (p - 1) // 2, p)
+        assert legendre(t, p) == (1 if euler == 1 else -1), t
+        assert euler in (1, p - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, *BIG_PRIMES])
+def test_legendre_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(p % 991)
+    for _ in range(100):
+        t = rng.randrange(1, p)
+        assert legendre(t, p) == sympy.legendre_symbol(t, p), t
+
+
 def test_uniform_below_deterministic_and_in_range():
     out1 = [uniform_below(10, random.Random(42)) for _ in range(5)]
     out2 = [uniform_below(10, random.Random(42)) for _ in range(5)]

@@ -8,6 +8,7 @@ from one prepared form equal fresh sample_form calls on the same
 generator.
 """
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -205,16 +206,18 @@ def container_sizes():
     return sizes
 
 
-def test_layout_memo_is_local_to_one_prepared_form():
+def test_layout_is_local_to_one_prepared_form():
+    # the layout is fixed once prepared (near cells are computed by rule,
+    # not stored), and no module-level container grows across calls
     before = container_sizes()
     rng = random.Random(3)
     pp = PrimePower(3, 6)
     form = prepare(Q4, pp)
-    memo = len(form.layout._near)
-    assert memo > 0  # the table levels filled it
+    layout_state = copy.deepcopy(vars(form.layout))
     for t in range(0, 40, 3):
         sample_prepared(form, t, RepKind.ANY, rng)
-    assert len(form.layout._near) > memo  # and the draws read and extend it
+        sample_prepared(form, t, RepKind.PRIMITIVE, rng)
+    assert vars(form.layout) == layout_state
     for _ in range(3):
         count_form(Q4, pp, 5)
         sample_form(Q4, pp, 5, RepKind.PRIMITIVE, rng)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadmod.modring
+import quadmod.sampling
 from quadmod.blockdiag import TypeII
-from quadmod.counting import _count_scaled_type2, count_composite
+from quadmod.counting import _count_scaled_type2, count_composite, prepare
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
@@ -15,12 +16,13 @@ from quadmod.sampling import (
     _sample_scaled_type2,
     sample_composite,
     sample_form,
+    sample_prepared,
     sample_split,
     sample_symbol_elem,
     sample_type1,
     sample_type2,
 )
-from quadmod.symbols import PkSymbol, class_size, symbol_of
+from quadmod.symbols import PkSymbol, class_size, enumerate_symbols, split_class_size, symbol_of
 
 I2 = [[1, 0], [0, 1]]
 
@@ -341,3 +343,45 @@ def test_sample_form_tests_no_known_prime_again(monkeypatch):
     for q_mat, t in (([[1, 0], [0, 3]], 4), ([[2, 1], [1, 2]], 6)):  # type I, type II blocks mod 2^k
         assert sample_form(q_mat, two, t, RepKind.ANY, rng) is not None
     assert calls == []
+
+
+def test_chain_walk_splits_without_checking_again(monkeypatch):
+    # the walk only picks cells of non-zero weight, so it splits them
+    # with the private core: no split_class_size check, and the target
+    # symbol it carries is the symbol of the target it splits
+    checks = []
+    original = quadmod.sampling.split_class_size
+    monkeypatch.setattr(quadmod.sampling, "split_class_size", lambda *a: checks.append(a) or original(*a))
+    split = quadmod.sampling._split
+    steps = []
+
+    def checked_split(pp, t, g, g1, g2, rng):
+        assert g == symbol_of(pp, t)
+        steps.append(g)
+        return split(pp, t, g, g1, g2, rng)
+
+    monkeypatch.setattr(quadmod.sampling, "_split", checked_split)
+    q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+    rng = random.Random(9)
+    for pp in (PrimePower(2, 7), PrimePower(3, 4), PrimePower(13, 2), PrimePower(2**127 - 1, 2)):
+        form = prepare(q4, pp)
+        for t in (0, 1, 6, pp.p**2 * 5):
+            for kind in RepKind:
+                x = sample_prepared(form, t, kind, rng)
+                if x is not None:
+                    assert sum(q4[i][j] * x[i] * x[j] for i in range(4) for j in range(4)) % pp.q == t % pp.q
+    assert checks == [] and len(steps) > 50
+    # the public split still checks its cell, and answers None on a zero one
+    pp = PrimePower(3, 2)
+    for t in range(pp.q):
+        g = symbol_of(pp, t)
+        for g1 in enumerate_symbols(pp):
+            for g2 in enumerate_symbols(pp):
+                state = rng.getstate()
+                pair = sample_split(pp, t, g1, g2, rng)
+                if split_class_size(pp, g, g1, g2) == 0:
+                    assert pair is None and rng.getstate() == state, (t, g1, g2)
+                else:
+                    a, b = pair
+                    assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
+    assert checks

@@ -6,7 +6,12 @@ import quadmod.symbols
 from quadmod.modring import INF, DomainError, PrimePower, legendre
 from quadmod.symbols import (
     PkSymbol,
+    _class_size,
+    _difference_symbol,
+    _is_empty,
     _near_partners,
+    _orders_between,
+    _split_gap,
     class_size,
     enumerate_symbols,
     split_class_size,
@@ -226,6 +231,37 @@ def test_split_partners_far_rules_and_near_cells(pp):
                 assert above[0] == (zero, 1)
                 near = [(g2, s) for g2, s in got if not beyond(g2, g.ord)]
                 assert near == _near_partners(pp, g, g1), (pp, g, g1)
+
+
+def scan_near_partners(pp, g, g1):
+    """Reference near list: the candidate scan over every formal symbol
+    of the orders between ord(g) and ord(g) + G, each kept when its
+    class is inhabited and its difference symbol with g is g1."""
+    if g1.ord != g.ord:
+        return [(_difference_symbol(pp, g, g1), _class_size(pp, g1))]
+    p, k = pp.p, pp.k
+    out = []
+    if p != 2:
+        scale = p ** (k - g.ord - 1)
+        for s2 in (1, -1):
+            mod_p = split_pair_count_mod_p(p, g1.sgn, s2, g.sgn)
+            if mod_p:
+                out.append((PkSymbol(g.ord, s2), mod_p * scale))
+    for g2 in _orders_between(pp, g.ord + 1, min(k, g.ord + _split_gap(pp))):
+        if not _is_empty(pp, g2) and _difference_symbol(pp, g, g2) == g1:
+            out.append((g2, _class_size(pp, g2)))
+    return out
+
+
+NEAR_GRID = [PrimePower(p, k) for p, kmax in ((2, 12), (3, 6), (5, 6), (2**127 - 1, 6)) for k in range(1, kmax + 1)]
+
+
+@pytest.mark.parametrize("pp", NEAR_GRID, ids=str)
+def test_near_partners_closed_form_matches_candidate_scan(pp):
+    finite = [g for g in enumerate_symbols(pp) if g.ord != INF and class_size(pp, g) > 0]
+    for g in finite:
+        for g1 in finite:
+            assert _near_partners(pp, g, g1) == scan_near_partners(pp, g, g1), (g, g1)
 
 
 def test_split_partners_validate_symbols():
