@@ -12,17 +12,30 @@ Each level of the program splits the cells by the order gap G (3 for
 p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
 ord(g) has a partner and a size fixed by the orders alone, so all such
 cells of every target come from three running sums by order, built
-once per level.  Only the near cells, g1 within G of ord(g) paired with
-the finite partners below ord(g) + G, are visited one by one, each
-computed by rule (symbols._near_partners).  A level is O(S) big-integer
-products over the S symbols plus the near cells, a bounded number per
-target, where the full convolution made one per non-zero (g, g1, g2)
-cell.
+once per level.  The near cells, g1 within G of ord(g) paired with the
+finite partners below ord(g) + G, come from per-order sums by sign
+class, with no list of partners:
 
-``prepare`` diagonalizes a form and builds its tables once, over one
-SymbolLayout of the modulus; every public count, and every draw of
-the sampling module, reads a prepared form.  A composite modulus is a
-list of prepared factors.
+* odd p: near(o, s) = p^(k-o-1) (P4 H_o C_o - eps h(o, eps s) c(o, eps s)),
+  with P4 = (p - p mod 4)/4, eps = (-1/p), and H_o, C_o the head and
+  tail summed over both signs of order o;
+* p = 2: with delta = 1 or 2, the cells of a g1 delta orders above g
+  and the equal-order cells depend on the sign s' of order o + delta
+  only through 2^delta s' mod min(8, 2^(k-o)), and those of a g1 delta
+  orders below depend on s only through 2^delta s mod
+  min(8, 2^(k-o+delta)); so each comes from head and tail sums over
+  those classes, a few products per target (_near_two).
+
+A level is O(S) big-integer products over the S symbols, where the
+full convolution made one per non-zero (g, g1, g2) cell.
+
+``prepare`` diagonalizes a form and builds, once, the tables the chain
+walk reads: each block's table and the levels of the tail after the
+first block.  The top level is read at one target per count, as a sum
+over the split cells of that target (PreparedForm.count), and is built
+in full only when PreparedForm.table is read.  Every public count, and
+every draw of the sampling module, reads a prepared form.  A composite
+modulus is a list of prepared factors.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from .blockdiag import (
     integer_det,
 )
 from .modring import INF, DomainError, PrimePower, legendre, valuation
-from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, _near_partners, symbol_of
+from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, symbol_of
 
 Matrix = list[list[int]]
 
@@ -205,11 +218,12 @@ def chain_tables(
     the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
-    the tail's.  The layout of pp is made here unless one is passed in.
+    the tail's.  No blocks give no tables.  The layout of pp is made
+    here unless one is passed in.
     """
     layout = layout or SymbolLayout(pp)
     per_block = [block_table(blk, layout) for blk in blocks]
-    suffix: list[Table] = [per_block[-1]]
+    suffix: list[Table] = per_block[-1:]
     for head in reversed(per_block[:-1]):
         suffix.append(_convolve(layout, head, suffix[-1]))
     suffix.reverse()
@@ -227,65 +241,175 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
     a g1 of order <= o - G only with -g1 (size |g1|), and g1 = g with
     every g2 of order >= o + G (size |g2|).  So
 
-        total[g] = c(g) A[o+G] + h(g) C[o+G] + B[o-G] + near cells
+        total[g] = c(g) A[o+G] + h(g) C[o+G] + B[o-G] + near(g)
         total[0] = B[k-1] + h(0) c(0)
 
     with A[m] = sum |g1| h(g1) and C[m] = sum |g2| c(g2) over orders
     >= m (the zero symbol in every A and C, since it is above any gap),
     and B[m] = sum |g1| h(g1) c(-g1) over finite orders <= m.  The near
-    cells are the g1 of band[o] with their finite partners below o + G,
-    computed by _near_partners.
+    cells, g1 within G orders of o with their finite partners below
+    o + G, are summed in closed form by sign class (_near_odd and
+    _near_two), so a level is O(S) products over its S symbols.
     """
     pp, k, gap = layout.pp, layout.pp.k, layout.gap
     zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
-    a_tot, a_np = [0] * (k + 1), [0] * (k + 1)
-    c_tot, c_np = [0] * (k + 1), [0] * (k + 1)
+    # per order (the zero symbol at k): the head and the tail summed over
+    # the signs, and h(g1) c(-g1); every class of one order has one size
+    h_tot, h_np, c_tot, c_np = ([0] * (k + 1) for _ in range(4))
     b_tot, b_np = [0] * k, [0] * k
-    a_tot[k], a_np[k] = zero_h.total, zero_h.nonprimitive
-    c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
+    sizes = [1] * (k + 1)
     for g, size, neg in layout.finite:
         o, h, c = g.ord, head[g], tail[g]
-        c_tot[o] += size * c.total
-        c_np[o] += size * c.nonprimitive
+        sizes[o] = size
+        c_tot[o] += c.total
+        c_np[o] += c.nonprimitive
         if h.total:
-            a_tot[o] += size * h.total
-            a_np[o] += size * h.nonprimitive
+            h_tot[o] += h.total
+            h_np[o] += h.nonprimitive
             m = tail[neg]
-            b_tot[o] += size * h.total * m.total
-            b_np[o] += size * h.nonprimitive * m.nonprimitive
+            b_tot[o] += h.total * m.total
+            b_np[o] += h.nonprimitive * m.nonprimitive
+    h_tot[k], h_np[k] = zero_h.total, zero_h.nonprimitive
+    c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
+    if pp.p == 2:
+        near = _near_two(layout, head, tail)
+    else:
+        near = _near_odd(layout, head, tail, h_tot, h_np, c_tot, c_np)
+    # weigh by class size and sum: A and C over the orders >= o, in place
+    # of the per-order sums, and B over the orders <= o
+    a_tot, a_np = h_tot, h_np
     for o in range(k - 1, -1, -1):
-        a_tot[o] += a_tot[o + 1]
-        a_np[o] += a_np[o + 1]
-        c_tot[o] += c_tot[o + 1]
-        c_np[o] += c_np[o + 1]
+        w = sizes[o]
+        a_tot[o] = w * a_tot[o] + a_tot[o + 1]
+        a_np[o] = w * a_np[o] + a_np[o + 1]
+        c_tot[o] = w * c_tot[o] + c_tot[o + 1]
+        c_np[o] = w * c_np[o] + c_np[o + 1]
+    b_tot[0] *= sizes[0]
+    b_np[0] *= sizes[0]
     for o in range(1, k):
-        b_tot[o] += b_tot[o - 1]
-        b_np[o] += b_np[o - 1]
+        w = sizes[o]
+        b_tot[o] = w * b_tot[o] + b_tot[o - 1]
+        b_np[o] = w * b_np[o] + b_np[o - 1]
 
-    level: Table = {}
-    for g in layout.syms:
-        if g.ord == INF:
-            total = b_tot[k - 1] + zero_h.total * zero_c.total
-            nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
-            level[g] = RepCounts(total, total - nprim, nprim)
-            continue
+    total = b_tot[k - 1] + zero_h.total * zero_c.total
+    nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
+    level: Table = {SYMBOL_ZERO: RepCounts(total, total - nprim, nprim)}
+    for (g, _, _), (total, nprim) in zip(layout.finite, near):
         o, h, c = g.ord, head[g], tail[g]
         hi = min(o + gap, k)
-        total = c.total * a_tot[hi] + h.total * c_tot[hi]
-        nprim = c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
+        total += c.total * a_tot[hi] + h.total * c_tot[hi]
+        nprim += c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
         if o >= gap:
             total += b_tot[o - gap]
             nprim += b_np[o - gap]
-        for g1 in layout.band[o]:
-            h1 = head[g1]
-            if not h1.total:
-                continue
-            for g2, s in _near_partners(pp, g, g1):
-                c2 = tail[g2]
-                total += s * h1.total * c2.total
-                nprim += s * h1.nonprimitive * c2.nonprimitive
         level[g] = RepCounts(total, total - nprim, nprim)
     return level
+
+
+def _near_odd(
+    layout: SymbolLayout,
+    head: Table,
+    tail: Table,
+    h_tot: list[int],
+    h_np: list[int],
+    c_tot: list[int],
+    c_np: list[int],
+) -> list[tuple[int, int]]:
+    """(total, non-primitive) of the near cells of every finite target,
+    in layout.finite order, for odd p, given the head and the tail
+    summed over the signs of each order (h_tot, h_np, c_tot, c_np).
+
+    The near cells of g = (o, s) are the pairs of order-o symbols, of
+    size p^(k-o-1) (P4 - (s1 + s2)(eps s1 + s)/4) (split_pair_count_mod_p)
+    with P4 = (p - p mod 4)/4 and eps = (-1/p).  The product term is
+    non-zero only at s1 = s2 = eps s, where it is eps, so
+
+        near(o, s) = p^(k-o-1) (P4 H_o C_o - eps h(o, eps s) c(o, eps s))
+
+    with H_o and C_o the head and tail summed over both signs of order
+    o; (o, eps s) is the negated symbol of g.
+    """
+    p, k = layout.pp.p, layout.pp.k
+    p4, eps = (p - p % 4) // 4, 1 if p % 4 == 1 else -1
+    eps_scale, both_tot, both_np = [0] * k, [0] * k, [0] * k
+    w = 1
+    for o in range(k - 1, -1, -1):
+        eps_scale[o] = eps * w
+        both_tot[o] = w * p4 * h_tot[o] * c_tot[o]
+        both_np[o] = w * p4 * h_np[o] * c_np[o]
+        w *= p
+    out = []
+    for g, _, neg in layout.finite:
+        o, h, c = g.ord, head[neg], tail[neg]
+        if h.total:
+            w = eps_scale[o]
+            out.append((both_tot[o] - w * h.total * c.total, both_np[o] - w * h.nonprimitive * c.nonprimitive))
+        else:
+            out.append((both_tot[o], both_np[o]))
+    return out
+
+
+def _near_two(layout: SymbolLayout, head: Table, tail: Table) -> list[tuple[int, int]]:
+    """(total, non-primitive) of the near cells of every finite target,
+    in layout.finite order, for p = 2.
+
+    With g = (o, s), m_o = min(8, 2^(k-o)) and delta = 1, 2, the near
+    cells (symbols.split_partners) are:
+
+    * g1 = (o + delta, s1) with g2 = (o, s - 2^delta s1 mod m_o), and
+      the equal-order cells g1 = (o, s1), g2 = (o + delta, s2) with
+      s1 = s - 2^delta s2 mod m_o, each of the size of its higher-order
+      class.  They depend on the higher-order sign only through
+      u = 2^delta s1 mod m_o (u = 2, 6 or 4 mod 8, or 2 mod 4), so with
+      H_o[u] and C_o[u] the head and tail of orders o + 1 and o + 2
+      summed by u, times the class size,
+          up(g) = sum over u of H_o[u] c(o, s - u) + C_o[u] h(o, s - u);
+    * g1 = (o - delta, s1) with g2 = (o - delta, 2^delta s - s1 mod
+      m_(o-delta)), of size |g1|.  They depend on s only through
+      u = 2^delta s mod m_(o-delta), so with
+          D_o'[u] = |o'| sum over s1 of h(o', s1) c(o', u - s1 mod m_o'),
+          down(g) = D_(o-1)[2s mod m_(o-1)] + D_(o-2)[4].
+    """
+    k = layout.pp.k
+    mods = [min(8, 2 ** (k - o)) for o in range(k)]
+    up: list[dict[int, list[int]]] = [{} for _ in range(k)]
+    down: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
+    for g, size, _ in layout.finite:
+        o1, s1 = g
+        h, c = head[g], tail[g]
+        for o in (o1 - 1, o1 - 2):
+            if o >= 0:
+                sums = up[o].setdefault((s1 << (o1 - o)) % mods[o], [0, 0, 0, 0])
+                sums[0] += size * h.total
+                sums[1] += size * h.nonprimitive
+                sums[2] += size * c.total
+                sums[3] += size * c.nonprimitive
+        if s1 == 1 and o1 < k - 1:  # once per order: sign 1 is inhabited at every order
+            m = mods[o1]
+            for u in range(2, m, 2):
+                d_tot = d_np = 0
+                for s in range(1, m, 2):
+                    h1, c2 = head[o1, s], tail[o1, (u - s) % m]
+                    d_tot += h1.total * c2.total
+                    d_np += h1.nonprimitive * c2.nonprimitive
+                down[o1][u] = (size * d_tot, size * d_np)
+    out = []
+    for g, _, _ in layout.finite:
+        o, s = g
+        m = mods[o]
+        tot = nprim = 0
+        for u, (ht, hn, ct, cn) in up[o].items():
+            j = (o, (s - u) % m)
+            h, c = head[j], tail[j]
+            tot += ht * c.total + ct * h.total
+            nprim += hn * c.nonprimitive + cn * h.nonprimitive
+        for o1 in (o - 1, o - 2):
+            if o1 >= 0:
+                d_tot, d_np = down[o1][(s << (o - o1)) % mods[o1]]
+                tot += d_tot
+                nprim += d_np
+        out.append((tot, nprim))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,11 +417,14 @@ class PreparedForm:
     """x'Qx mod p^k with its blocks, basis change and count tables, built
     once: every count and draw of the form reads them.
 
-    u'Qu is the direct sum of blocks mod p^k; per_block and suffix are
-    chain_tables over the layout's symbols (for the form in no
-    variables, the one solution at target 0).  Nothing here changes
-    after prepare: the near cells that tables and draws read are
-    computed by rule, not stored.
+    u'Qu is the direct sum of blocks mod p^k.  per_block[j] is the table
+    of blocks[j], and tails[j] that of the direct sum blocks[j+1:]: the
+    suffix tables of chain_tables(blocks[1:]), the levels the chain walk
+    reads.  The top level, the table of all the blocks, is not built:
+    count reads it at one symbol, as a sum over the split cells of the
+    head block and the first tail, and table builds it in full on every
+    read.  Nothing here changes after prepare: the near cells that
+    counts and draws read are computed by rule, not stored.
     """
 
     pp: PrimePower
@@ -305,16 +432,35 @@ class PreparedForm:
     u: Matrix
     layout: SymbolLayout
     per_block: list[Table]
-    suffix: list[Table]
+    tails: list[Table]
 
     @property
     def table(self) -> Table:
-        """Counts at every inhabited target symbol."""
-        return self.suffix[0]
+        """Counts at every inhabited target symbol: one level of the
+        dynamic program, built on each read (for the form in no
+        variables, the one solution at target 0)."""
+        if not self.blocks:
+            return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
+        head = self.per_block[0]
+        return _convolve(self.layout, head, self.tails[0]) if self.tails else head
 
     def count(self, t: int) -> RepCounts:
-        """Total / primitive / non-primitive counts of x'Qx = t mod p^k."""
-        return self.table.get(symbol_of(self.pp, t), RepCounts(0, 0, 0))
+        """Total / primitive / non-primitive counts of x'Qx = t mod p^k:
+        the top level's entry at t's symbol g, summed over the split
+        cells (g1, g2) of g that the chain walk's first step draws from."""
+        g = symbol_of(self.pp, t)
+        if not self.tails:
+            return self.table.get(g, RepCounts(0, 0, 0))
+        tail = self.tails[0]
+        total = nprim = 0
+        for g1, h in self.per_block[0].items():
+            if not h.total:
+                continue
+            for g2, size in self.layout.partners(g, g1):
+                c = tail[g2]
+                total += size * h.total * c.total
+                nprim += size * h.nonprimitive * c.nonprimitive
+        return RepCounts(total, total - nprim, nprim)
 
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
@@ -322,10 +468,11 @@ def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
     n = check_symmetric(q_mat)
     layout = SymbolLayout(pp)
     if n == 0:
-        return PreparedForm(pp, (), [], layout, [], [{SYMBOL_ZERO: RepCounts(1, 0, 1)}])
+        return PreparedForm(pp, (), [], layout, [], [])
     bd = block_diagonalize(q_mat, pp)
-    per_block, suffix = chain_tables(bd.blocks, pp, layout)
-    return PreparedForm(pp, bd.blocks, [list(row) for row in bd.u], layout, per_block, suffix)
+    per_tail, tails = chain_tables(bd.blocks[1:], pp, layout)
+    per_block = [block_table(bd.blocks[0], layout), *per_tail]
+    return PreparedForm(pp, bd.blocks, [list(row) for row in bd.u], layout, per_block, tails)
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:
@@ -335,8 +482,7 @@ def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCo
 
 def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     """Total / primitive / non-primitive counts of x'Qx = t mod p^k."""
-    # through the module name: perfbench's worker wraps it to keep the tables it checks
-    return form_counts_by_symbol(q_mat, pp).get(symbol_of(pp, t), RepCounts(0, 0, 0))
+    return prepare(q_mat, pp).count(t)
 
 
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:

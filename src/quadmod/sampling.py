@@ -184,13 +184,19 @@ def sample_type1(
     d: int, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
 ) -> int | None:
     """Uniform x with d*x^2 = t mod p^k in the requested class."""
-    p, k, q = pp.p, pp.k, pp.q
-    t %= q
+    t %= pp.q
     g = symbol_of(pp, t)
-    c = count_type1(d, pp, g)
-    want_prim = _choose_kind(c, kind, rng)
+    want_prim = _choose_kind(count_type1(d, pp, g), kind, rng)
     if want_prim is None:
         return None
+    return _sample_type1(d, pp, t, g, want_prim, rng)
+
+
+def _sample_type1(d: int, pp: PrimePower, t: int, g: PkSymbol, want_prim: bool, rng: RandomSource) -> int:
+    """sample_type1 for a reduced t of symbol g, in the primitive
+    (want_prim) or non-primitive class, which the caller has checked is
+    not empty."""
+    p, k, q = pp.p, pp.k, pp.q
     ord_d, cop_d = valuation(pp, d % q)
 
     if g.ord == INF:
@@ -272,13 +278,18 @@ def sample_type2(
     blk: TypeII, k: int, t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, int] | None:
     """Uniform (x1, x2) with 2^(ell+1)(a x1^2 + b x1x2 + c x2^2) = t mod 2^k."""
-    q = 2**k
-    t %= q
-    ell = blk.ell
-    c = count_type2(blk, k, symbol_of(TWO.with_exponent(k), t))
-    want_prim = _choose_kind(c, kind, rng)
+    t %= 2**k
+    want_prim = _choose_kind(count_type2(blk, k, symbol_of(TWO.with_exponent(k), t)), kind, rng)
     if want_prim is None:
         return None
+    return _sample_type2(blk, k, t, want_prim, rng)
+
+
+def _sample_type2(blk: TypeII, k: int, t: int, want_prim: bool, rng: RandomSource) -> tuple[int, int]:
+    """sample_type2 for a reduced t, in the primitive (want_prim) or
+    non-primitive class, which the caller has checked is not empty."""
+    q = 2**k
+    ell = blk.ell
     if ell + 1 >= k:
         # the form vanishes identically; sample parities directly
         half = 2 ** (k - 1)
@@ -300,16 +311,13 @@ def sample_type2(
 
 
 def _sample_block(
-    blk: Block, pp: PrimePower, t: int, want_prim: bool, rng: RandomSource
+    blk: Block, pp: PrimePower, t: int, g: PkSymbol, want_prim: bool, rng: RandomSource
 ) -> tuple[int, ...]:
-    kind = RepKind.PRIMITIVE if want_prim else RepKind.NONPRIMITIVE
+    """Uniform solution of one block at a reduced t of symbol g, in a
+    class the chain walk has weighted by its non-zero count."""
     if isinstance(blk, TypeI):
-        v = sample_type1(blk.d, pp, t, kind, rng)
-        assert v is not None, "routed into an empty block class"
-        return (v,)
-    pair = sample_type2(blk, pp.k, t, kind, rng)
-    assert pair is not None, "routed into an empty block class"
-    return pair
+        return (_sample_type1(blk.d, pp, t, g, want_prim, rng),)
+    return _sample_type2(blk, pp.k, t, want_prim, rng)
 
 
 def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource) -> list[int]:
@@ -319,12 +327,14 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource
     The cells' split sizes come from the layout, and the chosen cell is
     split without checking its size again: the walk only picks cells of
     non-zero weight.  The tail's target b has the symbol g2 of its cell,
-    which carries over as the next step's target symbol."""
+    which carries over as the next step's target symbol, and the head's
+    value a has the symbol g1, so each block is solved without taking a
+    symbol or a count again."""
     pp, layout, blocks = form.pp, form.layout, form.blocks
     g = symbol_of(pp, t)
     y: list[int] = []
     for j in range(len(blocks) - 1):
-        tail_tbl = form.suffix[j + 1]
+        tail_tbl = form.tails[j]
         # weight every (value-symbol pair, primitivity split) cell by its
         # exact solution count: split size times head count times tail count
         cells = []
@@ -355,9 +365,9 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource
                 break
             r -= w
         a, t = _split(pp, t, g, g1, g2, rng)
-        y.extend(_sample_block(blocks[j], pp, a, hp, rng))
+        y.extend(_sample_block(blocks[j], pp, a, g1, hp, rng))
         want_prim, g = tp, g2
-    y.extend(_sample_block(blocks[-1], pp, t, want_prim, rng))
+    y.extend(_sample_block(blocks[-1], pp, t, g, want_prim, rng))
     return y
 
 

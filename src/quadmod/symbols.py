@@ -20,17 +20,19 @@ least G below only with -g1, both with size |g1|, and g1 = g pairs with
 every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  ``_near_partners`` lists the rest, and
 ``split_partners`` is the zero partner, the near partners and that far
-tail.  The count tables sum the far cells by order and read only the
-near cells, so one level of their dynamic program costs O(S) products
-plus a bounded number of near cells per target.
+tail.
 
 For p = 2 the near partners at equal orders come from one congruence
 on the signs, solved in closed form, so a near cell costs a few integer
 operations wherever it is read.  A ``SymbolLayout`` holds what the count
 tables and the chain walk read of one modulus and does not change after
 construction; its ``partners`` lists what ``split_partners`` lists, with
-the near cells computed by rule.  Each prepared form owns its layout;
-the module itself keeps no state between calls.
+the near cells computed by rule, for the chain walk and the count of
+one target.  The count tables no longer read ``_near_partners``: they
+sum the far cells by order and the near cells by sign class in closed
+form (counting._convolve), so one level of their dynamic program costs
+O(S) products.  Each prepared form owns its layout; the module itself
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ class SymbolLayout:
     """What the count tables and the chain walk read of the symbols of
     one modulus: ``syms``, the inhabited symbols in enumerate_symbols
     order; ``finite``, (g, class size, negated symbol) for the finite
-    ones; and ``band[o]``, the finite g1 less than G orders from o.  It
-    does not change after construction: near cells are computed by rule
+    ones; and ``gap``, the order gap G.  It does not change after
+    construction: ``partners`` computes the near cells by rule
     (``_near_partners``) wherever they are read.
     """
 
@@ -293,10 +295,6 @@ class SymbolLayout:
         self.pp, self.gap = pp, _split_gap(pp)
         self.syms = [g for g in enumerate_symbols(pp) if not _is_empty(pp, g)]
         self.finite = [(g, _class_size(pp, g), _negated_symbol(pp, g)) for g in self.syms[1:]]
-        by_order: list[list[PkSymbol]] = [[] for _ in range(pp.k)]
-        for g, _, _ in self.finite:
-            by_order[g.ord].append(g)
-        self.band = [sum(by_order[max(0, o - self.gap + 1) : o + self.gap], []) for o in range(pp.k)]
         self._negated = {g: [(neg, size)] for g, size, neg in self.finite}
 
     def partners(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:

@@ -33,7 +33,8 @@ from quadmod import (
     sample_prepared,
 )
 from quadmod.blockdiag import TypeI, TypeII
-from quadmod.counting import block_table, count_block
+from quadmod.counting import RepCounts, block_table, count_block
+from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, split_partners, symbol_of
 
@@ -140,6 +141,73 @@ def test_layout_partners_equal_split_partners(pp):
     for g in layout.syms:
         for g1 in layout.syms:
             assert layout.partners(g, g1) == split_partners(pp, g, g1), (g, g1)
+
+
+def symbol_rep(pp, g):
+    """An element of Z/p^k whose symbol is g."""
+    if g.ord == INF:
+        return 0
+    if pp.p == 2:
+        return 2**g.ord * g.sgn
+    return pp.p**g.ord * next(u for u in range(1, pp.p) if legendre(u, pp.p) == g.sgn)
+
+
+def dense_even(seed, n):
+    """A dense symmetric n x n matrix with an even diagonal, so that
+    type II blocks occur mod powers of 2."""
+    rng = random.Random(seed)
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = 2 * rng.randrange(500)
+        for j in range(i):
+            q[i][j] = q[j][i] = rng.randrange(1000)
+    return q
+
+
+CROSS_PATH = {
+    "Q4-2^60": (Q4, PrimePower(2, 60)),
+    "Q4-3^60": (Q4, PrimePower(3, 60)),
+    "Q4-5^60": (Q4, PrimePower(5, 60)),
+    "Q4-P^30": (Q4, PrimePower(P127, 30)),
+    "Q4-P^60": (Q4, PrimePower(P127, 60)),
+    "dense-24-2^6": (dense_even(6, 24), PrimePower(2, 6)),
+    "diagonal-2^20": ([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 10, 0], [0, 0, 0, 28]], PrimePower(2, 20)),
+    "one-type1-3^5": ([[6]], PrimePower(3, 5)),
+    "one-type2-2^7": ([[2, 1], [1, 2]], PrimePower(2, 7)),
+    "zero-dim-5^3": ([], PrimePower(5, 3)),
+}
+
+
+@pytest.mark.parametrize("q_mat, pp", CROSS_PATH.values(), ids=CROSS_PATH)
+def test_count_equals_the_full_top_level(q_mat, pp):
+    # count sums the split cells of one target over the head table and
+    # the first tail; table builds the whole top level with _convolve
+    form = prepare(q_mat, pp)
+    table = form.table
+    if form.blocks:
+        assert list(table) == form.layout.syms
+    for g in form.layout.syms:
+        assert symbol_of(pp, symbol_rep(pp, g)) == g
+        assert form.count(symbol_rep(pp, g)) == table.get(g, RepCounts(0, 0, 0)), g
+
+
+LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], PrimePower(3, 4)) for n in range(6)]
+LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
+
+
+@pytest.mark.parametrize("q_mat, pp", LEVEL_FORMS, ids=[f"n{len(q)}-{pp}" for q, pp in LEVEL_FORMS])
+def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls, q_mat, pp):
+    _, tables = layer_calls
+    convolve = CallCounter(quadmod.counting._convolve)
+    monkeypatch.setattr(quadmod.counting, "_convolve", convolve)
+    form = prepare(q_mat, pp)
+    levels = max(0, len(form.blocks) - 2)
+    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
+    form.count(9)
+    assert convolve.calls == levels
+    # the top level is built on each read, and not kept
+    assert form.table == form.table
+    assert convolve.calls == levels + 2 * (len(form.blocks) >= 2)
 
 
 class CallCounter:
