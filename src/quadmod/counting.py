@@ -8,41 +8,38 @@ non-primitive counts both satisfy that convolution (a vector is
 non-primitive iff every component block is), and primitive = total -
 non-primitive.
 
+Every table is two parallel int lists, total and non-primitive counts,
+indexed by the position of the target symbol in its SymbolLayout
+(layout.syms); the primitive count is total - non-primitive wherever
+it is read.  No kernel looks an entry up by its symbol: the
+{symbol: RepCounts} dicts are built only at the public boundary
+(PreparedForm.count and .table, form_counts_by_symbol, symbol_table).
+
 Each level of the program splits the cells by the order gap G (3 for
 p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
 ord(g) has a partner and a size fixed by the orders alone, so all such
-cells of every target come from three running sums by order, built
-once per level.  The near cells, g1 within G of ord(g) paired with the
-finite partners below ord(g) + G, come from per-order sums by sign
-class, with no list of partners:
-
-* odd p: near(o, s) = p^(k-o-1) (P4 H_o C_o - eps h(o, eps s) c(o, eps s)),
-  with P4 = (p - p mod 4)/4, eps = (-1/p), and H_o, C_o the head and
-  tail summed over both signs of order o;
-* p = 2: with delta = 1 or 2, the cells of a g1 delta orders above g
-  and the equal-order cells depend on the sign s' of order o + delta
-  only through 2^delta s' mod min(8, 2^(k-o)), and those of a g1 delta
-  orders below depend on s only through 2^delta s mod
-  min(8, 2^(k-o+delta)); so each comes from head and tail sums over
-  those classes, a few products per target (_near_two).
-
-A level is O(S) big-integer products over the S symbols, where the
-full convolution made one per non-zero (g, g1, g2) cell.
+cells of every target come from three running sums by order.  The near
+cells, g1 within G of ord(g) paired with the finite partners below
+ord(g) + G, come in closed form from per-order sums by sign class, with
+no list of partners (_level_odd, _level_two).  One pass down the orders
+and one up build a level: O(S) big-integer products over the S
+symbols, where the full convolution made one per non-zero (g, g1, g2)
+cell.
 
 ``prepare`` diagonalizes a form and builds, once, the tables the chain
-walk reads: each block's table and the levels of the tail after the
-first block.  The top level is read at one target per count, as a sum
-over the split cells of that target (PreparedForm.count), and is built
-in full only when PreparedForm.table is read.  Every public count, and
-every draw of the sampling module, reads a prepared form.  A composite
-modulus is a list of prepared factors.
+walk reads: each block's table, filled order by order, and the levels
+of the tail after the first block.  The top level is read at one target
+per count, as a sum over the split cells of that target
+(PreparedForm.count), and is built in full only when PreparedForm.table
+is read.  Every public count, and every draw of the sampling module,
+reads a prepared form.  A composite modulus is a list of prepared
+factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .blockdiag import (
@@ -65,7 +62,9 @@ class RepCounts(NamedTuple):
     nonprimitive: int
 
 
-Table = dict[PkSymbol, RepCounts]  # counts at every inhabited target symbol
+# (total, non-primitive) counts at every position of a SymbolLayout:
+# the entry at position i is the count at target symbol layout.syms[i]
+Table = tuple[list[int], list[int]]
 
 
 class SingularForm(DomainError):
@@ -80,9 +79,14 @@ def _counts(prim: int, nprim: int) -> RepCounts:
     return RepCounts(prim + nprim, prim, nprim)
 
 
-def _type1_counter(d: int, pp: PrimePower):
-    """The map g -> counts of d*x^2 = t mod p^k with symbol(t) = g, with
-    the order, coprime part and square class of d taken once.
+def symbol_table(layout: SymbolLayout, table: Table) -> dict[PkSymbol, RepCounts]:
+    """A table as {symbol: RepCounts} in layout.syms order, the form in
+    which the public functions return tables."""
+    return {g: RepCounts(tot, tot - np_, np_) for g, tot, np_ in zip(layout.syms, *table)}
+
+
+def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
+    """Solutions x of d*x^2 = t mod p^k, with symbol(t) = sym_t.
 
     t = 0: every x with 2*ord(x) + ord(d) >= k works.  t != 0: writing
     x = p^e * y with y a unit needs ord(t) - ord(d) = 2e >= 0 and the
@@ -95,34 +99,24 @@ def _type1_counter(d: int, pp: PrimePower):
     """
     p, k = pp.p, pp.k
     ord_d, cop_d = valuation(pp, d % pp.q)
-    sign = legendre(cop_d, p) if p != 2 and ord_d != INF else 0
-    none = RepCounts(0, 0, 0)
-
-    def at(g: PkSymbol) -> RepCounts:
-        if g.ord == INF:
-            if ord_d == INF:
-                return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
-            # x = 0 mod p^ceil((k - ord d)/2), leaving floor((k + ord d)/2) digits
-            return _counts(0, p ** ((k + ord_d) // 2))
-        if ord_d == INF or g.ord < ord_d or (g.ord - ord_d) % 2:
-            return none
-        if p == 2:
-            if (g.sgn - cop_d) % min(8, 2 ** (k - g.ord)):
-                return none
-            mult = 4 if k - g.ord >= 3 else k - g.ord
-        elif g.sgn != sign:
-            return none
-        else:
-            mult = 2
-        reps = mult * p ** ((g.ord + ord_d) // 2)
-        return _counts(reps, 0) if g.ord == ord_d else _counts(0, reps)
-
-    return at
-
-
-def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
-    """Solutions x of d*x^2 = t mod p^k, with symbol(t) = sym_t."""
-    return _type1_counter(d, pp)(sym_t)
+    o, s = sym_t
+    if o == INF:
+        if ord_d == INF:
+            return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
+        # x = 0 mod p^ceil((k - ord d)/2), leaving floor((k + ord d)/2) digits
+        return _counts(0, p ** ((k + ord_d) // 2))
+    if ord_d == INF or o < ord_d or (o - ord_d) % 2:
+        return RepCounts(0, 0, 0)
+    if p == 2:
+        if (s - cop_d) % min(8, 2 ** (k - o)):
+            return RepCounts(0, 0, 0)
+        mult = 4 if k - o >= 3 else k - o
+    elif s != legendre(cop_d, p):
+        return RepCounts(0, 0, 0)
+    else:
+        mult = 2
+    reps = mult * p ** ((o + ord_d) // 2)
+    return _counts(reps, 0) if o == ord_d else _counts(0, reps)
 
 
 def _symbol_rep(k2: int, ord_t, sgn_t: int) -> int:
@@ -133,28 +127,35 @@ def _symbol_rep(k2: int, ord_t, sgn_t: int) -> int:
     return 2**ord_t * (sgn_t % 2 ** (k2 - ord_t))
 
 
-def _count_scaled_type2(a: int, b: int, c: int, t2: int, k2: int) -> tuple[int, int]:
-    """(prim, nprim) for a*x^2 + b*xy + c*y^2 = t2 over (Z/2^k2)^2, b odd.
+def _type2_seeds(a: int, b: int, c: int) -> tuple[int, int]:
+    """How many of the three odd-parity seeds (x, y) = (0,1), (1,0), (1,1)
+    give a x^2 + b xy + c y^2 an even value, and how many an odd one."""
+    odd = (c & 1) + (a & 1) + ((a + b + c) & 1)
+    return 3 - odd, odd
 
-    Primitive: each of the three odd-parity seeds (0,1), (1,0), (1,1)
-    that matches t2 mod 2 lifts to exactly 2^(k2-1) solutions (the odd
-    coordinate lets every next bit be corrected).  Non-primitive: both
-    coordinates even forces t2 = 0 mod 4 and reduces to the same form
-    at modulus 2^(k2-2), each solution there giving 4 (the dropped top
-    bits of x and y).
+
+def _count_scaled_type2(a: int, b: int, c: int, t2: int, k2: int) -> tuple[int, int]:
+    """(prim, nprim) for a*x^2 + b*xy + c*y^2 = t2 over (Z/2^k2)^2, b odd."""
+    return _scaled_type2_counts(_type2_seeds(a, b, c), t2, k2)
+
+
+def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int, int]:
+    """_count_scaled_type2 given the form's _type2_seeds.
+
+    Primitive: each of the three odd-parity seeds that matches t2 mod 2
+    lifts to exactly 2^(k2-1) solutions (the odd coordinate lets every
+    next bit be corrected).  Non-primitive: both coordinates even forces
+    t2 = 0 mod 4 and reduces to the same form at modulus 2^(k2-2), each
+    solution there giving 4 (the dropped top bits of x and y).
 
     The reduction is applied in closed form, so k2 is not bounded by
     any stack: it repeats L = min(k2, ord t2) // 2 times, the level it
     stops at is solved directly, and each of the L levels passed adds
     its primitive count times 4^level, which is the top level's
     primitive count every time (the target stays even there, and
-    4^j * 2^(k2-2j-1) = 2^(k2-1)).
+    4^j * 2^(k2-2j-1) = 2^(k2-1)).  So the counts read t2 only through
+    its order and the parity of t2 / 4^L.
     """
-
-    def prim_count(k: int, t: int) -> int:
-        seeds = sum(1 for x0, y0 in ((0, 1), (1, 0), (1, 1)) if (a * x0 + b * x0 * y0 + c * y0 - t) % 2 == 0)
-        return seeds * 2 ** (k - 1)
-
     ord_t = (t2 & -t2).bit_length() - 1 if t2 else k2
     levels = min(k2, ord_t) // 2
     k_last = k2 - 2 * levels
@@ -162,11 +163,11 @@ def _count_scaled_type2(a: int, b: int, c: int, t2: int, k2: int) -> tuple[int, 
     if k_last == 0:
         prim_last, total_last = 0, 1  # trivial ring: the empty congruence has one solution
     else:
-        prim_last = prim_count(k_last, t_last)
+        prim_last = seeds[t_last & 1] << (k_last - 1)
         total_last = prim_last + (1 if k_last == 1 and t_last % 2 == 0 else 0)
     if levels == 0:
         return prim_last, total_last - prim_last
-    prim = prim_count(k2, t2)
+    prim = seeds[t2 & 1] << (k2 - 1)
     return prim, (levels - 1) * prim + 4**levels * total_last
 
 
@@ -202,11 +203,43 @@ def count_block(blk: Block, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
 
 
 def block_table(blk: Block, layout: SymbolLayout) -> Table:
-    """{g: count_block(blk, pp, g) for g in layout.syms}, with a type I
-    block's valuation and square class taken once for the whole table."""
-    pp = layout.pp
-    at = _type1_counter(blk.d, pp) if isinstance(blk, TypeI) else partial(count_type2, blk, pp.k)
-    return {g: at(g) for g in layout.syms}
+    """count_block(blk, pp, g) at every position g of the layout, filled
+    order by order.  A type I block d = p^e u reaches one symbol in each
+    order e, e + 2, ... below k, the one of u's square class (its
+    Legendre symbol, or u mod min(8, 2^(k - ord)) for p = 2).  A type II
+    block's counts read the target only through its order (see
+    _scaled_type2_counts), so each order takes one value, at t2 = 2^(ord
+    - ell - 1), and the seeds are evaluated once for the block."""
+    pp, first = layout.pp, layout.first
+    p, k = pp.p, pp.k
+    total, nprim = [0] * len(layout.syms), [0] * len(layout.syms)
+    if isinstance(blk, TypeI):
+        ord_d, cop_d = valuation(pp, blk.d % pp.q)
+        if ord_d == INF:
+            total[0], nprim[0] = p**k, p ** (k - 1)
+            return total, nprim
+        total[0] = nprim[0] = p ** ((k + ord_d) // 2)
+        odd_slot = p != 2 and legendre(cop_d, p) < 0
+        for o in range(ord_d, k, 2):
+            if p == 2:
+                slot, mult = cop_d % min(8, 2 ** (k - o)) >> 1, 4 if k - o >= 3 else k - o
+            else:
+                slot, mult = odd_slot, 2
+            i = first[o] + slot
+            total[i] = mult * p ** ((o + ord_d) // 2)
+            if o > ord_d:
+                nprim[i] = total[i]
+        return total, nprim
+    if blk.ell + 1 >= k:
+        total[0], nprim[0] = 4**k, 4 ** (k - 1)
+        return total, nprim
+    k2, scale, seeds = k - blk.ell - 1, 4 ** (blk.ell + 1), _type2_seeds(blk.a, blk.b, blk.c)
+    for o in range(blk.ell + 1, k + 1):
+        prim, np_ = _scaled_type2_counts(seeds, 1 << (o - blk.ell - 1) if o < k else 0, k2)
+        lo, hi = (first[o], first[o + 1]) if o < k else (0, 1)
+        total[lo:hi] = [scale * (prim + np_)] * (hi - lo)
+        nprim[lo:hi] = [scale * np_] * (hi - lo)
+    return total, nprim
 
 
 def chain_tables(
@@ -214,8 +247,8 @@ def chain_tables(
 ) -> tuple[list[Table], list[Table]]:
     """Per-block and suffix count tables, one entry per inhabited symbol.
 
-    suffix[j][g] counts representations of (any target of symbol g) by
-    the direct sum of blocks[j:].  Built back to front: the target
+    suffix[j], at the position of g in the layout, counts representations
+    of (any target of symbol g) by the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
     the tail's.  No blocks give no tables.  The layout of pp is made
@@ -233,7 +266,8 @@ def chain_tables(
 def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
     """The level step of chain_tables: the table of head + tail, whose
     entry at g sums split size times h(g1) times c(g2) over the split
-    cells (g1, g2).
+    cells (g1, g2).  The sum is bilinear in (h, c), so the totals and
+    the non-primitive counts each go through it on their own.
 
     With o = ord(g) and the zero symbol counted at order k with class
     size 1, every cell whose orders are G apart has a size fixed by the
@@ -241,83 +275,24 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
     a g1 of order <= o - G only with -g1 (size |g1|), and g1 = g with
     every g2 of order >= o + G (size |g2|).  So
 
-        total[g] = c(g) A[o+G] + h(g) C[o+G] + B[o-G] + near(g)
-        total[0] = B[k-1] + h(0) c(0)
+        level[g] = c(g) A[o+G] + h(g) C[o+G] + B[o-G] + near(g)
+        level[0] = B[k-1] + h(0) c(0)
 
     with A[m] = sum |g1| h(g1) and C[m] = sum |g2| c(g2) over orders
     >= m (the zero symbol in every A and C, since it is above any gap),
     and B[m] = sum |g1| h(g1) c(-g1) over finite orders <= m.  The near
     cells, g1 within G orders of o with their finite partners below
-    o + G, are summed in closed form by sign class (_near_odd and
-    _near_two), so a level is O(S) products over its S symbols.
+    o + G, are summed in closed form by sign class.  _level_odd and
+    _level_two build A and C going down the orders and B going up,
+    adding the near cells on the way: O(S) products over S symbols.
     """
-    pp, k, gap = layout.pp, layout.pp.k, layout.gap
-    zero_h, zero_c = head[SYMBOL_ZERO], tail[SYMBOL_ZERO]
-    # per order (the zero symbol at k): the head and the tail summed over
-    # the signs, and h(g1) c(-g1); every class of one order has one size
-    h_tot, h_np, c_tot, c_np = ([0] * (k + 1) for _ in range(4))
-    b_tot, b_np = [0] * k, [0] * k
-    sizes = [1] * (k + 1)
-    for g, size, neg in layout.finite:
-        o, h, c = g.ord, head[g], tail[g]
-        sizes[o] = size
-        c_tot[o] += c.total
-        c_np[o] += c.nonprimitive
-        if h.total:
-            h_tot[o] += h.total
-            h_np[o] += h.nonprimitive
-            m = tail[neg]
-            b_tot[o] += h.total * m.total
-            b_np[o] += h.nonprimitive * m.nonprimitive
-    h_tot[k], h_np[k] = zero_h.total, zero_h.nonprimitive
-    c_tot[k], c_np[k] = zero_c.total, zero_c.nonprimitive
-    if pp.p == 2:
-        near = _near_two(layout, head, tail)
-    else:
-        near = _near_odd(layout, head, tail, h_tot, h_np, c_tot, c_np)
-    # weigh by class size and sum: A and C over the orders >= o, in place
-    # of the per-order sums, and B over the orders <= o
-    a_tot, a_np = h_tot, h_np
-    for o in range(k - 1, -1, -1):
-        w = sizes[o]
-        a_tot[o] = w * a_tot[o] + a_tot[o + 1]
-        a_np[o] = w * a_np[o] + a_np[o + 1]
-        c_tot[o] = w * c_tot[o] + c_tot[o + 1]
-        c_np[o] = w * c_np[o] + c_np[o + 1]
-    b_tot[0] *= sizes[0]
-    b_np[0] *= sizes[0]
-    for o in range(1, k):
-        w = sizes[o]
-        b_tot[o] = w * b_tot[o] + b_tot[o - 1]
-        b_np[o] = w * b_np[o] + b_np[o - 1]
-
-    total = b_tot[k - 1] + zero_h.total * zero_c.total
-    nprim = b_np[k - 1] + zero_h.nonprimitive * zero_c.nonprimitive
-    level: Table = {SYMBOL_ZERO: RepCounts(total, total - nprim, nprim)}
-    for (g, _, _), (total, nprim) in zip(layout.finite, near):
-        o, h, c = g.ord, head[g], tail[g]
-        hi = min(o + gap, k)
-        total += c.total * a_tot[hi] + h.total * c_tot[hi]
-        nprim += c.nonprimitive * a_np[hi] + h.nonprimitive * c_np[hi]
-        if o >= gap:
-            total += b_tot[o - gap]
-            nprim += b_np[o - gap]
-        level[g] = RepCounts(total, total - nprim, nprim)
-    return level
+    level = _level_two if layout.pp.p == 2 else _level_odd
+    return level(layout, head[0], tail[0]), level(layout, head[1], tail[1])
 
 
-def _near_odd(
-    layout: SymbolLayout,
-    head: Table,
-    tail: Table,
-    h_tot: list[int],
-    h_np: list[int],
-    c_tot: list[int],
-    c_np: list[int],
-) -> list[tuple[int, int]]:
-    """(total, non-primitive) of the near cells of every finite target,
-    in layout.finite order, for odd p, given the head and the tail
-    summed over the signs of each order (h_tot, h_np, c_tot, c_np).
+def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
+    """One list of _convolve for odd p, where G = 1 and order o holds
+    positions 2o + 1 (sign 1) and 2o + 2 (sign -1).
 
     The near cells of g = (o, s) are the pairs of order-o symbols, of
     size p^(k-o-1) (P4 - (s1 + s2)(eps s1 + s)/4) (split_pair_count_mod_p)
@@ -329,87 +304,104 @@ def _near_odd(
     with H_o and C_o the head and tail summed over both signs of order
     o; (o, eps s) is the negated symbol of g.
     """
-    p, k = layout.pp.p, layout.pp.k
+    p, k, sizes, neg = layout.pp.p, layout.pp.k, layout.sizes, layout.neg
     p4, eps = (p - p % 4) // 4, 1 if p % 4 == 1 else -1
-    eps_scale, both_tot, both_np = [0] * k, [0] * k, [0] * k
-    w = 1
-    for o in range(k - 1, -1, -1):
-        eps_scale[o] = eps * w
-        both_tot[o] = w * p4 * h_tot[o] * c_tot[o]
-        both_np[o] = w * p4 * h_np[o] * c_np[o]
-        w *= p
-    out = []
-    for g, _, neg in layout.finite:
-        o, h, c = g.ord, head[neg], tail[neg]
-        if h.total:
-            w = eps_scale[o]
-            out.append((both_tot[o] - w * h.total * c.total, both_np[o] - w * h.nonprimitive * c.nonprimitive))
-        else:
-            out.append((both_tot[o], both_np[o]))
-    return out
+    level = [0] * len(h)
+    # down the orders: A and C over the orders above o
+    a, s = h[0], c[0]
+    for i in range(len(h) - 2, 0, -2):
+        level[i] = c[i] * a + h[i] * s
+        level[i + 1] = c[i + 1] * a + h[i + 1] * s
+        a += sizes[i] * (h[i] + h[i + 1])
+        s += sizes[i] * (c[i] + c[i + 1])
+    # up the orders: B over the orders below o, and the near cells
+    b, w = 0, p ** (k - 1)
+    for i in range(1, len(h), 2):
+        h1, h2, n1, n2 = h[i], h[i + 1], neg[i], neg[i + 1]
+        both, e = w * p4 * (h1 + h2) * (c[i] + c[i + 1]), eps * w
+        level[i] += b + both - e * h[n1] * c[n1]
+        level[i + 1] += b + both - e * h[n2] * c[n2]
+        b += sizes[i] * (h1 * c[n1] + h2 * c[n2])
+        w //= p
+    level[0] = b + h[0] * c[0]
+    return level
 
 
-def _near_two(layout: SymbolLayout, head: Table, tail: Table) -> list[tuple[int, int]]:
-    """(total, non-primitive) of the near cells of every finite target,
-    in layout.finite order, for p = 2.
+def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
+    """One list of _convolve for p = 2, where G = 3 and the M signs of
+    order o (M = min(4, 2^(k-o-1))) are s = 2x + 1 at positions
+    first[o] + x, x < M.  Sign arithmetic mod m = 2M is slot arithmetic
+    mod M: s - 2v is slot x - v, and -s is slot M - 1 - x.
 
-    With g = (o, s), m_o = min(8, 2^(k-o)) and delta = 1, 2, the near
-    cells (symbols.split_partners) are:
+    The near cells of g = (o, s) (symbols.split_partners), for delta = 1
+    and 2:
 
-    * g1 = (o + delta, s1) with g2 = (o, s - 2^delta s1 mod m_o), and
-      the equal-order cells g1 = (o, s1), g2 = (o + delta, s2) with
-      s1 = s - 2^delta s2 mod m_o, each of the size of its higher-order
-      class.  They depend on the higher-order sign only through
-      u = 2^delta s1 mod m_o (u = 2, 6 or 4 mod 8, or 2 mod 4), so with
-      H_o[u] and C_o[u] the head and tail of orders o + 1 and o + 2
-      summed by u, times the class size,
-          up(g) = sum over u of H_o[u] c(o, s - u) + C_o[u] h(o, s - u);
+    * g1 = (o + delta, s1) with g2 = (o, s - 2^delta s1 mod m), and the
+      equal-order cells g1 = (o, s1), g2 = (o + delta, s2) with s1 = s -
+      2^delta s2 mod m, each of the size of its higher-order class.
+      They read the higher-order sign only through u = 2^delta s1 mod m
+      = 2v: v = 1 and 3 for the signs 1 and 3 mod 4 of order o + 1,
+      v = 2 for all of order o + 2.  With e_v and f_v the head and tail
+      summed over those classes, times the class size,
+          up(o, x) = sum over v of e_v c(o, x - v) + f_v h(o, x - v);
     * g1 = (o - delta, s1) with g2 = (o - delta, 2^delta s - s1 mod
-      m_(o-delta)), of size |g1|.  They depend on s only through
-      u = 2^delta s mod m_(o-delta), so with
-          D_o'[u] = |o'| sum over s1 of h(o', s1) c(o', u - s1 mod m_o'),
-          down(g) = D_(o-1)[2s mod m_(o-1)] + D_(o-2)[4].
+      m_(o-delta)), of size |g1|.  With the cyclic convolution
+          D_o'[v] = |o'| sum over x of h(o', x) c(o', v - x)  (mod M_o')
+      they are down(o, x) = D_(o-1)[2x mod M_(o-1)] + D_(o-2)[1].
+
+    D_o[M - 1] pairs each slot with its negation, the order's term of B.
+    The slots are read as four, mod 4: an order of M < 4 slots repeated
+    4/M times gives the same up(o, x), and 4/M times its D at v mod M.
     """
-    k = layout.pp.k
-    mods = [min(8, 2 ** (k - o)) for o in range(k)]
-    up: list[dict[int, list[int]]] = [{} for _ in range(k)]
-    down: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
-    for g, size, _ in layout.finite:
-        o1, s1 = g
-        h, c = head[g], tail[g]
-        for o in (o1 - 1, o1 - 2):
-            if o >= 0:
-                sums = up[o].setdefault((s1 << (o1 - o)) % mods[o], [0, 0, 0, 0])
-                sums[0] += size * h.total
-                sums[1] += size * h.nonprimitive
-                sums[2] += size * c.total
-                sums[3] += size * c.nonprimitive
-        if s1 == 1 and o1 < k - 1:  # once per order: sign 1 is inhabited at every order
-            m = mods[o1]
-            for u in range(2, m, 2):
-                d_tot = d_np = 0
-                for s in range(1, m, 2):
-                    h1, c2 = head[o1, s], tail[o1, (u - s) % m]
-                    d_tot += h1.total * c2.total
-                    d_np += h1.nonprimitive * c2.nonprimitive
-                down[o1][u] = (size * d_tot, size * d_np)
-    out = []
-    for g, _, _ in layout.finite:
-        o, s = g
-        m = mods[o]
-        tot = nprim = 0
-        for u, (ht, hn, ct, cn) in up[o].items():
-            j = (o, (s - u) % m)
-            h, c = head[j], tail[j]
-            tot += ht * c.total + ct * h.total
-            nprim += hn * c.nonprimitive + cn * h.nonprimitive
-        for o1 in (o - 1, o - 2):
-            if o1 >= 0:
-                d_tot, d_np = down[o1][(s << (o - o1)) % mods[o1]]
-                tot += d_tot
-                nprim += d_np
-        out.append((tot, nprim))
-    return out
+    k, first, sizes = layout.pp.k, layout.first, layout.sizes
+    level = [0] * len(h)
+    # down the orders: A and C over the orders >= o + 3, and up(o, x);
+    # upper and upper2 are |g1| times the head and tail of orders o + 1
+    # and o + 2 summed over the even slots and over the odd ones
+    a_sum, c_sum = [h[0]] * (k + 1), [c[0]] * (k + 1)
+    upper = upper2 = (0, 0, 0, 0)
+    for o in range(k - 1, -1, -1):
+        lo, hi = first[o], first[o + 1]
+        h0, h1, h2, h3 = h[lo:hi] * (4 // (hi - lo))
+        c0, c1, c2, c3 = c[lo:hi] * (4 // (hi - lo))
+        a, s = a_sum[min(o + 3, k)], c_sum[min(o + 3, k)]
+        e1, e2, e3 = upper[0], upper2[0] + upper2[1], upper[1]
+        f1, f2, f3 = upper[2], upper2[2] + upper2[3], upper[3]
+        level[lo:hi] = (
+            c0 * a + h0 * s + e1 * c3 + e2 * c2 + e3 * c1 + f1 * h3 + f2 * h2 + f3 * h1,
+            c1 * a + h1 * s + e1 * c0 + e2 * c3 + e3 * c2 + f1 * h0 + f2 * h3 + f3 * h2,
+            c2 * a + h2 * s + e1 * c1 + e2 * c0 + e3 * c3 + f1 * h1 + f2 * h0 + f3 * h3,
+            c3 * a + h3 * s + e1 * c2 + e2 * c1 + e3 * c0 + f1 * h2 + f2 * h1 + f3 * h0,
+        )[: hi - lo]
+        w = sizes[lo]
+        upper, upper2 = (
+            (w * sum(h[lo:hi:2]), w * sum(h[lo + 1 : hi : 2]), w * sum(c[lo:hi:2]), w * sum(c[lo + 1 : hi : 2])),
+            upper,
+        )
+        a_sum[o] = a_sum[o + 1] + upper[0] + upper[1]
+        c_sum[o] = c_sum[o + 1] + upper[2] + upper[3]
+    # up the orders: B over the orders <= o - 3 (b_sum[o]), and down(o, x),
+    # with each D kept as four entries at v mod M
+    b_sum, d1, d2 = [0] * (k + 3), (0,) * 4, (0,) * 4
+    for o in range(k):
+        lo, hi = first[o], first[o + 1]
+        h0, h1, h2, h3 = h[lo:hi] * (4 // (hi - lo))
+        c0, c1, c2, c3 = c[lo:hi] * (4 // (hi - lo))
+        base = b_sum[o] + d2[1]
+        level[lo:hi] = [x + base + d for x, d in zip(level[lo:hi], (d1[0], d1[2], d1[0], d1[2]))]
+        w, n = sizes[lo], 4 // (hi - lo)
+        d1, d2 = [
+            w * x // n
+            for x in (
+                h0 * c0 + h1 * c3 + h2 * c2 + h3 * c1,
+                h0 * c1 + h1 * c0 + h2 * c3 + h3 * c2,
+                h0 * c2 + h1 * c1 + h2 * c0 + h3 * c3,
+                h0 * c3 + h1 * c2 + h2 * c1 + h3 * c0,
+            )
+        ], d1
+        b_sum[o + 3] = b_sum[o + 2] + d1[3]
+    level[0] = b_sum[k + 2] + h[0] * c[0]
+    return level
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,11 +412,13 @@ class PreparedForm:
     u'Qu is the direct sum of blocks mod p^k.  per_block[j] is the table
     of blocks[j], and tails[j] that of the direct sum blocks[j+1:]: the
     suffix tables of chain_tables(blocks[1:]), the levels the chain walk
-    reads.  The top level, the table of all the blocks, is not built:
-    count reads it at one symbol, as a sum over the split cells of the
-    head block and the first tail, and table builds it in full on every
-    read.  Nothing here changes after prepare: the near cells that
-    counts and draws read are computed by rule, not stored.
+    reads.  Each is a Table, (total, non-primitive) lists indexed by the
+    positions of layout.syms.  The top level, the table of all the
+    blocks, is not built: count reads it at one symbol, as a sum over
+    the split cells of the head block and the first tail, and table
+    builds it in full on every read, as a {symbol: RepCounts} dict.
+    Nothing here changes after prepare: the near cells that counts and
+    draws read are computed by rule, not stored.
     """
 
     pp: PrimePower
@@ -435,31 +429,32 @@ class PreparedForm:
     tails: list[Table]
 
     @property
-    def table(self) -> Table:
+    def table(self) -> dict[PkSymbol, RepCounts]:
         """Counts at every inhabited target symbol: one level of the
         dynamic program, built on each read (for the form in no
         variables, the one solution at target 0)."""
         if not self.blocks:
             return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
         head = self.per_block[0]
-        return _convolve(self.layout, head, self.tails[0]) if self.tails else head
+        return symbol_table(self.layout, _convolve(self.layout, head, self.tails[0]) if self.tails else head)
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k:
         the top level's entry at t's symbol g, summed over the split
         cells (g1, g2) of g that the chain walk's first step draws from."""
         g = symbol_of(self.pp, t)
-        if not self.tails:
+        if not self.blocks:
             return self.table.get(g, RepCounts(0, 0, 0))
-        tail = self.tails[0]
+        (h_tot, h_np), i = self.per_block[0], self.layout.index(g)
+        if not self.tails:
+            return RepCounts(h_tot[i], h_tot[i] - h_np[i], h_np[i])
+        c_tot, c_np = self.tails[0]
         total = nprim = 0
-        for g1, h in self.per_block[0].items():
-            if not h.total:
-                continue
-            for g2, size in self.layout.partners(g, g1):
-                c = tail[g2]
-                total += size * h.total * c.total
-                nprim += size * h.nonprimitive * c.nonprimitive
+        for i1, h in enumerate(h_tot):
+            if h:
+                for i2, size in self.layout.partners(i, i1):
+                    total += size * h * c_tot[i2]
+                    nprim += size * h_np[i1] * c_np[i2]
         return RepCounts(total, total - nprim, nprim)
 
 

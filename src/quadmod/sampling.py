@@ -1,8 +1,11 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
 Draws read prepared forms (counting.prepare), whose tables are built
-once per prime-power factor; the chain walk reads its split cells from
-the form's symbol layout, which computes the near cells by rule.
+once per prime-power factor and counted once per draw; the chain walk
+reads its split cells from the form's symbol layout, which computes the
+near cells by rule, and its table entries by symbol position.  Each
+step draws once below the count of its class, which the tables already
+hold, and scans the cells in order to the one that holds the draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -27,6 +30,7 @@ from .blockdiag import Block, TypeI, TypeII, mat_vec
 from .counting import (
     PreparedForm,
     RepCounts,
+    Table,
     _check_factors,
     _count_scaled_type2,
     count_type1,
@@ -44,7 +48,7 @@ from .modring import (
     valuation,
 )
 from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
-from .symbols import PkSymbol, class_size, split_class_size, symbol_of
+from .symbols import PkSymbol, SymbolLayout, class_size, split_class_size, symbol_of
 
 logger = logging.getLogger(__name__)
 
@@ -320,55 +324,60 @@ def _sample_block(
     return _sample_type2(blk, pp.k, t, want_prim, rng)
 
 
-def _sample_chain(form: PreparedForm, t: int, want_prim: bool, rng: RandomSource) -> list[int]:
+def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: RandomSource) -> list[int]:
     """Uniform solution of the direct sum of the form's blocks at target
-    t in the given class, one block peeled off per step: draw the cell,
+    t in the given class, whose count is total, one block peeled off per
+    step: draw below the class's count (total, then the tail's entry at
+    the chosen g2) and scan to the cell that holds the draw (_pick_cell),
     split the target, solve the head block, then go on with the tail.
-    The cells' split sizes come from the layout, and the chosen cell is
-    split without checking its size again: the walk only picks cells of
-    non-zero weight.  The tail's target b has the symbol g2 of its cell,
-    which carries over as the next step's target symbol, and the head's
+    The chosen cell is split without checking its size again: the walk
+    only picks cells of non-zero weight.  The tail's target b has the
+    symbol g2 of its cell, the next step's target symbol, and the head's
     value a has the symbol g1, so each block is solved without taking a
     symbol or a count again."""
-    pp, layout, blocks = form.pp, form.layout, form.blocks
-    g = symbol_of(pp, t)
+    pp, layout, blocks, syms = form.pp, form.layout, form.blocks, form.layout.syms
+    i = layout.index(symbol_of(pp, t))
     y: list[int] = []
     for j in range(len(blocks) - 1):
-        tail_tbl = form.tails[j]
-        # weight every (value-symbol pair, primitivity split) cell by its
-        # exact solution count: split size times head count times tail count
-        cells = []
-        for g1, h in form.per_block[j].items():
-            if h.total == 0:
-                continue
-            for g2, s in layout.partners(g, g1):
-                ct = tail_tbl[g2]
-                if ct.total == 0:
-                    continue
-                if want_prim:
-                    for hp, tp in ((False, True), (True, False), (True, True)):
-                        w = (
-                            s
-                            * (h.primitive if hp else h.nonprimitive)
-                            * (ct.primitive if tp else ct.nonprimitive)
-                        )
-                        if w:
-                            cells.append((w, g1, g2, hp, tp))
-                else:
-                    w = s * h.nonprimitive * ct.nonprimitive
-                    if w:
-                        cells.append((w, g1, g2, False, False))
-        total = sum(w for w, *_ in cells)
         r = uniform_below(total, rng)
-        for w, g1, g2, hp, tp in cells:
-            if r < w:
-                break
-            r -= w
-        a, t = _split(pp, t, g, g1, g2, rng)
-        y.extend(_sample_block(blocks[j], pp, a, g1, hp, rng))
-        want_prim, g = tp, g2
-    y.extend(_sample_block(blocks[-1], pp, t, g, want_prim, rng))
+        i1, i2, head_prim, want_prim = _pick_cell(layout, form.per_block[j], form.tails[j], i, want_prim, r)
+        a, t = _split(pp, t, syms[i], syms[i1], syms[i2], rng)
+        y.extend(_sample_block(blocks[j], pp, a, syms[i1], head_prim, rng))
+        c_tot, c_np = form.tails[j]
+        total, i = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2
+    y.extend(_sample_block(blocks[-1], pp, t, syms[i], want_prim, rng))
     return y
+
+
+def _pick_cell(
+    layout: SymbolLayout, head: Table, tail: Table, i: int, want_prim: bool, r: int
+) -> tuple[int, int, bool, bool]:
+    """The cell (i1, i2, head primitive, tail primitive) of the target at
+    position i whose weight holds r, scanning the split cells (g1, g2)
+    in partners order and, in the primitive class, each cell's three
+    primitivity splits.  A cell weighs its split size times the head's
+    count at g1 times the tail's at g2 in their classes; r must fall
+    below the sum of the weights, the count of the target's class."""
+    (h_tot, h_np), (c_tot, c_np) = head, tail
+    for i1, h in enumerate(h_tot):
+        if not h:
+            continue
+        hn = h_np[i1]
+        for i2, size in layout.partners(i, i1):
+            cn = c_np[i2]
+            if want_prim:
+                hp, cp = size * (h - hn), c_tot[i2] - cn
+                splits = ((size * hn * cp, False, True), (hp * cn, True, False), (hp * cp, True, True))
+                for w, head_prim, tail_prim in splits:
+                    if r < w:
+                        return i1, i2, head_prim, tail_prim
+                    r -= w
+            else:
+                w = size * hn * cn
+                if r < w:
+                    return i1, i2, False, False
+                r -= w
+    raise RuntimeError("the chain walk ran past its last cell: a table disagrees with its level")
 
 
 def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
@@ -381,17 +390,25 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     block form.  Nothing is diagonalized or tabulated here, so repeated
     draws of one prepared form pay only for the walk.
     """
+    return _sample_counted(form, t, kind, rng, form.count(t))
+
+
+def _sample_counted(
+    form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, counts: RepCounts
+) -> tuple[int, ...] | None:
+    """sample_prepared given form.count(t), which the caller has taken."""
     pp = form.pp
     t %= pp.q
     if not form.blocks:
         # the empty vector is the one solution, of value 0 and non-primitive
         return () if t == 0 and kind is not RepKind.PRIMITIVE else None
-    want_prim = _choose_kind(form.count(t), kind, rng)
+    want_prim = _choose_kind(counts, kind, rng)
     if want_prim is None:
         return None
+    total = counts.primitive if want_prim else counts.nonprimitive
     for _ in range(RETRY_CAP):
         try:
-            y = _sample_chain(form, t, want_prim, rng)
+            y = _sample_chain(form, t, want_prim, total, rng)
             break
         except LasVegasFail:
             continue
@@ -446,20 +463,20 @@ def sample_factors(
         pending = True
         for j, form in enumerate(forms):
             if not pending:
-                parts.append(sample_prepared(form, t, RepKind.ANY, rng))
+                parts.append(_sample_counted(form, t, RepKind.ANY, rng, per[j]))
                 continue
             w_non = per[j].nonprimitive * suffix_tot[j + 1]
             w_prim = per[j].primitive * (suffix_tot[j + 1] - suffix_prim[j + 1])
             if uniform_below(w_non + w_prim, rng) < w_non:
-                parts.append(sample_prepared(form, t, RepKind.NONPRIMITIVE, rng))
+                parts.append(_sample_counted(form, t, RepKind.NONPRIMITIVE, rng, per[j]))
                 pending = False
             else:
-                parts.append(sample_prepared(form, t, RepKind.PRIMITIVE, rng))
+                parts.append(_sample_counted(form, t, RepKind.PRIMITIVE, rng, per[j]))
     else:
         needed = [c.primitive if kind is RepKind.PRIMITIVE else c.total for c in per]
         if any(cnt == 0 for cnt in needed):
             return None
-        parts = [sample_prepared(form, t, kind, rng) for form in forms]
+        parts = [_sample_counted(form, t, kind, rng, c) for form, c in zip(forms, per)]
 
     # componentwise CRT
     q = math.prod(form.pp.q for form in forms)

@@ -24,15 +24,17 @@ tail.
 
 For p = 2 the near partners at equal orders come from one congruence
 on the signs, solved in closed form, so a near cell costs a few integer
-operations wherever it is read.  A ``SymbolLayout`` holds what the count
-tables and the chain walk read of one modulus and does not change after
-construction; its ``partners`` lists what ``split_partners`` lists, with
-the near cells computed by rule, for the chain walk and the count of
-one target.  The count tables no longer read ``_near_partners``: they
-sum the far cells by order and the near cells by sign class in closed
-form (counting._convolve), so one level of their dynamic program costs
-O(S) products.  Each prepared form owns its layout; the module itself
-keeps no state between calls.
+operations wherever it is read.  A ``SymbolLayout`` numbers the
+inhabited symbols of one modulus, order by order: the count tables are
+lists indexed by those positions, and the layout holds, per position,
+the order, the class size and the position of the negated symbol.  Its
+``partners`` lists what ``split_partners`` lists, as (position, size),
+with the near cells computed by rule, for the chain walk and the count
+of one target.  The count tables do not read partners at all: they sum
+the far cells by order and the near cells by sign class in closed form
+(counting._convolve), so one level of their dynamic program costs O(S)
+products.  Each prepared form owns its layout; the module itself keeps
+no state between calls.
 """
 
 from __future__ import annotations
@@ -283,28 +285,62 @@ def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) ->
 
 
 class SymbolLayout:
-    """What the count tables and the chain walk read of the symbols of
-    one modulus: ``syms``, the inhabited symbols in enumerate_symbols
-    order; ``finite``, (g, class size, negated symbol) for the finite
-    ones; and ``gap``, the order gap G.  It does not change after
-    construction: ``partners`` computes the near cells by rule
-    (``_near_partners``) wherever they are read.
+    """The positions of the inhabited symbols of one modulus, which index
+    every count table: ``syms[i]`` is the symbol at position i, in
+    enumerate_symbols order (the zero symbol at 0), and per position
+    ``ords`` holds its order (k for the zero symbol), ``sizes`` its class
+    size and ``neg`` the position of its negated symbol.  The symbols of
+    order o sit at positions first[o] <= i < first[o + 1], with signs
+    ascending for p = 2 and 1 before -1 for odd p; ``gap`` is the order
+    gap G.  Built order by order, and unchanged after construction:
+    ``partners`` computes the near cells by rule wherever they are read.
     """
 
     def __init__(self, pp: PrimePower):
+        p, k = pp.p, pp.k
         self.pp, self.gap = pp, _split_gap(pp)
-        self.syms = [g for g in enumerate_symbols(pp) if not _is_empty(pp, g)]
-        self.finite = [(g, _class_size(pp, g), _negated_symbol(pp, g)) for g in self.syms[1:]]
-        self._negated = {g: [(neg, size)] for g, size, neg in self.finite}
+        self.syms, self.ords, self.sizes, self.neg = [SYMBOL_ZERO], [k], [1], [0]
+        self.first: list[int] = []
+        for o in range(k):
+            lo = len(self.syms)
+            self.first.append(lo)
+            if p == 2:
+                m = min(8, 2 ** (k - o))
+                signs, size = range(1, m, 2), 2 ** (k - o - 3) if k - o >= 3 else 1
+                neg = [lo + (-s % m >> 1) for s in signs]
+            else:
+                signs, size = (1, -1), (p - 1) // 2 * p ** (k - o - 1)
+                neg = [lo, lo + 1] if p % 4 == 1 else [lo + 1, lo]
+            self.syms += [PkSymbol(o, s) for s in signs]
+            self.ords += [o] * len(signs)
+            self.sizes += [size] * len(signs)
+            self.neg += neg
+        self.first.append(len(self.syms))
 
-    def partners(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
-        """split_partners(pp, g, g1) for inhabited g and g1."""
-        if g1.ord == INF:
-            return [(g, 1)]
+    def index(self, g: PkSymbol) -> int:
+        """The position of the inhabited symbol g."""
         if g.ord == INF:
-            return self._negated[g1]
-        near = _near_partners(self.pp, g, g1)
-        if g1 != g:
+            return 0
+        return self.first[g.ord] + (g.sgn >> 1 if self.pp.p == 2 else g.sgn < 0)
+
+    def partners(self, i: int, i1: int) -> list[tuple[int, int]]:
+        """split_partners(pp, syms[i], syms[i1]) as (position, size)."""
+        if i1 == 0:
+            return [(i, 1)]
+        size = self.sizes[i1]
+        if i == 0:
+            return [(self.neg[i1], size)]
+        o, o1 = self.ords[i], self.ords[i1]
+        if o1 >= o + self.gap:
+            return [(i, size)]
+        if o1 <= o - self.gap:
+            return [(self.neg[i1], size)]
+        if o1 != o:  # only for p = 2 (G = 3): _difference_symbol, read mod 2 * slots
+            s, s1 = self.syms[i].sgn, self.syms[i1].sgn
+            lo, sgn = (o, s - (s1 << o1 - o)) if o1 > o else (o1, (s << o - o1) - s1)
+            return [(self.first[lo] + (sgn % (2 * (self.first[lo + 1] - self.first[lo])) >> 1), size)]
+        near = [(self.index(g2), s) for g2, s in _near_partners(self.pp, self.syms[i], self.syms[i1])]
+        if i1 != i:
             return near
-        far = [(g2, size) for g2, size, _ in self.finite if g2.ord >= g.ord + self.gap]
-        return [(SYMBOL_ZERO, 1), *near, *far]
+        far = self.first[min(o + self.gap, self.pp.k)]
+        return [(0, 1), *near, *zip(range(far, len(self.syms)), self.sizes[far:])]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmod.blockdiag import TypeI, TypeII, block_diagonalize
@@ -20,10 +20,11 @@ from quadmod.counting import (
     count_type2,
     form_counts_by_symbol,
     local_density,
+    symbol_table,
 )
 from quadmod.modring import DomainError, PrimePower
 from quadmod.oracle import histogram_counts, solutions_mod
-from quadmod.symbols import class_size, enumerate_symbols, symbol_of
+from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
 from test_symbols import dense_split_size
 
 I2 = [[1, 0], [0, 1]]
@@ -283,6 +284,13 @@ def test_type2_count_deep_modulus_partition():
 P127 = 2**127 - 1
 
 
+def symbol_chain_tables(blocks, pp):
+    """chain_tables(blocks, pp) with each table read through symbol_table."""
+    layout = SymbolLayout(pp)
+    per_block, suffix = chain_tables(blocks, pp, layout)
+    return [symbol_table(layout, t) for t in per_block], [symbol_table(layout, t) for t in suffix]
+
+
 def reference_chain_tables(blocks, pp):
     """chain_tables by the dense convolution: every (g1, g2) pair of every
     target, weighted by the reference split size of test_symbols."""
@@ -347,7 +355,42 @@ def test_chain_tables_match_dense_reference(pp):
         firsts += [type2_block(rng, ell) for ell in range(pp.k + 1)]
     for first in firsts:
         blocks = random_blocks(rng, pp, first)
-        assert chain_tables(blocks, pp) == reference_chain_tables(blocks, pp), (pp, blocks)
+        assert symbol_chain_tables(blocks, pp) == reference_chain_tables(blocks, pp), (pp, blocks)
+
+
+@st.composite
+def block_chains(draw):
+    """1 to 5 blocks mod p^k, k <= 6: type I with d = 0, a unit or p^e
+    times a unit (0 < e <= k + 1), and at p = 2 type II of any scale.
+    p = 2, whose level kernel has the most cases, is drawn three times
+    as often as each odd prime."""
+    pp = PrimePower(draw(st.sampled_from([2, 2, 2, 3, 5, 13, P127])), draw(st.integers(1, 6)))
+    unit = st.integers(1, 10**6).filter(lambda u: u % pp.p)
+    kinds = ["zero", "unit", "scaled"] + (["type2"] if pp.p == 2 else [])
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "type2":
+            ell, a, c = draw(st.integers(0, pp.k)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            blocks.append(TypeII(ell, a, 2 * draw(st.integers(0, 7)) + 1, c))
+        elif kind == "zero":
+            blocks.append(TypeI(0))
+        else:
+            e = 0 if kind == "unit" else draw(st.integers(1, pp.k + 1))
+            blocks.append(TypeI(draw(unit) * pp.p**e))
+    return tuple(blocks), pp
+
+
+@given(block_chains())
+@example(((TypeII(0, 1, 1, 1), TypeI(1), TypeI(2)), PrimePower(2, 1)))
+@example(((TypeI(3), TypeII(1, 0, 1, 0), TypeI(2), TypeI(0)), PrimePower(2, 2)))
+@example(((TypeI(5), TypeI(6), TypeII(0, 1, 3, 2)), PrimePower(2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_position_tables_read_as_dicts_equal_the_dense_reference(chain):
+    # p = 2 with k <= 3 leaves some formal symbols empty, which have no
+    # position; the dict view must still list exactly the inhabited ones
+    blocks, pp = chain
+    assert symbol_chain_tables(blocks, pp) == reference_chain_tables(blocks, pp)
 
 
 def jordan_blocks(seed, p, profile):
@@ -401,4 +444,4 @@ def test_chain_tables_golden_digests(make, pp, digest):
     blocks = make()
     if pp.q == 2**6:
         assert any(isinstance(blk, TypeII) for blk in blocks)
-    assert hashlib.sha256(repr(chain_tables(blocks, pp)).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr(symbol_chain_tables(blocks, pp)).encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import CallCounter
 
 import quadmod.counting
 import quadmod.sampling
@@ -33,7 +34,7 @@ from quadmod import (
     sample_prepared,
 )
 from quadmod.blockdiag import TypeI, TypeII
-from quadmod.counting import RepCounts, block_table, count_block
+from quadmod.counting import RepCounts, block_table, count_block, symbol_table
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, split_partners, symbol_of
@@ -131,16 +132,17 @@ def test_block_table_equals_count_block(p):
             ]
         for blk in blocks:
             want = {g: count_block(blk, pp, g) for g in enumerate_symbols(pp) if class_size(pp, g) > 0}
-            got = block_table(blk, layout)
+            got = symbol_table(layout, block_table(blk, layout))
             assert got == want and list(got) == list(want), (pp, blk)
 
 
 @pytest.mark.parametrize("pp", [PrimePower(2, 6), PrimePower(3, 4), PrimePower(13, 2), PrimePower(P127, 3)], ids=str)
 def test_layout_partners_equal_split_partners(pp):
     layout = SymbolLayout(pp)
-    for g in layout.syms:
-        for g1 in layout.syms:
-            assert layout.partners(g, g1) == split_partners(pp, g, g1), (g, g1)
+    syms = layout.syms
+    for i, g in enumerate(syms):
+        for i1, g1 in enumerate(syms):
+            assert [(syms[i2], s) for i2, s in layout.partners(i, i1)] == split_partners(pp, g, g1), (g, g1)
 
 
 def symbol_rep(pp, g):
@@ -208,28 +210,6 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     # the top level is built on each read, and not kept
     assert form.table == form.table
     assert convolve.calls == levels + 2 * (len(form.blocks) >= 2)
-
-
-class CallCounter:
-    """Counts calls of a function while passing them through."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
-
-
-@pytest.fixture
-def layer_calls(monkeypatch):
-    """Counters wrapped around counting's block_diagonalize and chain_tables."""
-    diag = CallCounter(quadmod.counting.block_diagonalize)
-    tables = CallCounter(quadmod.counting.chain_tables)
-    monkeypatch.setattr(quadmod.counting, "block_diagonalize", diag)
-    monkeypatch.setattr(quadmod.counting, "chain_tables", tables)
-    return diag, tables
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

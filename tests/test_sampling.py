@@ -2,19 +2,21 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadmod.modring
 import quadmod.sampling
 from quadmod.blockdiag import TypeII
-from quadmod.counting import _count_scaled_type2, count_composite, prepare
+from quadmod.counting import PreparedForm, _count_scaled_type2, count_composite, prepare
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
     RepKind,
     _sample_scaled_type2,
     sample_composite,
+    sample_factors,
     sample_form,
     sample_prepared,
     sample_split,
@@ -385,3 +387,41 @@ def test_chain_walk_splits_without_checking_again(monkeypatch):
                     a, b = pair
                     assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
     assert checks
+
+
+@pytest.mark.parametrize("kind", list(RepKind))
+def test_draws_count_each_factor_once(monkeypatch, kind):
+    # the count that weighs a factor also sets its walk's first total
+    counter = CallCounter(PreparedForm.count)
+    monkeypatch.setattr(PreparedForm, "count", lambda form, t: counter(form, t))
+    q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+    factors = [PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1)]
+    rng = random.Random(4)
+    drawn = 0
+    for t in (0, 1, 6, 14, 36, 78, 117):
+        for draw, per_call in (
+            (lambda: sample_form(q4, PrimePower(3, 4), t, kind, rng), 1),
+            (lambda: sample_composite(q4, factors, t, kind, rng), 3),
+            (lambda: sample_factors([prepare(q4, pp) for pp in factors], t, kind, rng), 3),
+        ):
+            counter.calls = 0
+            drawn += draw() is not None
+            assert counter.calls == per_call, (t, per_call)
+    assert drawn >= 9
+
+
+def test_walk_raises_when_a_tail_disagrees_with_its_level():
+    # each step draws below the count the tables give for its class; a
+    # tail entry larger than the cells below it sends the scan past its
+    # last cell, which is an error, not a silent pick of that cell
+    q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+    mixed = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]  # a type II block and two type I
+    for q_mat, pp in ((q4, PrimePower(3, 4)), (mixed, PrimePower(2, 6))):
+        form = prepare(q_mat, pp)
+        assert len(form.tails) >= 2
+        total, nprim = form.tails[0]
+        total[:] = [x + 2 * 10**40 for x in total]
+        nprim[:] = [x + 10**40 for x in nprim]
+        for kind in (RepKind.PRIMITIVE, RepKind.NONPRIMITIVE):
+            with pytest.raises(RuntimeError, match="past its last cell"):
+                sample_prepared(form, 7, kind, random.Random(5))
