@@ -460,11 +460,10 @@ class PreparedForm:
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
     """Check Q, block-diagonalize it and build its count tables, once."""
-    n = check_symmetric(q_mat)
+    bd = block_diagonalize(q_mat, pp)  # checks Q
     layout = SymbolLayout(pp)
-    if n == 0:
+    if not bd.blocks:
         return PreparedForm(pp, (), [], layout, [], [])
-    bd = block_diagonalize(q_mat, pp)
     per_tail, tails = chain_tables(bd.blocks[1:], pp, layout)
     per_block = [block_table(bd.blocks[0], layout), *per_tail]
     return PreparedForm(pp, bd.blocks, [list(row) for row in bd.u], layout, per_block, tails)
@@ -489,12 +488,13 @@ def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
         raise SingularForm("det Q = 0")
     if t == 0:
         raise ZeroTarget("local density needs t != 0")
+    base = PrimePower(p, 1)  # validate p first: p = 1 or -1 never leaves the loop below
     arg = 8 * t * det
     s = 1
     while arg % p == 0:
         arg //= p
         s += 1
-    pp = PrimePower(p, s)
+    pp = base.with_exponent(s)
     total = count_form(q_mat, pp, t).total
     return Fraction(total, p ** (s * (n - 1)))
 

@@ -190,6 +190,13 @@ def test_local_density_examples():
         local_density([[1]], 5, 0)
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, 4])
+def test_local_density_rejects_a_non_prime_p(p):
+    # checked before the stabilizing loop, which would never end for p = +-1
+    with pytest.raises(DomainError):
+        local_density([[1]], p, 1)
+
+
 def test_local_density_stabilized():
     # at s and above, counts scale by p^(n-1) per level, so the ratio is flat
     from quadmod.blockdiag import integer_det

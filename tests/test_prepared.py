@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 from conftest import CallCounter
 
+import quadmod.blockdiag
 import quadmod.counting
 import quadmod.sampling
 import quadmod.symbols
@@ -37,7 +38,7 @@ from quadmod.blockdiag import TypeI, TypeII
 from quadmod.counting import RepCounts, block_table, count_block, symbol_table
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
-from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, split_partners, symbol_of
+from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
 
 P127 = 2**127 - 1
 Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
@@ -136,15 +137,6 @@ def test_block_table_equals_count_block(p):
             assert got == want and list(got) == list(want), (pp, blk)
 
 
-@pytest.mark.parametrize("pp", [PrimePower(2, 6), PrimePower(3, 4), PrimePower(13, 2), PrimePower(P127, 3)], ids=str)
-def test_layout_partners_equal_split_partners(pp):
-    layout = SymbolLayout(pp)
-    syms = layout.syms
-    for i, g in enumerate(syms):
-        for i1, g1 in enumerate(syms):
-            assert [(syms[i2], s) for i2, s in layout.partners(i, i1)] == split_partners(pp, g, g1), (g, g1)
-
-
 def symbol_rep(pp, g):
     """An element of Z/p^k whose symbol is g."""
     if g.ord == INF:
@@ -210,6 +202,17 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     # the top level is built on each read, and not kept
     assert form.table == form.table
     assert convolve.calls == levels + 2 * (len(form.blocks) >= 2)
+
+
+@pytest.mark.parametrize("q_mat", [Q4, [[1, 2], [2, 1]], []], ids=["Q4", "2x2", "empty"])
+def test_prepare_checks_symmetry_once(monkeypatch, q_mat):
+    check = CallCounter(quadmod.blockdiag.check_symmetric)
+    monkeypatch.setattr(quadmod.counting, "check_symmetric", check)
+    monkeypatch.setattr(quadmod.blockdiag, "check_symmetric", check)
+    for pp in (PrimePower(2, 5), PrimePower(3, 4)):
+        check.calls = 0
+        prepare(q_mat, pp)
+        assert check.calls == 1, pp
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

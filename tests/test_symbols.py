@@ -6,12 +6,6 @@ import quadmod.symbols
 from quadmod.modring import INF, DomainError, PrimePower, legendre
 from quadmod.symbols import (
     PkSymbol,
-    _class_size,
-    _difference_symbol,
-    _is_empty,
-    _near_partners,
-    _orders_between,
-    _split_gap,
     class_size,
     enumerate_symbols,
     split_class_size,
@@ -205,7 +199,7 @@ def symbol_rep(pp, g):
 def test_split_partners_far_rules_and_near_cells(pp):
     # with o = ord(g) and G the gap, a cell whose g1 or g2 lies at least
     # G away from o has a partner and size fixed by the orders alone;
-    # every other cell is listed by _near_partners, in order
+    # every other cell is a near cell, in order
     gap = 3 if pp.p == 2 else 1
     live = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
     zero = PkSymbol(INF, 0)
@@ -230,16 +224,18 @@ def test_split_partners_far_rules_and_near_cells(pp):
                 assert far == (above if g1 == g else []), (pp, g, g1)
                 assert above[0] == (zero, 1)
                 near = [(g2, s) for g2, s in got if not beyond(g2, g.ord)]
-                assert near == _near_partners(pp, g, g1), (pp, g, g1)
+                assert near == scan_near_partners(pp, g, g1), (pp, g, g1)
 
 
 def scan_near_partners(pp, g, g1):
-    """Reference near list: the candidate scan over every formal symbol
-    of the orders between ord(g) and ord(g) + G, each kept when its
-    class is inhabited and its difference symbol with g is g1."""
+    """Reference near cells of finite, inhabited g and g1: the candidate
+    scan over every formal symbol of the orders between ord(g) and
+    ord(g) + G, each kept when its class is inhabited and the symbol of
+    the difference of representatives is g1.  Difference symbols come
+    from arithmetic on elements, not from the rule under test."""
+    p, k, rep = pp.p, pp.k, symbol_rep(pp, g)
     if g1.ord != g.ord:
-        return [(_difference_symbol(pp, g, g1), _class_size(pp, g1))]
-    p, k = pp.p, pp.k
+        return [(symbol_of(pp, rep - symbol_rep(pp, g1)), class_size(pp, g1))]
     out = []
     if p != 2:
         scale = p ** (k - g.ord - 1)
@@ -247,9 +243,10 @@ def scan_near_partners(pp, g, g1):
             mod_p = split_pair_count_mod_p(p, g1.sgn, s2, g.sgn)
             if mod_p:
                 out.append((PkSymbol(g.ord, s2), mod_p * scale))
-    for g2 in _orders_between(pp, g.ord + 1, min(k, g.ord + _split_gap(pp))):
-        if not _is_empty(pp, g2) and _difference_symbol(pp, g, g2) == g1:
-            out.append((g2, _class_size(pp, g2)))
+    top = min(k, g.ord + (3 if p == 2 else 1))
+    for g2 in enumerate_symbols(pp):
+        if g.ord < g2.ord < top and class_size(pp, g2) and symbol_of(pp, rep - symbol_rep(pp, g2)) == g1:
+            out.append((g2, class_size(pp, g2)))
     return out
 
 
@@ -258,10 +255,14 @@ NEAR_GRID = [PrimePower(p, k) for p, kmax in ((2, 12), (3, 6), (5, 6), (2**127 -
 
 @pytest.mark.parametrize("pp", NEAR_GRID, ids=str)
 def test_near_partners_closed_form_matches_candidate_scan(pp):
+    # the near part of split_partners: its partners of finite order
+    # below ord(g) + G
+    gap = 3 if pp.p == 2 else 1
     finite = [g for g in enumerate_symbols(pp) if g.ord != INF and class_size(pp, g) > 0]
     for g in finite:
         for g1 in finite:
-            assert _near_partners(pp, g, g1) == scan_near_partners(pp, g, g1), (g, g1)
+            near = [(g2, s) for g2, s in split_partners(pp, g, g1) if g2.ord < g.ord + gap]
+            assert near == scan_near_partners(pp, g, g1), (g, g1)
 
 
 def test_split_partners_validate_symbols():
