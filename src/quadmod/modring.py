@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 INF = math.inf  # p-adic order of 0
@@ -122,21 +122,19 @@ def is_probable_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimePower:
-    """The modulus p^k with p prime and k >= 1."""
+    """The modulus p^k with p prime and k >= 1; q is the modulus itself,
+    p**k, computed once (it takes no part in ==, hash or repr)."""
 
     p: int
     k: int
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError(f"exponent must be >= 1, got {self.k}")
         if not is_probable_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
-
-    @property
-    def q(self) -> int:
-        """The modulus itself, p**k."""
-        return self.p**self.k
+        object.__setattr__(self, "q", self.p**self.k)
 
     def with_exponent(self, k: int) -> PrimePower:
         """p^k for the same prime, without testing p again."""
@@ -145,6 +143,7 @@ class PrimePower:
         out = object.__new__(PrimePower)
         object.__setattr__(out, "p", self.p)
         object.__setattr__(out, "k", k)
+        object.__setattr__(out, "q", self.p**k)
         return out
 
 

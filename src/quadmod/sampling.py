@@ -14,9 +14,10 @@ a randomized search raises LasVegasFail (Fail).  All case selection
 draws exact big-integer weights via uniform_below -- no floats, so a
 fixed seed gives a fixed transcript.
 
-Only odd-p rejection steps (non-residue search, the equal-orders split
-of Lemma-style rejection) can fail; every p = 2 path is deterministic
-once its random free digits are drawn.
+Only odd-p rejection steps can fail: the unit-digit draw of a symbol
+class, the equal-orders splits, and the non-residue search that starts
+a square root mod a prime p = 1 mod 8.  Every p = 2 path is
+deterministic once its random free digits are drawn.
 """
 
 from __future__ import annotations
@@ -328,25 +329,80 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: 
     """Uniform solution of the direct sum of the form's blocks at target
     t in the given class, whose count is total, one block peeled off per
     step: draw below the class's count (total, then the tail's entry at
-    the chosen g2) and scan to the cell that holds the draw (_pick_cell),
-    split the target, solve the head block, then go on with the tail.
-    The chosen cell is split without checking its size again: the walk
-    only picks cells of non-zero weight.  The tail's target b has the
+    the chosen g2) and scan to the cell (g1, g2) that holds the draw
+    (_pick_cell), give the head block a value of symbol g1 and the tail
+    the rest of the target, then go on with the tail.
+
+    A type I head with a finite g1 draws its x directly
+    (_sample_head_type1), with no square root, except in a cell with
+    ord g1 = ord g < ord g2; there, and for a zero g1 or a type II head,
+    the step splits the target (_split) and solves the head block at its
+    share.  The chosen cell is used without checking its size again: the
+    walk only picks cells of non-zero weight.  The tail's target has the
     symbol g2 of its cell, the next step's target symbol, and the head's
-    value a has the symbol g1, so each block is solved without taking a
-    symbol or a count again."""
+    value has the symbol g1, so no step takes a symbol or a count again."""
     pp, layout, blocks, syms = form.pp, form.layout, form.blocks, form.layout.syms
     i = layout.index(symbol_of(pp, t))
     y: list[int] = []
     for j in range(len(blocks) - 1):
         r = uniform_below(total, rng)
         i1, i2, head_prim, want_prim = _pick_cell(layout, form.per_block[j], form.tails[j], i, want_prim, r)
-        a, t = _split(pp, t, syms[i], syms[i1], syms[i2], rng)
-        y.extend(_sample_block(blocks[j], pp, a, syms[i1], head_prim, rng))
+        blk, g, g1, g2 = blocks[j], syms[i], syms[i1], syms[i2]
+        if isinstance(blk, TypeI) and g1.ord != INF and (g1.ord != g.ord or g2.ord == g.ord):
+            x, t = _sample_head_type1(blk.d, pp, t, g, g1, g2, rng)
+            y.append(x)
+        else:
+            a, t = _split(pp, t, g, g1, g2, rng)
+            y.extend(_sample_block(blk, pp, a, g1, head_prim, rng))
         c_tot, c_np = form.tails[j]
         total, i = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2
     y.extend(_sample_block(blocks[-1], pp, t, syms[i], want_prim, rng))
     return y
+
+
+def _sample_head_type1(
+    d: int, pp: PrimePower, t: int, g: PkSymbol, g1: PkSymbol, g2: PkSymbol, rng: RandomSource
+) -> tuple[int, int]:
+    """One chain-walk step for a type I head d*x^2 in the cell (g1, g2)
+    of a reduced t of symbol g, where g1 is finite and ord g1 != ord g
+    or ord g2 = ord g: the head's x, and the tail's target t - d*x^2.
+
+    Every value of class g1 has the same number of roots x, so an x
+    drawn uniformly from {x : symbol(d*x^2) = g1}, kept when t - d*x^2
+    has symbol g2, has the law of a uniform split followed by a uniform
+    root.  That set is x = p^e*y, e = (ord g1 - ord d)/2, y any unit
+    mod p^(k-e): d*y^2 has the sign of d, for odd p because y^2 is a
+    square and for p = 2 because y^2 = 1 mod 8.  When ord g1 != ord g,
+    every x of the set leaves the tail a target of symbol g2.  The cell
+    with ord g1 = ord g2 = ord g occurs for odd p only (at p = 2 it is
+    empty); there the tail's sign rests on y mod p alone, so y's unit
+    digit is drawn again until that sign is g2's (each trial succeeds
+    with probability about 1/2), and only then its higher digits.  The
+    cell's weight already makes x primitive exactly when e = 0.
+    """
+    p, k, q = pp.p, pp.k, pp.q
+    ord_d, cop_d = valuation(pp, d % q)
+    e = (g1.ord - ord_d) // 2
+    m = k - e
+    if p == 2:
+        y = 1 + 2 * uniform_below(2 ** (m - 1), rng)
+    else:
+        if g1.ord == g.ord:
+            ct, cd = (t // p**g.ord) % p, cop_d % p
+            for _ in range(RETRY_CAP):
+                y0 = 1 + uniform_below(p - 1, rng)
+                b0 = (ct - cd * y0 * y0) % p
+                ok = b0 != 0 and legendre(b0, p) == g2.sgn
+                split_rejection_stats.record(ok)
+                if ok:
+                    break
+            else:
+                raise LasVegasFail("equal-orders head rejection exhausted")
+        else:
+            y0 = 1 + uniform_below(p - 1, rng)
+        y = y0 + p * uniform_below(p ** (m - 1), rng)
+    x = p**e * y % q
+    return x, (t - d * x * x) % q
 
 
 def _pick_cell(

@@ -1,8 +1,11 @@
 """Square roots in Z/p^k.
 
-Odd p: Tonelli-Shanks mod p, then quadratic Hensel lifting (the
-precision doubles each step).  p = 2: closed-form root sets for k <= 3,
-digit-by-digit lifting above that.
+Odd p: one root mod p, by a single exponentiation when p = 3 mod 4
+(t^((p+1)/4)) or p = 5 mod 8 (Atkin's formula), and by Tonelli-Shanks,
+which needs a random non-residue, when p = 1 mod 8; then Newton's
+iteration for the inverse square root 1/sqrt(t), which doubles the
+precision each step and takes no inverse beyond the one mod p.  p = 2:
+closed-form root sets for k <= 3, digit-by-digit lifting above that.
 """
 
 from __future__ import annotations
@@ -34,22 +37,33 @@ class LasVegasFail(RuntimeError):
 def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
     """Both square roots of a unit residue t mod an odd prime p.
 
-    Tonelli-Shanks; the non-residue needed to start is found by random
-    draws (each succeeds with probability 1/2).
+    p = 3 mod 4: x = t^((p+1)/4).  p = 5 mod 8: Atkin's formula,
+    v = (2t)^((p-5)/8), i = 2t v^2 (a square root of -1, since 2 is a
+    non-residue), x = t v (i - 1).  Either way a non-residue t shows as
+    x^2 != t, and rng is not read.  p = 1 mod 8: Tonelli-Shanks; the
+    non-residue needed to start is found by random draws (each succeeds
+    with probability 1/2).
     """
     if p % 2 == 0:
         raise DomainError("sqrt_unit_mod_p needs an odd prime")
     t %= p
     if t == 0:
         raise DomainError("t must be a unit mod p")
-    if legendre(t, p) == -1:
-        raise NonResidue(f"{t} is a non-residue mod {p}")
 
-    if p % 4 == 3:
-        x = pow(t, (p + 1) // 4, p)
+    if p % 8 != 1:
+        if p % 4 == 3:
+            x = pow(t, (p + 1) // 4, p)
+        else:
+            t2 = 2 * t % p
+            v = pow(t2, (p - 5) // 8, p)
+            x = t * v * (t2 * v * v - 1) % p
+        if x * x % p != t:
+            raise NonResidue(f"{t} is a non-residue mod {p}")
         return (x, p - x) if x <= p - x else (p - x, x)
 
-    # p = 1 mod 4: write p - 1 = u * 2^e with u odd.
+    if legendre(t, p) == -1:
+        raise NonResidue(f"{t} is a non-residue mod {p}")
+    # write p - 1 = u * 2^e with u odd.
     u, e = p - 1, 0
     while u % 2 == 0:
         u //= 2
@@ -81,24 +95,23 @@ def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
 def lift_sqrt_odd(pp: PrimePower, t: int, rng: RandomSource) -> tuple[int, int]:
     """Both square roots of a unit square t in Z/p^k, odd p.
 
-    Hensel lifting with doubling precision: a root mod p^e extends to
-    mod p^2e by a += b*p^e where b = ((t - a^2)/p^e) / (2a) mod p^e.
+    Newton's iteration for r = 1/sqrt(t): from r mod p^e, the step
+    r <- r (3 - t r^2) / 2 is right mod p^2e (the error t r^2 - 1 is
+    squared), and 1/2 mod an odd m is (m+1)/2.  The start is the inverse
+    of a root mod p, the only inverse taken; the root is t r.
     """
     p, k = pp.p, pp.k
     q = pp.q
     t %= q
     if t % p == 0:
         raise DomainError("t must be a unit")
-    a = sqrt_unit_mod_p(p, t, rng)[0]
+    r = pow(sqrt_unit_mod_p(p, t, rng)[0], -1, p)
     e = 1
     while e < k:
-        e2 = min(2 * e, k)
-        mod = p**e2
-        diff = (t - a * a) % mod  # divisible by p^e since a is a root mod p^e
-        b = (diff // p**e) * pow(2 * a, -1, p**e) % p**e
-        a = (a + b * p**e) % mod
-        e = e2
-    a %= q
+        e = min(2 * e, k)
+        mod = p**e
+        r = r * (3 - t * r * r % mod) * ((mod + 1) // 2) % mod
+    a = t * r % q
     other = q - a
     return (a, other) if a <= other else (other, a)
 

@@ -83,6 +83,18 @@ def test_with_exponent_keeps_the_prime():
         pp.with_exponent(0)
 
 
+def test_prime_power_stores_its_modulus():
+    # q is set once by either constructor and takes no part in the
+    # value: equality, hash and repr read p and k alone
+    for pp, p, k in ((PrimePower(3, 4), 3, 4), (PrimePower(3, 1).with_exponent(4), 3, 4), (PrimePower(2, 60), 2, 60)):
+        assert pp.q == p**k
+        assert repr(pp) == f"PrimePower(p={p}, k={k})"
+        assert pp == PrimePower(p, k) and hash(pp) == hash((p, k))
+    assert PrimePower(3, 4) != PrimePower(3, 5)
+    with pytest.raises(TypeError):
+        PrimePower(3, 4, 81)
+
+
 def test_valuation_examples():
     pp = PrimePower(5, 3)
     assert valuation(pp, 50) == Valuation(2, 2)

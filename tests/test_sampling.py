@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import quadmod.modring
 import quadmod.sampling
+import quadmod.sqroots
 from quadmod.blockdiag import TypeII
 from quadmod.counting import PreparedForm, _count_scaled_type2, count_composite, prepare
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
@@ -349,12 +350,13 @@ def test_sample_form_tests_no_known_prime_again(monkeypatch):
 
 def test_chain_walk_splits_without_checking_again(monkeypatch):
     # the walk only picks cells of non-zero weight, so it splits them
-    # with the private core: no split_class_size check, and the target
-    # symbol it carries is the symbol of the target it splits
+    # with the private core, or draws a type I head's x directly: no
+    # split_class_size check, and the target symbol each step carries is
+    # the symbol of the target it splits
     checks = []
     original = quadmod.sampling.split_class_size
     monkeypatch.setattr(quadmod.sampling, "split_class_size", lambda *a: checks.append(a) or original(*a))
-    split = quadmod.sampling._split
+    split, head = quadmod.sampling._split, quadmod.sampling._sample_head_type1
     steps = []
 
     def checked_split(pp, t, g, g1, g2, rng):
@@ -362,7 +364,13 @@ def test_chain_walk_splits_without_checking_again(monkeypatch):
         steps.append(g)
         return split(pp, t, g, g1, g2, rng)
 
+    def checked_head(d, pp, t, g, g1, g2, rng):
+        assert g == symbol_of(pp, t)
+        steps.append(g)
+        return head(d, pp, t, g, g1, g2, rng)
+
     monkeypatch.setattr(quadmod.sampling, "_split", checked_split)
+    monkeypatch.setattr(quadmod.sampling, "_sample_head_type1", checked_head)
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
     rng = random.Random(9)
     for pp in (PrimePower(2, 7), PrimePower(3, 4), PrimePower(13, 2), PrimePower(2**127 - 1, 2)):
@@ -387,6 +395,67 @@ def test_chain_walk_splits_without_checking_again(monkeypatch):
                     a, b = pair
                     assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
     assert checks
+
+
+def test_root_free_heads_reach_every_solution(monkeypatch):
+    # the exact-law support check of the CRT criterion (every solution
+    # seen, none outside), on instances that take every branch of the
+    # root-free head step
+    head = quadmod.sampling._sample_head_type1
+    taken = Counter()
+
+    def counted(d, pp, t, g, g1, g2, rng):
+        branch = "p=2" if pp.p == 2 else "equal" if g1.ord == g.ord else "unequal"
+        taken[branch, pp.p] += 1
+        return head(d, pp, t, g, g1, g2, rng)
+
+    monkeypatch.setattr(quadmod.sampling, "_sample_head_type1", counted)
+    rng = random.Random(12)
+    cases = [
+        ([[1, 0], [0, 3]], PrimePower(2, 4)),
+        ([[1, 0, 0], [0, 5, 0], [0, 0, 2]], PrimePower(2, 3)),
+        (I2, PrimePower(3, 2)),
+        ([[1, 0], [0, 2]], PrimePower(3, 3)),
+        ([[1, 0], [0, 3]], PrimePower(7, 1)),
+        (I2, PrimePower(11, 1)),
+        ([[2, 0], [0, 1]], PrimePower(13, 1)),
+    ]
+    for mat, pp in cases:
+        for t in range(0, pp.q, max(1, pp.q // 16)):
+            sols = set(enumerate_reps(mat, pp, t)[0])
+            prim = {v for v in sols if any(c % pp.p for c in v)}
+            for kind, want in ((RepKind.ANY, sols), (RepKind.PRIMITIVE, prim), (RepKind.NONPRIMITIVE, sols - prim)):
+                if not want:
+                    assert sample_form(mat, pp, t, kind, rng) is None
+                    continue
+                seen = set()
+                for _ in range(15 * len(want)):
+                    x = sample_form(mat, pp, t, kind, rng)
+                    assert x in want, (mat, pp, t, kind, x)
+                    seen.add(x)
+                assert seen == want, (mat, pp, t, kind)
+    assert taken["p=2", 2] and taken["unequal", 3] and taken["unequal", 7], taken
+    assert all(taken["equal", p] for p in (3, 7, 11, 13)), taken
+
+
+def test_benchmark_root_spans_see_calls(monkeypatch):
+    # the benchmark's tracer times square roots by wrapping these names
+    # and skips a name a module lacks; a rename must fail here instead
+    calls = {}
+    for module, name in (
+        (quadmod.sampling, "lift_sqrt_odd"),
+        (quadmod.sampling, "sqrt_unit_mod_2k"),
+        (quadmod.sqroots, "sqrt_unit_mod_p"),
+    ):
+        calls[name] = CallCounter(getattr(module, name))
+        monkeypatch.setattr(module, name, calls[name])
+    rng = random.Random(3)
+    p127 = 85070591730234615865843651857942052973
+    for q_mat, pp in ((I2, PrimePower(p127, 2)), ([[1, 0], [0, 3]], PrimePower(2, 7))):
+        for t in range(1, 9):
+            sample_form(q_mat, pp, t, RepKind.ANY, rng)
+    assert calls["lift_sqrt_odd"].calls and calls["sqrt_unit_mod_2k"].calls
+    assert calls["sqrt_unit_mod_p"].calls == calls["lift_sqrt_odd"].calls
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

@@ -117,3 +117,39 @@ def test_sqrt_unit_mod_2k_matches_sympy():
             else:
                 with pytest.raises(NotASquare):
                     sqrt_unit_mod_2k(k, t)
+
+
+P127 = 2**127 - 1  # = 3 mod 4
+P127_5 = 85070591730234615865843651857942052973  # = 5 mod 8
+ROOT_BRANCHES = [(3, 3), (7, 3), (P127, 3), (5, 5), (13, 5), (P127_5, 5), (17, 1), (41, 1)]
+
+
+@pytest.mark.parametrize("p, residue", ROOT_BRANCHES, ids=[f"{p % 8}mod8-{p.bit_length()}bit" for p, _ in ROOT_BRANCHES])
+def test_root_branches_match_sympy(p, residue):
+    # each branch of sqrt_unit_mod_p (p = 3 mod 4, 5 mod 8, 1 mod 8) and
+    # the lift above it, against an independent root finder; only the
+    # Tonelli-Shanks branch may read the generator
+    sympy_sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
+    assert p % 8 == residue or (residue == 3 and p % 4 == 3)
+    rng = random.Random(p)
+    for k in (1, 2, 8, 30, 60) if p > 2**64 else (1, 2, 5, 9):
+        pp = PrimePower(p, k)
+        for _ in range(8):
+            x = rng.randrange(1, pp.q)
+            t = x * x % pp.q
+            if t % p == 0:
+                continue
+            state = rng.getstate()
+            assert list(lift_sqrt_odd(pp, t, rng)) == sorted(sympy_sqrt_mod(t, pp.q, all_roots=True)), (p, k, t)
+            assert residue == 1 or rng.getstate() == state
+            if k == 1:
+                assert list(sqrt_unit_mod_p(p, t, rng)) == sorted(sympy_sqrt_mod(t, p, all_roots=True))
+    non_residues = [t for t in range(2, 60) if t % p and sympy_sqrt_mod(t, p) is None][:4]
+    assert non_residues
+    for t in non_residues:
+        state = rng.getstate()
+        with pytest.raises(NonResidue):
+            sqrt_unit_mod_p(p, t, rng)
+        with pytest.raises(NonResidue):
+            lift_sqrt_odd(PrimePower(p, 3), t + p, rng)
+        assert residue == 1 or rng.getstate() == state
