@@ -2,18 +2,28 @@
 
 Any symmetric Q is congruent, by a determinant-1 change of basis U
 (so U'QU = D), to a direct sum of 1x1 blocks [d] and -- only for
-p = 2 -- 2x2 blocks 2^ell * [[2a, b], [b, 2c]] with b odd.  The three
-basis moves: shear columns against a minimal-order diagonal pivot;
-for odd p, add one column into another to pull a minimal-order
-off-diagonal entry onto the diagonal; for p = 2, keep the 2x2 pivot
+p = 2 -- 2x2 blocks 2^ell * [[2a, b], [b, 2c]] with b odd.  Each step
+takes a minimal-order pivot in the trailing block: its order is that of
+the gcd of p^k and the block's entries, and it is the first diagonal
+entry of that order, else the first one off the diagonal in row order.
+The three basis moves: shear the other basis vectors against a
+diagonal pivot; for odd p, add one basis vector into another to pull
+an off-diagonal pivot onto the diagonal; for p = 2, keep the 2x2 pivot
 whole and clear the rest of its two rows/columns with a Cramer solve.
 
-Each move (a swap, or column c += a * column s) is applied in place:
-to the columns of U, and to the working matrix as column and then row
-operations on indices >= pos only, since the rows and columns before
-the current pivot position pos are already split off and are zero
-against everything after it.  A move costs O(n * (n - pos)), so the
-whole pass is O(n^3).
+Only the upper triangle of the trailing block (indices >= the pivot
+position pos) is kept.  Shearing each basis vector c by a_c times the
+pivot s changes the trailing entry (c, x) by a_c Q_sx + a_x Q_sc +
+a_c a_x Q_ss, and as a_x Q_ss = -Q_sx mod p^k that is a_c Q_sx: row c
+becomes row c + a_c * row s, one list comprehension over its upper
+part.  The 2x2 pivot's shear is the same with two source rows.  A swap
+or a pull reads the lower half of the two rows it moves, so it first
+mirrors those two rows and columns.  A step costs O((n - pos)^2), and
+the whole pass O(n^3).
+
+The elimination does not build U: it records its moves, and
+BlockDiagForm.u replays them on the identity (basis_change) the first
+time it is read.  A count reads the blocks only, so it never pays for U.
 
 Matrices are plain lists of lists of ints, reduced mod p^k.
 """
@@ -22,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from math import gcd
 
-from .modring import DomainError, PrimePower, valuation
+from .modring import DomainError, PrimePower
 
 Matrix = list[list[int]]
 
@@ -67,14 +78,25 @@ class TypeII:
 
 Block = TypeI | TypeII
 
+# One recorded basis move: (c, s, a) adds a times basis vector s to
+# basis vector c; (i, j, None) exchanges basis vectors i and j and
+# negates the new j, keeping det = +1.
+Move = tuple[int, int, int | None]
+
 
 @dataclass(frozen=True)
 class BlockDiagForm:
-    """blocks with the basis change u: u'Qu = direct sum of blocks mod p^k."""
+    """The blocks of Q and the moves that reach them: u'Qu is the
+    direct sum of the blocks mod p^k, where u is built from the moves
+    the first time it is read."""
 
     blocks: tuple[Block, ...]
-    u: tuple[tuple[int, ...], ...]
     modulus: PrimePower
+    moves: tuple[Move, ...]
+
+    @cached_property
+    def u(self) -> tuple[tuple[int, ...], ...]:
+        return basis_change(sum(b.dim for b in self.blocks), self.moves, self.modulus.q)
 
 
 class AsymmetricEntry(DomainError):
@@ -145,49 +167,66 @@ def blocks_to_matrix(bd) -> Matrix:
     return out
 
 
-def _entry_order(pp: PrimePower, x: int) -> int:
-    """p-order of x as a ring element, clamped to k for x = 0 mod p^k."""
-    r = x % pp.q
-    if r == 0:
-        return pp.k
-    return valuation(pp, r).ord
+def basis_change(n: int, moves: tuple[Move, ...], q: int) -> tuple[tuple[int, ...], ...]:
+    """U mod q: the n x n identity with the recorded moves applied in
+    order to its columns, one whole column per move."""
+    cols = identity(n)  # cols[j] is column j of U
+    for c, s, a in moves:
+        if a is None:
+            cols[c], cols[s] = cols[s], [-x % q for x in cols[c]]
+        else:
+            cols[c] = [(x + a * y) % q for x, y in zip(cols[c], cols[s])]
+    return tuple(zip(*cols))
 
 
-def _min_order_entry(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
-    """Minimal-order entry (i, j, ord) with pos <= i <= j, diagonal preferred."""
-    n = len(m)
-    unit = next((i for i in range(pos, n) if m[i][i] % pp.p), None)
+def _pivot(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
+    """Minimal-order entry (i, j, ord) with pos <= i <= j: the first
+    diagonal entry of that order, else the first off-diagonal one in
+    row order.  The order is that of the gcd of p^k and the entries, k
+    when they all vanish."""
+    p, q, n = pp.p, pp.q, len(m)
+    unit = next((i for i in range(pos, n) if m[i][i] % p), None)
     if unit is not None:
-        return unit, unit, 0  # no key beats the first diagonal unit
-    best = None
+        return unit, unit, 0  # no entry beats the first diagonal unit
+    g, first = q, pos  # least row gcd so far, and the first row with it
     for i in range(pos, n):
-        for j in range(i, n):
-            key = (_entry_order(pp, m[i][j]), 0 if i == j else 1, i, j)
-            if best is None or key < best:
-                best = key
-    o, _, i, j = best
-    return i, j, o
+        g_row = gcd(q, *m[i][i:])
+        if g_row < g:
+            g, first = g_row, i
+            if g == 1:
+                break  # no diagonal unit: row i holds the pivot
+    o, rest = 0, g
+    while rest > 1:
+        o, rest = o + 1, rest // p
+    if o == pp.k:
+        return pos, pos, o
+    above = g * p  # entries of order o are those it does not divide
+    diag = next((i for i in range(pos, n) if m[i][i] % above), None)
+    if diag is not None:
+        return diag, diag, o
+    row = m[first]
+    return first, next(j for j in range(first + 1, n) if row[j] % above), o
 
 
-def _swap(m: Matrix, u: Matrix, pos: int, i: int, j: int, q: int) -> None:
+def _mirror(m: Matrix, pos: int, i: int) -> None:
+    """Copy the upper-triangle entries of row and column i into their
+    lower places, so both read in full over the indices >= pos."""
+    row = m[i]
+    for r in range(pos, i):
+        row[r] = m[r][i]
+    for r in range(i + 1, len(m)):
+        m[r][i] = row[r]
+
+
+def _swap(m: Matrix, moves: list[Move], pos: int, i: int, j: int, q: int) -> None:
     """Exchange basis vectors i, j >= pos, negating the new j to keep
-    det = +1: on the columns of u, then the columns and rows of m."""
-    for row in chain(u, m[pos:]):
+    det = +1: on the columns and then the rows of m."""
+    _mirror(m, pos, i)
+    _mirror(m, pos, j)
+    for row in m[pos:]:
         row[i], row[j] = row[j], -row[i] % q
     m[i], m[j] = m[j], [-x % q for x in m[i]]
-
-
-def _add_columns(m: Matrix, u: Matrix, pos: int, moves: list[tuple[int, int, int]], q: int) -> None:
-    """Change basis by column c += a * column s for each (c, s, a) in
-    moves, where no target c is also a source s: on the columns of u,
-    then the columns and rows of m with indices >= pos."""
-    for row in chain(u, m[pos:]):
-        for c, s, a in moves:
-            row[c] = (row[c] + a * row[s]) % q
-    for c, s, a in moves:
-        row, src = m[c], m[s]
-        for x in range(pos, len(row)):
-            row[x] = (row[x] + a * src[x]) % q
+    moves.append((i, j, None))
 
 
 def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
@@ -195,66 +234,65 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
     n = check_symmetric(q_mat)
     p, k, q = pp.p, pp.k, pp.q
     m = [[x % q for x in row] for row in q_mat]
-    u = identity(n)
+    moves: list[Move] = []
     blocks: list[Block] = []
     pos = 0
     while pos < n:
-        i, j, o = _min_order_entry(m, pp, pos)
+        i, j, o = _pivot(m, pp, pos)
         if o >= k:
             # remaining form is identically 0
             blocks.extend(TypeI(0) for _ in range(pos, n))
-            pos = n
             break
         if i == j:
             if i != pos:
-                _swap(m, u, pos, pos, i, q)
-            piv = m[pos][pos]
-            cop = piv // p**o
-            inv_cop = pow(cop, -1, p ** (k - o))
-            shear = []
-            for col in range(pos + 1, n):
-                x = m[pos][col]
+                _swap(m, moves, pos, pos, i, q)
+            top = m[pos]
+            scale, mod = p**o, p ** (k - o)
+            inv_cop = pow(top[pos] // scale, -1, mod)
+            for c in range(pos + 1, n):
+                x = top[c]
                 if x:
-                    # x has order >= o, so the quotient below is exact
-                    shear.append((col, pos, -((x // p**o) * inv_cop % p ** (k - o))))
-            _add_columns(m, u, pos, shear, q)
-            blocks.append(TypeI(m[pos][pos]))
+                    # x has order >= o, so the quotient is exact
+                    a = -((x // scale) * inv_cop % mod)
+                    moves.append((c, pos, a))
+                    row = m[c]
+                    row[c:] = [(y + a * z) % q for y, z in zip(row[c:], top[c:])]
+            blocks.append(TypeI(top[pos]))
             pos += 1
         elif p != 2:
             # pull the off-diagonal minimum onto the diagonal:
-            # col_i += col_j makes entry (i,i) = Q_ii + 2 Q_ij + Q_jj,
-            # whose order is exactly o (2 Q_ij dominates; diagonals are
-            # strictly deeper or they would have been preferred).
-            _add_columns(m, u, pos, [(i, j, 1)], q)
+            # basis vector i += basis vector j makes entry (i,i) =
+            # Q_ii + 2 Q_ij + Q_jj, whose order is exactly o (2 Q_ij
+            # dominates; diagonals are strictly deeper or they would
+            # have been preferred)
+            _mirror(m, pos, i)
+            _mirror(m, pos, j)
+            for row in m[pos:]:
+                row[i] = (row[i] + row[j]) % q
+            m[i] = [(x + y) % q for x, y in zip(m[i], m[j])]
+            moves.append((i, j, 1))
             # re-run selection; the pivot is now diagonal
         else:
             # p = 2: the 2x2 pivot stays; move it to (pos, pos+1)
             if i != pos:
-                _swap(m, u, pos, pos, i, q)
+                _swap(m, moves, pos, pos, i, q)
             if j != pos + 1:
-                _swap(m, u, pos, pos + 1, j, q)
-            ell = o
-            scale = 2**ell
-            two_a = m[pos][pos] // scale  # even: diagonal order > ell
-            b = m[pos][pos + 1] // scale  # odd: order exactly ell
-            two_c = m[pos + 1][pos + 1] // scale
-            det = (two_a * two_c - b * b) % 2 ** (k - ell)
-            det_inv = pow(det, -1, 2 ** (k - ell))
-            shear = []
-            for col in range(pos + 2, n):
-                d_m = m[pos][col] // scale
-                e_m = m[pos + 1][col] // scale
-                r = (two_c * d_m - b * e_m) * det_inv % 2 ** (k - ell)
-                s_ = (two_a * e_m - b * d_m) * det_inv % 2 ** (k - ell)
-                shear += [(col, pos, -r), (col, pos + 1, -s_)]
-            _add_columns(m, u, pos, shear, q)
-            blocks.append(
-                TypeII(
-                    ell,
-                    m[pos][pos] // (2 * scale),
-                    m[pos][pos + 1] // scale,
-                    m[pos + 1][pos + 1] // (2 * scale),
-                )
-            )
+                _swap(m, moves, pos, pos + 1, j, q)
+            top, second = m[pos], m[pos + 1]
+            scale, mod = 2**o, 2 ** (k - o)
+            two_a = top[pos] // scale  # even: diagonal order > o
+            b = top[pos + 1] // scale  # odd: order exactly o
+            two_c = second[pos + 1] // scale
+            det_inv = pow((two_a * two_c - b * b) % mod, -1, mod)
+            for c in range(pos + 2, n):
+                # (r, s) solves the pivot block against (d, e) mod 2^(k-o)
+                d, e = top[c] // scale, second[c] // scale
+                r = (two_c * d - b * e) * det_inv % mod
+                s = (two_a * e - b * d) * det_inv % mod
+                if r or s:
+                    moves += [(c, pos, -r), (c, pos + 1, -s)]
+                    row = m[c]
+                    row[c:] = [(y - r * z - s * w) % q for y, z, w in zip(row[c:], top[c:], second[c:])]
+            blocks.append(TypeII(o, top[pos] // (2 * scale), b, second[pos + 1] // (2 * scale)))
             pos += 2
-    return BlockDiagForm(tuple(blocks), tuple(tuple(row) for row in u), pp)
+    return BlockDiagForm(tuple(blocks), pp, tuple(moves))

@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 from .blockdiag import (
     Block,
+    BlockDiagForm,
     TypeI,
     TypeII,
     block_diagonalize,
@@ -195,21 +196,15 @@ def count_type2(blk: TypeII, k: int, sym_t: PkSymbol) -> RepCounts:
     return _counts(prim * scale, nprim * scale)
 
 
-def count_block(blk: Block, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
-    """Counts for a single block at a target symbol."""
-    if isinstance(blk, TypeI):
-        return count_type1(blk.d, pp, sym_t)
-    return count_type2(blk, pp.k, sym_t)
-
-
 def block_table(blk: Block, layout: SymbolLayout) -> Table:
-    """count_block(blk, pp, g) at every position g of the layout, filled
-    order by order.  A type I block d = p^e u reaches one symbol in each
-    order e, e + 2, ... below k, the one of u's square class (its
-    Legendre symbol, or u mod min(8, 2^(k - ord)) for p = 2).  A type II
-    block's counts read the target only through its order (see
-    _scaled_type2_counts), so each order takes one value, at t2 = 2^(ord
-    - ell - 1), and the seeds are evaluated once for the block."""
+    """The block's counts (count_type1 or count_type2) at every position
+    g of the layout, filled order by order.  A type I block d = p^e u
+    reaches one symbol in each order e, e + 2, ... below k, the one of
+    u's square class (its Legendre symbol, or u mod min(8, 2^(k - ord))
+    for p = 2).  A type II block's counts read the target only through
+    its order (see _scaled_type2_counts), so each order takes one value,
+    at t2 = 2^(ord - ell - 1), and the seeds are evaluated once for the
+    block."""
     pp, first = layout.pp, layout.first
     p, k = pp.p, pp.k
     total, nprim = [0] * len(layout.syms), [0] * len(layout.syms)
@@ -406,27 +401,38 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class PreparedForm:
-    """x'Qx mod p^k with its blocks, basis change and count tables, built
-    once: every count and draw of the form reads them.
+    """x'Qx mod p^k with its block diagonalization and count tables,
+    built once: every count and draw of the form reads them.
 
-    u'Qu is the direct sum of blocks mod p^k.  per_block[j] is the table
-    of blocks[j], and tails[j] that of the direct sum blocks[j+1:]: the
-    suffix tables of chain_tables(blocks[1:]), the levels the chain walk
-    reads.  Each is a Table, (total, non-primitive) lists indexed by the
-    positions of layout.syms.  The top level, the table of all the
-    blocks, is not built: count reads it at one symbol, as a sum over
-    the split cells of the head block and the first tail, and table
-    builds it in full on every read, as a {symbol: RepCounts} dict.
-    Nothing here changes after prepare: the near cells that counts and
-    draws read are computed by rule, not stored.
+    diag holds the blocks and the moves that reach them; u, with u'Qu
+    the direct sum of the blocks mod p^k, is built from those moves the
+    first time it is read, so a count, which reads only the blocks and
+    tables, never builds it.  per_block[j] is the table of blocks[j],
+    and tails[j] that of the direct sum blocks[j+1:]: the suffix tables
+    of chain_tables(blocks[1:]), the levels the chain walk reads.  Each
+    is a Table, (total, non-primitive) lists indexed by the positions of
+    layout.syms.  The top level, the table of all the blocks, is not
+    built: count reads it at one symbol, as a sum over the split cells
+    of the head block and the first tail, and table builds it in full on
+    every read, as a {symbol: RepCounts} dict.  Nothing here changes
+    after prepare, u aside: the near cells that counts and draws read
+    are computed by rule, not stored.
     """
 
     pp: PrimePower
-    blocks: tuple[Block, ...]
-    u: Matrix
+    diag: BlockDiagForm
     layout: SymbolLayout
     per_block: list[Table]
     tails: list[Table]
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return self.diag.blocks
+
+    @property
+    def u(self) -> tuple[tuple[int, ...], ...]:
+        """The basis change, built on its first read (BlockDiagForm.u)."""
+        return self.diag.u
 
     @property
     def table(self) -> dict[PkSymbol, RepCounts]:
@@ -459,14 +465,15 @@ class PreparedForm:
 
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
-    """Check Q, block-diagonalize it and build its count tables, once."""
+    """Check Q, block-diagonalize it and build its count tables, once.
+    The basis change u is left to the form's first read of it."""
     bd = block_diagonalize(q_mat, pp)  # checks Q
     layout = SymbolLayout(pp)
     if not bd.blocks:
-        return PreparedForm(pp, (), [], layout, [], [])
+        return PreparedForm(pp, bd, layout, [], [])
     per_tail, tails = chain_tables(bd.blocks[1:], pp, layout)
     per_block = [block_table(bd.blocks[0], layout), *per_tail]
-    return PreparedForm(pp, bd.blocks, [list(row) for row in bd.u], layout, per_block, tails)
+    return PreparedForm(pp, bd, layout, per_block, tails)
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:

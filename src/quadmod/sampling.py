@@ -536,7 +536,7 @@ def sample_factors(
 
     # componentwise CRT
     q = math.prod(form.pp.q for form in forms)
-    n = len(forms[0].u)
+    n = len(parts[0])
     x = [0] * n
     for form, vec in zip(forms, parts):
         assert vec is not None

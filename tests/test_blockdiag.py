@@ -132,7 +132,8 @@ def wide_forms(n, p, k):
 
 @pytest.mark.parametrize(
     "n, p, k",
-    [(n, p, k) for n in (12, 24, 40) for p, k in ((2, 6), (3, 4), (P127, 2))] + [(64, 3, 4)],
+    [(n, p, k) for n in (12, 24, 40) for p, k in ((2, 6), (3, 4), (P127, 2))]
+    + [(64, p, k) for p, k in ((2, 6), (3, 4), (P127, 2))],
     ids=lambda v: "P127" if v == P127 else str(v),
 )
 def test_block_diagonalize_contract_wide(n, p, k):

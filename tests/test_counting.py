@@ -13,7 +13,6 @@ from quadmod.counting import (
     ZeroTarget,
     _count_scaled_type2,
     chain_tables,
-    count_block,
     count_composite,
     count_form,
     count_type1,
@@ -26,6 +25,14 @@ from quadmod.modring import DomainError, PrimePower
 from quadmod.oracle import histogram_counts, solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
 from test_symbols import dense_split_size
+
+
+def count_block(blk, pp, sym_t):
+    """Counts for a single block at a target symbol."""
+    if isinstance(blk, TypeI):
+        return count_type1(blk.d, pp, sym_t)
+    return count_type2(blk, pp.k, sym_t)
+
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -9,6 +9,7 @@ generator.
 """
 
 import copy
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -35,10 +36,12 @@ from quadmod import (
     sample_prepared,
 )
 from quadmod.blockdiag import TypeI, TypeII
-from quadmod.counting import RepCounts, block_table, count_block, symbol_table
+from quadmod.cli import main
+from quadmod.counting import RepCounts, block_table, symbol_table
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
+from test_counting import count_block
 
 P127 = 2**127 - 1
 Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
@@ -275,3 +278,36 @@ def test_layout_is_local_to_one_prepared_form():
         sample_composite(Q4, [PrimePower(2, 5), pp], 5, RepKind.NONPRIMITIVE, rng)
     assert prepare(Q4, pp).layout is not form.layout
     assert container_sizes() == before
+
+
+def test_counts_never_build_u(monkeypatch, tmp_path, capsys):
+    # a count reads the blocks and tables only; u is built from the
+    # recorded moves on its first read, once per diagonalization
+    builds = CallCounter(quadmod.blockdiag.basis_change)
+    monkeypatch.setattr(quadmod.blockdiag, "basis_change", builds)
+    pp = PrimePower(3, 4)
+    count_form(Q4, pp, 7)
+    count_form(dense_even(6, 24), PrimePower(2, 6), 8)
+    count_composite(Q4, [PrimePower(2, 5), pp, PrimePower(P127, 2)], 7)
+    local_density(Q4, 3, 7)
+    path = tmp_path / "q4.json"
+    path.write_text(json.dumps({"q": Q4, "p": "3", "k": 4, "t": "7"}))
+    assert main(["count", str(path)]) == 0
+    assert main(["density", str(path)]) == 0
+    assert builds.calls == 0
+
+    assert main(["diagonalize", str(path)]) == 0
+    assert builds.calls == 1
+    printed = json.loads(capsys.readouterr().out.splitlines()[-1])["u"]
+    assert printed == [[str(v) for v in row] for row in prepare(Q4, pp).u]
+
+    form = prepare(Q4, pp)
+    builds.calls = 0
+    rng = random.Random(5)
+    for t in (7, 9, 1, 7):
+        assert sample_prepared(form, t, RepKind.ANY, rng) is not None
+    assert builds.calls == 1
+    forms = [prepare(Q4, f) for f in (PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1))]
+    for t in (14, 78):
+        assert sample_factors(forms, t, RepKind.ANY, rng) is not None
+    assert builds.calls == 1 + len(forms)

@@ -28,6 +28,7 @@ from quadmod.sampling import (
 from quadmod.symbols import PkSymbol, class_size, enumerate_symbols, split_class_size, symbol_of
 
 I2 = [[1, 0], [0, 1]]
+Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
 
 
 def draws(fn, n, seed=0):
@@ -436,6 +437,55 @@ def test_root_free_heads_reach_every_solution(monkeypatch):
                 assert seen == want, (mat, pp, t, kind)
     assert taken["p=2", 2] and taken["unequal", 3] and taken["unequal", 7], taken
     assert all(taken["equal", p] for p in (3, 7, 11, 13)), taken
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
+def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, p):
+    # the rejection draws take: a type I head in a cell with ord g1 =
+    # ord g2 = ord g redraws y's unit digit y0 until the tail's unit
+    # digit ct - cd*y0^2 is non-zero with g2's sign.  Each trial in a cell
+    # is rejected with the share of y0 in 1..p-1 that fail, enumerated
+    # here with Euler's criterion; the rejects over all trials must sit
+    # within 5 sigma of the sum of those shares
+    stats = quadmod.sampling.RejectionStats()
+    monkeypatch.setattr(quadmod.sampling, "split_rejection_stats", stats)
+    head = quadmod.sampling._sample_head_type1
+    expected = variance = 0.0
+    failures = 0
+
+    def watched(d, pp, t, g, g1, g2, rng):
+        nonlocal expected, variance, failures
+        before = stats.trials
+        try:
+            out = head(d, pp, t, g, g1, g2, rng)
+        except quadmod.sqroots.LasVegasFail:
+            failures += 1
+            raise
+        trials = stats.trials - before
+        if g1.ord != g.ord:
+            assert trials == 0
+            return out
+        cd = d
+        while cd % p == 0:
+            cd //= p
+        ct = t // p**g.ord % p
+        tails = [(ct - cd * y0 * y0) % p for y0 in range(1, p)]
+        fail = sum(b == 0 or (1 if pow(b, (p - 1) // 2, p) == 1 else -1) != g2.sgn for b in tails)
+        rate = fail / (p - 1)
+        expected += trials * rate
+        variance += trials * rate * (1 - rate)
+        return out
+
+    monkeypatch.setattr(quadmod.sampling, "_sample_head_type1", watched)
+    rng = random.Random(p)
+    pp = PrimePower(p, 2)
+    form = prepare(Q4, pp)
+    targets = [t for t in range(1, pp.q) if t % p]
+    for _ in range(1500):
+        sample_prepared(form, targets[uniform_below(len(targets), rng)], RepKind.ANY, rng)
+    assert failures == 0
+    assert stats.trials > 1000, stats.trials
+    assert abs(stats.rejects - expected) <= 5 * variance**0.5, (stats.rejects, expected, variance)
 
 
 def test_benchmark_root_spans_see_calls(monkeypatch):
