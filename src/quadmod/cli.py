@@ -27,7 +27,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .blockdiag import AsymmetricEntry, TypeI, block_diagonalize, check_symmetric
 from .counting import count_composite, count_factors, count_form, local_density, prepare
@@ -61,10 +61,7 @@ class Instance:
 
     @property
     def modulus(self) -> int:
-        m = 1
-        for pp in self.factors:
-            m *= pp.q
-        return m
+        return prod(pp.q for pp in self.factors)
 
 
 def _as_int(value, field: str) -> int:

@@ -10,10 +10,10 @@ non-primitive.
 
 Every table is two parallel int lists, total and non-primitive counts,
 indexed by the position of the target symbol in its SymbolLayout
-(layout.syms); the primitive count is total - non-primitive wherever
-it is read.  No kernel looks an entry up by its symbol: the
-{symbol: RepCounts} dicts are built only at the public boundary
-(PreparedForm.count and .table, form_counts_by_symbol, symbol_table).
+(layout.symbol(i) is the symbol at position i); the primitive count is
+total - non-primitive wherever it is read.  No kernel looks an entry up
+by its symbol: symbols and {symbol: RepCounts} dicts are made only at
+the public boundary (PreparedForm.count and .table, symbol_table).
 
 Each level of the program splits the cells by the order gap G (3 for
 p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
@@ -64,7 +64,7 @@ class RepCounts(NamedTuple):
 
 
 # (total, non-primitive) counts at every position of a SymbolLayout:
-# the entry at position i is the count at target symbol layout.syms[i]
+# the entry at position i is the count at target symbol layout.symbol(i)
 Table = tuple[list[int], list[int]]
 
 
@@ -81,9 +81,9 @@ def _counts(prim: int, nprim: int) -> RepCounts:
 
 
 def symbol_table(layout: SymbolLayout, table: Table) -> dict[PkSymbol, RepCounts]:
-    """A table as {symbol: RepCounts} in layout.syms order, the form in
+    """A table as {symbol: RepCounts} in position order, the form in
     which the public functions return tables."""
-    return {g: RepCounts(tot, tot - np_, np_) for g, tot, np_ in zip(layout.syms, *table)}
+    return {layout.symbol(i): RepCounts(tot, tot - np_, np_) for i, (tot, np_) in enumerate(zip(*table))}
 
 
 def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
@@ -118,14 +118,6 @@ def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
         mult = 2
     reps = mult * p ** ((o + ord_d) // 2)
     return _counts(reps, 0) if o == ord_d else _counts(0, reps)
-
-
-def _symbol_rep(k2: int, ord_t, sgn_t: int) -> int:
-    """Canonical element of Z/2^k2 with the symbol carried over from
-    dividing a (ord_t, sgn_t) element by a power of 2 (ord already shifted)."""
-    if ord_t == INF or ord_t >= k2:
-        return 0
-    return 2**ord_t * (sgn_t % 2 ** (k2 - ord_t))
 
 
 def _type2_seeds(a: int, b: int, c: int) -> tuple[int, int]:
@@ -190,7 +182,7 @@ def count_type2(blk: TypeII, k: int, sym_t: PkSymbol) -> RepCounts:
     if ord_t != INF and ord_t < ell + 1:
         return _counts(0, 0)
     k2 = k - ell - 1
-    t2 = _symbol_rep(k2, ord_t - (ell + 1) if ord_t != INF else INF, sgn_t)
+    t2 = 0 if ord_t == INF else sgn_t % 2 ** (k - ord_t) << (ord_t - ell - 1)  # a target of symbol sym_t, over 2^(ell+1)
     prim, nprim = _count_scaled_type2(blk.a, blk.b, blk.c, t2, k2)
     scale = 4 ** (ell + 1)
     return _counts(prim * scale, nprim * scale)
@@ -200,27 +192,23 @@ def block_table(blk: Block, layout: SymbolLayout) -> Table:
     """The block's counts (count_type1 or count_type2) at every position
     g of the layout, filled order by order.  A type I block d = p^e u
     reaches one symbol in each order e, e + 2, ... below k, the one of
-    u's square class (its Legendre symbol, or u mod min(8, 2^(k - ord))
-    for p = 2).  A type II block's counts read the target only through
-    its order (see _scaled_type2_counts), so each order takes one value,
-    at t2 = 2^(ord - ell - 1), and the seeds are evaluated once for the
-    block."""
+    u's square class: its Legendre symbol for odd p, and u itself for
+    p = 2, which layout.at reads modulo min(8, 2^(k - ord)).  A type II
+    block's counts read the target only through its order (see
+    _scaled_type2_counts), so each order takes one value, at
+    t2 = 2^(ord - ell - 1), and the seeds are evaluated once per block."""
     pp, first = layout.pp, layout.first
     p, k = pp.p, pp.k
-    total, nprim = [0] * len(layout.syms), [0] * len(layout.syms)
+    total, nprim = [0] * len(layout), [0] * len(layout)
     if isinstance(blk, TypeI):
         ord_d, cop_d = valuation(pp, blk.d % pp.q)
         if ord_d == INF:
             total[0], nprim[0] = p**k, p ** (k - 1)
             return total, nprim
         total[0] = nprim[0] = p ** ((k + ord_d) // 2)
-        odd_slot = p != 2 and legendre(cop_d, p) < 0
+        sgn = cop_d if p == 2 else legendre(cop_d, p)
         for o in range(ord_d, k, 2):
-            if p == 2:
-                slot, mult = cop_d % min(8, 2 ** (k - o)) >> 1, 4 if k - o >= 3 else k - o
-            else:
-                slot, mult = odd_slot, 2
-            i = first[o] + slot
+            i, mult = layout.at(o, sgn), 2 if p != 2 else 4 if k - o >= 3 else k - o
             total[i] = mult * p ** ((o + ord_d) // 2)
             if o > ord_d:
                 nprim[i] = total[i]
@@ -237,19 +225,15 @@ def block_table(blk: Block, layout: SymbolLayout) -> Table:
     return total, nprim
 
 
-def chain_tables(
-    blocks: tuple[Block, ...], pp: PrimePower, layout: SymbolLayout | None = None
-) -> tuple[list[Table], list[Table]]:
+def chain_tables(blocks: tuple[Block, ...], layout: SymbolLayout) -> tuple[list[Table], list[Table]]:
     """Per-block and suffix count tables, one entry per inhabited symbol.
 
     suffix[j], at the position of g in the layout, counts representations
     of (any target of symbol g) by the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
-    the tail's.  No blocks give no tables.  The layout of pp is made
-    here unless one is passed in.
+    the tail's.  No blocks give no tables.
     """
-    layout = layout or SymbolLayout(pp)
     per_block = [block_table(blk, layout) for blk in blocks]
     suffix: list[Table] = per_block[-1:]
     for head in reversed(per_block[:-1]):
@@ -286,8 +270,8 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
 
 
 def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
-    """One list of _convolve for odd p, where G = 1 and order o holds
-    positions 2o + 1 (sign 1) and 2o + 2 (sign -1).
+    """One list of _convolve for odd p, where G = 1 and order o = i >> 1
+    holds positions i = 2o + 1 (sign 1) and 2o + 2 (sign -1).
 
     The near cells of g = (o, s) are the pairs of order-o symbols, of
     size p^(k-o-1) (P4 - (s1 + s2)(eps s1 + s)/4) (split_pair_count_mod_p)
@@ -299,7 +283,7 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     with H_o and C_o the head and tail summed over both signs of order
     o; (o, eps s) is the negated symbol of g.
     """
-    p, k, sizes, neg = layout.pp.p, layout.pp.k, layout.sizes, layout.neg
+    p, k, size, neg = layout.pp.p, layout.pp.k, layout.size, layout.neg
     p4, eps = (p - p % 4) // 4, 1 if p % 4 == 1 else -1
     level = [0] * len(h)
     # down the orders: A and C over the orders above o
@@ -307,8 +291,8 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     for i in range(len(h) - 2, 0, -2):
         level[i] = c[i] * a + h[i] * s
         level[i + 1] = c[i + 1] * a + h[i + 1] * s
-        a += sizes[i] * (h[i] + h[i + 1])
-        s += sizes[i] * (c[i] + c[i + 1])
+        a += size[i >> 1] * (h[i] + h[i + 1])
+        s += size[i >> 1] * (c[i] + c[i + 1])
     # up the orders: B over the orders below o, and the near cells
     b, w = 0, p ** (k - 1)
     for i in range(1, len(h), 2):
@@ -316,7 +300,7 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
         both, e = w * p4 * (h1 + h2) * (c[i] + c[i + 1]), eps * w
         level[i] += b + both - e * h[n1] * c[n1]
         level[i + 1] += b + both - e * h[n2] * c[n2]
-        b += sizes[i] * (h1 * c[n1] + h2 * c[n2])
+        b += size[i >> 1] * (h1 * c[n1] + h2 * c[n2])
         w //= p
     level[0] = b + h[0] * c[0]
     return level
@@ -348,7 +332,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     The slots are read as four, mod 4: an order of M < 4 slots repeated
     4/M times gives the same up(o, x), and 4/M times its D at v mod M.
     """
-    k, first, sizes = layout.pp.k, layout.first, layout.sizes
+    k, first, size = layout.pp.k, layout.first, layout.size
     level = [0] * len(h)
     # down the orders: A and C over the orders >= o + 3, and up(o, x);
     # upper and upper2 are |g1| times the head and tail of orders o + 1
@@ -368,7 +352,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
             c2 * a + h2 * s + e1 * c1 + e2 * c0 + e3 * c3 + f1 * h1 + f2 * h0 + f3 * h3,
             c3 * a + h3 * s + e1 * c2 + e2 * c1 + e3 * c0 + f1 * h2 + f2 * h1 + f3 * h0,
         )[: hi - lo]
-        w = sizes[lo]
+        w = size[o]
         upper, upper2 = (
             (w * sum(h[lo:hi:2]), w * sum(h[lo + 1 : hi : 2]), w * sum(c[lo:hi:2]), w * sum(c[lo + 1 : hi : 2])),
             upper,
@@ -384,7 +368,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
         c0, c1, c2, c3 = c[lo:hi] * (4 // (hi - lo))
         base = b_sum[o] + d2[1]
         level[lo:hi] = [x + base + d for x, d in zip(level[lo:hi], (d1[0], d1[2], d1[0], d1[2]))]
-        w, n = sizes[lo], 4 // (hi - lo)
+        w, n = size[o], 4 // (hi - lo)
         d1, d2 = [
             w * x // n
             for x in (
@@ -411,7 +395,7 @@ class PreparedForm:
     and tails[j] that of the direct sum blocks[j+1:]: the suffix tables
     of chain_tables(blocks[1:]), the levels the chain walk reads.  Each
     is a Table, (total, non-primitive) lists indexed by the positions of
-    layout.syms.  The top level, the table of all the blocks, is not
+    the layout.  The top level, the table of all the blocks, is not
     built: count reads it at one symbol, as a sum over the split cells
     of the head block and the first tail, and table builds it in full on
     every read, as a {symbol: RepCounts} dict.  Nothing here changes
@@ -471,7 +455,7 @@ def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
     layout = SymbolLayout(pp)
     if not bd.blocks:
         return PreparedForm(pp, bd, layout, [], [])
-    per_tail, tails = chain_tables(bd.blocks[1:], pp, layout)
+    per_tail, tails = chain_tables(bd.blocks[1:], layout)
     per_block = [block_table(bd.blocks[0], layout), *per_tail]
     return PreparedForm(pp, bd, layout, per_block, tails)
 

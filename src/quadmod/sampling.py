@@ -10,7 +10,8 @@ hold, and scans the cells in order to the one that holds the draw.
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
 solution class returns None (NoSolution); exhausting the retry cap of
-a randomized search raises LasVegasFail (Fail).  All case selection
+a randomized search raises LasVegasFail (Fail); a kind that is not a
+RepKind raises DomainError before any draw.  All case selection
 draws exact big-integer weights via uniform_below -- no floats, so a
 fixed seed gives a fixed transcript.
 
@@ -82,6 +83,11 @@ class RejectionStats:
 
 
 split_rejection_stats = RejectionStats()
+
+
+def _check_kind(kind: RepKind) -> None:
+    if not isinstance(kind, RepKind):
+        raise DomainError(f"kind must be a RepKind, got {kind!r}")
 
 
 def _choose_kind(c: RepCounts, kind: RepKind, rng: RandomSource) -> bool | None:
@@ -189,6 +195,7 @@ def sample_type1(
     d: int, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
 ) -> int | None:
     """Uniform x with d*x^2 = t mod p^k in the requested class."""
+    _check_kind(kind)
     t %= pp.q
     g = symbol_of(pp, t)
     want_prim = _choose_kind(count_type1(d, pp, g), kind, rng)
@@ -283,6 +290,7 @@ def sample_type2(
     blk: TypeII, k: int, t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, int] | None:
     """Uniform (x1, x2) with 2^(ell+1)(a x1^2 + b x1x2 + c x2^2) = t mod 2^k."""
+    _check_kind(kind)
     t %= 2**k
     want_prim = _choose_kind(count_type2(blk, k, symbol_of(TWO.with_exponent(k), t)), kind, rng)
     if want_prim is None:
@@ -341,13 +349,13 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: 
     walk only picks cells of non-zero weight.  The tail's target has the
     symbol g2 of its cell, the next step's target symbol, and the head's
     value has the symbol g1, so no step takes a symbol or a count again."""
-    pp, layout, blocks, syms = form.pp, form.layout, form.blocks, form.layout.syms
-    i = layout.index(symbol_of(pp, t))
+    pp, layout, blocks, g = form.pp, form.layout, form.blocks, symbol_of(form.pp, t)
+    i = layout.index(g)
     y: list[int] = []
     for j in range(len(blocks) - 1):
         r = uniform_below(total, rng)
         i1, i2, head_prim, want_prim = _pick_cell(layout, form.per_block[j], form.tails[j], i, want_prim, r)
-        blk, g, g1, g2 = blocks[j], syms[i], syms[i1], syms[i2]
+        blk, g1, g2 = blocks[j], layout.symbol(i1), layout.symbol(i2)
         if isinstance(blk, TypeI) and g1.ord != INF and (g1.ord != g.ord or g2.ord == g.ord):
             x, t = _sample_head_type1(blk.d, pp, t, g, g1, g2, rng)
             y.append(x)
@@ -355,8 +363,8 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: 
             a, t = _split(pp, t, g, g1, g2, rng)
             y.extend(_sample_block(blk, pp, a, g1, head_prim, rng))
         c_tot, c_np = form.tails[j]
-        total, i = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2
-    y.extend(_sample_block(blocks[-1], pp, t, syms[i], want_prim, rng))
+        total, i, g = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2, g2
+    y.extend(_sample_block(blocks[-1], pp, t, g, want_prim, rng))
     return y
 
 
@@ -446,6 +454,7 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     block form.  Nothing is diagonalized or tabulated here, so repeated
     draws of one prepared form pay only for the walk.
     """
+    _check_kind(kind)
     return _sample_counted(form, t, kind, rng, form.count(t))
 
 
@@ -504,12 +513,12 @@ def sample_factors(
     rest unconstrained" and "this factor primitive, constraint pending".
     """
     _check_factors([form.pp for form in forms])
+    _check_kind(kind)
     per = [form.count(t) for form in forms]
 
     if kind is RepKind.NONPRIMITIVE:
         r = len(forms)
-        suffix_tot = [1] * (r + 1)
-        suffix_prim = [1] * (r + 1)
+        suffix_tot, suffix_prim = [1] * (r + 1), [1] * (r + 1)
         for j in range(r - 1, -1, -1):
             suffix_tot[j] = per[j].total * suffix_tot[j + 1]
             suffix_prim[j] = per[j].primitive * suffix_prim[j + 1]

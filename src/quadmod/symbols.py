@@ -10,9 +10,11 @@ The convolution kernel that glues per-block counts together is the
 split size: for a target t of symbol g, the number of pairs (a, b) with
 prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` numbers
 the inhabited symbols of one modulus, order by order: the count tables
-are lists indexed by those positions, and the layout holds, per
-position, the order, the class size and the position of the negated
-symbol.  Its ``partners`` is the single source of split cells: given
+are lists indexed by those positions.  The layout holds O(k) ints: a
+class size per order and, per position, the order and the position of
+the negated symbol (each order's slots reversed, or kept when
+p = 1 mod 4), and it makes a symbol from a position only where one is
+returned.  Its ``partners`` is the single source of split cells: given
 the positions of (g, g1) it lists only the g2 with a non-zero size, as
 (position, size), which is one symbol except when ord(g1) = ord(g).
 ``split_partners`` is the same list by symbol, and ``split_class_size``
@@ -27,15 +29,14 @@ above every order).  The near cells, within the gap, come from the
 signs in closed form (for p = 2 and equal orders, from one congruence
 on the signs), so a cell costs a few integer operations wherever it is
 read.  The chain walk and the count of one target read ``partners``;
-the count tables do not read it at all: they sum the far cells by order
-and the near cells by sign class in closed form (counting._convolve),
-so one level of their dynamic program costs O(S) products.  Each
-prepared form owns its layout; the module itself keeps no state between
-calls.
+the count tables sum the same cells by order and sign class instead
+(counting._convolve).  Each prepared form owns its layout; the module
+keeps no state between calls.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .modring import INF, DomainError, PrimePower, legendre, valuation
@@ -136,7 +137,7 @@ def split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSy
     if _is_empty(pp, g) or _is_empty(pp, g1):
         return []  # before index, which knows only inhabited symbols
     layout = SymbolLayout(pp)
-    return [(layout.syms[i2], size) for i2, size in layout.partners(layout.index(g), layout.index(g1))]
+    return [(layout.symbol(i2), size) for i2, size in layout.partners(layout.index(g), layout.index(g1))]
 
 
 def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) -> int:
@@ -148,57 +149,68 @@ def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) ->
     validated.
     """
     _check_symbol(pp, g2)
-    for h, size in split_partners(pp, g, g1):
-        if h == g2:
-            return size
-    return 0
+    return dict(split_partners(pp, g, g1)).get(g2, 0)
 
 
 class SymbolLayout:
-    """The positions of the inhabited symbols of one modulus, which index
-    every count table: ``syms[i]`` is the symbol at position i, in
-    enumerate_symbols order (the zero symbol at 0), and per position
-    ``ords`` holds its order (k for the zero symbol), ``sizes`` its class
-    size and ``neg`` the position of its negated symbol.  The symbols of
-    order o sit at positions first[o] <= i < first[o + 1], with signs
-    ascending for p = 2 and 1 before -1 for odd p; ``gap`` is the order
-    gap G.  Built order by order, and unchanged after construction:
-    ``partners`` computes every split cell by rule wherever it is read.
+    """The positions of the inhabited symbols of one modulus, in
+    enumerate_symbols order, which index every count table: the zero
+    symbol at 0, then order o at first[o] <= i < first[o + 1], one slot
+    x = i - first[o] per sign (2x + 1 for p = 2, in min(4, 2^(k-o-1))
+    slots; 1, -1 for odd p).  It holds O(k) ints: ``size[o]``, the class
+    size of order o (size[k] = 1 for the zero symbol), and per position
+    ``ords``, the order (k at 0), and ``neg``, the negated symbol: the
+    slots of each order reversed, or kept when p = 1 mod 4, where -1 is
+    a square.  ``gap`` is the order gap G.  Nothing changes after
+    construction: ``partners`` computes every split cell by rule.
     """
 
     def __init__(self, pp: PrimePower):
         p, k = pp.p, pp.k
         self.pp, self.gap = pp, 3 if p == 2 else 1
-        self.syms, self.ords, self.sizes, self.neg = [SYMBOL_ZERO], [k], [1], [0]
-        self.first: list[int] = []
+        size, first, ords, neg = [1] * (k + 1), [0] * (k + 1), [k], [0]
+        w = 1 if p == 2 else (p - 1) // 2
+        for o in range(k - 1, -1, -1):  # one running product, from the top order down
+            size[o] = w
+            if p != 2 or k - o >= 3:
+                w *= p
         for o in range(k):
-            lo = len(self.syms)
-            self.first.append(lo)
-            if p == 2:
-                m = min(8, 2 ** (k - o))
-                signs, size = range(1, m, 2), 2 ** (k - o - 3) if k - o >= 3 else 1
-                neg = [lo + (-s % m >> 1) for s in signs]
-            else:
-                signs, size = (1, -1), (p - 1) // 2 * p ** (k - o - 1)
-                neg = [lo, lo + 1] if p % 4 == 1 else [lo + 1, lo]
-            self.syms += [PkSymbol(o, s) for s in signs]
-            self.ords += [o] * len(signs)
-            self.sizes += [size] * len(signs)
-            self.neg += neg
-        self.first.append(len(self.syms))
+            lo, slots = len(ords), 2 if p != 2 else min(4, 1 << (k - o - 1))
+            first[o] = lo
+            ords += [o] * slots
+            neg += range(lo, lo + slots) if p % 4 == 1 else range(lo + slots - 1, lo - 1, -1)
+        first[k] = len(ords)
+        self.size, self.first, self.ords, self.neg = size, first, ords, neg
+
+    def __len__(self) -> int:
+        return len(self.ords)
+
+    def at(self, o: int, s: int) -> int:
+        """The position of the symbol of finite order o and sign s (1 or
+        -1 for odd p; for p = 2 any odd s, read modulo min(8, 2^(k - o)))."""
+        lo = self.first[o]
+        if self.pp.p == 2:
+            return lo + (s % (2 * (self.first[o + 1] - lo)) >> 1)
+        return lo + (s < 0)
 
     def index(self, g: PkSymbol) -> int:
         """The position of the inhabited symbol g."""
-        if g.ord == INF:
-            return 0
-        return self.first[g.ord] + (g.sgn >> 1 if self.pp.p == 2 else g.sgn < 0)
+        return 0 if g.ord == INF else self.at(g.ord, g.sgn)
+
+    def symbol(self, i: int) -> PkSymbol:
+        """The symbol at position i."""
+        if not i:
+            return SYMBOL_ZERO
+        o = self.ords[i]
+        x = i - self.first[o]
+        return PkSymbol(o, 2 * x + 1 if self.pp.p == 2 else (1, -1)[x])
 
     def partners(self, i: int, i1: int) -> list[tuple[int, int]]:
-        """The non-zero split sizes at (syms[i], syms[i1]), as
+        """The non-zero split sizes at (symbol(i), symbol(i1)), as
         (position, size) in position order.
 
         Case analysis on the orders (a + b = t forces the two smallest of
-        the three orders to be equal), for t of symbol g = syms[i]:
+        the three orders to be equal), for t of symbol g = symbol(i):
 
         * a = 0: the pair is (0, t), so g2 = g with one pair.
         * t = 0: pairs are (a, -a), so g2 is the negated class of g1 and
@@ -215,23 +227,22 @@ class SymbolLayout:
         """
         if i1 == 0:
             return [(i, 1)]
-        size = self.sizes[i1]
+        o1 = self.ords[i1]
         if i == 0:
-            return [(self.neg[i1], size)]
-        o, o1 = self.ords[i], self.ords[i1]
+            return [(self.neg[i1], self.size[o1])]
+        o, size = self.ords[i], self.size[o1]
         if o1 >= o + self.gap:
             return [(i, size)]
         if o1 <= o - self.gap:
             return [(self.neg[i1], size)]
-        if o1 != o:  # only for p = 2 (G = 3): the difference's sign, mod 2 * slots
-            s, s1 = self.syms[i].sgn, self.syms[i1].sgn
-            lo, sgn = (o, s - (s1 << o1 - o)) if o1 > o else (o1, (s << o - o1) - s1)
-            return [(self.first[lo] + (sgn % (2 * (self.first[lo + 1] - self.first[lo])) >> 1), size)]
+        if o1 != o:  # only for p = 2 (G = 3): the sign of the difference
+            s, s1 = 2 * (i - self.first[o]) + 1, 2 * (i1 - self.first[o1]) + 1
+            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), size)]
         near = self._near(i, i1, o)
         if i1 != i:
             return near
         far = self.first[min(o + self.gap, self.pp.k)]
-        return [(0, 1), *near, *zip(range(far, len(self.syms)), self.sizes[far:])]
+        return [(0, 1), *near, *zip(range(far, len(self.ords)), map(self.size.__getitem__, self.ords[far:]))]
 
     def _near(self, i: int, i1: int, o: int) -> list[tuple[int, int]]:
         """The partners of finite order below o + G at two symbols of one
@@ -247,22 +258,21 @@ class SymbolLayout:
         times an odd e, and then s2 = e modulo m / 2^delta; the solutions
         are the inhabited signs of order o + delta in that residue class.
         """
-        p, k, first = self.pp.p, self.pp.k, self.first
-        s, s1 = self.syms[i].sgn, self.syms[i1].sgn
-        out = []
+        p, k, first, out = self.pp.p, self.pp.k, self.first, []
         if p != 2:
-            scale = p ** (k - o - 1)
+            lo, scale = first[o], p ** (k - o - 1)
+            s, s1 = (1, -1)[i - lo], (1, -1)[i1 - lo]
             for j, s2 in enumerate((1, -1)):
                 mod_p = split_pair_count_mod_p(p, s1, s2, s)
                 if mod_p:
-                    out.append((first[o] + j, mod_p * scale))
+                    out.append((lo + j, mod_p * scale))
             return out
         m = min(8, 2 ** (k - o))
-        d = (s - s1) % m
+        d = 2 * (i - i1) % m  # s - s1, from the slots 2x + 1 of one order
         for delta in range(1, min(3, k - o)):
             e = d >> delta
             if d & ((1 << delta) - 1) or not e & 1:
                 continue
             lo, hi = first[o + delta], first[o + delta + 1]
-            out.extend((lo + (s2 >> 1), self.sizes[lo]) for s2 in range(e, 2 * (hi - lo), m >> delta))
+            out += zip(range(lo + (e >> 1), hi, m >> (delta + 1)), repeat(self.size[o + delta]))  # slots (s2 - 1) / 2
         return out

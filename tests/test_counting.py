@@ -299,9 +299,9 @@ P127 = 2**127 - 1
 
 
 def symbol_chain_tables(blocks, pp):
-    """chain_tables(blocks, pp) with each table read through symbol_table."""
+    """chain_tables(blocks, layout) with each table read through symbol_table."""
     layout = SymbolLayout(pp)
-    per_block, suffix = chain_tables(blocks, pp, layout)
+    per_block, suffix = chain_tables(blocks, layout)
     return [symbol_table(layout, t) for t in per_block], [symbol_table(layout, t) for t in suffix]
 
 

@@ -277,6 +277,32 @@ def test_sample_composite_nonprimitive_means_some_prime():
         assert v is not None and gcd(15, *v) > 1
 
 
+ONE_FACTOR, TWO_FACTORS = [PrimePower(3, 2)], [PrimePower(2, 3), PrimePower(3, 2)]
+KIND_SAMPLERS = {
+    "sample_form": lambda kind, rng: sample_form([[1]], ONE_FACTOR[0], 0, kind, rng),
+    "sample_prepared": lambda kind, rng: sample_prepared(prepare([[1]], ONE_FACTOR[0]), 0, kind, rng),
+    "sample_prepared_zero_dim": lambda kind, rng: sample_prepared(prepare([], ONE_FACTOR[0]), 0, kind, rng),
+    "sample_composite": lambda kind, rng: sample_composite([[1]], TWO_FACTORS, 0, kind, rng),
+    "sample_factors": lambda kind, rng: sample_factors([prepare([[1]], pp) for pp in TWO_FACTORS], 3, kind, rng),
+    "sample_type1": lambda kind, rng: sample_type1(1, ONE_FACTOR[0], 0, kind, rng),
+    "sample_type2": lambda kind, rng: sample_type2(TypeII(0, 0, 1, 0), 2, 2, kind, rng),
+}
+
+
+@pytest.mark.parametrize("name", KIND_SAMPLERS)
+@pytest.mark.parametrize("kind", ["primitive", None], ids=["str", "None"])
+def test_samplers_reject_a_kind_that_is_not_a_repkind(name, kind):
+    # a string or None is neither coerced nor read as ANY: every public
+    # sampler raises before its first draw.  (Read as ANY, x^2 = 0 mod 9
+    # would give the non-primitive (0,), (3,) or (6,); PRIMITIVE gives None.)
+    assert sample_form([[1]], ONE_FACTOR[0], 0, RepKind.PRIMITIVE, random.Random(1)) is None
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(DomainError, match="RepKind"):
+        KIND_SAMPLERS[name](kind, rng)
+    assert rng.getstate() == state
+
+
 def test_sample_composite_single_factor_matches_form():
     pp = PrimePower(7, 1)
     got = draws(lambda r: sample_composite(I2, [pp], 2, RepKind.ANY, r), 400, seed=3)

@@ -6,6 +6,7 @@ import quadmod.symbols
 from quadmod.modring import INF, DomainError, PrimePower, legendre
 from quadmod.symbols import (
     PkSymbol,
+    SymbolLayout,
     class_size,
     enumerate_symbols,
     split_class_size,
@@ -193,6 +194,33 @@ def symbol_rep(pp, g):
     """The least p^ord * u of symbol g with u a small positive integer."""
     u = next(u for u in range(1, 8 * pp.p) if symbol_of(pp, pp.p**g.ord * u) == g)
     return pp.p**g.ord * u
+
+
+P127 = 2**127 - 1
+LAYOUT_GRID = [PrimePower(2, k) for k in (*range(1, 13), 60)] + [
+    PrimePower(p, k) for p in (3, 5, 7, 13, P127) for k in (*range(1, 7), 60)
+]
+
+
+@pytest.mark.parametrize("pp", LAYOUT_GRID, ids=lambda pp: f"{pp.p if pp.p < 100 else 'P127'}^{pp.k}")
+def test_layout_rule_matches_the_symbol_functions(pp):
+    # positions, per-order sizes and negations come from the layout's one
+    # position rule; each is checked against the per-symbol functions
+    layout = SymbolLayout(pp)
+    inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
+    assert [layout.symbol(i) for i in range(len(layout))] == inhabited
+    for i, g in enumerate(inhabited):
+        assert layout.index(layout.symbol(i)) == i
+        assert layout.size[layout.ords[i]] == class_size(pp, g)
+        assert layout.symbol(layout.neg[i]) == symbol_of(pp, -symbol_rep(pp, g) if i else 0)
+    # O(k) data: no symbol is stored, and no per-position big int
+    lists = {name: v for name, v in vars(layout).items() if isinstance(v, list)}
+    assert sorted(lists) == ["first", "neg", "ords", "size"]
+    assert len(layout.first) == len(layout.size) == pp.k + 1
+    assert not [v for v in vars(layout).values() if isinstance(v, PkSymbol)]
+    assert all(type(x) is int for v in lists.values() for x in v)
+    for v in (layout.ords, layout.neg):
+        assert len(v) == len(layout) and all(0 <= x < len(layout) for x in v)
 
 
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
