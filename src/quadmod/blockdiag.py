@@ -23,7 +23,8 @@ the whole pass O(n^3).
 
 The elimination does not build U: it records its moves, and
 BlockDiagForm.u replays them on the identity (basis_change) the first
-time it is read.  A count reads the blocks only, so it never pays for U.
+time it is read.  A count reads the blocks only, and a draw applies the
+moves to one vector (BlockDiagForm.u_times), so neither pays for U.
 
 Matrices are plain lists of lists of ints, reduced mod p^k.
 """
@@ -98,6 +99,19 @@ class BlockDiagForm:
     def u(self) -> tuple[tuple[int, ...], ...]:
         return basis_change(sum(b.dim for b in self.blocks), self.moves, self.modulus.q)
 
+    def u_times(self, y: list[int]) -> tuple[int, ...]:
+        """u y mod q, without building u.  u is the product of the
+        moves' elementary matrices in order, so u y applies them to y
+        last move first: a shear (c, s, a) adds a y[c] to y[s], and a
+        swap (i, j) makes (y[i], y[j]) = (-y[j], y[i])."""
+        q, y = self.modulus.q, list(y)
+        for c, s, a in reversed(self.moves):
+            if a is None:
+                y[c], y[s] = -y[s], y[c]
+            else:
+                y[s] = (y[s] + a * y[c]) % q
+        return tuple(v % q for v in y)
+
 
 class AsymmetricEntry(DomainError):
     """The matrix differs from its transpose at entry (i, j), i > j."""
@@ -121,10 +135,6 @@ def check_symmetric(q_mat: Matrix) -> int:
 
 def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, v: list[int], q: int) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) % q for row in a]
 
 
 def integer_det(a: Matrix) -> int:

@@ -3,9 +3,10 @@
 Per-block closed forms (1x1 blocks for any p, 2x2 blocks for p = 2)
 are glued together by a dynamic program over p^k-symbols: the count of
 a direct sum at target symbol g is the sum over symbol pairs (g1, g2)
-of the split size (g; g1, g2) times the factors' counts.  Totals and
-non-primitive counts both satisfy that convolution (a vector is
-non-primitive iff every component block is), and primitive = total -
+of the split size (g; g1, g2) times the factors' counts.  Only the
+totals go through that convolution.  A non-primitive vector is p times
+another, so a level's non-primitive counts are its totals two orders
+down, scaled by a power of p (_nonprimitive); primitive = total -
 non-primitive.
 
 Every table is two parallel int lists, total and non-primitive counts,
@@ -22,14 +23,14 @@ cells of every target come from three running sums by order.  The near
 cells, g1 within G of ord(g) paired with the finite partners below
 ord(g) + G, come in closed form from per-order sums by sign class, with
 no list of partners (_level_odd, _level_two).  One pass down the orders
-and one up build a level: O(S) big-integer products over the S
+and one up build a level's totals: O(S) big-integer products over the S
 symbols, where the full convolution made one per non-zero (g, g1, g2)
-cell.
+cell.  One more pass reads its non-primitive list off those totals.
 
 ``prepare`` diagonalizes a form and builds, once, the tables the chain
 walk reads: each block's table, filled order by order, and the levels
 of the tail after the first block.  The top level is read at one target
-per count, as a sum over the split cells of that target
+per count, the same sums by order taken at that target alone
 (PreparedForm.count), and is built in full only when PreparedForm.table
 is read.  Every public count, and every draw of the sampling module,
 reads a prepared form.  A composite modulus is a list of prepared
@@ -232,21 +233,25 @@ def chain_tables(blocks: tuple[Block, ...], layout: SymbolLayout) -> tuple[list[
     of (any target of symbol g) by the direct sum of blocks[j:].  Built back to front: the target
     splits as a value hit by the head block plus one hit by the tail,
     and each level is the split convolution of the head's table with
-    the tail's.  No blocks give no tables.
+    the tail's, in the level's number of variables.  No blocks give no
+    tables.
     """
     per_block = [block_table(blk, layout) for blk in blocks]
     suffix: list[Table] = per_block[-1:]
-    for head in reversed(per_block[:-1]):
-        suffix.append(_convolve(layout, head, suffix[-1]))
+    m = sum(blk.dim for blk in blocks[-1:])
+    for blk, head in zip(reversed(blocks[:-1]), reversed(per_block[:-1])):
+        m += blk.dim
+        suffix.append(_convolve(layout, head, suffix[-1], m))
     suffix.reverse()
     return per_block, suffix
 
 
-def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
-    """The level step of chain_tables: the table of head + tail, whose
-    entry at g sums split size times h(g1) times c(g2) over the split
-    cells (g1, g2).  The sum is bilinear in (h, c), so the totals and
-    the non-primitive counts each go through it on their own.
+def _convolve(layout: SymbolLayout, head: Table, tail: Table, m: int) -> Table:
+    """The level step of chain_tables: the table of head + tail, in m
+    variables in all.  Its total at g sums split size times h(g1) times
+    c(g2) over the split cells (g1, g2) of the totals; its non-primitive
+    list follows from those totals (_nonprimitive), so the level kernel
+    runs once.
 
     With o = ord(g) and the zero symbol counted at order k with class
     size 1, every cell whose orders are G apart has a size fixed by the
@@ -266,7 +271,90 @@ def _convolve(layout: SymbolLayout, head: Table, tail: Table) -> Table:
     adding the near cells on the way: O(S) products over S symbols.
     """
     level = _level_two if layout.pp.p == 2 else _level_odd
-    return level(layout, head[0], tail[0]), level(layout, head[1], tail[1])
+    total = level(layout, head[0], tail[0])
+    return total, _nonprimitive(layout, total, m)
+
+
+def _nonprimitive(layout: SymbolLayout, total: list[int], m: int) -> list[int]:
+    """The non-primitive list of a level in m >= 2 variables, read off
+    its total list in one pass.
+
+    A non-primitive x is p y, and Q(p y) = p^2 Q(y), so it needs p^2 | t
+    and then nprim_k(t) = p^m N_(k-2)(t / p^2), as y mod p^(k-1) has p^m
+    lifts of each y mod p^(k-2).  In turn each x mod p^(k-2) has p^(2m)
+    lifts mod p^k, so N_(k-2)(t') is p^(-2m) times the sum of N_k over
+    the p^2 lifts t' + j p^(k-2) of t'.  Hence, at orders 2 <= o < k,
+
+        nprim(o, s) = p^(-m) sum over j < p^2 of tot(o - 2, s + j p^(k-o))
+        nprim(0)    = p^(-m) (tot(0) + sum over ord g >= k - 2 of |g| tot(g))
+
+    and nprim is 0 at orders 0 and 1.  A lift keeps its sign, which is
+    read modulo p (odd p) or min(8, 2^(k-o+2)) (p = 2), except at the
+    top two orders of p = 2; everywhere else the sum is p^2 tot(o - 2, s),
+    the entry two orders below.  At k = 1 the one non-primitive x = 0
+    hits only t = 0.
+    """
+    p, k, first, size = layout.pp.p, layout.pp.k, layout.first, layout.size
+    nprim = [0] * len(total)
+    if k == 1:
+        nprim[0] = 1
+        return nprim
+    lifts = p**m
+    nprim[0] = (total[0] + sum(size[o] * sum(total[first[o] : first[o + 1]]) for o in (k - 2, k - 1))) // lifts
+    top = max(2, k - 2) if p == 2 else k  # every order 2 <= o < top keeps its sign in each lift
+    scale = p ** (m - 2)
+    nprim[first[2] : first[top]] = [x // scale for x in total[1 : first[top - 2]]]
+    for o in range(top, k):
+        step = 1 << (k - o)
+        for i in range(first[o], first[o + 1]):
+            s = 2 * (i - first[o]) + 1
+            nprim[i] = sum(total[layout.at(o - 2, s + j * step)] for j in range(4)) // lifts
+    return nprim
+
+
+def _level_entry(layout: SymbolLayout, h: list[int], c: list[int], i: int) -> int:
+    """The entry at position i of the level of head h and tail c, as
+    _convolve's formula at one target: c(g) A[o+G] + h(g) C[o+G] +
+    B[o-G] plus the near cells (layout.near) of every g1 less than G
+    orders from o, or B[k-1] + h(0) c(0) at the zero symbol.  A, C and
+    B are class sizes times sums by order (_sized_sum)."""
+    k, first, neg = layout.pp.k, layout.first, layout.neg
+
+    def below(hi: int) -> int:  # B over the orders < hi: each g1 with -g1
+        return _sized_sum(layout, [x * c[n] for x, n in zip(h[: first[hi]], neg)], 0, hi)
+
+    if i == 0:
+        return h[0] * c[0] + below(k)
+    o = layout.ords[i]
+    near, far = max(o - layout.gap + 1, 0), min(o + layout.gap, k)
+    entry = below(near)
+    if c[i]:
+        entry += c[i] * (h[0] + _sized_sum(layout, h, far, k))
+    if h[i]:
+        entry += h[i] * (c[0] + _sized_sum(layout, c, far, k))
+    for i1 in range(first[near], first[far]):
+        if h[i1]:
+            entry += h[i1] * sum(w * c[i2] for i2, w in layout.near(i, i1))
+    return entry
+
+
+def _sized_sum(layout: SymbolLayout, x: list[int], lo: int, hi: int) -> int:
+    """The sum of size[o] x[i] over the positions i of the finite orders
+    lo <= o < hi, by Horner's rule.
+
+    size[o - 1] is p size[o], except at the top two orders of p = 2,
+    which have the class size 1 of order k - 3.  So up the orders below
+    those, the sum so far is multiplied by p and adds the next order's
+    slots, and is multiplied once by the class size of its last order;
+    the top orders then add their slots.  That is O(k) products by p,
+    where a product per order would multiply two big integers.
+    """
+    p, k, first = layout.pp.p, layout.pp.k, layout.first
+    slots, bulk = (4, min(hi, max(lo, k - 2))) if p == 2 else (2, hi)
+    acc = 0
+    for row in zip(*(x[first[lo] + j : first[bulk] : slots] for j in range(slots))):
+        acc = acc * p + sum(row)
+    return (acc * layout.size[bulk - 1] if bulk > lo else 0) + sum(x[first[bulk] : first[hi]])
 
 
 def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
@@ -396,11 +484,13 @@ class PreparedForm:
     of chain_tables(blocks[1:]), the levels the chain walk reads.  Each
     is a Table, (total, non-primitive) lists indexed by the positions of
     the layout.  The top level, the table of all the blocks, is not
-    built: count reads it at one symbol, as a sum over the split cells
-    of the head block and the first tail, and table builds it in full on
-    every read, as a {symbol: RepCounts} dict.  Nothing here changes
-    after prepare, u aside: the near cells that counts and draws read
-    are computed by rule, not stored.
+    built: count reads it at one symbol from the head block and the
+    first tail, the far cells summed by order and the near ones listed
+    by the layout, and table builds it in full on every read, as a
+    {symbol: RepCounts} dict.  Nothing here changes after prepare, u
+    aside: the near cells that counts and draws read are computed by
+    rule, not stored, and a draw applies the moves to its vector rather
+    than read u.
     """
 
     pp: PrimePower
@@ -425,26 +515,28 @@ class PreparedForm:
         variables, the one solution at target 0)."""
         if not self.blocks:
             return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
-        head = self.per_block[0]
-        return symbol_table(self.layout, _convolve(self.layout, head, self.tails[0]) if self.tails else head)
+        head, m = self.per_block[0], sum(blk.dim for blk in self.blocks)
+        return symbol_table(self.layout, _convolve(self.layout, head, self.tails[0], m) if self.tails else head)
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k:
-        the top level's entry at t's symbol g, summed over the split
-        cells (g1, g2) of g that the chain walk's first step draws from."""
-        g = symbol_of(self.pp, t)
+        the top level's entry at t's symbol g, the sum over the split
+        cells of g that the chain walk's first step draws from.  The
+        cells at least G orders from ord g are summed by order, with
+        the class sizes put in by Horner's rule, and the near cells are
+        read from layout.near (_level_entry); both lists of the top
+        level go through that sum."""
+        return self._count_at(symbol_of(self.pp, t))
+
+    def _count_at(self, g: PkSymbol) -> RepCounts:
+        """count at any target of symbol g."""
         if not self.blocks:
             return self.table.get(g, RepCounts(0, 0, 0))
         (h_tot, h_np), i = self.per_block[0], self.layout.index(g)
         if not self.tails:
             return RepCounts(h_tot[i], h_tot[i] - h_np[i], h_np[i])
         c_tot, c_np = self.tails[0]
-        total = nprim = 0
-        for i1, h in enumerate(h_tot):
-            if h:
-                for i2, size in self.layout.partners(i, i1):
-                    total += size * h * c_tot[i2]
-                    nprim += size * h_np[i1] * c_np[i2]
+        total, nprim = _level_entry(self.layout, h_tot, c_tot, i), _level_entry(self.layout, h_np, c_np, i)
         return RepCounts(total, total - nprim, nprim)
 
 

@@ -1,9 +1,10 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
 Draws read prepared forms (counting.prepare), whose tables are built
-once per prime-power factor and counted once per draw; the chain walk
-reads its split cells from the form's symbol layout, which computes the
-near cells by rule, and its table entries by symbol position.  Each
+once per prime-power factor and counted once per draw, at t's symbol,
+which is also taken once; the chain walk reads its split cells from the
+form's symbol layout, which computes the near cells by rule, and its
+table entries by symbol position.  Each
 step draws once below the count of its class, which the tables already
 hold, and scans the cells in order to the one that holds the draw.
 
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .blockdiag import Block, TypeI, TypeII, mat_vec
+from .blockdiag import Block, TypeI, TypeII
 from .counting import (
     PreparedForm,
     RepCounts,
@@ -333,13 +334,14 @@ def _sample_block(
     return _sample_type2(blk, pp.k, t, want_prim, rng)
 
 
-def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: RandomSource) -> list[int]:
-    """Uniform solution of the direct sum of the form's blocks at target
-    t in the given class, whose count is total, one block peeled off per
-    step: draw below the class's count (total, then the tail's entry at
-    the chosen g2) and scan to the cell (g1, g2) that holds the draw
-    (_pick_cell), give the head block a value of symbol g1 and the tail
-    the rest of the target, then go on with the tail.
+def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, total: int, rng: RandomSource) -> list[int]:
+    """Uniform solution of the direct sum of the form's blocks at a
+    reduced target t of symbol g in the given class, whose count is
+    total, one block peeled off per step: draw below the class's count
+    (total, then the tail's entry at the chosen g2) and scan to the cell
+    (g1, g2) that holds the draw (_pick_cell), give the head block a
+    value of symbol g1 and the tail the rest of the target, then go on
+    with the tail.
 
     A type I head with a finite g1 draws its x directly
     (_sample_head_type1), with no square root, except in a cell with
@@ -349,7 +351,7 @@ def _sample_chain(form: PreparedForm, t: int, want_prim: bool, total: int, rng: 
     walk only picks cells of non-zero weight.  The tail's target has the
     symbol g2 of its cell, the next step's target symbol, and the head's
     value has the symbol g1, so no step takes a symbol or a count again."""
-    pp, layout, blocks, g = form.pp, form.layout, form.blocks, symbol_of(form.pp, t)
+    pp, layout, blocks = form.pp, form.layout, form.blocks
     i = layout.index(g)
     y: list[int] = []
     for j in range(len(blocks) - 1):
@@ -451,17 +453,20 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     target splits between the first block and the rest (and how
     primitivity splits) with exact count weights, then go on with the
     rest.  Block solutions y pull back to x = U y since U'QU is the
-    block form.  Nothing is diagonalized or tabulated here, so repeated
+    block form, with U applied as the diagonalization's moves, so U is
+    never built.  Nothing is diagonalized or tabulated here, so repeated
     draws of one prepared form pay only for the walk.
     """
     _check_kind(kind)
-    return _sample_counted(form, t, kind, rng, form.count(t))
+    g = symbol_of(form.pp, t)
+    return _sample_counted(form, t, kind, rng, g, form._count_at(g))
 
 
 def _sample_counted(
-    form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, counts: RepCounts
+    form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, g: PkSymbol, counts: RepCounts
 ) -> tuple[int, ...] | None:
-    """sample_prepared given form.count(t), which the caller has taken."""
+    """sample_prepared given t's symbol g and form.count(t), which the
+    caller has taken."""
     pp = form.pp
     t %= pp.q
     if not form.blocks:
@@ -473,13 +478,13 @@ def _sample_counted(
     total = counts.primitive if want_prim else counts.nonprimitive
     for _ in range(RETRY_CAP):
         try:
-            y = _sample_chain(form, t, want_prim, total, rng)
+            y = _sample_chain(form, t, g, want_prim, total, rng)
             break
         except LasVegasFail:
             continue
     else:
         raise LasVegasFail("sampling driver exhausted its restarts")
-    return tuple(mat_vec(form.u, y, pp.q))
+    return form.diag.u_times(y)
 
 
 def sample_form(
@@ -514,7 +519,8 @@ def sample_factors(
     """
     _check_factors([form.pp for form in forms])
     _check_kind(kind)
-    per = [form.count(t) for form in forms]
+    syms = [symbol_of(form.pp, t) for form in forms]
+    per = [form._count_at(g) for form, g in zip(forms, syms)]
 
     if kind is RepKind.NONPRIMITIVE:
         r = len(forms)
@@ -528,20 +534,20 @@ def sample_factors(
         pending = True
         for j, form in enumerate(forms):
             if not pending:
-                parts.append(_sample_counted(form, t, RepKind.ANY, rng, per[j]))
+                parts.append(_sample_counted(form, t, RepKind.ANY, rng, syms[j], per[j]))
                 continue
             w_non = per[j].nonprimitive * suffix_tot[j + 1]
             w_prim = per[j].primitive * (suffix_tot[j + 1] - suffix_prim[j + 1])
             if uniform_below(w_non + w_prim, rng) < w_non:
-                parts.append(_sample_counted(form, t, RepKind.NONPRIMITIVE, rng, per[j]))
+                parts.append(_sample_counted(form, t, RepKind.NONPRIMITIVE, rng, syms[j], per[j]))
                 pending = False
             else:
-                parts.append(_sample_counted(form, t, RepKind.PRIMITIVE, rng, per[j]))
+                parts.append(_sample_counted(form, t, RepKind.PRIMITIVE, rng, syms[j], per[j]))
     else:
         needed = [c.primitive if kind is RepKind.PRIMITIVE else c.total for c in per]
         if any(cnt == 0 for cnt in needed):
             return None
-        parts = [_sample_counted(form, t, kind, rng, c) for form, c in zip(forms, per)]
+        parts = [_sample_counted(form, t, kind, rng, g, c) for form, g, c in zip(forms, syms, per)]
 
     # componentwise CRT
     q = math.prod(form.pp.q for form in forms)

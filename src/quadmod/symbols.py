@@ -28,8 +28,9 @@ every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  The near cells, within the gap, come from the
 signs in closed form (for p = 2 and equal orders, from one congruence
 on the signs), so a cell costs a few integer operations wherever it is
-read.  The chain walk and the count of one target read ``partners``;
-the count tables sum the same cells by order and sign class instead
+read.  The chain walk reads ``partners``; the count of one target sums
+the far cells by order and reads the near ones from ``near``, and the
+count tables sum every cell by order and sign class
 (counting._convolve).  Each prepared form owns its layout; the module
 keeps no state between calls.
 """
@@ -221,7 +222,7 @@ class SymbolLayout:
           bits that survive near the top of the ring); at least G
           orders apart that is g or -g1.  The size is the g1-class size.
         * ord(g1) = ord(t): b = t - a has order >= ord(t).  b = 0 needs
-          g1 = g (one pair).  The rest are the near cells (_near), and,
+          g1 = g (one pair).  The rest are the near cells (near), and,
           when g1 = g, every inhabited symbol of order >= ord(g) + G,
           each with the size of its class.
         """
@@ -235,30 +236,36 @@ class SymbolLayout:
             return [(i, size)]
         if o1 <= o - self.gap:
             return [(self.neg[i1], size)]
-        if o1 != o:  # only for p = 2 (G = 3): the sign of the difference
-            s, s1 = 2 * (i - self.first[o]) + 1, 2 * (i1 - self.first[o1]) + 1
-            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), size)]
-        near = self._near(i, i1, o)
+        near = self.near(i, i1)
         if i1 != i:
             return near
         far = self.first[min(o + self.gap, self.pp.k)]
         return [(0, 1), *near, *zip(range(far, len(self.ords)), map(self.size.__getitem__, self.ords[far:]))]
 
-    def _near(self, i: int, i1: int, o: int) -> list[tuple[int, int]]:
-        """The partners of finite order below o + G at two symbols of one
-        finite order o, in position order.
+    def near(self, i: int, i1: int) -> list[tuple[int, int]]:
+        """The partners of finite order below ord(g) + G at two finite
+        symbols g = symbol(i), g1 = symbol(i1) less than G orders apart,
+        in position order: all of partners(i, i1) but, when g1 = g, the
+        zero symbol and the orders >= ord(g) + G.
 
-        Odd p: b of order o, whose two signs reduce to the mod-p unit
+        Unequal orders (p = 2 only): the one partner is the symbol of the
+        difference, the lower order with the leading sign.  Equal orders
+        o, odd p: b of order o, whose two signs reduce to the mod-p unit
         count with the Legendre substitution, scaled by p^(k-o-1) free
-        digits.  p = 2 has none (two units sum to an even number); a
-        partner of order o + delta (delta = 1, 2, below k) is one whose
-        difference with g has symbol g1: s - 2^delta s2 = s1 modulo
-        m = min(8, 2^(k - o)), for the signs s, s1, s2 of g, g1, g2.  As
-        m >= 2^(delta + 1), that asks d = s - s1 (mod m) to be 2^delta
-        times an odd e, and then s2 = e modulo m / 2^delta; the solutions
-        are the inhabited signs of order o + delta in that residue class.
+        digits.  p = 2 has none of order o (two units sum to an even
+        number); a partner of order o + delta (delta = 1, 2, below k) is
+        one whose difference with g has symbol g1: s - 2^delta s2 = s1
+        modulo m = min(8, 2^(k - o)), for the signs s, s1, s2 of g, g1,
+        g2.  As m >= 2^(delta + 1), that asks d = s - s1 (mod m) to be
+        2^delta times an odd e, and then s2 = e modulo m / 2^delta; the
+        solutions are the inhabited signs of order o + delta in that
+        residue class.
         """
         p, k, first, out = self.pp.p, self.pp.k, self.first, []
+        o, o1 = self.ords[i], self.ords[i1]
+        if o1 != o:  # the sign of the difference
+            s, s1 = 2 * (i - first[o]) + 1, 2 * (i1 - first[o1]) + 1
+            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), self.size[o1])]
         if p != 2:
             lo, scale = first[o], p ** (k - o - 1)
             s, s1 = (1, -1)[i - lo], (1, -1)[i1 - lo]

@@ -12,7 +12,6 @@ from quadmod.blockdiag import (
     blocks_to_matrix,
     check_symmetric,
     integer_det,
-    mat_vec,
 )
 from quadmod.modring import DomainError, PrimePower
 
@@ -37,7 +36,6 @@ def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [0, 1]]
     assert mat_mul(a, b, q) == [[5, 1], [1, 1]]
-    assert mat_vec(a, [1, 1], q) == [3, 0]
 
 
 def test_type2_matrix_scaling():
@@ -96,6 +94,8 @@ def test_block_diagonalize_contract(inst):
     assert integer_det(u) % pp.q == 1
     assert apply_transform(mat, u, pp) == blocks_to_matrix(bd)
     assert sum(b.dim for b in bd.blocks) == n
+    y = [(3 * i + 1) % pp.q for i in range(n)]
+    assert list(bd.u_times(y)) == times(u, y, pp.q)
     for b in bd.blocks:
         if pp.p != 2:
             assert isinstance(b, TypeI)
@@ -145,3 +145,28 @@ def test_block_diagonalize_contract_wide(n, p, k):
         assert apply_transform(mat, u, pp) == blocks_to_matrix(bd)
         assert sum(b.dim for b in bd.blocks) == n
         assert all(b.b % 2 == 1 for b in bd.blocks if isinstance(b, TypeII))
+
+
+def times(u, y, q):
+    """u y mod q, as a dense product."""
+    return [row[0] for row in mat_mul(u, [[v] for v in y], q)]
+
+
+@pytest.mark.parametrize(
+    "n, p, k",
+    [(n, p, k) for n in (4, 12, 24) for p, k in ((2, 6), (3, 4), (P127, 2))],
+    ids=lambda v: "P127" if v == P127 else str(v),
+)
+def test_u_times_applies_the_moves_as_u(n, p, k):
+    # a draw pulls its block solution back through the recorded moves
+    # alone; both kinds of move must occur for the check to mean much
+    pp = PrimePower(p, k)
+    rng = random.Random(f"u_times {n} {p} {k}")
+    kinds = set()
+    for mat in wide_forms(n, p, k):
+        bd = block_diagonalize(mat, pp)
+        kinds |= {a is None for _, _, a in bd.moves}
+        for _ in range(3):
+            y = [rng.randrange(pp.q) for _ in range(n)]
+            assert list(bd.u_times(y)) == times(bd.u, y, pp.q)
+    assert kinds == {True, False}

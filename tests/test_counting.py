@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import CallCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadmod.blockdiag import TypeI, TypeII, block_diagonalize
+from quadmod import counting
+from quadmod.blockdiag import TypeI, TypeII, block_diagonalize, blocks_to_matrix
 from quadmod.counting import (
     RepCounts,
     SingularForm,
@@ -373,16 +375,16 @@ def test_chain_tables_match_dense_reference(pp):
 
 
 @st.composite
-def block_chains(draw):
-    """1 to 5 blocks mod p^k, k <= 6: type I with d = 0, a unit or p^e
-    times a unit (0 < e <= k + 1), and at p = 2 type II of any scale.
-    p = 2, whose level kernel has the most cases, is drawn three times
-    as often as each odd prime."""
-    pp = PrimePower(draw(st.sampled_from([2, 2, 2, 3, 5, 13, P127])), draw(st.integers(1, 6)))
+def block_chains(draw, primes=(2, 2, 2, 3, 5, 13, P127), kmax=6, min_blocks=1):
+    """min_blocks to 5 blocks mod p^k, k <= kmax: type I with d = 0, a
+    unit or p^e times a unit (0 < e <= k + 1), and at p = 2 type II of
+    any scale.  By default p = 2, whose level kernel has the most cases,
+    is drawn three times as often as each odd prime."""
+    pp = PrimePower(draw(st.sampled_from(primes)), draw(st.integers(1, kmax)))
     unit = st.integers(1, 10**6).filter(lambda u: u % pp.p)
     kinds = ["zero", "unit", "scaled"] + (["type2"] if pp.p == 2 else [])
     blocks = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(min_blocks, 5))):
         kind = draw(st.sampled_from(kinds))
         if kind == "type2":
             ell, a, c = draw(st.integers(0, pp.k)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
@@ -405,6 +407,34 @@ def test_position_tables_read_as_dicts_equal_the_dense_reference(chain):
     # position; the dict view must still list exactly the inhabited ones
     blocks, pp = chain
     assert symbol_chain_tables(blocks, pp) == reference_chain_tables(blocks, pp)
+
+
+@given(block_chains((2, 3, 5, P127), kmax=8, min_blocks=2))
+@example(((TypeI(1), TypeI(3)), PrimePower(2, 1)))
+@example(((TypeI(1), TypeII(0, 1, 1, 1), TypeI(0)), PrimePower(2, 3)))
+@example(((TypeI(3), TypeI(5), TypeI(6)), PrimePower(3, 2)))
+@settings(max_examples=150, deadline=None)
+def test_nonprimitive_levels_follow_from_the_totals(chain):
+    # a non-primitive x = p y has x'Qx = p^2 y'Qy, so each level's
+    # non-primitive list is read off its totals: chain_tables runs the
+    # level kernel once per level, and what it derives equals the
+    # kernel run on the non-primitive lists, and enumeration
+    blocks, pp = chain
+    layout = SymbolLayout(pp)
+    level = counting._level_two if pp.p == 2 else counting._level_odd
+    kernel = CallCounter(level)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, level.__name__, kernel)
+        per_block, suffix = chain_tables(blocks, layout)
+    assert kernel.calls == len(blocks) - 1
+    for j in range(len(blocks) - 1):
+        assert suffix[j][1] == level(layout, per_block[j][1], suffix[j + 1][1]), j
+    m = sum(blk.dim for blk in blocks)
+    if pp.q**m <= 4096:
+        q_mat = [[x % pp.q for x in row] for row in blocks_to_matrix(blocks)]
+        for t, counts in enumerate(histogram_counts(q_mat, pp)):
+            i = layout.index(symbol_of(pp, t))
+            assert (suffix[0][0][i], suffix[0][1][i]) == (counts.total, counts.nonprimitive), t
 
 
 def jordan_blocks(seed, p, profile):

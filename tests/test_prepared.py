@@ -189,6 +189,48 @@ def test_count_equals_the_full_top_level(q_mat, pp):
         assert form.count(symbol_rep(pp, g)) == table.get(g, RepCounts(0, 0, 0)), g
 
 
+def count_by_partners(form, t):
+    """form.count(t) as a sum over every split cell (g1, g2) of t's
+    symbol that layout.partners lists, one cell at a time."""
+    layout = form.layout
+    i = layout.index(symbol_of(form.pp, t))
+    (h_tot, h_np), (c_tot, c_np) = form.per_block[0], form.tails[0]
+    total = nprim = 0
+    for i1 in range(len(layout)):
+        for i2, size in layout.partners(i, i1):
+            total += size * h_tot[i1] * c_tot[i2]
+            nprim += size * h_np[i1] * c_np[i2]
+    return RepCounts(total, total - nprim, nprim)
+
+
+MIXED_2 = [[2, 1, 0, 0, 0], [1, 4, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 20]]
+FAR_CELL_FORMS = {
+    "Q4-P^30": (Q4, PrimePower(P127, 30)),
+    "Q4-3^12": (Q4, PrimePower(3, 12)),
+    "Q4-5^7": (Q4, PrimePower(5, 7)),
+    "Q4-2^12": (Q4, PrimePower(2, 12)),
+    "mixed-2^9": (MIXED_2, PrimePower(2, 9)),
+    "mixed-2^3": (MIXED_2, PrimePower(2, 3)),
+    "singular-3^5": ([[1, 0, 0], [0, 0, 0], [0, 0, 9]], PrimePower(3, 5)),
+    "dense-12-2^6": (dense_even(3, 12), PrimePower(2, 6)),
+}
+
+
+@pytest.mark.parametrize("q_mat, pp", FAR_CELL_FORMS.values(), ids=FAR_CELL_FORMS)
+def test_count_sums_the_far_cells_by_order(q_mat, pp):
+    # count adds the cells at least G orders from t's by order, with
+    # class sizes applied by Horner's rule; at p = 2 the two top orders
+    # have the class size of the order below them, a ratio of 1
+    form = prepare(q_mat, pp)
+    layout = form.layout
+    assert form.tails
+    if pp.p == 2:
+        assert [o for o in range(1, pp.k) if layout.size[o - 1] == layout.size[o]] == list(range(max(1, pp.k - 2), pp.k))
+    for i in range(len(layout)):
+        t = symbol_rep(pp, layout.symbol(i))
+        assert form.count(t) == count_by_partners(form, t), layout.symbol(i)
+
+
 LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], PrimePower(3, 4)) for n in range(6)]
 LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
 
@@ -282,8 +324,9 @@ def test_layout_is_local_to_one_prepared_form():
 
 
 def test_counts_never_build_u(monkeypatch, tmp_path, capsys):
-    # a count reads the blocks and tables only; u is built from the
-    # recorded moves on its first read, once per diagonalization
+    # a count reads the blocks and tables only, and a draw applies the
+    # recorded moves to its one vector; u is built from the moves only
+    # where it is printed, once per diagonalization
     builds = CallCounter(quadmod.blockdiag.basis_change)
     monkeypatch.setattr(quadmod.blockdiag, "basis_change", builds)
     pp = PrimePower(3, 4)
@@ -307,8 +350,9 @@ def test_counts_never_build_u(monkeypatch, tmp_path, capsys):
     rng = random.Random(5)
     for t in (7, 9, 1, 7):
         assert sample_prepared(form, t, RepKind.ANY, rng) is not None
-    assert builds.calls == 1
     forms = [prepare(Q4, f) for f in (PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1))]
     for t in (14, 78):
         assert sample_factors(forms, t, RepKind.ANY, rng) is not None
-    assert builds.calls == 1 + len(forms)
+    assert sample_form(Q4, pp, 7, RepKind.PRIMITIVE, rng) is not None
+    assert main(["sample", str(path), "--seed", "3"]) == 0
+    assert builds.calls == 0

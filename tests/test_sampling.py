@@ -6,6 +6,7 @@ from conftest import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadmod.counting
 import quadmod.modring
 import quadmod.sampling
 import quadmod.sqroots
@@ -536,9 +537,13 @@ def test_benchmark_root_spans_see_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_draws_count_each_factor_once(monkeypatch, kind):
-    # the count that weighs a factor also sets its walk's first total
-    counter = CallCounter(PreparedForm.count)
-    monkeypatch.setattr(PreparedForm, "count", lambda form, t: counter(form, t))
+    # the count that weighs a factor also sets its walk's first total,
+    # and the symbol of t that it reads is the walk's first symbol
+    counter = CallCounter(PreparedForm._count_at)
+    monkeypatch.setattr(PreparedForm, "_count_at", lambda form, g: counter(form, g))
+    symbols = CallCounter(quadmod.sampling.symbol_of)
+    monkeypatch.setattr(quadmod.sampling, "symbol_of", symbols)
+    monkeypatch.setattr(quadmod.counting, "symbol_of", symbols)
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
     factors = [PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1)]
     rng = random.Random(4)
@@ -549,9 +554,9 @@ def test_draws_count_each_factor_once(monkeypatch, kind):
             (lambda: sample_composite(q4, factors, t, kind, rng), 3),
             (lambda: sample_factors([prepare(q4, pp) for pp in factors], t, kind, rng), 3),
         ):
-            counter.calls = 0
+            counter.calls = symbols.calls = 0
             drawn += draw() is not None
-            assert counter.calls == per_call, (t, per_call)
+            assert counter.calls == symbols.calls == per_call, (t, per_call)
     assert drawn >= 9
 
 
