@@ -17,15 +17,17 @@ draws exact big-integer weights via uniform_below -- no floats, so a
 fixed seed gives a fixed transcript.
 
 Only odd-p rejection steps can fail: the unit-digit draw of a symbol
-class, the equal-orders splits, and the non-residue search that starts
-a square root mod a prime p = 1 mod 8.  Every p = 2 path is
-deterministic once its random free digits are drawn.
+class, the unit-digit loop of a cell whose three orders are equal
+(_draw_unit_digit, which a split and a type I head step share), and the
+non-residue search that starts a square root mod a prime p = 1 mod 8.
+Every p = 2 path is deterministic once its random free digits are drawn.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,7 +124,7 @@ def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
     # uniform higher digits
     for _ in range(RETRY_CAP):
         tau = uniform_below(p, rng)
-        if tau and legendre(tau, p) == g.sgn:
+        if _is_unit_of_sign(tau, p, g.sgn):
             d = uniform_below(p ** (k - i - 1), rng)
             return (p**i * (d * p + tau)) % q
     raise LasVegasFail("no unit digit with the requested sign found")
@@ -155,41 +157,35 @@ def _split(
         return (t - b) % q, b
     if g.ord == INF:
         return 0, 0
-    # equal finite orders: odd p only (the p=2 split size is 0).  Both
-    # unit parts are constrained, so draw the unit part of a and accept
-    # when both Legendre signs come out right.
+    # equal finite orders: odd p only (the p = 2 split size is 0).  Both
+    # parts' signs rest on a's unit digit alone, so draw it until both
+    # come out right, and only then a's higher digits
     i = g.ord
-    m = k - i
-    cop_t = (t // p**i) % p**m
-    if p <= 7:
-        # few unit digits: enumerate the valid leading-digit pairs
-        ct = cop_t % p
-        lead = [
-            a1
-            for a1 in range(1, p)
-            if (ct - a1) % p != 0
-            and legendre(a1, p) == g1.sgn
-            and legendre(ct - a1, p) == g2.sgn
-        ]
-        a1 = lead[uniform_below(len(lead), rng)]
-        tau1 = uniform_below(p ** (m - 1), rng) * p + a1
-    else:
-        for _ in range(RETRY_CAP):
-            tau1 = uniform_below(p**m, rng)
-            tau2 = (cop_t - tau1) % p**m
-            ok = (
-                tau1 % p != 0
-                and tau2 % p != 0
-                and legendre(tau1, p) == g1.sgn
-                and legendre(tau2, p) == g2.sgn
-            )
-            split_rejection_stats.record(ok)
-            if ok:
-                break
-        else:
-            raise LasVegasFail("equal-orders split rejection exhausted")
-    a = p**i * tau1 % q
+    ct = (t // p**i) % p
+    a1 = _draw_unit_digit(p, lambda u: legendre(u, p) == g1.sgn and _is_unit_of_sign(ct - u, p, g2.sgn), rng)
+    a = p**i * (a1 + p * uniform_below(p ** (k - i - 1), rng))
     return a, (t - a) % q
+
+
+def _draw_unit_digit(p: int, accept: Callable[[int], bool], rng: RandomSource) -> int:
+    """The rejection loop of an odd-p cell whose three orders are equal:
+    a unit digit in 1..p-1, drawn again until accept holds for it.  A
+    split accepts with probability at least 1/6 (tending to 1/4), a type
+    I head step at least 1/3 (tending to 1/2).  Each trial is recorded in
+    split_rejection_stats; RETRY_CAP trials without success raise
+    LasVegasFail."""
+    for _ in range(RETRY_CAP):
+        y0 = 1 + uniform_below(p - 1, rng)
+        ok = accept(y0)
+        split_rejection_stats.record(ok)
+        if ok:
+            return y0
+    raise LasVegasFail("equal-orders rejection exhausted")
+
+
+def _is_unit_of_sign(b: int, p: int, sgn: int) -> bool:
+    """Whether b is a unit mod the odd prime p with Legendre symbol sgn."""
+    return b % p != 0 and legendre(b, p) == sgn
 
 
 def sample_type1(
@@ -386,9 +382,11 @@ def _sample_head_type1(
     every x of the set leaves the tail a target of symbol g2.  The cell
     with ord g1 = ord g2 = ord g occurs for odd p only (at p = 2 it is
     empty); there the tail's sign rests on y mod p alone, so y's unit
-    digit is drawn again until that sign is g2's (each trial succeeds
-    with probability about 1/2), and only then its higher digits.  The
-    cell's weight already makes x primitive exactly when e = 0.
+    digit is drawn again until that sign is g2's (_draw_unit_digit, the
+    loop an equal-orders split also runs; each trial succeeds with
+    probability at least 1/3, tending to 1/2), and only then its higher
+    digits.  The cell's weight already makes x primitive exactly when
+    e = 0.
     """
     p, k, q = pp.p, pp.k, pp.q
     ord_d, cop_d = valuation(pp, d % q)
@@ -399,15 +397,7 @@ def _sample_head_type1(
     else:
         if g1.ord == g.ord:
             ct, cd = (t // p**g.ord) % p, cop_d % p
-            for _ in range(RETRY_CAP):
-                y0 = 1 + uniform_below(p - 1, rng)
-                b0 = (ct - cd * y0 * y0) % p
-                ok = b0 != 0 and legendre(b0, p) == g2.sgn
-                split_rejection_stats.record(ok)
-                if ok:
-                    break
-            else:
-                raise LasVegasFail("equal-orders head rejection exhausted")
+            y0 = _draw_unit_digit(p, lambda u: _is_unit_of_sign(ct - cd * u * u, p, g2.sgn), rng)
         else:
             y0 = 1 + uniform_below(p - 1, rng)
         y = y0 + p * uniform_below(p ** (m - 1), rng)

@@ -319,7 +319,9 @@ def test_criterion_7_crt_law():
 
 def test_criterion_8_las_vegas_discipline():
     """No Fail outcomes under the driver cap; rejection rate within bounds."""
-    # a rejection-heavy workload: equal-orders splits at large primes
+    # a rejection-heavy workload: equal-orders splits at large primes,
+    # whose unit digit goes through the one rejection loop that the
+    # chain walk's type I head step also runs
     rng = random.Random(808)
     split_rejection_stats.reset()
     fails = 0

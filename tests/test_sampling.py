@@ -95,30 +95,23 @@ def test_sample_split_uniform_mixed_orders():
     assert_uniform_over(lambda r: sample_split(pp, 3, g1, g2, r), want)
 
 
-def test_sample_split_uniform_equal_orders():
-    # equal orders forces the odd-p rejection/brute path
-    pp = PrimePower(7, 2)
-    g1 = PkSymbol(0, 1)
-    g2 = PkSymbol(0, -1)
+@pytest.mark.parametrize(
+    "p, k, t, s1, s2",
+    [(3, 2, 1, -1, -1), (5, 2, 2, 1, -1), (7, 2, 1, 1, -1), (13, 1, 1, 1, 1), (13, 2, 2, -1, 1)],
+    ids=["3^2", "5^2", "7^2", "13^1", "13^2"],
+)
+def test_sample_split_uniform_equal_orders(p, k, t, s1, s2):
+    # a, b and t of one order: a's unit digit goes through the rejection
+    # loop the type I head step also runs, then a's higher digits are free
+    pp = PrimePower(p, k)
+    g1, g2 = PkSymbol(0, s1), PkSymbol(0, s2)
     want = {
-        (a, (1 - a) % 49)
-        for a in range(49)
-        if symbol_of(pp, a) == g1 and symbol_of(pp, (1 - a) % 49) == g2
+        (a, (t - a) % pp.q)
+        for a in range(pp.q)
+        if symbol_of(pp, a) == g1 and symbol_of(pp, (t - a) % pp.q) == g2
     }
-    assert_uniform_over(lambda r: sample_split(pp, 1, g1, g2, r), want)
-
-
-def test_sample_split_rejection_path_large_prime():
-    # p > 7 goes through rejection sampling
-    pp = PrimePower(13, 1)
-    g1 = g2 = PkSymbol(0, 1)
-    want = {
-        (a, (1 - a) % 13)
-        for a in range(13)
-        if symbol_of(pp, a) == g1 and symbol_of(pp, (1 - a) % 13) == g2
-    }
-    assert len(want) == 2
-    assert_uniform_over(lambda r: sample_split(pp, 1, g1, g2, r), want)
+    assert len(want) == split_class_size(pp, symbol_of(pp, t), g1, g2) > 0
+    assert_uniform_over(lambda r: sample_split(pp, t, g1, g2, r), want)
 
 
 def test_sample_type1_examples():
@@ -466,22 +459,41 @@ def test_root_free_heads_reach_every_solution(monkeypatch):
     assert all(taken["equal", p] for p in (3, 7, 11, 13)), taken
 
 
-@pytest.mark.parametrize("p", [3, 7, 11, 13])
-def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, p):
-    # the rejection draws take: a type I head in a cell with ord g1 =
-    # ord g2 = ord g redraws y's unit digit y0 until the tail's unit
-    # digit ct - cd*y0^2 is non-zero with g2's sign.  Each trial in a cell
-    # is rejected with the share of y0 in 1..p-1 that fail, enumerated
-    # here with Euler's criterion; the rejects over all trials must sit
-    # within 5 sigma of the sum of those shares
+# a head case is identified by its bare prime, a split case by split-p
+EQUAL_ORDERS_CALLERS = [pytest.param("head", p, id=str(p)) for p in (3, 7, 11, 13)] + [
+    pytest.param("split", p, id=f"split-{p}") for p in (3, 7, 11, 13)
+]
+
+
+@pytest.mark.parametrize("caller, p", EQUAL_ORDERS_CALLERS)
+def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, caller, p):
+    # the one rejection loop of a cell with ord g1 = ord g2 = ord g, from
+    # both its callers.  A type I head redraws y's unit digit y0 until
+    # the tail's unit digit ct - cd*y0^2 is non-zero with g2's sign; a
+    # split redraws a's unit digit a1 until a1 has g1's sign and ct - a1
+    # is non-zero with g2's.  Each trial in a cell is rejected with the
+    # share of digits in 1..p-1 that fail, enumerated here with Euler's
+    # criterion; the rejects over all trials must sit within 5 sigma of
+    # the sum of those shares
     stats = quadmod.sampling.RejectionStats()
     monkeypatch.setattr(quadmod.sampling, "split_rejection_stats", stats)
-    head = quadmod.sampling._sample_head_type1
     expected = variance = 0.0
     failures = 0
 
+    def euler(b):
+        b %= p
+        return 0 if b == 0 else 1 if pow(b, (p - 1) // 2, p) == 1 else -1
+
+    def account(trials, fails):
+        nonlocal expected, variance
+        rate = sum(map(fails, range(1, p))) / (p - 1)
+        expected += trials * rate
+        variance += trials * rate * (1 - rate)
+
+    head = quadmod.sampling._sample_head_type1
+
     def watched(d, pp, t, g, g1, g2, rng):
-        nonlocal expected, variance, failures
+        nonlocal failures
         before = stats.trials
         try:
             out = head(d, pp, t, g, g1, g2, rng)
@@ -496,20 +508,39 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, p):
         while cd % p == 0:
             cd //= p
         ct = t // p**g.ord % p
-        tails = [(ct - cd * y0 * y0) % p for y0 in range(1, p)]
-        fail = sum(b == 0 or (1 if pow(b, (p - 1) // 2, p) == 1 else -1) != g2.sgn for b in tails)
-        rate = fail / (p - 1)
-        expected += trials * rate
-        variance += trials * rate * (1 - rate)
+        account(trials, lambda y0: euler(ct - cd * y0 * y0) != g2.sgn)
         return out
 
-    monkeypatch.setattr(quadmod.sampling, "_sample_head_type1", watched)
     rng = random.Random(p)
     pp = PrimePower(p, 2)
-    form = prepare(Q4, pp)
     targets = [t for t in range(1, pp.q) if t % p]
-    for _ in range(1500):
-        sample_prepared(form, targets[uniform_below(len(targets), rng)], RepKind.ANY, rng)
+    if caller == "head":
+        monkeypatch.setattr(quadmod.sampling, "_sample_head_type1", watched)
+        form = prepare(Q4, pp)
+        for _ in range(1500):
+            sample_prepared(form, targets[uniform_below(len(targets), rng)], RepKind.ANY, rng)
+    else:
+        units = (PkSymbol(0, 1), PkSymbol(0, -1))
+        cells = [
+            (t, g1, g2)
+            for t in targets
+            for g1 in units
+            for g2 in units
+            if split_class_size(pp, symbol_of(pp, t), g1, g2)
+        ]
+        for _ in range(6000):
+            t, g1, g2 = cells[uniform_below(len(cells), rng)]
+            before = stats.trials
+            try:
+                a, b = sample_split(pp, t, g1, g2, rng)
+            except quadmod.sqroots.LasVegasFail:
+                # the public split has no restarts: a cell with one good
+                # digit in six fails a draw w.p. (5/6)^RETRY_CAP, and
+                # the trials of that draw still count
+                pass
+            else:
+                assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
+            account(stats.trials - before, lambda a1: euler(a1) != g1.sgn or euler(t - a1) != g2.sgn)
     assert failures == 0
     assert stats.trials > 1000, stats.trials
     assert abs(stats.rejects - expected) <= 5 * variance**0.5, (stats.rejects, expected, variance)
