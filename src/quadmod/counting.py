@@ -35,6 +35,30 @@ per count, the same sums by order taken at that target alone
 is read.  Every public count, and every draw of the sampling module,
 reads a prepared form.  A composite modulus is a list of prepared
 factors.
+
+A one-off count (count_form, count_composite, and local_density through
+count_form) prepares each factor p^k at the stable level of its target,
+s = min(k, 2 ord t + 1 + 2 [p = 2]) with ord t the order of t mod p^k,
+and multiplies its three counts by p^((n - 1)(k - s)); at t = 0 mod p^k,
+or with no variables, s = k.  This is Hensel's lemma.  Let x solve
+x'Qx = t mod p^j with j >= s > ord t.  Some block term then has order
+at most ord t, and the gradient 2Qx has order delta <= ord t + ord 2
+there:
+
+* type I, d x_i^2: delta = ord(2 d x_i) <= ord 2 + ord(d x_i^2);
+* type II, 2^(l+1) q(x_i, x_i') with q = a y^2 + b y z + c z^2, b odd:
+  the gradient is 2^(l+1) [[2a, b], [b, 2c]] (x_i, x_i'), whose matrix
+  is invertible mod 2, so delta = l + 1 + m with m = min(ord x_i,
+  ord x_i'), and 4^m divides q(x_i, x_i'), so delta <= ord of the term.
+
+So 2 delta < j.  Then every y = x mod p^(j - delta) solves the
+congruence mod p^j too, and the y = x + p^(j - delta) w that solve it
+mod p^(j+1) are those whose w meets one linear condition mod p, with
+the coefficients 2Qx / p^delta, not all 0 mod p: p^(n-1) times as many
+as mod p^j.  A class mod p^(j - delta) fixes x mod p, so the primitive
+and the non-primitive counts each scale by p^(n-1), as the totals do.
+Draws, PreparedForm.count and the tables stay at level k: a draw needs
+counts equal to the sums of the cell weights its walk reads.
 """
 
 from __future__ import annotations
@@ -558,8 +582,23 @@ def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCo
 
 
 def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
-    """Total / primitive / non-primitive counts of x'Qx = t mod p^k."""
-    return prepare(q_mat, pp).count(t)
+    """Total / primitive / non-primitive counts of x'Qx = t mod p^k.
+
+    The form is prepared at t's stable level s = min(k, 2 ord t + 1 +
+    2 [p = 2]) (s = k at t = 0 mod p^k) and its counts there are scaled
+    by p^((n - 1)(k - s)).  By Hensel's lemma each level above s has
+    p^(n-1) times the solutions of the one below: a solution has a
+    block term of order at most ord t, whose gradient has order delta
+    <= ord t + ord 2 (type I d x^2: ord 2dx; type II: the scale 2^(l+1)
+    plus the smaller order of its two coordinates), so 2 delta < s, and
+    the next digits of x meet one linear condition mod p.  Lifting keeps
+    x mod p, so the primitive count scales as the total does (module
+    docstring).  prepare(q_mat, pp).count(t) counts at level k itself,
+    with the same result.  The form in no variables is counted at k."""
+    ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes s = k
+    s = min(pp.k, 2 * ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
+    scale = pp.p ** ((len(q_mat) - 1) * (pp.k - s))
+    return RepCounts(*(c * scale for c in prepare(q_mat, pp.with_exponent(s)).count(t)))
 
 
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
@@ -592,22 +631,34 @@ def _check_factors(factored_q: list[PrimePower]) -> None:
 
 
 def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepCounts:
-    """Counts mod q = prod p_i^k_i by CRT."""
-    return count_factors([prepare(q_mat, pp) for pp in factored_q], t)
+    """Counts mod q = prod p_i^k_i by CRT.
+
+    Each factor p^k is counted as count_form counts it: at t's stable
+    level s = min(k, 2 ord_p t + 1 + 2 [p = 2]), scaled by
+    p^((n - 1)(k - s)).  Above s, Hensel's lemma multiplies the solutions
+    by p^(n-1) per level, since some block's gradient has order delta
+    with 2 delta < s, and lifting keeps x mod p, so the primitive counts
+    that the CRT product multiplies scale too (module docstring)."""
+    _check_factors(factored_q)
+    return _crt_counts([count_form(q_mat, pp, t) for pp in factored_q])
 
 
 def count_factors(forms: list[PreparedForm], t: int) -> RepCounts:
-    """Counts mod the product of the prepared factors' moduli, by CRT.
+    """Counts mod the product of the prepared factors' moduli, by CRT."""
+    _check_factors([form.pp for form in forms])
+    return _crt_counts([form.count(t) for form in forms])
+
+
+def _crt_counts(factor_counts: list[RepCounts]) -> RepCounts:
+    """The counts mod a product of prime powers from those mod each.
 
     Totals multiply across prime powers.  A vector mod q is primitive
     iff it is primitive at every prime, so the primitive counts
     multiply as well; non-primitive is the complement.
     """
-    _check_factors([form.pp for form in forms])
     total = 1
     prim = 1
-    for form in forms:
-        c = form.count(t)
+    for c in factor_counts:
         total *= c.total
         prim *= c.primitive
     return RepCounts(total, prim, total - prim)

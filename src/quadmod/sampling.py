@@ -30,6 +30,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import TypeVar
 
 from .blockdiag import Block, TypeI, TypeII
 from .counting import (
@@ -56,6 +57,8 @@ from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
 from .symbols import PkSymbol, SymbolLayout, class_size, split_class_size, symbol_of
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class RepKind(Enum):
@@ -134,12 +137,13 @@ def sample_split(
     pp: PrimePower, t: int, g1: PkSymbol, g2: PkSymbol, rng: RandomSource
 ) -> tuple[int, int] | None:
     """Uniform pair (a, b) with symbol(a) = g1, symbol(b) = g2, a + b = t;
-    None when no such pair exists."""
+    None when no such pair exists.  A draw whose equal-orders rejection
+    loop runs out is started again, RETRY_CAP times in all."""
     t %= pp.q
     g = symbol_of(pp, t)
     if split_class_size(pp, g, g1, g2) == 0:
         return None
-    return _split(pp, t, g, g1, g2, rng)
+    return _restarting(lambda: _split(pp, t, g, g1, g2, rng))
 
 
 def _split(
@@ -466,15 +470,19 @@ def _sample_counted(
     if want_prim is None:
         return None
     total = counts.primitive if want_prim else counts.nonprimitive
+    y = _restarting(lambda: _sample_chain(form, t, g, want_prim, total, rng))
+    return form.diag.u_times(y)
+
+
+def _restarting(draw: Callable[[], T]) -> T:
+    """draw(), started again after each LasVegasFail; the RETRY_CAP-th
+    failure is raised."""
     for _ in range(RETRY_CAP):
         try:
-            y = _sample_chain(form, t, g, want_prim, total, rng)
-            break
+            return draw()
         except LasVegasFail:
             continue
-    else:
-        raise LasVegasFail("sampling driver exhausted its restarts")
-    return form.diag.u_times(y)
+    raise LasVegasFail("every restart of the draw failed")
 
 
 def sample_form(

@@ -20,7 +20,7 @@ from quadmod.blockdiag import (
     blocks_to_matrix,
     integer_det,
 )
-from quadmod.counting import RepCounts, count_composite, count_form, form_counts_by_symbol
+from quadmod.counting import RepCounts, count_composite, count_form, form_counts_by_symbol, prepare
 from quadmod.modring import INF, PrimePower, valuation
 from quadmod.oracle import (
     chi_square_uniform,
@@ -241,7 +241,13 @@ def test_criterion_5_sampler_support_and_uniformity():
 
 
 def test_criterion_6_stabilization_law():
-    """A_{p^(k+1)} = p^(n-1) A_{p^k} for two consecutive k above s."""
+    """A_{p^(k+1)} = p^(n-1) A_{p^k} for two consecutive k above s.
+
+    The counts are read from the full-level tables (prepare(...).count),
+    since count_form applies this law itself.  The law is checked from
+    the density's level s = 1 + ord(8 t det Q), and from the level that
+    count_form counts at, s(t) = 2 ord t + 1 (+2 at p = 2), for the
+    totals and for both primitivity classes."""
     rng = random.Random(606)
     done = 0
     while done < 50:
@@ -259,11 +265,12 @@ def test_criterion_6_stabilization_law():
             arg //= p
         if s > 9:
             continue
-        a_s = count_form(mat, PrimePower(p, s), t).total
-        a_s1 = count_form(mat, PrimePower(p, s + 1), t).total
-        a_s2 = count_form(mat, PrimePower(p, s + 2), t).total
-        assert a_s1 == p ** (n - 1) * a_s, (mat, p, t, s)
-        assert a_s2 == p ** (n - 1) * a_s1, (mat, p, t, s)
+        s_t = 2 * valuation(PrimePower(p, 1), t).ord + 1 + 2 * (p == 2)
+        for level in (s, s_t):
+            counts = [prepare(mat, PrimePower(p, j)).count(t) for j in (level, level + 1, level + 2)]
+            # the totals scale, and so do both primitivity classes
+            for low, high in zip(counts, counts[1:]):
+                assert high == tuple(p ** (n - 1) * c for c in low), (mat, p, t, level)
         done += 1
     print("criterion 6 (stabilization law, 50 instances): PASS")
 

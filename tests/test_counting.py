@@ -16,11 +16,13 @@ from quadmod.counting import (
     _count_scaled_type2,
     chain_tables,
     count_composite,
+    count_factors,
     count_form,
     count_type1,
     count_type2,
     form_counts_by_symbol,
     local_density,
+    prepare,
     symbol_table,
 )
 from quadmod.modring import DomainError, PrimePower
@@ -489,3 +491,172 @@ def test_chain_tables_golden_digests(make, pp, digest):
     if pp.q == 2**6:
         assert any(isinstance(blk, TypeII) for blk in blocks)
     assert hashlib.sha256(repr(symbol_chain_tables(blocks, pp)).encode()).hexdigest() == digest
+
+
+@st.composite
+def stable_level_instances(draw):
+    """(Q, p^k, t): Q = E'DE with D a direct sum of Jordan blocks in
+    n <= 4 variables (d = 0, a unit, or p^e times a unit with e <= k + 1,
+    and type II blocks at p = 2) and E a product of up to three integer
+    shears, so singular and dense forms both occur; t = 0, or a unit
+    times +-p^o with o <= k + 1, so targets of every order, t = 0 mod
+    p^k among them; and a prime power of another prime, for a
+    composite."""
+    p = draw(st.sampled_from((2, 3, 5, 7, P127)))
+    pp = PrimePower(p, draw(st.integers(1, 60)))
+    n = draw(st.integers(1, 4))
+    unit = st.integers(1, 10**6).filter(lambda u: u % p)
+    blocks, dim = [], 0
+    while dim < n:
+        kind = draw(st.sampled_from(["zero", "unit", "scaled"] + (["type2"] if p == 2 and n - dim >= 2 else [])))
+        if kind == "type2":
+            ell, a, c = draw(st.integers(0, pp.k)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            blocks.append(TypeII(ell, a, 2 * draw(st.integers(0, 7)) + 1, c))
+        elif kind == "zero":
+            blocks.append(TypeI(0))
+        else:
+            e = 0 if kind == "unit" else draw(st.integers(1, pp.k + 1))
+            blocks.append(TypeI(draw(unit) * p**e))
+        dim += blocks[-1].dim
+    q = blocks_to_matrix(blocks)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-5, 5))
+        for row in q:  # column i += c column j, then row i += c row j
+            row[i] += c * row[j]
+        q[i] = [x + c * y for x, y in zip(q[i], q[j])]
+    sign = draw(st.sampled_from((1, -1)))
+    t = draw(st.one_of(st.just(0), st.builds(lambda u, o: sign * u * p**o, unit, st.integers(0, pp.k + 1))))
+    other = draw(st.sampled_from([f for f in (2, 3, 5, 7, P127) if f != p]))
+    return q, pp, t, PrimePower(other, draw(st.integers(1, 12)))
+
+
+def is_int_counts(c):
+    return all(type(x) is int for x in c)
+
+
+@given(stable_level_instances())
+@example(([[2, 1], [1, 2]], PrimePower(2, 60), 4, PrimePower(3, 5)))
+@example(([[0, 0], [0, 3]], PrimePower(3, 40), -3, PrimePower(2, 7)))
+@example(([[4, 2, 0], [2, 4, 0], [0, 0, 5]], PrimePower(2, 33), 5 * 2**31, PrimePower(P127, 3)))
+@settings(max_examples=200, deadline=None)
+def test_counts_at_the_stable_level_equal_the_full_level(inst):
+    # count_form and count_composite count at t's stable level and scale
+    # up; the full-level prepared count is the referee
+    q, pp, t, pp2 = inst
+    got = count_form(q, pp, t)
+    assert got == prepare(q, pp).count(t) and is_int_counts(got), (q, pp, t)
+    factors = [pp, pp2]
+    got = count_composite(q, factors, t)
+    assert got == count_factors([prepare(q, f) for f in factors], t) and is_int_counts(got), (q, factors, t)
+
+
+@pytest.mark.parametrize("pp", [PrimePower(2, 9), PrimePower(7, 3), PrimePower(P127, 2)], ids=str)
+def test_counts_of_the_empty_form(pp):
+    # no variables: the empty vector, of value 0 and non-primitive
+    for t in (0, pp.q, -5 * pp.q):
+        for got in (count_form([], pp, t), count_composite([], [pp], t)):
+            assert got == (1, 0, 1) and is_int_counts(got), t
+    for t in (1, -pp.p, pp.p ** (pp.k - 1)):
+        for got in (count_form([], pp, t), count_composite([], [pp], t)):
+            assert got == (0, 0, 0) and is_int_counts(got), t
+
+
+def hex_digest(counts):
+    return hashlib.sha256(":".join(f"{x:x}" for x in counts).encode()).hexdigest()
+
+
+# Q4's counts at t, p^3 t and 0, recorded with the counts taken at the
+# full level k: exact where they are short, else the sha256 of their
+# hex digits (hex_digest)
+Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+Q4_COUNTS = {
+    "3^60": (
+        PrimePower(3, 60),
+        7,
+        (
+            (
+                67713198262992348746035313529436054889266490135462397088001391773295233193807144906312,
+                67713198262992348746035313529436054889266490135462397088001391773295233193807144906312,
+                0,
+            ),
+            (
+                100315849278507183327459723747312673910024429830314662352594654478955901027862436898240,
+                90284264350656464994713751372581406519021986847283196117335189031060310925076193208416,
+                10031584927850718332745972374731267391002442983031466235259465447895590102786243689824,
+            ),
+            (
+                101569797394488523119052970293555078900594924799722535688832219313365691248198100324001,
+                90284264350656464994713751372581406519021986847283196117335189031060310925076193208416,
+                11285533043832058124339218920973672381572937952439339571497030282305380323121907115585,
+            ),
+        ),
+    ),
+    "5^60": (
+        PrimePower(5, 60),
+        7,
+        (
+            (
+                783036536159822943205235293110785706684139710968275985731036374656366789351698347266747535222464193793712183833122253417968750,
+                783036536159822943205235293110785706684139710968275985731036374656366789351698347266747535222464193793712183833122253417968750,
+                0,
+            ),
+            (
+                6264292289278583545641882344886285653473117687746207885848290997250934314813586778133980281779713550349697470664978027343750,
+                0,
+                6264292289278583545641882344886285653473117687746207885848290997250934314813586778133980281779713550349697470664978027343750,
+            ),
+            (
+                752316384526264005099991383822237233803945956334136013765601092018187046051025390625,
+                0,
+                752316384526264005099991383822237233803945956334136013765601092018187046051025390625,
+            ),
+        ),
+    ),
+    "2^60": (
+        PrimePower(2, 60),
+        8,
+        (
+            (
+                4980610507814138789664627838238504846760902147096707072,
+                4597486622597666575075041081450927550856217366550806528,
+                383123885216472214589586756787577295904684780545900544,
+            ),
+            (
+                5986310706507378352962293074805895248510699696029696000,
+                4597486622597666575075041081450927550856217366550806528,
+                1388824083909711777887251993354967697654482329478889472,
+            ),
+            (
+                6129982163463555428116476125461573242859728247613030400,
+                4597486622597666575075041081450927550856217366550806528,
+                1532495540865888853041435044010645692003510881062223872,
+            ),
+        ),
+    ),
+    "P^30": (
+        PrimePower(P127, 30),
+        7,
+        (
+            "61812462b9c2fcbb178d28424adb983e754e23926544e5ce615b595a07fffa41",
+            "8b2b64f91bc3ad3e35e9f82842ba55795bcf15b56d4b0cc62f2f9da311055ab5",
+            "a34c00cfaedc68bfe1d97661033868e2c6c0c7fbb3f12466cb546febe662c1c6",
+        ),
+    ),
+    "P^60": (
+        PrimePower(P127, 60),
+        7,
+        (
+            "f4a3af98ff1b582e86c4c79684a02207c9c598534706e376e851c25bc5f257ac",
+            "7006f9150f6b59e804d0aad00885707a63de0daefa1266eea5188c36fc06a108",
+            "6a8790d56b9211a882b7ca604d5dd9203c53e78739f78ee448281a340240d048",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("pp, t, pins", Q4_COUNTS.values(), ids=Q4_COUNTS)
+def test_q4_counts_match_the_full_level_pins(pp, t, pins):
+    for target, pin in zip((t, t * pp.p**3, 0), pins):
+        for got in (count_form(Q4, pp, target), count_composite(Q4, [pp], target)):
+            assert (hex_digest(got) if isinstance(pin, str) else got) == pin, target

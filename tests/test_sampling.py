@@ -114,6 +114,33 @@ def test_sample_split_uniform_equal_orders(p, k, t, s1, s2):
     assert_uniform_over(lambda r: sample_split(pp, t, g1, g2, r), want)
 
 
+class StuckRng:
+    """random.Random(seed), except that its first `stuck` randrange calls
+    return `value`."""
+
+    def __init__(self, seed, stuck, value):
+        self.rng, self.stuck, self.value = random.Random(seed), stuck, value
+
+    def randrange(self, n):
+        if self.stuck:
+            self.stuck -= 1
+            return self.value
+        return self.rng.randrange(n)
+
+
+def test_sample_split_restarts_an_exhausted_rejection_loop():
+    # a's unit digit 1 + 2 = 3 is a non-residue mod 7, so every trial of
+    # a cell with g1 = (0, +1) rejects it: the first RETRY_CAP trials
+    # exhaust one round, and the split starts again
+    pp, t, g1, g2 = PrimePower(7, 2), 26, PkSymbol(0, 1), PkSymbol(0, 1)
+    cap = quadmod.sqroots.RETRY_CAP
+    a, b = sample_split(pp, t, g1, g2, StuckRng(7, cap, 2))
+    assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
+    # the restarts are bounded: RETRY_CAP rounds of RETRY_CAP trials
+    with pytest.raises(quadmod.sqroots.LasVegasFail):
+        sample_split(pp, t, g1, g2, StuckRng(7, cap * cap, 2))
+
+
 def test_sample_type1_examples():
     assert_uniform_over(
         lambda r: sample_type1(1, PrimePower(5, 2), 1, RepKind.PRIMITIVE, r), {1, 24}
@@ -531,15 +558,11 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, caller, p):
         for _ in range(6000):
             t, g1, g2 = cells[uniform_below(len(cells), rng)]
             before = stats.trials
-            try:
-                a, b = sample_split(pp, t, g1, g2, rng)
-            except quadmod.sqroots.LasVegasFail:
-                # the public split has no restarts: a cell with one good
-                # digit in six fails a draw w.p. (5/6)^RETRY_CAP, and
-                # the trials of that draw still count
-                pass
-            else:
-                assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
+            # a cell with one good digit in six exhausts a round of the
+            # loop w.p. (5/6)^RETRY_CAP (the 776th call at p = 7); the
+            # split starts again, and every trial counts
+            a, b = sample_split(pp, t, g1, g2, rng)
+            assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
             account(stats.trials - before, lambda a1: euler(a1) != g1.sgn or euler(t - a1) != g2.sgn)
     assert failures == 0
     assert stats.trials > 1000, stats.trials
