@@ -39,8 +39,6 @@ from .sampling import (
     sample_prepared,
     sample_split,
     sample_symbol_elem,
-    sample_type1,
-    sample_type2,
     split_rejection_stats,
 )
 from .sqroots import (
@@ -99,8 +97,6 @@ __all__ = [
     "sample_prepared",
     "sample_split",
     "sample_symbol_elem",
-    "sample_type1",
-    "sample_type2",
     "split_class_size",
     "split_partners",
     "split_rejection_stats",

@@ -1,5 +1,17 @@
 """Exact solution counts for x'Qx = t over Z/p^k and Z/q.
 
+A count reads N_k(t) = #{x mod p^k : x'Qx = t} off the blocks of Q
+through the finite Fourier identity, whose terms come from the blocks'
+quadratic Gauss sums in closed form (the gauss module).  Every term
+above the level L = ord t + 1 + 2 [p = 2] is 0, so N_k(t) =
+p^((n - 1)(k - L)) N_L(t) for k >= L: a one-off count (count_form,
+count_composite, and local_density through count_form) diagonalizes
+each factor at min(k, L) and scales.  A non-primitive x is p y, and
+x'Qx = p^2 y'Qy, so the non-primitive count is p^n N_(k-2)(t / p^2)
+when p^2 | t, and 0 when not (at k = 1: 1 at t = 0 mod p, else 0).
+
+Draws need more than N(t): each step of the chain walk weighs split
+cells by counts at target symbols, and those come from tables.
 Per-block closed forms (1x1 blocks for any p, 2x2 blocks for p = 2)
 are glued together by a dynamic program over p^k-symbols: the count of
 a direct sum at target symbol g is the sum over symbol pairs (g1, g2)
@@ -14,7 +26,7 @@ indexed by the position of the target symbol in its SymbolLayout
 (layout.symbol(i) is the symbol at position i); the primitive count is
 total - non-primitive wherever it is read.  No kernel looks an entry up
 by its symbol: symbols and {symbol: RepCounts} dicts are made only at
-the public boundary (PreparedForm.count and .table, symbol_table).
+the public boundary (PreparedForm.table, symbol_table).
 
 Each level of the program splits the cells by the order gap G (3 for
 p = 2, 1 for odd p).  A cell whose g1 or g2 lies at least G orders from
@@ -27,57 +39,33 @@ and one up build a level's totals: O(S) big-integer products over the S
 symbols, where the full convolution made one per non-zero (g, g1, g2)
 cell.  One more pass reads its non-primitive list off those totals.
 
-``prepare`` diagonalizes a form and builds, once, the tables the chain
-walk reads: each block's table, filled order by order, and the levels
-of the tail after the first block.  The top level is read at one target
-per count, the same sums by order taken at that target alone
-(PreparedForm.count), and is built in full only when PreparedForm.table
-is read.  Every public count, and every draw of the sampling module,
-reads a prepared form.  A composite modulus is a list of prepared
-factors.
-
-A one-off count (count_form, count_composite, and local_density through
-count_form) prepares each factor p^k at the stable level of its target,
-s = min(k, 2 ord t + 1 + 2 [p = 2]) with ord t the order of t mod p^k,
-and multiplies its three counts by p^((n - 1)(k - s)); at t = 0 mod p^k,
-or with no variables, s = k.  This is Hensel's lemma.  Let x solve
-x'Qx = t mod p^j with j >= s > ord t.  Some block term then has order
-at most ord t, and the gradient 2Qx has order delta <= ord t + ord 2
-there:
-
-* type I, d x_i^2: delta = ord(2 d x_i) <= ord 2 + ord(d x_i^2);
-* type II, 2^(l+1) q(x_i, x_i') with q = a y^2 + b y z + c z^2, b odd:
-  the gradient is 2^(l+1) [[2a, b], [b, 2c]] (x_i, x_i'), whose matrix
-  is invertible mod 2, so delta = l + 1 + m with m = min(ord x_i,
-  ord x_i'), and 4^m divides q(x_i, x_i'), so delta <= ord of the term.
-
-So 2 delta < j.  Then every y = x mod p^(j - delta) solves the
-congruence mod p^j too, and the y = x + p^(j - delta) w that solve it
-mod p^(j+1) are those whose w meets one linear condition mod p, with
-the coefficients 2Qx / p^delta, not all 0 mod p: p^(n-1) times as many
-as mod p^j.  A class mod p^(j - delta) fixes x mod p, so the primitive
-and the non-primitive counts each scale by p^(n-1), as the totals do.
-Draws, PreparedForm.count and the tables stay at level k: a draw needs
-counts equal to the sums of the cell weights its walk reads.
+``prepare`` diagonalizes a form; its layout and tables are built on
+their first read, which a draw makes and a count does not: each block's
+table, filled order by order, and the levels of the tail after the
+first block.  A draw reads the top level at one target, the same sums
+by order taken at that target alone (PreparedForm._count_at), and
+PreparedForm.table builds it in full.  Draws and tables stay at level
+k.  A composite modulus is a list of prepared factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .blockdiag import (
     Block,
     BlockDiagForm,
     TypeI,
-    TypeII,
     block_diagonalize,
     check_symmetric,
     integer_det,
 )
+from .gauss import Tallies, block_tallies, solutions
 from .modring import INF, DomainError, PrimePower, legendre, valuation
-from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, symbol_of
+from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
 
 Matrix = list[list[int]]
 
@@ -101,48 +89,10 @@ class ZeroTarget(DomainError):
     """t = 0 has no stabilizing level; the local density is undefined."""
 
 
-def _counts(prim: int, nprim: int) -> RepCounts:
-    return RepCounts(prim + nprim, prim, nprim)
-
-
 def symbol_table(layout: SymbolLayout, table: Table) -> dict[PkSymbol, RepCounts]:
     """A table as {symbol: RepCounts} in position order, the form in
     which the public functions return tables."""
     return {layout.symbol(i): RepCounts(tot, tot - np_, np_) for i, (tot, np_) in enumerate(zip(*table))}
-
-
-def count_type1(d: int, pp: PrimePower, sym_t: PkSymbol) -> RepCounts:
-    """Solutions x of d*x^2 = t mod p^k, with symbol(t) = sym_t.
-
-    t = 0: every x with 2*ord(x) + ord(d) >= k works.  t != 0: writing
-    x = p^e * y with y a unit needs ord(t) - ord(d) = 2e >= 0 and the
-    unit parts to agree as squares: equal Legendre signs for odd p, and
-    cop(d) = cop(t) modulo min(8, 2^(k - ord t)) for p = 2.  Then y has
-    `mult` roots (2 for odd p; for p = 2, 4 once three bits of the unit
-    part are visible, else k - ord t) and (ord t + ord d)/2 free digits,
-    giving mult * p^((ord t + ord d)/2) solutions, primitive exactly
-    when e = 0.
-    """
-    p, k = pp.p, pp.k
-    ord_d, cop_d = valuation(pp, d % pp.q)
-    o, s = sym_t
-    if o == INF:
-        if ord_d == INF:
-            return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
-        # x = 0 mod p^ceil((k - ord d)/2), leaving floor((k + ord d)/2) digits
-        return _counts(0, p ** ((k + ord_d) // 2))
-    if ord_d == INF or o < ord_d or (o - ord_d) % 2:
-        return RepCounts(0, 0, 0)
-    if p == 2:
-        if (s - cop_d) % min(8, 2 ** (k - o)):
-            return RepCounts(0, 0, 0)
-        mult = 4 if k - o >= 3 else k - o
-    elif s != legendre(cop_d, p):
-        return RepCounts(0, 0, 0)
-    else:
-        mult = 2
-    reps = mult * p ** ((o + ord_d) // 2)
-    return _counts(reps, 0) if o == ord_d else _counts(0, reps)
 
 
 def _type2_seeds(a: int, b: int, c: int) -> tuple[int, int]:
@@ -189,36 +139,16 @@ def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int,
     return prim, (levels - 1) * prim + 4**levels * total_last
 
 
-def count_type2(blk: TypeII, k: int, sym_t: PkSymbol) -> RepCounts:
-    """Solutions of 2^(ell+1)*(a x^2 + b xy + c y^2) = t mod 2^k.
-
-    The form value is always divisible by 2^(ell+1); once that much is
-    known the scaled equation lives in Z/2^(k-ell-1).  When ell+1 >= k
-    the form vanishes identically mod 2^k.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    ell = blk.ell
-    ord_t, sgn_t = sym_t
-    if ell + 1 >= k:
-        if ord_t == INF:
-            return _counts(4**k - 4 ** (k - 1), 4 ** (k - 1))
-        return _counts(0, 0)
-    if ord_t != INF and ord_t < ell + 1:
-        return _counts(0, 0)
-    k2 = k - ell - 1
-    t2 = 0 if ord_t == INF else sgn_t % 2 ** (k - ord_t) << (ord_t - ell - 1)  # a target of symbol sym_t, over 2^(ell+1)
-    prim, nprim = _count_scaled_type2(blk.a, blk.b, blk.c, t2, k2)
-    scale = 4 ** (ell + 1)
-    return _counts(prim * scale, nprim * scale)
-
-
 def block_table(blk: Block, layout: SymbolLayout) -> Table:
-    """The block's counts (count_type1 or count_type2) at every position
-    g of the layout, filled order by order.  A type I block d = p^e u
-    reaches one symbol in each order e, e + 2, ... below k, the one of
-    u's square class: its Legendre symbol for odd p, and u itself for
-    p = 2, which layout.at reads modulo min(8, 2^(k - ord)).  A type II
+    """The block's counts at every position g of the layout, in closed
+    form, filled order by order.  A type I block d = p^e u reaches one
+    symbol in each order o = e, e + 2, ... below k, the one of u's square
+    class: its Legendre symbol for odd p, and u itself for p = 2, which
+    layout.at reads modulo min(8, 2^(k - ord)).  There x = p^((o-e)/2) y
+    with y a unit root of the unit parts (2 of them for odd p; for p = 2,
+    4 once k - o >= 3, else k - o) and (o + e)/2 free digits, primitive
+    exactly at o = e; t = 0 takes the p^((k + e) // 2) x of order at
+    least (k - e)/2, and d = 0 mod p^k every x.  A type II
     block's counts read the target only through its order (see
     _scaled_type2_counts), so each order takes one value, at
     t2 = 2^(ord - ell - 1), and the seeds are evaluated once per block."""
@@ -497,31 +427,27 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class PreparedForm:
-    """x'Qx mod p^k with its block diagonalization and count tables,
-    built once: every count and draw of the form reads them.
+    """x'Qx mod p^k with its block diagonalization, and what counts and
+    draws read of it, each built on its first read and kept.
 
     diag holds the blocks and the moves that reach them; u, with u'Qu
     the direct sum of the blocks mod p^k, is built from those moves the
-    first time it is read, so a count, which reads only the blocks and
-    tables, never builds it.  per_block[j] is the table of blocks[j],
-    and tails[j] that of the direct sum blocks[j+1:]: the suffix tables
-    of chain_tables(blocks[1:]), the levels the chain walk reads.  Each
-    is a Table, (total, non-primitive) lists indexed by the positions of
-    the layout.  The top level, the table of all the blocks, is not
-    built: count reads it at one symbol from the head block and the
-    first tail, the far cells summed by order and the near ones listed
-    by the layout, and table builds it in full on every read, as a
-    {symbol: RepCounts} dict.  Nothing here changes after prepare, u
-    aside: the near cells that counts and draws read are computed by
-    rule, not stored, and a draw applies the moves to its vector rather
-    than read u.
+    first time it is read, and a draw applies the moves to its vector
+    instead.  count reads the blocks' Gauss-sum tallies only, so a count
+    builds neither u nor a table.  The tables are for draws: per_block[j]
+    is the table of blocks[j], and tails[j] that of the direct sum
+    blocks[j+1:], the suffix tables of chain_tables(blocks[1:]), the
+    levels the chain walk reads.  Each is a Table, (total, non-primitive)
+    lists indexed by the positions of the layout.  The top level, the
+    table of all the blocks, is not kept: a draw reads it at one symbol
+    from the head block and the first tail (_count_at), and table builds
+    it in full on every read, as a {symbol: RepCounts} dict.  The near
+    cells that the tables and draws read are computed by rule, not
+    stored.
     """
 
     pp: PrimePower
     diag: BlockDiagForm
-    layout: SymbolLayout
-    per_block: list[Table]
-    tails: list[Table]
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -531,6 +457,30 @@ class PreparedForm:
     def u(self) -> tuple[tuple[int, ...], ...]:
         """The basis change, built on its first read (BlockDiagForm.u)."""
         return self.diag.u
+
+    @cached_property
+    def layout(self) -> SymbolLayout:
+        return SymbolLayout(self.pp)
+
+    @cached_property
+    def _tables(self) -> tuple[list[Table], list[Table]]:
+        blocks, layout = self.diag.blocks, self.layout
+        if not blocks:
+            return [], []
+        per_tail, tails = chain_tables(blocks[1:], layout)
+        return [block_table(blocks[0], layout), *per_tail], tails
+
+    @property
+    def per_block(self) -> list[Table]:
+        return self._tables[0]
+
+    @property
+    def tails(self) -> list[Table]:
+        return self._tables[1]
+
+    @cached_property
+    def _block_tallies(self) -> Tallies:
+        return block_tallies(self.blocks, self.pp)
 
     @property
     def table(self) -> dict[PkSymbol, RepCounts]:
@@ -543,37 +493,45 @@ class PreparedForm:
         return symbol_table(self.layout, _convolve(self.layout, head, self.tails[0], m) if self.tails else head)
 
     def count(self, t: int) -> RepCounts:
-        """Total / primitive / non-primitive counts of x'Qx = t mod p^k:
-        the top level's entry at t's symbol g, the sum over the split
-        cells of g that the chain walk's first step draws from.  The
-        cells at least G orders from ord g are summed by order, with
-        the class sizes put in by Horner's rule, and the near cells are
-        read from layout.near (_level_entry); both lists of the top
-        level go through that sum."""
-        return self._count_at(symbol_of(self.pp, t))
+        """Total / primitive / non-primitive counts of x'Qx = t mod p^k,
+        from the blocks' Gauss sums (gauss.solutions): the total is
+        N_k(t), and the non-primitive count p^n N_(k-2)(t / p^2) when p^2
+        divides t, 0 when not (at k = 1, 1 at t = 0 mod p).  No table is
+        built.  Raises ArithmeticError where the sums do not give a
+        count."""
+        p, k, t = self.pp.p, self.pp.k, t % self.pp.q
+        n, tallies = sum(blk.dim for blk in self.blocks), self._block_tallies
+        total = solutions(self.pp, n, tallies, k, t)
+        if k == 1:
+            nprim = int(t == 0)
+        else:
+            nprim = 0 if t % p**2 else p**n * solutions(self.pp, n, tallies, k - 2, t // p**2)
+        return RepCounts(total, total - nprim, nprim)
 
     def _count_at(self, g: PkSymbol) -> RepCounts:
-        """count at any target of symbol g."""
-        if not self.blocks:
+        """The count at any target of symbol g, read from the tables: the
+        top level's entry at g, the sum over the split cells of g that
+        the chain walk's first step draws from.  The cells at least G
+        orders from ord g are summed by order, with the class sizes put
+        in by Horner's rule, and the near cells are read from
+        layout.near (_level_entry); both lists of the top level go
+        through that sum.  A draw reads its count here, so that its
+        walk's weights and its bound come from the same tables."""
+        if not self.diag.blocks:
             return self.table.get(g, RepCounts(0, 0, 0))
-        (h_tot, h_np), i = self.per_block[0], self.layout.index(g)
-        if not self.tails:
+        (per_block, tails), layout = self._tables, self.layout
+        (h_tot, h_np), i = per_block[0], layout.index(g)
+        if not tails:
             return RepCounts(h_tot[i], h_tot[i] - h_np[i], h_np[i])
-        c_tot, c_np = self.tails[0]
-        total, nprim = _level_entry(self.layout, h_tot, c_tot, i), _level_entry(self.layout, h_np, c_np, i)
+        c_tot, c_np = tails[0]
+        total, nprim = _level_entry(layout, h_tot, c_tot, i), _level_entry(layout, h_np, c_np, i)
         return RepCounts(total, total - nprim, nprim)
 
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
-    """Check Q, block-diagonalize it and build its count tables, once.
-    The basis change u is left to the form's first read of it."""
-    bd = block_diagonalize(q_mat, pp)  # checks Q
-    layout = SymbolLayout(pp)
-    if not bd.blocks:
-        return PreparedForm(pp, bd, layout, [], [])
-    per_tail, tails = chain_tables(bd.blocks[1:], layout)
-    per_block = [block_table(bd.blocks[0], layout), *per_tail]
-    return PreparedForm(pp, bd, layout, per_block, tails)
+    """Check Q and block-diagonalize it, once.  The layout, the tables
+    and u are left to the form's first read of each."""
+    return PreparedForm(pp, block_diagonalize(q_mat, pp))  # checks Q
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:
@@ -584,21 +542,19 @@ def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCo
 def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     """Total / primitive / non-primitive counts of x'Qx = t mod p^k.
 
-    The form is prepared at t's stable level s = min(k, 2 ord t + 1 +
-    2 [p = 2]) (s = k at t = 0 mod p^k) and its counts there are scaled
-    by p^((n - 1)(k - s)).  By Hensel's lemma each level above s has
-    p^(n-1) times the solutions of the one below: a solution has a
-    block term of order at most ord t, whose gradient has order delta
-    <= ord t + ord 2 (type I d x^2: ord 2dx; type II: the scale 2^(l+1)
-    plus the smaller order of its two coordinates), so 2 delta < s, and
-    the next digits of x meet one linear condition mod p.  Lifting keeps
-    x mod p, so the primitive count scales as the total does (module
-    docstring).  prepare(q_mat, pp).count(t) counts at level k itself,
-    with the same result.  The form in no variables is counted at k."""
-    ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes s = k
-    s = min(pp.k, 2 * ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
-    scale = pp.p ** ((len(q_mat) - 1) * (pp.k - s))
-    return RepCounts(*(c * scale for c in prepare(q_mat, pp.with_exponent(s)).count(t)))
+    The form is diagonalized at t's level L = min(k, ord t + 1 +
+    2 [p = 2]) (L = k at t = 0 mod p^k) and its counts there are scaled
+    by p^((n - 1)(k - L)).  In the Fourier identity for N_k(t) every
+    term with j > ord t + 1 + 2 [p = 2] is 0, so N_k(t) and N_L(t) sum
+    the same T_j, with the weights p^(n (k - j) - k) and p^(n (L - j) - L).
+    The non-primitive count p^n N_(k-2)(t / p^2) scales alike, as t / p^2
+    has an order 2 less (module docstring).  prepare(q_mat, pp).count(t)
+    counts at level k itself, with the same result.  The form in no
+    variables is counted at k."""
+    ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes L = k
+    level = min(pp.k, ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
+    scale = pp.p ** ((len(q_mat) - 1) * (pp.k - level))
+    return RepCounts(*(c * scale for c in prepare(q_mat, pp.with_exponent(level)).count(t)))
 
 
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
@@ -633,12 +589,12 @@ def _check_factors(factored_q: list[PrimePower]) -> None:
 def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepCounts:
     """Counts mod q = prod p_i^k_i by CRT.
 
-    Each factor p^k is counted as count_form counts it: at t's stable
-    level s = min(k, 2 ord_p t + 1 + 2 [p = 2]), scaled by
-    p^((n - 1)(k - s)).  Above s, Hensel's lemma multiplies the solutions
-    by p^(n-1) per level, since some block's gradient has order delta
-    with 2 delta < s, and lifting keeps x mod p, so the primitive counts
-    that the CRT product multiplies scale too (module docstring)."""
+    Each factor p^k is counted as count_form counts it: diagonalized at
+    L = min(k, ord_p t + 1 + 2 [p = 2]), counted by its Gauss sums and
+    scaled by p^((n - 1)(k - L)).  The Fourier terms above L are 0, so the
+    totals scale, and the non-primitive counts, and so the primitive
+    counts that the CRT product multiplies, scale with them (module
+    docstring).  No table is built."""
     _check_factors(factored_q)
     return _crt_counts([count_form(q_mat, pp, t) for pp in factored_q])
 

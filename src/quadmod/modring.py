@@ -147,9 +147,6 @@ class PrimePower:
         return out
 
 
-TWO = PrimePower(2, 1)  # 2^k without a primality test: TWO.with_exponent(k)
-
-
 class Valuation(NamedTuple):
     """ord = p-adic order, cop = coprime part, so a = cop * p**ord."""
 

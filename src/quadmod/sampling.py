@@ -1,12 +1,15 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
-Draws read prepared forms (counting.prepare), whose tables are built
-once per prime-power factor and counted once per draw, at t's symbol,
-which is also taken once; the chain walk reads its split cells from the
-form's symbol layout, which computes the near cells by rule, and its
-table entries by symbol position.  Each
-step draws once below the count of its class, which the tables already
-hold, and scans the cells in order to the one that holds the draw.
+Draws read prepared forms (counting.prepare), whose tables a form's
+first draw builds, once per prime-power factor.  Each draw counts each
+factor once from those tables (PreparedForm._count_at, not the Gauss
+sums of PreparedForm.count), at t's symbol, which is also taken once,
+so the count it draws below is the sum of its walk's cell weights.  The
+chain walk reads its split cells from the form's symbol layout, which
+computes the near cells by rule, and its table entries by symbol
+position.  Each step draws once below the count of its class, which the
+tables already hold, and scans the cells in order to the one that holds
+the draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -39,13 +42,10 @@ from .counting import (
     Table,
     _check_factors,
     _count_scaled_type2,
-    count_type1,
-    count_type2,
     prepare,
 )
 from .modring import (
     INF,
-    TWO,
     DomainError,
     PrimePower,
     RandomSource,
@@ -192,23 +192,10 @@ def _is_unit_of_sign(b: int, p: int, sgn: int) -> bool:
     return b % p != 0 and legendre(b, p) == sgn
 
 
-def sample_type1(
-    d: int, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
-) -> int | None:
-    """Uniform x with d*x^2 = t mod p^k in the requested class."""
-    _check_kind(kind)
-    t %= pp.q
-    g = symbol_of(pp, t)
-    want_prim = _choose_kind(count_type1(d, pp, g), kind, rng)
-    if want_prim is None:
-        return None
-    return _sample_type1(d, pp, t, g, want_prim, rng)
-
-
 def _sample_type1(d: int, pp: PrimePower, t: int, g: PkSymbol, want_prim: bool, rng: RandomSource) -> int:
-    """sample_type1 for a reduced t of symbol g, in the primitive
-    (want_prim) or non-primitive class, which the caller has checked is
-    not empty."""
+    """Uniform x with d*x^2 = t mod p^k, for a reduced t of symbol g, in
+    the primitive (want_prim) or non-primitive class, which the caller
+    has checked is not empty."""
     p, k, q = pp.p, pp.k, pp.q
     ord_d, cop_d = valuation(pp, d % q)
 
@@ -287,21 +274,10 @@ def _sample_scaled_type2(
     return y1, y2
 
 
-def sample_type2(
-    blk: TypeII, k: int, t: int, kind: RepKind, rng: RandomSource
-) -> tuple[int, int] | None:
-    """Uniform (x1, x2) with 2^(ell+1)(a x1^2 + b x1x2 + c x2^2) = t mod 2^k."""
-    _check_kind(kind)
-    t %= 2**k
-    want_prim = _choose_kind(count_type2(blk, k, symbol_of(TWO.with_exponent(k), t)), kind, rng)
-    if want_prim is None:
-        return None
-    return _sample_type2(blk, k, t, want_prim, rng)
-
-
 def _sample_type2(blk: TypeII, k: int, t: int, want_prim: bool, rng: RandomSource) -> tuple[int, int]:
-    """sample_type2 for a reduced t, in the primitive (want_prim) or
-    non-primitive class, which the caller has checked is not empty."""
+    """Uniform (x1, x2) with 2^(ell+1)(a x1^2 + b x1x2 + c x2^2) = t mod
+    2^k, for a reduced t, in the primitive (want_prim) or non-primitive
+    class, which the caller has checked is not empty."""
     q = 2**k
     ell = blk.ell
     if ell + 1 >= k:
@@ -351,12 +327,12 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
     walk only picks cells of non-zero weight.  The tail's target has the
     symbol g2 of its cell, the next step's target symbol, and the head's
     value has the symbol g1, so no step takes a symbol or a count again."""
-    pp, layout, blocks = form.pp, form.layout, form.blocks
+    pp, layout, blocks, per_block, tails = form.pp, form.layout, form.blocks, form.per_block, form.tails
     i = layout.index(g)
     y: list[int] = []
     for j in range(len(blocks) - 1):
         r = uniform_below(total, rng)
-        i1, i2, head_prim, want_prim = _pick_cell(layout, form.per_block[j], form.tails[j], i, want_prim, r)
+        i1, i2, head_prim, want_prim = _pick_cell(layout, per_block[j], tails[j], i, want_prim, r)
         blk, g1, g2 = blocks[j], layout.symbol(i1), layout.symbol(i2)
         if isinstance(blk, TypeI) and g1.ord != INF and (g1.ord != g.ord or g2.ord == g.ord):
             x, t = _sample_head_type1(blk.d, pp, t, g, g1, g2, rng)
@@ -364,7 +340,7 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
         else:
             a, t = _split(pp, t, g, g1, g2, rng)
             y.extend(_sample_block(blk, pp, a, g1, head_prim, rng))
-        c_tot, c_np = form.tails[j]
+        c_tot, c_np = tails[j]
         total, i, g = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2, g2
     y.extend(_sample_block(blocks[-1], pp, t, g, want_prim, rng))
     return y
@@ -459,8 +435,8 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
 def _sample_counted(
     form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, g: PkSymbol, counts: RepCounts
 ) -> tuple[int, ...] | None:
-    """sample_prepared given t's symbol g and form.count(t), which the
-    caller has taken."""
+    """sample_prepared given t's symbol g and its count from the form's
+    tables (form._count_at(g)), which the caller has taken."""
     pp = form.pp
     t %= pp.q
     if not form.blocks:

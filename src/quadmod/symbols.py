@@ -28,9 +28,9 @@ every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  The near cells, within the gap, come from the
 signs in closed form (for p = 2 and equal orders, from one congruence
 on the signs), so a cell costs a few integer operations wherever it is
-read.  The chain walk reads ``partners``; the count of one target sums
-the far cells by order and reads the near ones from ``near``, and the
-count tables sum every cell by order and sign class
+read.  The chain walk reads ``partners``; a draw's count of its target
+sums the far cells by order and reads the near ones from ``near``, and
+the count tables sum every cell by order and sign class
 (counting._convolve).  Each prepared form owns its layout; the module
 keeps no state between calls.
 """

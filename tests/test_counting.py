@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from conftest import CallCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadmod import counting
+from quadmod import counting, gauss
 from quadmod.blockdiag import TypeI, TypeII, block_diagonalize, blocks_to_matrix
 from quadmod.counting import (
     RepCounts,
@@ -18,17 +19,80 @@ from quadmod.counting import (
     count_composite,
     count_factors,
     count_form,
-    count_type1,
-    count_type2,
     form_counts_by_symbol,
     local_density,
     prepare,
     symbol_table,
 )
-from quadmod.modring import DomainError, PrimePower
+from quadmod.modring import INF, DomainError, PrimePower, legendre, valuation
 from quadmod.oracle import histogram_counts, solutions_mod
+from quadmod.sampling import RepKind, sample_prepared
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
 from test_symbols import dense_split_size
+
+
+def _counts(prim, nprim):
+    return RepCounts(prim + nprim, prim, nprim)
+
+
+def count_type1(d, pp, sym_t):
+    """Per-symbol referee: solutions x of d*x^2 = t mod p^k, with
+    symbol(t) = sym_t.
+
+    t = 0: every x with 2*ord(x) + ord(d) >= k works.  t != 0: writing
+    x = p^e * y with y a unit needs ord(t) - ord(d) = 2e >= 0 and the
+    unit parts to agree as squares: equal Legendre signs for odd p, and
+    cop(d) = cop(t) modulo min(8, 2^(k - ord t)) for p = 2.  Then y has
+    `mult` roots (2 for odd p; for p = 2, 4 once three bits of the unit
+    part are visible, else k - ord t) and (ord t + ord d)/2 free digits,
+    giving mult * p^((ord t + ord d)/2) solutions, primitive exactly
+    when e = 0.
+    """
+    p, k = pp.p, pp.k
+    ord_d, cop_d = valuation(pp, d % pp.q)
+    o, s = sym_t
+    if o == INF:
+        if ord_d == INF:
+            return _counts((p - 1) * p ** (k - 1), p ** (k - 1))
+        # x = 0 mod p^ceil((k - ord d)/2), leaving floor((k + ord d)/2) digits
+        return _counts(0, p ** ((k + ord_d) // 2))
+    if ord_d == INF or o < ord_d or (o - ord_d) % 2:
+        return RepCounts(0, 0, 0)
+    if p == 2:
+        if (s - cop_d) % min(8, 2 ** (k - o)):
+            return RepCounts(0, 0, 0)
+        mult = 4 if k - o >= 3 else k - o
+    elif s != legendre(cop_d, p):
+        return RepCounts(0, 0, 0)
+    else:
+        mult = 2
+    reps = mult * p ** ((o + ord_d) // 2)
+    return _counts(reps, 0) if o == ord_d else _counts(0, reps)
+
+
+def count_type2(blk, k, sym_t):
+    """Per-symbol referee: solutions of 2^(ell+1)*(a x^2 + b xy + c y^2)
+    = t mod 2^k.
+
+    The form value is always divisible by 2^(ell+1); once that much is
+    known the scaled equation lives in Z/2^(k-ell-1).  When ell+1 >= k
+    the form vanishes identically mod 2^k.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    ell = blk.ell
+    ord_t, sgn_t = sym_t
+    if ell + 1 >= k:
+        if ord_t == INF:
+            return _counts(4**k - 4 ** (k - 1), 4 ** (k - 1))
+        return _counts(0, 0)
+    if ord_t != INF and ord_t < ell + 1:
+        return _counts(0, 0)
+    k2 = k - ell - 1
+    t2 = 0 if ord_t == INF else sgn_t % 2 ** (k - ord_t) << (ord_t - ell - 1)  # a target of symbol sym_t, over 2^(ell+1)
+    prim, nprim = _count_scaled_type2(blk.a, blk.b, blk.c, t2, k2)
+    scale = 4 ** (ell + 1)
+    return _counts(prim * scale, nprim * scale)
 
 
 def count_block(blk, pp, sym_t):
@@ -40,6 +104,7 @@ def count_block(blk, pp, sym_t):
 
 I2 = [[1, 0], [0, 1]]
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
 
 
 def test_count_type1_odd_examples():
@@ -494,16 +559,16 @@ def test_chain_tables_golden_digests(make, pp, digest):
 
 
 @st.composite
-def stable_level_instances(draw):
+def stable_level_instances(draw, exponents=st.integers(1, 60)):
     """(Q, p^k, t): Q = E'DE with D a direct sum of Jordan blocks in
     n <= 4 variables (d = 0, a unit, or p^e times a unit with e <= k + 1,
     and type II blocks at p = 2) and E a product of up to three integer
     shears, so singular and dense forms both occur; t = 0, or a unit
     times +-p^o with o <= k + 1, so targets of every order, t = 0 mod
     p^k among them; and a prime power of another prime, for a
-    composite."""
+    composite.  k is drawn from exponents."""
     p = draw(st.sampled_from((2, 3, 5, 7, P127)))
-    pp = PrimePower(p, draw(st.integers(1, 60)))
+    pp = PrimePower(p, draw(exponents))
     n = draw(st.integers(1, 4))
     unit = st.integers(1, 10**6).filter(lambda u: u % p)
     blocks, dim = [], 0
@@ -537,6 +602,7 @@ def is_int_counts(c):
 
 @given(stable_level_instances())
 @example(([[2, 1], [1, 2]], PrimePower(2, 60), 4, PrimePower(3, 5)))
+@example(([[1]], PrimePower(2, 10), 1, PrimePower(3, 1)))  # 4 roots of 1 mod 2^10, 2 mod 2^2
 @example(([[0, 0], [0, 3]], PrimePower(3, 40), -3, PrimePower(2, 7)))
 @example(([[4, 2, 0], [2, 4, 0], [0, 0, 5]], PrimePower(2, 33), 5 * 2**31, PrimePower(P127, 3)))
 @settings(max_examples=200, deadline=None)
@@ -549,6 +615,93 @@ def test_counts_at_the_stable_level_equal_the_full_level(inst):
     factors = [pp, pp2]
     got = count_composite(q, factors, t)
     assert got == count_factors([prepare(q, f) for f in factors], t) and is_int_counts(got), (q, factors, t)
+
+
+@given(stable_level_instances(st.one_of(st.integers(1, 4), st.integers(1, 60))))
+@example(([[0, 0], [0, 0]], PrimePower(2, 5), 0, PrimePower(3, 1)))
+@example(([[2, 1], [1, 2]], PrimePower(2, 7), 2**5 * 3, PrimePower(3, 1)))
+@example(([[0, 1], [1, 0]], PrimePower(2, 1), 1, PrimePower(3, 1)))
+@example(([[80]], PrimePower(2, 7), 400, PrimePower(3, 1)))
+@example(([[5]], PrimePower(2, 9), 80, PrimePower(3, 1)))
+@example(([[7 * 8]], PrimePower(2, 9), 7 * 2**5, PrimePower(3, 1)))
+@example(([[3, 0, 0], [0, 9, 0], [0, 0, 0]], PrimePower(3, 60), -(3**7), PrimePower(2, 1)))
+@example(([[P127 + 1, 0], [0, P127**2]], PrimePower(P127, 3), 5 * P127**2, PrimePower(2, 1)))
+@settings(max_examples=300, deadline=None)
+def test_gauss_sum_count_equals_the_tables(inst):
+    # count(t) sums the Fourier terms of the blocks' Gauss sums; the
+    # referee is the dynamic program's own entry at t's symbol, as a
+    # draw reads it (_count_at) and as the full top level lists it
+    # (table), and enumeration where the cube is small
+    q, pp, t, _ = inst
+    form = prepare(q, pp)
+    got = form.count(t)
+    g = symbol_of(pp, t)
+    assert got == form._count_at(g) == form.table.get(g, (0, 0, 0)) and is_int_counts(got), (q, pp, t)
+    if pp.q ** len(q) <= 2**16:
+        assert got == histogram_counts(q, pp)[t % pp.q], (q, pp, t)
+
+
+@pytest.mark.parametrize("n", [12, 24, 64])
+@pytest.mark.parametrize("pp", [PrimePower(2, 6), PrimePower(3, 4), PrimePower(5, 2)], ids=str)
+def test_gauss_sum_count_of_dense_forms(pp, n):
+    # dense forms, whose blocks at p = 2 include type II ones, at a target
+    # of every inhabited symbol
+    form = prepare(dense_even_form(n, n), pp)
+    for i in range(len(form.layout)):
+        g = form.layout.symbol(i)
+        t = 0 if g.ord == INF else pp.p**g.ord * next(u for u in range(1, 8) if symbol_of(pp, u * pp.p**g.ord) == g)
+        assert form.count(t) == form._count_at(g), g
+
+
+def test_a_sum_that_is_no_count_raises(monkeypatch):
+    # a Gauss-sum total that p^k does not divide, or that is not
+    # rational, is an error, never a rounded count
+    form = prepare(Q4, PrimePower(3, 5))
+    monkeypatch.setattr(gauss, "_fourier_odd", lambda *args: 3**5 * 7 + 1)
+    with pytest.raises(ArithmeticError):
+        form.count(7)
+    with pytest.raises(ArithmeticError):
+        count_form(Q4, PrimePower(3, 5), 7)
+    monkeypatch.setattr(gauss, "_fourier_odd", lambda *args: -(3**5))
+    with pytest.raises(ArithmeticError):
+        form.count(7)
+    # zeta + zeta^-1 over a = 1, 3, 5, 7 is 2 sqrt2: rational only times sqrt2
+    with pytest.raises(ArithmeticError):
+        gauss._zeta_sum(0, 0, 1, 0)
+    assert gauss._zeta_sum(0, 0, 1, 1) == 4
+
+
+def test_counts_build_no_table(monkeypatch, tmp_path):
+    # every count reads the blocks' Gauss sums only; a draw builds its
+    # form's layout and tables on its first read, and later draws of the
+    # form reuse them
+    tables = CallCounter(counting.chain_tables)
+    layouts = CallCounter(counting.SymbolLayout)
+    monkeypatch.setattr(counting, "chain_tables", tables)
+    monkeypatch.setattr(counting, "SymbolLayout", layouts)
+    for pp in (PrimePower(2, 60), PrimePower(3, 60), PrimePower(P127, 30)):
+        for t in (7, 7 * pp.p**3, 0):
+            count_form(Q4, pp, t)
+    count_form(dense_even_form(6, 24), PrimePower(2, 6), 8)
+    count_composite(Q4, [PrimePower(2, 5), PrimePower(3, 4), PrimePower(P127, 2)], 7)
+    local_density(Q4, 3, 7)
+    count_factors([prepare(Q4, pp) for pp in (PrimePower(2, 5), PrimePower(5, 3))], 7)
+    from quadmod.cli import main
+
+    for instance in ({"q": Q4, "p": "3", "k": 40, "t": "7"}, {"q": Q4, "factors": [{"p": 2, "k": 9}, {"p": 5, "k": 2}], "t": 7}):
+        path = tmp_path / "q4.json"
+        path.write_text(json.dumps(instance))
+        assert main(["count", str(path)]) == 0
+    assert (tables.calls, layouts.calls) == (0, 0)
+
+    form = prepare(Q4, PrimePower(3, 6))
+    rng = random.Random(17)
+    assert sample_prepared(form, 7, RepKind.ANY, rng) is not None
+    assert (tables.calls, layouts.calls) == (1, 1)
+    for t, kind in ((7, RepKind.PRIMITIVE), (9, RepKind.NONPRIMITIVE), (0, RepKind.ANY)):
+        sample_prepared(form, t, kind, rng)
+        form.count(t)
+    assert (tables.calls, layouts.calls) == (1, 1)
 
 
 @pytest.mark.parametrize("pp", [PrimePower(2, 9), PrimePower(7, 3), PrimePower(P127, 2)], ids=str)
@@ -569,7 +722,6 @@ def hex_digest(counts):
 # Q4's counts at t, p^3 t and 0, recorded with the counts taken at the
 # full level k: exact where they are short, else the sha256 of their
 # hex digits (hex_digest)
-Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
 Q4_COUNTS = {
     "3^60": (
         PrimePower(3, 60),

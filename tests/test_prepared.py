@@ -177,8 +177,9 @@ CROSS_PATH = {
 
 @pytest.mark.parametrize("q_mat, pp", CROSS_PATH.values(), ids=CROSS_PATH)
 def test_count_equals_the_full_top_level(q_mat, pp):
-    # count sums the split cells of one target over the head table and
-    # the first tail; table builds the whole top level with _convolve
+    # count sums the blocks' Gauss-sum terms, _count_at (a draw's count)
+    # the split cells of one target over the head table and the first
+    # tail, and table builds the whole top level with _convolve
     form = prepare(q_mat, pp)
     table = form.table
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
@@ -186,12 +187,13 @@ def test_count_equals_the_full_top_level(q_mat, pp):
         assert list(table) == inhabited
     for g in inhabited:
         assert symbol_of(pp, symbol_rep(pp, g)) == g
-        assert form.count(symbol_rep(pp, g)) == table.get(g, RepCounts(0, 0, 0)), g
+        assert form.count(symbol_rep(pp, g)) == form._count_at(g) == table.get(g, RepCounts(0, 0, 0)), g
 
 
 def count_by_partners(form, t):
-    """form.count(t) as a sum over every split cell (g1, g2) of t's
-    symbol that layout.partners lists, one cell at a time."""
+    """A draw's count at t (form._count_at) as a sum over every split
+    cell (g1, g2) of t's symbol that layout.partners lists, one cell at
+    a time."""
     layout = form.layout
     i = layout.index(symbol_of(form.pp, t))
     (h_tot, h_np), (c_tot, c_np) = form.per_block[0], form.tails[0]
@@ -218,9 +220,9 @@ FAR_CELL_FORMS = {
 
 @pytest.mark.parametrize("q_mat, pp", FAR_CELL_FORMS.values(), ids=FAR_CELL_FORMS)
 def test_count_sums_the_far_cells_by_order(q_mat, pp):
-    # count adds the cells at least G orders from t's by order, with
-    # class sizes applied by Horner's rule; at p = 2 the two top orders
-    # have the class size of the order below them, a ratio of 1
+    # a draw's count adds the cells at least G orders from t's by order,
+    # with class sizes applied by Horner's rule; at p = 2 the two top
+    # orders have the class size of the order below them, a ratio of 1
     form = prepare(q_mat, pp)
     layout = form.layout
     assert form.tails
@@ -228,7 +230,7 @@ def test_count_sums_the_far_cells_by_order(q_mat, pp):
         assert [o for o in range(1, pp.k) if layout.size[o - 1] == layout.size[o]] == list(range(max(1, pp.k - 2), pp.k))
     for i in range(len(layout)):
         t = symbol_rep(pp, layout.symbol(i))
-        assert form.count(t) == count_by_partners(form, t), layout.symbol(i)
+        assert form._count_at(layout.symbol(i)) == count_by_partners(form, t) == form.count(t), layout.symbol(i)
 
 
 LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], PrimePower(3, 4)) for n in range(6)]
@@ -241,10 +243,14 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     convolve = CallCounter(quadmod.counting._convolve)
     monkeypatch.setattr(quadmod.counting, "_convolve", convolve)
     form = prepare(q_mat, pp)
-    levels = max(0, len(form.blocks) - 2)
-    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
     form.count(9)
-    assert convolve.calls == levels
+    assert (tables.calls, convolve.calls) == (0, 0)  # preparing and counting build no table
+    # the first read of the tables builds the walk's levels, once
+    levels = max(0, len(form.blocks) - 2)
+    assert len(form.tails) == max(0, len(form.blocks) - 1) and len(form.per_block) == len(form.blocks)
+    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
+    assert sample_prepared(form, 9, RepKind.ANY, random.Random(9)) is not None or form.count(9).total == 0
+    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
     # the top level is built on each read, and not kept
     assert form.table == form.table
     assert convolve.calls == levels + 2 * (len(form.blocks) >= 2)

@@ -10,7 +10,7 @@ import quadmod.counting
 import quadmod.modring
 import quadmod.sampling
 import quadmod.sqroots
-from quadmod.blockdiag import TypeII
+from quadmod.blockdiag import TypeI, TypeII
 from quadmod.counting import PreparedForm, _count_scaled_type2, count_composite, prepare
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
@@ -23,8 +23,6 @@ from quadmod.sampling import (
     sample_prepared,
     sample_split,
     sample_symbol_elem,
-    sample_type1,
-    sample_type2,
 )
 from quadmod.symbols import PkSymbol, class_size, enumerate_symbols, split_class_size, symbol_of
 
@@ -141,15 +139,21 @@ def test_sample_split_restarts_an_exhausted_rejection_loop():
         sample_split(pp, t, g1, g2, StuckRng(7, cap * cap, 2))
 
 
+def one_block(blk, pp):
+    """The prepared form of blk's matrix mod p^k: the block itself,
+    or, where the matrix vanishes mod p^k, zero blocks."""
+    return prepare([[v % pp.q for v in row] for row in blk.matrix()], pp)
+
+
 def test_sample_type1_examples():
-    assert_uniform_over(
-        lambda r: sample_type1(1, PrimePower(5, 2), 1, RepKind.PRIMITIVE, r), {1, 24}
-    )
-    assert_uniform_over(
-        lambda r: sample_type1(1, PrimePower(3, 2), 0, RepKind.NONPRIMITIVE, r), {0, 3, 6}
-    )
+    # one-block forms d x^2: the chain walk has no step, and the block
+    # is solved directly
+    form = prepare([[1]], PrimePower(5, 2))
+    assert_uniform_over(lambda r: sample_prepared(form, 1, RepKind.PRIMITIVE, r), {(1,), (24,)})
+    form = prepare([[1]], PrimePower(3, 2))
+    assert_uniform_over(lambda r: sample_prepared(form, 0, RepKind.NONPRIMITIVE, r), {(0,), (3,), (6,)})
     rng = random.Random(0)
-    assert sample_type1(1, PrimePower(5, 1), 2, RepKind.ANY, rng) is None
+    assert sample_prepared(prepare([[1]], PrimePower(5, 1)), 2, RepKind.ANY, rng) is None
 
 
 def test_sample_type1_matches_enumeration():
@@ -158,34 +162,39 @@ def test_sample_type1_matches_enumeration():
         for k in range(1, kmax + 1):
             pp = PrimePower(p, k)
             for d in range(pp.q):
+                form = prepare([[d]], pp)
+                assert len(form.blocks) == 1
                 for t in range(pp.q):
                     sols, counts = enumerate_reps([[d]], pp, t)
-                    prim = {v[0] for v in sols if v[0] % p}
-                    nonprim = {v[0] for v in sols if v[0] % p == 0}
+                    prim = {v for v in sols if v[0] % p}
+                    nonprim = {v for v in sols if v[0] % p == 0}
                     for kind, want in (
                         (RepKind.ANY, prim | nonprim),
                         (RepKind.PRIMITIVE, prim),
                         (RepKind.NONPRIMITIVE, nonprim),
                     ):
                         if not want:
-                            assert sample_type1(d, pp, t, kind, rng) is None
+                            assert sample_prepared(form, t, kind, rng) is None
                         else:
                             for _ in range(3):
-                                assert sample_type1(d, pp, t, kind, rng) in want
+                                assert sample_prepared(form, t, kind, rng) in want
 
 
 def test_sample_type2_examples():
     hyp = TypeII(0, 0, 1, 0)
+    form = one_block(hyp, PrimePower(2, 2))
+    assert form.blocks == (hyp,)
     assert_uniform_over(
-        lambda r: sample_type2(hyp, 2, 2, RepKind.ANY, r),
+        lambda r: sample_prepared(form, 2, RepKind.ANY, r),
         {(1, 1), (1, 3), (3, 1), (3, 3)},
     )
     rng = random.Random(0)
-    assert sample_type2(hyp, 2, 1, RepKind.ANY, rng) is None
+    assert sample_prepared(form, 1, RepKind.ANY, rng) is None
     # degenerate scale: the form is 0, non-primitive pairs are the even ones
-    blk = TypeII(2, 1, 1, 1)
+    form = one_block(TypeII(2, 1, 1, 1), PrimePower(2, 3))
+    assert [type(blk) for blk in form.blocks] == [TypeII]
     want = {(x, y) for x in (0, 2, 4, 6) for y in (0, 2, 4, 6)}
-    assert_uniform_over(lambda r: sample_type2(blk, 3, 0, RepKind.NONPRIMITIVE, r), want)
+    assert_uniform_over(lambda r: sample_prepared(form, 0, RepKind.NONPRIMITIVE, r), want)
 
 
 def test_sample_type2_matches_enumeration():
@@ -194,6 +203,8 @@ def test_sample_type2_matches_enumeration():
         pp = PrimePower(2, k)
         for blk in (TypeII(0, 0, 1, 0), TypeII(0, 1, 1, 1), TypeII(1, 0, 1, 0), TypeII(0, 1, 3, 2)):
             mat = [[v % pp.q for v in row] for row in blk.matrix()]
+            form = one_block(blk, pp)
+            assert [type(b) for b in form.blocks] == ([TypeII] if blk.ell < k else [TypeI, TypeI])
             for t in range(pp.q):
                 sols, _ = enumerate_reps(mat, pp, t)
                 prim = {v for v in sols if v[0] % 2 or v[1] % 2}
@@ -204,10 +215,10 @@ def test_sample_type2_matches_enumeration():
                     (RepKind.NONPRIMITIVE, nonprim),
                 ):
                     if not want:
-                        assert sample_type2(blk, k, t, kind, rng) is None
+                        assert sample_prepared(form, t, kind, rng) is None
                     else:
                         for _ in range(3):
-                            assert sample_type2(blk, k, t, kind, rng) in want
+                            assert sample_prepared(form, t, kind, rng) in want
 
 
 def test_sample_form_examples():
@@ -305,8 +316,7 @@ KIND_SAMPLERS = {
     "sample_prepared_zero_dim": lambda kind, rng: sample_prepared(prepare([], ONE_FACTOR[0]), 0, kind, rng),
     "sample_composite": lambda kind, rng: sample_composite([[1]], TWO_FACTORS, 0, kind, rng),
     "sample_factors": lambda kind, rng: sample_factors([prepare([[1]], pp) for pp in TWO_FACTORS], 3, kind, rng),
-    "sample_type1": lambda kind, rng: sample_type1(1, ONE_FACTOR[0], 0, kind, rng),
-    "sample_type2": lambda kind, rng: sample_type2(TypeII(0, 0, 1, 0), 2, 2, kind, rng),
+    "sample_prepared_type2": lambda kind, rng: sample_prepared(one_block(TypeII(0, 0, 1, 0), PrimePower(2, 2)), 2, kind, rng),
 }
 
 
@@ -596,8 +606,7 @@ def test_draws_count_each_factor_once(monkeypatch, kind):
     counter = CallCounter(PreparedForm._count_at)
     monkeypatch.setattr(PreparedForm, "_count_at", lambda form, g: counter(form, g))
     symbols = CallCounter(quadmod.sampling.symbol_of)
-    monkeypatch.setattr(quadmod.sampling, "symbol_of", symbols)
-    monkeypatch.setattr(quadmod.counting, "symbol_of", symbols)
+    monkeypatch.setattr(quadmod.sampling, "symbol_of", symbols)  # counting takes no symbols
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
     factors = [PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1)]
     rng = random.Random(4)
