@@ -54,7 +54,6 @@ from .symbols import (
     class_size,
     enumerate_symbols,
     split_class_size,
-    split_partners,
     symbol_of,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "sample_split",
     "sample_symbol_elem",
     "split_class_size",
-    "split_partners",
     "split_rejection_stats",
     "sqrt_unit_mod_2k",
     "sqrt_unit_mod_p",

@@ -10,8 +10,9 @@ each factor at min(k, L) and scales.  A non-primitive x is p y, and
 x'Qx = p^2 y'Qy, so the non-primitive count is p^n N_(k-2)(t / p^2)
 when p^2 | t, and 0 when not (at k = 1: 1 at t = 0 mod p, else 0).
 
-Draws need more than N(t): each step of the chain walk weighs split
-cells by counts at target symbols, and those come from tables.
+A draw takes the count it draws below from the same Gauss sums, but it
+needs more than N(t): each step of the chain walk weighs split cells by
+counts at target symbols, and those come from tables.
 Per-block closed forms (1x1 blocks for any p, 2x2 blocks for p = 2)
 are glued together by a dynamic program over p^k-symbols: the count of
 a direct sum at target symbol g is the sum over symbol pairs (g1, g2)
@@ -40,12 +41,14 @@ symbols, where the full convolution made one per non-zero (g, g1, g2)
 cell.  One more pass reads its non-primitive list off those totals.
 
 ``prepare`` diagonalizes a form; its layout and tables are built on
-their first read, which a draw makes and a count does not: each block's
-table, filled order by order, and the levels of the tail after the
-first block.  A draw reads the top level at one target, the same sums
-by order taken at that target alone (PreparedForm._count_at), and
-PreparedForm.table builds it in full.  Draws and tables stay at level
-k.  A composite modulus is a list of prepared factors.
+their first read, which a draw's walk makes and a count does not: each
+block's table, filled order by order, and the levels of the tail after
+the first block.  The tables give a draw only its walk's weights: the
+walk's first step weighs the cells of the top level, from the head
+block's table and the first tail, and those weights sum to the
+Gauss-sum count.  PreparedForm.table builds the top level in full.
+Draws and tables stay at level k.  A composite modulus is a list of
+prepared factors.
 """
 
 from __future__ import annotations
@@ -266,51 +269,6 @@ def _nonprimitive(layout: SymbolLayout, total: list[int], m: int) -> list[int]:
     return nprim
 
 
-def _level_entry(layout: SymbolLayout, h: list[int], c: list[int], i: int) -> int:
-    """The entry at position i of the level of head h and tail c, as
-    _convolve's formula at one target: c(g) A[o+G] + h(g) C[o+G] +
-    B[o-G] plus the near cells (layout.near) of every g1 less than G
-    orders from o, or B[k-1] + h(0) c(0) at the zero symbol.  A, C and
-    B are class sizes times sums by order (_sized_sum)."""
-    k, first, neg = layout.pp.k, layout.first, layout.neg
-
-    def below(hi: int) -> int:  # B over the orders < hi: each g1 with -g1
-        return _sized_sum(layout, [x * c[n] for x, n in zip(h[: first[hi]], neg)], 0, hi)
-
-    if i == 0:
-        return h[0] * c[0] + below(k)
-    o = layout.ords[i]
-    near, far = max(o - layout.gap + 1, 0), min(o + layout.gap, k)
-    entry = below(near)
-    if c[i]:
-        entry += c[i] * (h[0] + _sized_sum(layout, h, far, k))
-    if h[i]:
-        entry += h[i] * (c[0] + _sized_sum(layout, c, far, k))
-    for i1 in range(first[near], first[far]):
-        if h[i1]:
-            entry += h[i1] * sum(w * c[i2] for i2, w in layout.near(i, i1))
-    return entry
-
-
-def _sized_sum(layout: SymbolLayout, x: list[int], lo: int, hi: int) -> int:
-    """The sum of size[o] x[i] over the positions i of the finite orders
-    lo <= o < hi, by Horner's rule.
-
-    size[o - 1] is p size[o], except at the top two orders of p = 2,
-    which have the class size 1 of order k - 3.  So up the orders below
-    those, the sum so far is multiplied by p and adds the next order's
-    slots, and is multiplied once by the class size of its last order;
-    the top orders then add their slots.  That is O(k) products by p,
-    where a product per order would multiply two big integers.
-    """
-    p, k, first = layout.pp.p, layout.pp.k, layout.first
-    slots, bulk = (4, min(hi, max(lo, k - 2))) if p == 2 else (2, hi)
-    acc = 0
-    for row in zip(*(x[first[lo] + j : first[bulk] : slots] for j in range(slots))):
-        acc = acc * p + sum(row)
-    return (acc * layout.size[bulk - 1] if bulk > lo else 0) + sum(x[first[bulk] : first[hi]])
-
-
 def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     """One list of _convolve for odd p, where G = 1 and order o = i >> 1
     holds positions i = 2o + 1 (sign 1) and 2o + 2 (sign -1).
@@ -354,7 +312,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     first[o] + x, x < M.  Sign arithmetic mod m = 2M is slot arithmetic
     mod M: s - 2v is slot x - v, and -s is slot M - 1 - x.
 
-    The near cells of g = (o, s) (symbols.split_partners), for delta = 1
+    The near cells of g = (o, s) (SymbolLayout.near), for delta = 1
     and 2:
 
     * g1 = (o + delta, s1) with g2 = (o, s - 2^delta s1 mod m), and the
@@ -438,12 +396,13 @@ class PreparedForm:
     is the table of blocks[j], and tails[j] that of the direct sum
     blocks[j+1:], the suffix tables of chain_tables(blocks[1:]), the
     levels the chain walk reads.  Each is a Table, (total, non-primitive)
-    lists indexed by the positions of the layout.  The top level, the
-    table of all the blocks, is not kept: a draw reads it at one symbol
-    from the head block and the first tail (_count_at), and table builds
-    it in full on every read, as a {symbol: RepCounts} dict.  The near
-    cells that the tables and draws read are computed by rule, not
-    stored.
+    lists indexed by the positions of the layout.  A draw takes its
+    count from count, like any other caller, and reads the tables only
+    for its walk's weights.  The top level, the table of all the blocks,
+    is not kept: the walk's first step weighs its cells at one target
+    from the head block and the first tail, and table builds it in full
+    on every read, as a {symbol: RepCounts} dict.  The near cells that
+    the tables and draws read are computed by rule, not stored.
     """
 
     pp: PrimePower
@@ -506,25 +465,6 @@ class PreparedForm:
             nprim = int(t == 0)
         else:
             nprim = 0 if t % p**2 else p**n * solutions(self.pp, n, tallies, k - 2, t // p**2)
-        return RepCounts(total, total - nprim, nprim)
-
-    def _count_at(self, g: PkSymbol) -> RepCounts:
-        """The count at any target of symbol g, read from the tables: the
-        top level's entry at g, the sum over the split cells of g that
-        the chain walk's first step draws from.  The cells at least G
-        orders from ord g are summed by order, with the class sizes put
-        in by Horner's rule, and the near cells are read from
-        layout.near (_level_entry); both lists of the top level go
-        through that sum.  A draw reads its count here, so that its
-        walk's weights and its bound come from the same tables."""
-        if not self.diag.blocks:
-            return self.table.get(g, RepCounts(0, 0, 0))
-        (per_block, tails), layout = self._tables, self.layout
-        (h_tot, h_np), i = per_block[0], layout.index(g)
-        if not tails:
-            return RepCounts(h_tot[i], h_tot[i] - h_np[i], h_np[i])
-        c_tot, c_np = tails[0]
-        total, nprim = _level_entry(layout, h_tot, c_tot, i), _level_entry(layout, h_np, c_np, i)
         return RepCounts(total, total - nprim, nprim)
 
 

@@ -1,14 +1,14 @@
 """Las Vegas exactly-uniform samplers for x'Qx = t mod p^k and mod q.
 
-Draws read prepared forms (counting.prepare), whose tables a form's
-first draw builds, once per prime-power factor.  Each draw counts each
-factor once from those tables (PreparedForm._count_at, not the Gauss
-sums of PreparedForm.count), at t's symbol, which is also taken once,
-so the count it draws below is the sum of its walk's cell weights.  The
-chain walk reads its split cells from the form's symbol layout, which
-computes the near cells by rule, and its table entries by symbol
-position.  Each step draws once below the count of its class, which the
-tables already hold, and scans the cells in order to the one that holds
+Draws read prepared forms (counting.prepare).  Each draw counts each
+factor once, by its Gauss sums (PreparedForm.count), and takes t's
+symbol once; a draw whose class is empty ends there.  Otherwise the
+chain walk runs, and the form's first walk builds its tables, once per
+prime-power factor; they give the walk's cell weights, whose sum at
+the first step is the count.  The walk reads its split cells from the
+form's symbol layout, which computes the near cells by rule, and its
+table entries by symbol position.  Each step draws once below the
+count of its class and scans the cells in order to the one that holds
 the draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
@@ -424,19 +424,20 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     primitivity splits) with exact count weights, then go on with the
     rest.  Block solutions y pull back to x = U y since U'QU is the
     block form, with U applied as the diagonalization's moves, so U is
-    never built.  Nothing is diagonalized or tabulated here, so repeated
-    draws of one prepared form pay only for the walk.
+    never built.  Nothing is diagonalized here, and the form's first
+    walk builds its tables and keeps them, so repeated draws of one
+    prepared form pay only for the count and the walk.
     """
     _check_kind(kind)
-    g = symbol_of(form.pp, t)
-    return _sample_counted(form, t, kind, rng, g, form._count_at(g))
+    return _sample_counted(form, t, kind, rng, symbol_of(form.pp, t), form.count(t))
 
 
 def _sample_counted(
     form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, g: PkSymbol, counts: RepCounts
 ) -> tuple[int, ...] | None:
-    """sample_prepared given t's symbol g and its count from the form's
-    tables (form._count_at(g)), which the caller has taken."""
+    """sample_prepared given t's symbol g and its count (form.count(t)),
+    which the caller has taken.  The tables are read only once a walk
+    runs, so an empty class builds none."""
     pp = form.pp
     t %= pp.q
     if not form.blocks:
@@ -475,8 +476,8 @@ def sample_composite(
 ) -> tuple[int, ...] | None:
     """Uniform solution mod q = prod p_i^k_i of the requested kind:
     prepare the form once per prime power and draw with sample_factors.
-    Each factor's tables are built once and give both its count weight
-    and the weights of its walk."""
+    Each factor is counted by its Gauss sums, and its tables are built
+    once, for its walk, when the draw reaches it."""
     return sample_factors([prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
 
 
@@ -494,7 +495,7 @@ def sample_factors(
     _check_factors([form.pp for form in forms])
     _check_kind(kind)
     syms = [symbol_of(form.pp, t) for form in forms]
-    per = [form._count_at(g) for form, g in zip(forms, syms)]
+    per = [form.count(t) for form in forms]
 
     if kind is RepKind.NONPRIMITIVE:
         r = len(forms)

@@ -17,8 +17,7 @@ p = 1 mod 4), and it makes a symbol from a position only where one is
 returned.  Its ``partners`` is the single source of split cells: given
 the positions of (g, g1) it lists only the g2 with a non-zero size, as
 (position, size), which is one symbol except when ord(g1) = ord(g).
-``split_partners`` is the same list by symbol, and ``split_class_size``
-looks one triple up in it.
+``split_class_size`` looks one triple of symbols up in it.
 
 Beyond an order gap G (3 for p = 2, where three bits of the coprime
 part fix the sign; 1 for odd p) a cell no longer depends on signs or
@@ -28,11 +27,11 @@ every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  The near cells, within the gap, come from the
 signs in closed form (for p = 2 and equal orders, from one congruence
 on the signs), so a cell costs a few integer operations wherever it is
-read.  The chain walk reads ``partners``; a draw's count of its target
-sums the far cells by order and reads the near ones from ``near``, and
-the count tables sum every cell by order and sign class
-(counting._convolve).  Each prepared form owns its layout; the module
-keeps no state between calls.
+read.  The chain walk reads ``partners``, and the count tables sum
+every cell by order and sign class (counting._convolve); a count of
+one target reads no cell, as it comes from Gauss sums (gauss module).
+Each prepared form owns its layout; the module keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -124,33 +123,19 @@ def split_pair_count_mod_p(p: int, leg_a: int, s1: int, s2: int) -> int:
     return (p - (p % 4) - (leg_a + s1) * (leg_a * minus_one + s2)) // 4
 
 
-def split_partners(pp: PrimePower, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
-    """The non-zero split sizes at (g, g1), as (g2, size) in enumerate_symbols order.
-
-    size = |{(a, b) : symbol(a) = g1, symbol(b) = g2, a + b = t mod p^k}|,
-    the same for every t of symbol g; every g2 whose size is 0 is left
-    out, and every listed g2 has a non-empty class.  An empty target or
-    g1 class has no pairs at all.  Both symbols are validated; the cells
-    are SymbolLayout.partners, read back as symbols.
-    """
-    _check_symbol(pp, g)
-    _check_symbol(pp, g1)
-    if _is_empty(pp, g) or _is_empty(pp, g1):
-        return []  # before index, which knows only inhabited symbols
-    layout = SymbolLayout(pp)
-    return [(layout.symbol(i2), size) for i2, size in layout.partners(layout.index(g), layout.index(g1))]
-
-
 def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) -> int:
     """|{(a, b) : symbol(a) = g1, symbol(b) = g2, a + b = t mod p^k}|.
 
-    Well-defined for any t with symbol g: the size ``split_partners``
-    lists for g2, or 0 when it does not list g2 (in particular for a
-    target symbol with an empty class).  All three symbols are
-    validated.
+    Well-defined for any t with symbol g: the size SymbolLayout.partners
+    lists for g2, or 0 when it does not list g2 or when any of the three
+    classes is empty.  All three symbols are validated.
     """
-    _check_symbol(pp, g2)
-    return dict(split_partners(pp, g, g1)).get(g2, 0)
+    for h in (g, g1, g2):
+        _check_symbol(pp, h)
+    if any(_is_empty(pp, h) for h in (g, g1, g2)):
+        return 0  # before index, which knows only inhabited symbols
+    layout = SymbolLayout(pp)
+    return dict(layout.partners(layout.index(g), layout.index(g1))).get(layout.index(g2), 0)
 
 
 class SymbolLayout:

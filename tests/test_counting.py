@@ -629,14 +629,13 @@ def test_counts_at_the_stable_level_equal_the_full_level(inst):
 @settings(max_examples=300, deadline=None)
 def test_gauss_sum_count_equals_the_tables(inst):
     # count(t) sums the Fourier terms of the blocks' Gauss sums; the
-    # referee is the dynamic program's own entry at t's symbol, as a
-    # draw reads it (_count_at) and as the full top level lists it
-    # (table), and enumeration where the cube is small
+    # referee is the dynamic program's entry at t's symbol, as the full
+    # top level lists it (table), and enumeration where the cube is small
     q, pp, t, _ = inst
     form = prepare(q, pp)
     got = form.count(t)
     g = symbol_of(pp, t)
-    assert got == form._count_at(g) == form.table.get(g, (0, 0, 0)) and is_int_counts(got), (q, pp, t)
+    assert got == form.table.get(g, (0, 0, 0)) and is_int_counts(got), (q, pp, t)
     if pp.q ** len(q) <= 2**16:
         assert got == histogram_counts(q, pp)[t % pp.q], (q, pp, t)
 
@@ -647,10 +646,11 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
     # dense forms, whose blocks at p = 2 include type II ones, at a target
     # of every inhabited symbol
     form = prepare(dense_even_form(n, n), pp)
+    table = form.table
     for i in range(len(form.layout)):
         g = form.layout.symbol(i)
         t = 0 if g.ord == INF else pp.p**g.ord * next(u for u in range(1, 8) if symbol_of(pp, u * pp.p**g.ord) == g)
-        assert form.count(t) == form._count_at(g), g
+        assert form.count(t) == table[g], g
 
 
 def test_a_sum_that_is_no_count_raises(monkeypatch):

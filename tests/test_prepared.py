@@ -177,9 +177,8 @@ CROSS_PATH = {
 
 @pytest.mark.parametrize("q_mat, pp", CROSS_PATH.values(), ids=CROSS_PATH)
 def test_count_equals_the_full_top_level(q_mat, pp):
-    # count sums the blocks' Gauss-sum terms, _count_at (a draw's count)
-    # the split cells of one target over the head table and the first
-    # tail, and table builds the whole top level with _convolve
+    # count sums the blocks' Gauss-sum terms, and table builds the whole
+    # top level with _convolve
     form = prepare(q_mat, pp)
     table = form.table
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
@@ -187,13 +186,13 @@ def test_count_equals_the_full_top_level(q_mat, pp):
         assert list(table) == inhabited
     for g in inhabited:
         assert symbol_of(pp, symbol_rep(pp, g)) == g
-        assert form.count(symbol_rep(pp, g)) == form._count_at(g) == table.get(g, RepCounts(0, 0, 0)), g
+        assert form.count(symbol_rep(pp, g)) == table.get(g, RepCounts(0, 0, 0)), g
 
 
 def count_by_partners(form, t):
-    """A draw's count at t (form._count_at) as a sum over every split
-    cell (g1, g2) of t's symbol that layout.partners lists, one cell at
-    a time."""
+    """The sum of the chain walk's first-step cell weights at t: every
+    split cell (g1, g2) of t's symbol that layout.partners lists, one
+    cell at a time, weighed by the head table and the first tail."""
     layout = form.layout
     i = layout.index(symbol_of(form.pp, t))
     (h_tot, h_np), (c_tot, c_np) = form.per_block[0], form.tails[0]
@@ -220,9 +219,10 @@ FAR_CELL_FORMS = {
 
 @pytest.mark.parametrize("q_mat, pp", FAR_CELL_FORMS.values(), ids=FAR_CELL_FORMS)
 def test_count_sums_the_far_cells_by_order(q_mat, pp):
-    # a draw's count adds the cells at least G orders from t's by order,
-    # with class sizes applied by Horner's rule; at p = 2 the two top
-    # orders have the class size of the order below them, a ratio of 1
+    # a draw draws below count(t), and its walk's first step scans the
+    # cells of t's symbol: their weights must sum to that count, in
+    # both classes, at every symbol; at p = 2 the two top orders have
+    # the class size of the order below them, a ratio of 1
     form = prepare(q_mat, pp)
     layout = form.layout
     assert form.tails
@@ -230,7 +230,7 @@ def test_count_sums_the_far_cells_by_order(q_mat, pp):
         assert [o for o in range(1, pp.k) if layout.size[o - 1] == layout.size[o]] == list(range(max(1, pp.k - 2), pp.k))
     for i in range(len(layout)):
         t = symbol_rep(pp, layout.symbol(i))
-        assert form._count_at(layout.symbol(i)) == count_by_partners(form, t) == form.count(t), layout.symbol(i)
+        assert count_by_partners(form, t) == form.count(t), layout.symbol(i)
 
 
 LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], PrimePower(3, 4)) for n in range(6)]
@@ -269,17 +269,21 @@ def test_prepare_checks_symmetry_once(monkeypatch, q_mat):
 
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_sample_form_prepares_once(layer_calls, kind):
+    # the tables are built once, and only when a walk runs: an empty
+    # class (the non-primitive one at t = 7) ends the draw before them
     diag, tables = layer_calls
-    sample_form(Q4, PrimePower(3, 4), 7, kind, random.Random(1))
-    assert (diag.calls, tables.calls) == (1, 1)
+    drawn = sample_form(Q4, PrimePower(3, 4), 7, kind, random.Random(1))
+    assert (diag.calls, tables.calls) == (1, int(drawn is not None))
+    assert (drawn is None) == (kind is RepKind.NONPRIMITIVE)
 
 
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_sample_composite_prepares_once_per_factor(layer_calls, kind):
     diag, tables = layer_calls
     factors = [PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1)]
-    sample_composite(Q4, factors, 14, kind, random.Random(2))
-    assert (diag.calls, tables.calls) == (3, 3)
+    drawn = sample_composite(Q4, factors, 14, kind, random.Random(2))
+    assert (diag.calls, tables.calls) == (3, 3 if drawn is not None else 0)
+    assert (drawn is None) == (kind is RepKind.NONPRIMITIVE)
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

@@ -602,9 +602,9 @@ def test_benchmark_root_spans_see_calls(monkeypatch):
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_draws_count_each_factor_once(monkeypatch, kind):
     # the count that weighs a factor also sets its walk's first total,
-    # and the symbol of t that it reads is the walk's first symbol
-    counter = CallCounter(PreparedForm._count_at)
-    monkeypatch.setattr(PreparedForm, "_count_at", lambda form, g: counter(form, g))
+    # and t's symbol, taken once, is the walk's first symbol
+    counter = CallCounter(PreparedForm.count)
+    monkeypatch.setattr(PreparedForm, "count", lambda form, t: counter(form, t))
     symbols = CallCounter(quadmod.sampling.symbol_of)
     monkeypatch.setattr(quadmod.sampling, "symbol_of", symbols)  # counting takes no symbols
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
@@ -624,17 +624,20 @@ def test_draws_count_each_factor_once(monkeypatch, kind):
 
 
 def test_walk_raises_when_a_tail_disagrees_with_its_level():
-    # each step draws below the count the tables give for its class; a
-    # tail entry larger than the cells below it sends the scan past its
-    # last cell, which is an error, not a silent pick of that cell
+    # each step after the first draws below the tail's entry for its
+    # class; a tail entry larger than the cells below it sends the next
+    # scan past its last cell, which is an error, not a silent pick of
+    # that cell.  At t = 36, p^2 | t and both classes are non-empty, so
+    # both kinds reach the tampered tail
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
     mixed = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]  # a type II block and two type I
     for q_mat, pp in ((q4, PrimePower(3, 4)), (mixed, PrimePower(2, 6))):
         form = prepare(q_mat, pp)
         assert len(form.tails) >= 2
+        assert 36 % pp.p**2 == 0 and form.count(36).primitive and form.count(36).nonprimitive
         total, nprim = form.tails[0]
         total[:] = [x + 2 * 10**40 for x in total]
         nprim[:] = [x + 10**40 for x in nprim]
         for kind in (RepKind.PRIMITIVE, RepKind.NONPRIMITIVE):
             with pytest.raises(RuntimeError, match="past its last cell"):
-                sample_prepared(form, 7, kind, random.Random(5))
+                sample_prepared(form, 36, kind, random.Random(5))

@@ -11,7 +11,6 @@ from quadmod.symbols import (
     enumerate_symbols,
     split_class_size,
     split_pair_count_mod_p,
-    split_partners,
     symbol_of,
 )
 
@@ -176,15 +175,27 @@ def test_dense_reference_matches_brute_force(pp):
                 assert dense_split_size(pp, g, g1, g2) == want, (pp, g, g1, g2)
 
 
+def partner_symbols(layout, g, g1):
+    """SymbolLayout.partners at the inhabited symbols (g, g1), read back
+    as (g2, size) by layout.symbol."""
+    return [(layout.symbol(i2), size) for i2, size in layout.partners(layout.index(g), layout.index(g1))]
+
+
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
 def test_split_partners_equal_dense_filter(pp):
     # the sparse list is exactly the dense row with its zeros dropped,
-    # in enumerate_symbols order, and lists only inhabited symbols
+    # in enumerate_symbols order, and lists only inhabited symbols; an
+    # empty target or first-summand class, which the layout does not
+    # number, has an all-zero row
     syms = enumerate_symbols(pp)
+    layout = SymbolLayout(pp)
     for g in syms:
         for g1 in syms:
             want = [(g2, s) for g2 in syms if (s := dense_split_size(pp, g, g1, g2))]
-            assert split_partners(pp, g, g1) == want, (pp, g, g1)
+            if class_size(pp, g) and class_size(pp, g1):
+                assert partner_symbols(layout, g, g1) == want, (pp, g, g1)
+            else:
+                assert want == [], (pp, g, g1)
             assert all(class_size(pp, g2) > 0 for g2, _ in want)
             for g2 in syms:
                 assert split_class_size(pp, g, g1, g2) == dict(want).get(g2, 0)
@@ -235,9 +246,10 @@ def test_split_partners_far_rules_and_near_cells(pp):
     def beyond(g2, o):
         return g2.ord == INF or g2.ord >= o + gap
 
+    layout = SymbolLayout(pp)
     for g in live:
         for g1 in live:
-            got = split_partners(pp, g, g1)
+            got = partner_symbols(layout, g, g1)
             size1 = class_size(pp, g1)
             if g1.ord == INF:
                 assert got == [(g, 1)], (pp, g, g1)
@@ -283,23 +295,25 @@ NEAR_GRID = [PrimePower(p, k) for p, kmax in ((2, 12), (3, 6), (5, 6), (2**127 -
 
 @pytest.mark.parametrize("pp", NEAR_GRID, ids=str)
 def test_near_partners_closed_form_matches_candidate_scan(pp):
-    # the near part of split_partners: its partners of finite order
-    # below ord(g) + G
+    # the near part of SymbolLayout.partners: its partners of finite
+    # order below ord(g) + G
     gap = 3 if pp.p == 2 else 1
+    layout = SymbolLayout(pp)
     finite = [g for g in enumerate_symbols(pp) if g.ord != INF and class_size(pp, g) > 0]
     for g in finite:
         for g1 in finite:
-            near = [(g2, s) for g2, s in split_partners(pp, g, g1) if g2.ord < g.ord + gap]
+            near = [(g2, s) for g2, s in partner_symbols(layout, g, g1) if g2.ord < g.ord + gap]
             assert near == scan_near_partners(pp, g, g1), (g, g1)
 
 
 def test_split_partners_validate_symbols():
+    # split_class_size validates each of its three symbols
     pp = PrimePower(5, 2)
-    with pytest.raises(DomainError):
-        split_partners(pp, PkSymbol(0, 3), PkSymbol(0, 1))
-    with pytest.raises(DomainError):
-        split_partners(pp, PkSymbol(0, 1), PkSymbol(2, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="sign 3 invalid for p=5"):
+        split_class_size(pp, PkSymbol(0, 3), PkSymbol(0, 1), PkSymbol(0, 1))
+    with pytest.raises(DomainError, match="order 2 out of range for k=2"):
+        split_class_size(pp, PkSymbol(0, 1), PkSymbol(2, 1), PkSymbol(0, 1))
+    with pytest.raises(DomainError, match="order INF must carry sign 0"):
         split_class_size(pp, PkSymbol(0, 1), PkSymbol(0, 1), PkSymbol(INF, 1))
 
 
