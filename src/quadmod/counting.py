@@ -43,10 +43,11 @@ cell.  One more pass reads its non-primitive list off those totals.
 ``prepare`` diagonalizes a form; its layout and tables are built on
 their first read, which a draw's walk makes and a count does not: each
 block's table, filled order by order, and the levels of the tail after
-the first block.  The tables give a draw only its walk's weights: the
-walk's first step weighs the cells of the top level, from the head
-block's table and the first tail, and those weights sum to the
-Gauss-sum count.  PreparedForm.table builds the top level in full.
+the first block the walk peels, a highest-order one
+(PreparedForm.walk_order).  The tables give a draw only its walk's
+weights: the walk's first step weighs the cells of the top level, from
+the head block's table and the first tail, and those weights sum to
+the Gauss-sum count.  PreparedForm.table builds the top level in full.
 Draws and tables stay at level k.  A composite modulus is a list of
 prepared factors.
 """
@@ -392,13 +393,17 @@ class PreparedForm:
     the direct sum of the blocks mod p^k, is built from those moves the
     first time it is read, and a draw applies the moves to its vector
     instead.  count reads the blocks' Gauss-sum tallies only, so a count
-    builds neither u nor a table.  The tables are for draws: per_block[j]
-    is the table of blocks[j], and tails[j] that of the direct sum
-    blocks[j+1:], the suffix tables of chain_tables(blocks[1:]), the
-    levels the chain walk reads.  Each is a Table, (total, non-primitive)
-    lists indexed by the positions of the layout.  A draw takes its
-    count from count, like any other caller, and reads the tables only
-    for its walk's weights.  The top level, the table of all the blocks,
+    builds neither u nor a table.  The tables are for draws, whose chain
+    walk peels the blocks highest order first (walk_order), the reverse
+    of the ascending order in which block_diagonalize, picking a
+    minimal-order pivot each time, leaves them.  per_block[j] is the
+    table of the j-th block the walk peels, blocks[walk_order[j]], and
+    tails[j] that of the direct sum of the blocks it peels after that
+    one, the suffix tables of chain_tables over the walk's blocks after
+    its first: the levels the chain walk reads.  Each is a Table,
+    (total, non-primitive) lists indexed by the positions of the layout.
+    A draw takes its count from count, like any other caller, and reads
+    the tables only for its walk's weights.  The top level, the table of all the blocks,
     is not kept: the walk's first step weighs its cells at one target
     from the head block and the first tail, and table builds it in full
     on every read, as a {symbol: RepCounts} dict.  The near cells that
@@ -421,9 +426,18 @@ class PreparedForm:
     def layout(self) -> SymbolLayout:
         return SymbolLayout(self.pp)
 
+    @property
+    def walk_order(self) -> range:
+        """The positions in blocks in the order the chain walk peels the
+        blocks: highest order first.  Then the lowest-order blocks come
+        last, and a head block of an order above the target's takes no
+        square root, so a draw takes about one per factor, the last
+        block's."""
+        return range(len(self.blocks) - 1, -1, -1)
+
     @cached_property
     def _tables(self) -> tuple[list[Table], list[Table]]:
-        blocks, layout = self.diag.blocks, self.layout
+        blocks, layout = tuple(self.blocks[j] for j in self.walk_order), self.layout
         if not blocks:
             return [], []
         per_tail, tails = chain_tables(blocks[1:], layout)

@@ -5,11 +5,15 @@ factor once, by its Gauss sums (PreparedForm.count), and takes t's
 symbol once; a draw whose class is empty ends there.  Otherwise the
 chain walk runs, and the form's first walk builds its tables, once per
 prime-power factor; they give the walk's cell weights, whose sum at
-the first step is the count.  The walk reads its split cells from the
-form's symbol layout, which computes the near cells by rule, and its
-table entries by symbol position.  Each step draws once below the
-count of its class and scans the cells in order to the one that holds
-the draw.
+the first step is the count.  The walk peels the blocks highest order
+first (PreparedForm.walk_order), so the lowest-order blocks come last
+and a draw mostly takes one square root per factor, the last block's.
+It reads its split cells from the form's symbol layout, which computes
+the near cells by rule, and its table entries by symbol position.
+Each step draws once below the count of its class and scans the cells
+in order to the one that holds the draw.  A choice that only one class
+can take (the kind of an ANY draw, a factor's branch of a composite
+NONPRIMITIVE draw) is made without a draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -98,14 +102,15 @@ def _check_kind(kind: RepKind) -> None:
 
 def _choose_kind(c: RepCounts, kind: RepKind, rng: RandomSource) -> bool | None:
     """Pick the primitive (True) or non-primitive (False) class with
-    probability proportional to its count; None when the request is empty."""
+    probability proportional to its count; None when the request is
+    empty.  When only one class is non-empty it is taken with no draw."""
     if kind is RepKind.PRIMITIVE:
         return True if c.primitive else None
     if kind is RepKind.NONPRIMITIVE:
         return False if c.nonprimitive else None
-    if c.total == 0:
-        return None
-    return uniform_below(c.total, rng) < c.primitive
+    if c.primitive and c.nonprimitive:
+        return uniform_below(c.total, rng) < c.primitive
+    return bool(c.primitive) if c.total else None
 
 
 def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
@@ -313,37 +318,43 @@ def _sample_block(
 def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, total: int, rng: RandomSource) -> list[int]:
     """Uniform solution of the direct sum of the form's blocks at a
     reduced target t of symbol g in the given class, whose count is
-    total, one block peeled off per step: draw below the class's count
-    (total, then the tail's entry at the chosen g2) and scan to the cell
-    (g1, g2) that holds the draw (_pick_cell), give the head block a
-    value of symbol g1 and the tail the rest of the target, then go on
-    with the tail.
+    total, one block peeled off per step, highest order first
+    (form.walk_order): draw below the class's count (total, then the
+    tail's entry at the chosen g2) and scan to the cell (g1, g2) that
+    holds the draw (_pick_cell), give the head block a value of symbol
+    g1 and the tail the rest of the target, then go on with the tail.
+    The block solutions are returned in the blocks' own order.
 
     A type I head with a finite g1 draws its x directly
     (_sample_head_type1), with no square root, except in a cell with
     ord g1 = ord g < ord g2; there, and for a zero g1 or a type II head,
     the step splits the target (_split) and solves the head block at its
-    share.  The chosen cell is used without checking its size again: the
-    walk only picks cells of non-zero weight.  The tail's target has the
-    symbol g2 of its cell, the next step's target symbol, and the head's
-    value has the symbol g1, so no step takes a symbol or a count again."""
+    share.  Since the lowest-order blocks come last, a head's tail has
+    an order at most the head's, and that cell holds a weight of about
+    1/p at odd p, so a draw mostly takes one square root: the last
+    block's.  The chosen cell is used without checking its size again:
+    the walk only picks cells of non-zero weight.  The tail's target has
+    the symbol g2 of its cell, the next step's target symbol, and the
+    head's value has the symbol g1, so no step takes a symbol or a count
+    again."""
     pp, layout, blocks, per_block, tails = form.pp, form.layout, form.blocks, form.per_block, form.tails
+    *order, last = form.walk_order
     i = layout.index(g)
-    y: list[int] = []
-    for j in range(len(blocks) - 1):
+    parts: list[tuple[int, ...]] = [()] * len(blocks)
+    for j, b in enumerate(order):
         r = uniform_below(total, rng)
         i1, i2, head_prim, want_prim = _pick_cell(layout, per_block[j], tails[j], i, want_prim, r)
-        blk, g1, g2 = blocks[j], layout.symbol(i1), layout.symbol(i2)
+        blk, g1, g2 = blocks[b], layout.symbol(i1), layout.symbol(i2)
         if isinstance(blk, TypeI) and g1.ord != INF and (g1.ord != g.ord or g2.ord == g.ord):
             x, t = _sample_head_type1(blk.d, pp, t, g, g1, g2, rng)
-            y.append(x)
+            parts[b] = (x,)
         else:
             a, t = _split(pp, t, g, g1, g2, rng)
-            y.extend(_sample_block(blk, pp, a, g1, head_prim, rng))
+            parts[b] = _sample_block(blk, pp, a, g1, head_prim, rng)
         c_tot, c_np = tails[j]
         total, i, g = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2, g2
-    y.extend(_sample_block(blocks[-1], pp, t, g, want_prim, rng))
-    return y
+    parts[last] = _sample_block(blocks[last], pp, t, g, want_prim, rng)
+    return [v for part in parts for v in part]
 
 
 def _sample_head_type1(
@@ -419,12 +430,13 @@ def _pick_cell(
 def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
     """Uniform solution of the prepared x'Qx = t mod p^k of the requested kind.
 
-    Peel blocks off the front of the form's tables: choose how the
-    target splits between the first block and the rest (and how
-    primitivity splits) with exact count weights, then go on with the
-    rest.  Block solutions y pull back to x = U y since U'QU is the
-    block form, with U applied as the diagonalization's moves, so U is
-    never built.  Nothing is diagonalized here, and the form's first
+    Peel the blocks off one at a time, highest order first (the walk
+    order of the form's tables): choose how the target splits between
+    that block and the rest (and how primitivity splits) with exact
+    count weights, then go on with the rest.  Block solutions y, put
+    back in the blocks' own order, pull back to x = U y since U'QU is
+    the block form, with U applied as the diagonalization's moves, so U
+    is never built.  Nothing is diagonalized here, and the form's first
     walk builds its tables and keeps them, so repeated draws of one
     prepared form pay only for the count and the walk.
     """
@@ -466,8 +478,8 @@ def sample_form(
     q_mat, pp: PrimePower, t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, ...] | None:
     """Uniform solution of x'Qx = t mod p^k of the requested kind:
-    prepare the form (diagonalize it and build its tables, once) and
-    draw from it with sample_prepared."""
+    prepare the form (diagonalize it) and draw from it with
+    sample_prepared, whose walk builds the form's tables."""
     return sample_prepared(prepare(q_mat, pp), t, kind, rng)
 
 
@@ -490,7 +502,8 @@ def sample_factors(
     Any and Primitive are per-factor constraints.  NonPrimitive means
     non-primitive at *some* prime, sampled by walking the factors and
     branching, with exact weights, between "this factor non-primitive,
-    rest unconstrained" and "this factor primitive, constraint pending".
+    rest unconstrained" and "this factor primitive, constraint pending";
+    a branch that only one side can take is taken with no draw.
     """
     _check_factors([form.pp for form in forms])
     _check_kind(kind)
@@ -513,7 +526,7 @@ def sample_factors(
                 continue
             w_non = per[j].nonprimitive * suffix_tot[j + 1]
             w_prim = per[j].primitive * (suffix_tot[j + 1] - suffix_prim[j + 1])
-            if uniform_below(w_non + w_prim, rng) < w_non:
+            if w_non and (not w_prim or uniform_below(w_non + w_prim, rng) < w_non):
                 parts.append(_sample_counted(form, t, RepKind.NONPRIMITIVE, rng, syms[j], per[j]))
                 pending = False
             else:

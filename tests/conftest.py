@@ -4,6 +4,7 @@ through which one layer calls another."""
 import pytest
 
 import quadmod.counting
+import quadmod.sampling
 
 
 class CallCounter:
@@ -26,3 +27,14 @@ def layer_calls(monkeypatch):
     monkeypatch.setattr(quadmod.counting, "block_diagonalize", diag)
     monkeypatch.setattr(quadmod.counting, "chain_tables", tables)
     return diag, tables
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """Counters wrapped around sampling's lift_sqrt_odd and sqrt_unit_mod_2k,
+    the square roots a draw takes."""
+    odd = CallCounter(quadmod.sampling.lift_sqrt_odd)
+    two = CallCounter(quadmod.sampling.sqrt_unit_mod_2k)
+    monkeypatch.setattr(quadmod.sampling, "lift_sqrt_odd", odd)
+    monkeypatch.setattr(quadmod.sampling, "sqrt_unit_mod_2k", two)
+    return odd, two

@@ -599,6 +599,62 @@ def test_benchmark_root_spans_see_calls(monkeypatch):
     assert calls["sqrt_unit_mod_p"].calls == calls["lift_sqrt_odd"].calls
 
 
+
+@pytest.mark.parametrize("profile", [(0, 0, 1), (0, 0, 1, 1)], ids=["001", "0011"])
+@pytest.mark.parametrize("kind", [RepKind.ANY, RepKind.PRIMITIVE])
+def test_a_draw_at_a_big_prime_takes_one_root(root_calls, profile, kind):
+    # the walk peels the blocks highest order first, so a head's tail
+    # has an order at most the head's: at a target prime to p a head
+    # takes no root except in a cell of weight about 1/p, and a draw
+    # takes one square root, the last block's
+    odd, two = root_calls
+    p127 = 85070591730234615865843651857942052973
+    pp = PrimePower(p127, 4)
+    diag = [d * p127**e for d, e in zip((1, 2, 3, 5), profile)]
+    form = prepare([[v if i == j else 0 for j in range(len(diag))] for i, v in enumerate(diag)], pp)
+    rng = random.Random(f"one root:{profile}:{kind.value}")
+    for t in (1, 2, 3, 7, 10**30 + 1, pp.q - 1):
+        for _ in range(5):
+            odd.calls = 0
+            x = sample_prepared(form, t, kind, rng)
+            assert sum(d * v * v for d, v in zip(diag, x)) % pp.q == t
+            assert odd.calls == 1, (t, odd.calls)
+    assert two.calls == 0
+
+
+@pytest.mark.parametrize(
+    "q_mat, pp, t", [(I2, PrimePower(13, 2), 1), (Q4, PrimePower(3, 4), 7)], ids=["I2-13^2", "Q4-3^4"]
+)
+def test_a_forced_class_choice_draws_nothing(q_mat, pp, t):
+    # where the non-primitive class is empty, ANY must take the primitive
+    # class without a draw, so its draws are PRIMITIVE's from one seed
+    form = prepare(q_mat, pp)
+    assert form.count(t).nonprimitive == 0 < form.count(t).primitive
+    any_rng, prim_rng = random.Random(21), random.Random(21)
+    for _ in range(20):
+        assert sample_prepared(form, t, RepKind.ANY, any_rng) == sample_prepared(form, t, RepKind.PRIMITIVE, prim_rng)
+    assert any_rng.getstate() == prim_rng.getstate()
+
+
+def test_a_forced_factor_branch_draws_nothing():
+    # a NONPRIMITIVE composite draw branches per factor between "this
+    # factor non-primitive" and "primitive, constraint pending".  Mod
+    # 13^2 at t = 9 the first branch is empty, and at the last factor the
+    # second, so neither takes a draw: the composite draw is a PRIMITIVE
+    # draw mod 13^2 and a NONPRIMITIVE one mod 3^4, from one generator
+    i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    forms = [prepare(i3, PrimePower(13, 2)), prepare(i3, PrimePower(3, 4))]
+    t = 9
+    assert forms[0].count(t).nonprimitive == 0 and forms[1].count(t).primitive and forms[1].count(t).nonprimitive
+    rng, ref = random.Random(8), random.Random(8)
+    for _ in range(10):
+        x = sample_factors(forms, t, RepKind.NONPRIMITIVE, rng)
+        a = sample_prepared(forms[0], t, RepKind.PRIMITIVE, ref)
+        b = sample_prepared(forms[1], t, RepKind.NONPRIMITIVE, ref)
+        assert tuple(v % 169 for v in x) == a and tuple(v % 81 for v in x) == b
+    assert rng.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_draws_count_each_factor_once(monkeypatch, kind):
     # the count that weighs a factor also sets its walk's first total,
