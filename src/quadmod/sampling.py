@@ -336,11 +336,14 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
     the walk only picks cells of non-zero weight.  The tail's target has
     the symbol g2 of its cell, the next step's target symbol, and the
     head's value has the symbol g1, so no step takes a symbol or a count
-    again."""
-    pp, layout, blocks, per_block, tails = form.pp, form.layout, form.blocks, form.per_block, form.tails
+    again.  A one-block form's walk has no step: it reads neither the
+    layout nor a table."""
+    pp, blocks = form.pp, form.blocks
     *order, last = form.walk_order
-    i = layout.index(g)
     parts: list[tuple[int, ...]] = [()] * len(blocks)
+    if order:  # a walk with a step reads the layout and the tables
+        layout, per_block, tails = form.layout, form.per_block, form.tails
+        i = layout.index(g)
     for j, b in enumerate(order):
         r = uniform_below(total, rng)
         i1, i2, head_prim, want_prim = _pick_cell(layout, per_block[j], tails[j], i, want_prim, r)

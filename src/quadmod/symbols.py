@@ -6,7 +6,7 @@ mod 8 for p = 2).  Two elements share a symbol iff they differ by a
 unit-square factor, so representation counts depend on targets only
 through their symbol.
 
-The convolution kernel that glues per-block counts together is the
+The chain walk splits a target between a block and the rest by the
 split size: for a target t of symbol g, the number of pairs (a, b) with
 prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` numbers
 the inhabited symbols of one modulus, order by order: the count tables
@@ -27,9 +27,8 @@ every g2 at least G above, with size |g2| (the zero symbol counts as
 above every order).  The near cells, within the gap, come from the
 signs in closed form (for p = 2 and equal orders, from one congruence
 on the signs), so a cell costs a few integer operations wherever it is
-read.  The chain walk reads ``partners``, and the count tables sum
-every cell by order and sign class (counting._convolve); a count of
-one target reads no cell, as it comes from Gauss sums (gauss module).
+read.  The chain walk reads ``partners``; the counts and the count
+tables read no cell, as they come from Gauss sums (gauss module).
 Each prepared form owns its layout; the module keeps no state between
 calls.
 """

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import dp_reference
 import pytest
 from conftest import CallCounter
 from hypothesis import example, given, settings
@@ -368,9 +369,10 @@ P127 = 2**127 - 1
 
 
 def symbol_chain_tables(blocks, pp):
-    """chain_tables(blocks, layout) with each table read through symbol_table."""
+    """chain_tables of the blocks with each table read through
+    symbol_table."""
     layout = SymbolLayout(pp)
-    per_block, suffix = chain_tables(blocks, layout)
+    per_block, suffix = chain_tables(dp_reference.table_classes(blocks, pp), layout)
     return [symbol_table(layout, t) for t in per_block], [symbol_table(layout, t) for t in suffix]
 
 
@@ -483,16 +485,16 @@ def test_position_tables_read_as_dicts_equal_the_dense_reference(chain):
 @settings(max_examples=150, deadline=None)
 def test_nonprimitive_levels_follow_from_the_totals(chain):
     # a non-primitive x = p y has x'Qx = p^2 y'Qy, so each level's
-    # non-primitive list is read off its totals: chain_tables runs the
-    # level kernel once per level, and what it derives equals the
-    # kernel run on the non-primitive lists, and enumeration
+    # non-primitive list is read off its totals: the referee's chain
+    # runs its level kernel once per level, and what it derives equals
+    # the kernel run on the non-primitive lists, and enumeration
     blocks, pp = chain
     layout = SymbolLayout(pp)
-    level = counting._level_two if pp.p == 2 else counting._level_odd
+    level = dp_reference._level_two if pp.p == 2 else dp_reference._level_odd
     kernel = CallCounter(level)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, level.__name__, kernel)
-        per_block, suffix = chain_tables(blocks, layout)
+        mp.setattr(dp_reference, level.__name__, kernel)
+        per_block, suffix = dp_reference.dp_chain_tables(blocks, layout)
     assert kernel.calls == len(blocks) - 1
     for j in range(len(blocks) - 1):
         assert suffix[j][1] == level(layout, per_block[j][1], suffix[j + 1][1]), j
@@ -617,20 +619,31 @@ def test_counts_at_the_stable_level_equal_the_full_level(inst):
     assert got == count_factors([prepare(q, f) for f in factors], t) and is_int_counts(got), (q, factors, t)
 
 
-@given(stable_level_instances(st.one_of(st.integers(1, 4), st.integers(1, 60))))
-@example(([[0, 0], [0, 0]], PrimePower(2, 5), 0, PrimePower(3, 1)))
-@example(([[2, 1], [1, 2]], PrimePower(2, 7), 2**5 * 3, PrimePower(3, 1)))
-@example(([[0, 1], [1, 0]], PrimePower(2, 1), 1, PrimePower(3, 1)))
-@example(([[80]], PrimePower(2, 7), 400, PrimePower(3, 1)))
-@example(([[5]], PrimePower(2, 9), 80, PrimePower(3, 1)))
-@example(([[7 * 8]], PrimePower(2, 9), 7 * 2**5, PrimePower(3, 1)))
-@example(([[3, 0, 0], [0, 9, 0], [0, 0, 0]], PrimePower(3, 60), -(3**7), PrimePower(2, 1)))
-@example(([[P127 + 1, 0], [0, P127**2]], PrimePower(P127, 3), 5 * P127**2, PrimePower(2, 1)))
+def gauss_sum_instances(test):
+    """Runs test over stable_level_instances at k up to 60, with a
+    larger share of k <= 4, after fixed examples: type II, singular and
+    scaled blocks, and zero targets."""
+    for inst in (
+        ([[0, 0], [0, 0]], PrimePower(2, 5), 0, PrimePower(3, 1)),
+        ([[2, 1], [1, 2]], PrimePower(2, 7), 2**5 * 3, PrimePower(3, 1)),
+        ([[0, 1], [1, 0]], PrimePower(2, 1), 1, PrimePower(3, 1)),
+        ([[80]], PrimePower(2, 7), 400, PrimePower(3, 1)),
+        ([[5]], PrimePower(2, 9), 80, PrimePower(3, 1)),
+        ([[7 * 8]], PrimePower(2, 9), 7 * 2**5, PrimePower(3, 1)),
+        ([[3, 0, 0], [0, 9, 0], [0, 0, 0]], PrimePower(3, 60), -(3**7), PrimePower(2, 1)),
+        ([[P127 + 1, 0], [0, P127**2]], PrimePower(P127, 3), 5 * P127**2, PrimePower(2, 1)),
+    ):
+        test = example(inst)(test)
+    return given(stable_level_instances(st.one_of(st.integers(1, 4), st.integers(1, 60))))(test)
+
+
+@gauss_sum_instances
 @settings(max_examples=300, deadline=None)
 def test_gauss_sum_count_equals_the_tables(inst):
     # count(t) sums the Fourier terms of the blocks' Gauss sums; the
-    # referee is the dynamic program's entry at t's symbol, as the full
-    # top level lists it (table), and enumeration where the cube is small
+    # referees are the entry at t's symbol of the full top level (table),
+    # which sums the same terms by prefix sums over j for every symbol
+    # at once, and enumeration where the cube is small
     q, pp, t, _ = inst
     form = prepare(q, pp)
     got = form.count(t)
@@ -638,6 +651,23 @@ def test_gauss_sum_count_equals_the_tables(inst):
     assert got == form.table.get(g, (0, 0, 0)) and is_int_counts(got), (q, pp, t)
     if pp.q ** len(q) <= 2**16:
         assert got == histogram_counts(q, pp)[t % pp.q], (q, pp, t)
+
+
+@gauss_sum_instances
+@settings(max_examples=150, deadline=None)
+def test_tables_equal_the_dynamic_program(inst):
+    # every level that chain_tables reads off the Gauss sums, at every
+    # suffix of the walk's blocks, and the top level (table) equal the
+    # split-convolution program's (dp_reference), entry by entry
+    q, pp, _, _ = inst
+    form = prepare(q, pp)
+    walk = tuple(form.blocks[j] for j in form.walk_order)
+    layout = form.layout
+    want_per_block, want_suffix = dp_reference.dp_chain_tables(walk, layout)
+    assert chain_tables(dp_reference.table_classes(walk, pp), layout) == (want_per_block, want_suffix), (q, pp)
+    assert (form.per_block, form.tails) == (want_per_block, want_suffix[1:]), (q, pp)
+    assert form.table == symbol_table(layout, want_suffix[0]), (q, pp)
+    assert all(is_int_counts(lst) for level in want_suffix for lst in level)
 
 
 @pytest.mark.parametrize("n", [12, 24, 64])
@@ -655,16 +685,32 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
 
 def test_a_sum_that_is_no_count_raises(monkeypatch):
     # a Gauss-sum total that p^k does not divide, or that is not
-    # rational, is an error, never a rounded count
-    form = prepare(Q4, PrimePower(3, 5))
-    monkeypatch.setattr(gauss, "_fourier_odd", lambda *args: 3**5 * 7 + 1)
-    with pytest.raises(ArithmeticError):
-        form.count(7)
-    with pytest.raises(ArithmeticError):
-        count_form(Q4, PrimePower(3, 5), 7)
-    monkeypatch.setattr(gauss, "_fourier_odd", lambda *args: -(3**5))
-    with pytest.raises(ArithmeticError):
-        form.count(7)
+    # rational, is an error, never a rounded count: in a count and in
+    # every entry of a table
+    terms = gauss._terms
+
+    def with_term(j, e, w):
+        """The Fourier terms, with one more of weights w at p^e."""
+        monkeypatch.setattr(gauss, "_terms", lambda *args: [*terms(*args), (j, e, w)])
+
+    for pp in (PrimePower(3, 5), PrimePower(2, 6)):
+        form = prepare(Q4, pp)
+        assert form.tails  # the walk's levels are built before the terms change
+        with_term(1, 0, (1,) * 8)  # p^den does not divide the sums
+        with pytest.raises(ArithmeticError):
+            form.count(7)
+        with pytest.raises(ArithmeticError):
+            count_form(Q4, pp, 7)
+        with pytest.raises(ArithmeticError):
+            form.table
+        with pytest.raises(ArithmeticError):
+            chain_tables(dp_reference.table_classes(form.blocks, pp), form.layout)
+        with_term(1, 40, (-1,) * 8)  # every sum is negative
+        with pytest.raises(ArithmeticError):
+            form.count(7)
+        with pytest.raises(ArithmeticError):
+            form.table
+        monkeypatch.setattr(gauss, "_terms", terms)
     # zeta + zeta^-1 over a = 1, 3, 5, 7 is 2 sqrt2: rational only times sqrt2
     with pytest.raises(ArithmeticError):
         gauss._zeta_sum(0, 0, 1, 0)

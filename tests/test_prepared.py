@@ -11,6 +11,7 @@ generator.
 import copy
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from conftest import CallCounter
 
 import quadmod.blockdiag
 import quadmod.counting
+import quadmod.gauss
 import quadmod.sampling
 import quadmod.symbols
 from quadmod import (
@@ -41,6 +43,7 @@ from quadmod.counting import RepCounts, block_table, symbol_table
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
+from dp_reference import table_classes
 from test_counting import count_block
 
 P127 = 2**127 - 1
@@ -136,7 +139,7 @@ def test_block_table_equals_count_block(p):
             ]
         for blk in blocks:
             want = {g: count_block(blk, pp, g) for g in enumerate_symbols(pp) if class_size(pp, g) > 0}
-            got = symbol_table(layout, block_table(blk, layout))
+            got = symbol_table(layout, block_table(table_classes((blk,), pp)[0], layout))
             assert got == want and list(got) == list(want), (pp, blk)
 
 
@@ -178,7 +181,7 @@ CROSS_PATH = {
 @pytest.mark.parametrize("q_mat, pp", CROSS_PATH.values(), ids=CROSS_PATH)
 def test_count_equals_the_full_top_level(q_mat, pp):
     # count sums the blocks' Gauss-sum terms, and table builds the whole
-    # top level with _convolve
+    # top level from the same terms by prefix sums (level_table)
     form = prepare(q_mat, pp)
     table = form.table
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
@@ -240,20 +243,67 @@ LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
 @pytest.mark.parametrize("q_mat, pp", LEVEL_FORMS, ids=[f"n{len(q)}-{pp}" for q, pp in LEVEL_FORMS])
 def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls, q_mat, pp):
     _, tables = layer_calls
-    convolve = CallCounter(quadmod.counting._convolve)
-    monkeypatch.setattr(quadmod.counting, "_convolve", convolve)
+    built = CallCounter(quadmod.counting.level_table)
+    monkeypatch.setattr(quadmod.counting, "level_table", built)
     form = prepare(q_mat, pp)
     form.count(9)
-    assert (tables.calls, convolve.calls) == (0, 0)  # preparing and counting build no table
+    assert (tables.calls, built.calls) == (0, 0)  # preparing and counting build no table
     # the first read of the tables builds the walk's levels, once
     levels = max(0, len(form.blocks) - 2)
     assert len(form.tails) == max(0, len(form.blocks) - 1) and len(form.per_block) == len(form.blocks)
-    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
+    assert (tables.calls, built.calls) == (1 if form.blocks else 0, levels)
     assert sample_prepared(form, 9, RepKind.ANY, random.Random(9)) is not None or form.count(9).total == 0
-    assert (tables.calls, convolve.calls) == (1 if form.blocks else 0, levels)
+    assert (tables.calls, built.calls) == (1 if form.blocks else 0, levels)
     # the top level is built on each read, and not kept
     assert form.table == form.table
-    assert convolve.calls == levels + 2 * (len(form.blocks) >= 2)
+    assert built.calls == levels + 2 * (len(form.blocks) >= 2)
+
+
+@pytest.mark.parametrize("pp", [PrimePower(3, 60), PrimePower(P127, 60)], ids=["3^60", "P^60"])
+def test_a_one_block_walk_builds_no_table(monkeypatch, layer_calls, pp):
+    # a one-block form's walk has no step, so its draw reads neither a
+    # table nor the layout
+    _, tables = layer_calls
+    block_tables = CallCounter(quadmod.counting.block_table)
+    monkeypatch.setattr(quadmod.counting, "block_table", block_tables)
+    form = prepare([[7]], pp)
+    assert sample_prepared(form, 7 * 4, RepKind.ANY, random.Random(7)) is not None
+    assert (tables.calls, block_tables.calls) == (0, 0)
+    assert "layout" not in vars(form) and "_tables" not in vars(form)
+
+
+# (diagonal mod 101^6, the residues mod 101 of its units and of each
+# order's product of units)
+LEGENDRE_FORMS = {
+    "three-orders": ((2, 3 * 101, 5 * 101**2), {2, 3, 5}),
+    "a-shared-order": ((2, 3, 5 * 101), {2, 3, 5, 6}),
+}
+
+
+@pytest.mark.parametrize("diagonal, residues", LEGENDRE_FORMS.values(), ids=LEGENDRE_FORMS)
+def test_a_count_and_a_draw_take_one_legendre_symbol_per_block(monkeypatch, diagonal, residues):
+    # each type I block's order and unit are taken in one pass: a count
+    # takes one Legendre symbol per order, of the product of its units,
+    # and the first draw's tables one per block but the last of each
+    # order, so the two take one per block between them, none twice
+    pp = PrimePower(101, 6)
+    form = prepare([[d if i == j else 0 for j in range(3)] for i, d in enumerate(diagonal)], pp)
+    assert sorted(blk.d for blk in form.blocks) == sorted(diagonal)
+    calls = Counter()
+
+    def counted(a, p):
+        calls[a % p] += 1
+        return legendre(a, p)
+
+    for mod in (quadmod.counting, quadmod.gauss):
+        if hasattr(mod, "legendre"):
+            monkeypatch.setattr(mod, "legendre", counted)
+    t = 2 * 3**2  # a unit part and its negative that are none of the residues
+    assert form.count(t).total > 0
+    assert sample_prepared(form, t, RepKind.ANY, random.Random(3)) is not None
+    assert form.tails
+    taken = {r: calls[r] for r in residues if calls[r]}
+    assert sum(taken.values()) == len(diagonal) and max(taken.values()) == 1, taken
 
 
 @pytest.mark.parametrize("q_mat", [Q4, [[1, 2], [2, 1]], []], ids=["Q4", "2x2", "empty"])
