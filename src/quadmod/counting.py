@@ -12,32 +12,26 @@ when p^2 | t, and 0 when not (at k = 1: 1 at t = 0 mod p, else 0).
 
 A draw takes the count it draws below from the same Gauss sums, but it
 needs more than N(t): each step of the chain walk weighs split cells by
-counts at target symbols, and those come from tables.  Each block's
-table comes in closed form (1x1 blocks for any p, 2x2 blocks for
-p = 2; block_table), and each level above one block, the counts of a
-direct sum of blocks at every target symbol, is read off the Gauss
-sums of its blocks (gauss.level_table): the totals and the
-non-primitive counts, which are p^n N_(k-2)(t / p^2) as above.  The
-levels do not depend on one another.
-
-Every table is two parallel int lists, total and non-primitive counts,
-indexed by the position of the target symbol in its SymbolLayout
-(layout.symbol(i) is the symbol at position i); the primitive count is
-total - non-primitive wherever it is read.  No kernel looks an entry up
-by its symbol: symbols and {symbol: RepCounts} dicts are made only at
-the public boundary (PreparedForm.table, symbol_table).
+counts at target symbols, of the head block it peels and of the tail,
+the blocks it peels after that one.  Each block's table comes in closed
+form (1x1 blocks for any p, 2x2 blocks for p = 2; block_table), two
+parallel int lists of total and non-primitive counts indexed by the
+positions of the SymbolLayout.  A tail's counts are read on demand off
+the Gauss sums of its blocks, by the reader a count uses (gauss.Level),
+only at the cells a step's scan reaches.  Symbols and {symbol:
+RepCounts} dicts are made only at the public boundary
+(PreparedForm.table, symbol_table).
 
 ``prepare`` diagonalizes a form; each block's order and unit class are
 taken once, for the tallies and tables alike (gauss.block_classes), and
-its layout and tables on their first read, which a draw's walk with a
-step makes and a count does not: each block's table, filled order by
-order, and the levels of the tail after the first block the walk peels,
-a highest-order one (PreparedForm.walk_order).  The tables give a draw
-only its walk's weights: the walk's first step weighs the cells of the
+its layout, tables and Levels on their first read, which a draw's walk
+with a step makes and a count does not: the table of each block the
+walk peels but the last, highest order first (PreparedForm.walk_order),
+and one Level per tail.  The walk's first step weighs the cells of the
 top level, from the head block's table and the first tail, and those
-weights sum to the Gauss-sum count.  PreparedForm.table builds the top
-level in full.  Draws and tables stay at level k.  A composite modulus
-is a list of prepared factors.
+weights sum to the Gauss-sum count.  PreparedForm.table reads a new
+Level of all the blocks at every symbol.  Draws and tables stay at
+level k.  A composite modulus is a list of prepared factors.
 """
 
 from __future__ import annotations
@@ -55,8 +49,7 @@ from .blockdiag import (
     check_symmetric,
     integer_det,
 )
-from .gauss import BlockClass, Tallies, block_classes, block_signs, block_tallies
-from .gauss import level_table, solutions, suffix_tallies
+from .gauss import BlockClass, Level, Tallies, block_classes, block_signs, block_tallies, suffix_tallies
 from .modring import INF, DomainError, PrimePower, valuation
 from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
 
@@ -82,10 +75,15 @@ class ZeroTarget(DomainError):
     """t = 0 has no stabilizing level; the local density is undefined."""
 
 
-def symbol_table(layout: SymbolLayout, table: Table) -> dict[PkSymbol, RepCounts]:
-    """A table as {symbol: RepCounts} in position order, the form in
-    which the public functions return tables."""
-    return {layout.symbol(i): RepCounts(tot, tot - np_, np_) for i, (tot, np_) in enumerate(zip(*table))}
+def symbol_table(layout: SymbolLayout, level: Level) -> dict[PkSymbol, RepCounts]:
+    """A Level read at every position of the layout, as {symbol:
+    RepCounts} in position order, the form in which the public functions
+    return tables."""
+    table = {}
+    for g in map(layout.symbol, range(len(layout))):
+        tot, np_ = level.at(*g)
+        table[g] = RepCounts(tot, tot - np_, np_)
+    return table
 
 
 def _type2_seeds(a: int, b: int, c: int) -> tuple[int, int]:
@@ -173,23 +171,20 @@ def block_table(cls: BlockClass, layout: SymbolLayout) -> Table:
     return total, nprim
 
 
-def chain_tables(blocks: tuple[BlockClass, ...], layout: SymbolLayout) -> tuple[list[Table], list[Table]]:
-    """Per-block and suffix count tables of the blocks, given by their
-    classes as the tables read them (gauss.block_signs).  suffix[j], at
-    the position of g in the layout, counts representations of (any
-    target of symbol g) by the direct sum of blocks[j:]: the last
-    block's own table, and each level above it read off the Gauss sums
-    of its blocks (gauss.level_table), whose tallies are taken back to
-    front, one block at a time.  No blocks give no tables."""
-    pp = layout.pp
-    per_block = [block_table(cls, layout) for cls in blocks]
-    suffix: list[Table] = []
-    n = 0
-    for cls, tallies in zip(reversed(blocks), suffix_tallies(blocks, pp.p)):
+def chain_tables(blocks: tuple[BlockClass, ...], layout: SymbolLayout) -> tuple[list[Table], list[Level]]:
+    """What a chain walk over the blocks reads, given by their classes as
+    the tables read them (gauss.block_signs): per_block[j], the table of
+    blocks[j], for each head the walk peels, all but the last block, and
+    tails[j], the Level of the blocks after it, blocks[j + 1:], whose
+    entries are read off the Gauss sums of those blocks on demand.  The
+    tallies of the tails are taken back to front, one block at a time.
+    Fewer than two blocks give no tables."""
+    pp, tails, n = layout.pp, [], 0
+    for cls, tallies in zip(reversed(blocks[1:]), suffix_tallies(blocks[1:], pp.p)):
         n += 2 if isinstance(cls, TypeII) else 1
-        suffix.append(level_table(pp, n, tallies, layout) if suffix else per_block[-1])
-    suffix.reverse()
-    return per_block, suffix
+        tails.append(Level(pp, n, tallies))
+    tails.reverse()
+    return [block_table(cls, layout) for cls in blocks[:-1]], tails
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,22 +196,19 @@ class PreparedForm:
     the direct sum of the blocks mod p^k, is built from those moves the
     first time it is read, and a draw applies the moves to its vector
     instead.  Each block's order and unit class are taken once
-    (_classes), with the Gauss-sum tallies that count reads, which build
-    neither u nor a table.  The tables are for draws, whose chain walk
-    peels the blocks highest order first (walk_order), the reverse of
-    the ascending order in which block_diagonalize, picking a
-    minimal-order pivot each time, leaves them.  per_block[j] is the
+    (_classes), with the Gauss-sum tallies and the Level that count
+    reads, which build neither u nor a table.  The tables are for
+    draws, whose chain walk peels the blocks highest order first
+    (walk_order), the reverse of the ascending order in which
+    block_diagonalize, picking a minimal-order pivot each time, leaves
+    them.  per_block[j] is the
     table of the j-th block the walk peels, blocks[walk_order[j]], and
-    tails[j] that of the direct sum of the blocks it peels after that
-    one, the suffix tables of chain_tables over the walk's blocks after
-    its first.  Each is a Table, (total, non-primitive) lists indexed by
-    the positions of the layout.  A draw takes its count from count,
-    like any other caller, and reads the tables only for its walk's
-    weights, so a one-block form's walk, which has no step, reads none.
-    The top level, the table of all the blocks, is not kept: the walk's
-    first step weighs its cells at one target from the head block and
-    the first tail, and table builds it in full on every read, as a
-    {symbol: RepCounts} dict.
+    tails[j] the Level of the direct sum of the blocks it peels after
+    that one (chain_tables).  A draw takes its count from count, like
+    any other caller, and reads the tables only for its walk's weights,
+    so a one-block form's walk, which has no step, reads none.  count
+    reads the form's own Level of all the blocks, which keeps what it
+    has read; table reads a new one at every symbol on every read.
     """
 
     pp: PrimePower
@@ -245,64 +237,55 @@ class PreparedForm:
         return range(len(self.blocks) - 1, -1, -1)
 
     @cached_property
-    def _classes(self) -> tuple[tuple[BlockClass, ...], Tallies]:
-        """Each block's class, in one pass, and the blocks' tallies."""
+    def _classes(self) -> tuple[tuple[BlockClass, ...], Tallies, Level]:
+        """Each block's class, in one pass, the blocks' tallies, and the
+        Level of all the blocks, which count reads."""
         classes = block_classes(self.blocks, self.pp)
-        return classes, block_tallies(classes, self.pp.p)
+        tallies = block_tallies(classes, self.pp.p)
+        return classes, tallies, Level(self.pp, sum(blk.dim for blk in self.blocks), tallies)
 
     @property
     def _signed(self) -> tuple[BlockClass, ...]:
-        return block_signs(*self._classes, self.pp.p)
+        return block_signs(*self._classes[:2], self.pp.p)
 
     @cached_property
-    def _tables(self) -> tuple[list[Table], list[Table]]:
-        classes, layout = tuple(map(self._signed.__getitem__, self.walk_order)), self.layout
-        if not classes:
-            return [], []
-        per_tail, tails = chain_tables(classes[1:], layout)
-        return [block_table(classes[0], layout), *per_tail], tails
+    def _tables(self) -> tuple[list[Table], list[Level]]:
+        return chain_tables(tuple(map(self._signed.__getitem__, self.walk_order)), self.layout)
 
     @property
     def per_block(self) -> list[Table]:
         return self._tables[0]
 
     @property
-    def tails(self) -> list[Table]:
+    def tails(self) -> list[Level]:
         return self._tables[1]
 
     @property
     def table(self) -> dict[PkSymbol, RepCounts]:
-        """Counts at every inhabited target symbol, built on each read:
-        the level of the blocks' tallies (gauss.level_table), the block's
-        own table for one block, and for the form in no variables the one
-        solution at target 0."""
+        """Counts at every inhabited target symbol, read on each read from
+        a new Level of all the blocks, and for the form in no variables
+        the one solution at target 0."""
         if not self.blocks:
             return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
-        if len(self.blocks) == 1:
-            return symbol_table(self.layout, block_table(self._signed[0], self.layout))
-        n = sum(blk.dim for blk in self.blocks)
-        return symbol_table(self.layout, level_table(self.pp, n, self._classes[1], self.layout))
+        _, tallies, level = self._classes
+        return symbol_table(self.layout, Level(self.pp, level.n, tallies))
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k,
-        from the blocks' Gauss sums (gauss.solutions): the total is
-        N_k(t), and the non-primitive count p^n N_(k-2)(t / p^2) when p^2
-        divides t, 0 when not (at k = 1, 1 at t = 0 mod p).  No table is
-        built.  Raises ArithmeticError where the sums do not give a
-        count."""
-        p, k, t = self.pp.p, self.pp.k, t % self.pp.q
-        n, tallies = sum(blk.dim for blk in self.blocks), self._classes[1]
-        total = solutions(self.pp, n, tallies, k, t)
-        if k == 1:
-            nprim = int(t == 0)
-        else:
-            nprim = 0 if t % p**2 else p**n * solutions(self.pp, n, tallies, k - 2, t // p**2)
+        read off the form's Level at t's order (gauss.Level): the total
+        is N_k(t), and the non-primitive count p^n N_(k-2)(t / p^2) when
+        p^2 divides t, 0 when not (at k = 1, 1 at t = 0 mod p).  It
+        builds no layout and no table, and takes t's Legendre symbol only
+        where an edge term twists by it.  Raises ArithmeticError where
+        the sums do not give a count."""
+        (o, u), level = valuation(self.pp, t % self.pp.q), self._classes[2]
+        total, nprim = level.at(o, u % 8 if self.pp.p == 2 else level.sign(o, u))
         return RepCounts(total, total - nprim, nprim)
 
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
-    """Check Q and block-diagonalize it, once.  The layout, the tables
-    and u are left to the form's first read of each."""
+    """Check Q and block-diagonalize it, once.  The layout, the tables,
+    the Levels and u are left to the form's first read of each."""
     return PreparedForm(pp, block_diagonalize(q_mat, pp))  # checks Q
 
 

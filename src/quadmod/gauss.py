@@ -18,28 +18,26 @@ j gives the terms for every p (_terms).  The Gauss sums read a only
 modulo p (odd p) or 8 (p = 2), and e(-a t / p^j) summed over the units
 a of one such class is 0 unless p^(j-1) (odd p) or 2^(j-3) (p = 2)
 divides t.  So every T_j with j above ord t + G vanishes, with the
-order gap G = 1 for odd p and 3 for p = 2, and solutions sums only the
-terms below.  The count is an integer, so a sum that p^k does not
-divide raises ArithmeticError rather than round.
+order gap G = 1 for odd p and 3 for p = 2.  A term j <= ord t reads t
+only through p^j | t, and the edge terms ord t < j <= ord t + G read
+the sign of t's unit part too, so the counts of a form at every target
+symbol are prefix sums over j plus at most G edge terms each.
 
-The same terms give the count tables that a draw's walk weighs its
-steps by: a level, the counts of one form at every target symbol
-(level_table).  A term j <= ord t reads t only through p^j | t, and
-the edge terms ord t < j <= ord t + G read the sign of t's unit part
-too, so a level is prefix sums over j plus at most G edge terms per
-symbol, O(k) big-integer steps each linear in size.  Every entry is
-divided exactly, or raises ArithmeticError as solutions does.
+A Level is the one reader of those sums: a count, a whole table and
+each step of a draw's walk read the entries they need from it, and it
+takes the terms only up to the highest order read, one big-integer
+step each, linear in size.  A count is an integer, so a sum that p^k
+does not divide raises ArithmeticError rather than round.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, product, repeat
-from operator import add, floordiv, mul, ne
+from itertools import islice, product
 
 from .blockdiag import Block, TypeI, TypeII
 from .modring import PrimePower, legendre, valuation
-from .symbols import Ordinal, SymbolLayout
+from .symbols import Ordinal
 
 # A block as its Gauss sums and tables read it: a type I block p^e u
 # mod p^k as (e, u mod 8) for p = 2 and, for odd p, (e, u mod p) or, in
@@ -111,123 +109,135 @@ def block_tallies(classes: tuple[BlockClass, ...], p: int) -> Tallies:
     return tuple((e, legendre(u, p) if p != 2 and u else u, c) for e, u, c in type1), type2
 
 
-def solutions(pp: PrimePower, n: int, tallies: Tallies, k: int, t: int) -> int:
-    """N_k(t), the solutions of x'Qx = t mod p^k in the n variables of
-    the blocks tallied, by the Fourier identity: the terms
-    j <= min(k, ord t + G), divided by p^k.  Raises ArithmeticError
-    where the division leaves a remainder or a negative count, which no
-    form can give."""
-    p, t = pp.p, t % pp.p**k
-    v = k if t == 0 else valuation(pp, t).ord
-    if p == 2:
-        num, den = 1 << (n * k + 3), k + 3
-        for j, e, w in _terms(pp, n, tallies, k, min(k, v + 3)):
-            num += w[t << 3 >> j & 7] << e
-    else:
-        num, den = p ** (n * k), k
-        for j, e, w in _terms(pp, n, tallies, k, min(k, v + 1)):
-            # the edge term j = v + 1 reads the sign of t's unit part
-            # only where it twists by it
-            if x := w[0 if j <= v else 1 if w[1] == w[-1] else legendre(t // p**v, p)]:
-                num += x * p**e
-    count, rest = divmod(num, p**den)
-    if rest or count < 0:
-        _divide([num], p, k, den)  # raises ArithmeticError, naming the defect
-    return count
+class Level:
+    """The counts of the n variables tallied, mod p^k, at any target
+    symbol, read on demand: at(o, s) is (total, non-primitive) at the
+    symbol of order o (INF or k for the zero symbol) and sign s.
 
+    The total at (o, s) is p^-den times A_o, the prefix sum of p^(nk +
+    den - k) and the terms j <= o at r = 0, plus the edge terms j = o + d
+    <= k, d = 1..G, at the r of the sign s: s for odd p, s 2^(3 - d)
+    mod 8 for p = 2.  The non-primitive count p^n N_(k-2)(t / p^2) at
+    order o >= 2 is p^(-den - n + 2) times the same sum for o - 2 cut
+    at j <= k - 2 (each term at level k - 2 is p^(-2n) its term at k),
+    0 below order 2, and at k = 1 the one x = 0 at t = 0.  sign gives
+    the s at which a count reads its target, and above the sums over
+    every symbol from one order up, which a walk's step weighs at once.
 
-def level_table(pp: PrimePower, n: int, tallies: Tallies, layout: SymbolLayout) -> tuple[list[int], list[int]]:
-    """The counts of the n >= 2 variables tallied at every position of
-    the layout, as (total, non-primitive) lists (counting.Table).
-
-    The total at (o, s) is p^-den times A_o, the prefix sum of the terms
-    j <= o at r = 0, plus the edge terms j = o + d <= k, d = 1..G, at
-    the r of the sign s: s for odd p, s 2^(3 - d) mod 8 for p = 2; A_k
-    at the zero symbol.  The non-primitive count p^n N_(k-2)(t / p^2)
-    at order o >= 2 is p^(-den - n + 2) times the same sum for o - 2
-    cut at j <= k - 2 (each term at level k - 2 is p^(-2n) its term at
-    k): the total's sum at o - 2 wherever o <= k - G.  Sums are taken in
-    units of p^shift, the largest power of p dividing p^den and every
-    term, each term's power made from the one before by a small power
-    of p, and divided exactly or with ArithmeticError.
+    The terms are taken up to the highest order read so far, each
+    term's power made from the one before by a small power of p, and
+    summed in units of p^shift, at most p^den and every term's power (a
+    term below it scales what is kept up).  Each entry is divided
+    exactly, or raises ArithmeticError, and kept.
     """
-    p, k = pp.p, pp.k
-    den = k + 3 if p == 2 else k
-    terms, base = _terms(pp, n, tallies, k, k), n * k + den - k
-    shift = min(den, base, *[e for _, e, _ in terms])
-    t0 = power = p ** (base - shift)
-    scaled, last = [], base
-    for j, e, w in terms:
-        power = power * p ** (e - last) if e >= last else power // p ** (last - e)
-        scaled.append((j, w, power))
-        last = e
-    total, nprim = (_sums_two if p == 2 else _sums_odd)(t0, scaled, layout)
-    return _divide(total, p, k, den - shift), _divide(nprim, p, k, den + n - 2 - shift if k > 1 else 0)
+
+    def __init__(self, pp: PrimePower, n: int, tallies: Tallies):
+        p, k = pp.p, pp.k
+        self.p, self.k, self.n = p, k, n
+        self.gap, self.den = (3, k + 3) if p == 2 else (1, k)
+        self._last = n * k + self.den - k  # the exponent of the last power made
+        self._shift = min(self.den, self._last)
+        self._power = p ** (self._last - self._shift)
+        self._sums, self._terms = [self._power], [_NO_TERM]  # A_j, and (w, power) by j
+        self._next = _terms(pp, n, tallies)
+        self._read: dict[tuple[Ordinal, int], tuple[int, int]] = {}
+        self._above: dict[int, tuple[int, int]] = {}
+
+    def at(self, o: Ordinal, s: int) -> tuple[int, int]:
+        k = self.k
+        if o >= k:  # the zero symbol
+            o, s = k, 0
+        got = self._read.get((o, s))
+        if got is None:
+            if o + self.gap >= len(self._sums):
+                self._take(min(o + self.gap, k))
+            total = self._exact(self._sum(o, s, k), self.den)
+            nprim = int(o == k) if o < 2 else self._exact(self._sum(o - 2, s, k - 2), self.den + self.n - 2)
+            got = self._read[o, s] = total, nprim
+        return got
+
+    def sign(self, o: Ordinal, u: int) -> int:
+        """The sign at which at reads a target of order o and unit part
+        u, for odd p: u's Legendre symbol where an edge term of the total
+        or of the non-primitive count twists by it, else 1."""
+        if o >= self.k:
+            return 1
+        self._take(o + 1)
+        (w, _), (w2, _) = self._terms[o + 1], self._terms[o - 1] if o else _NO_TERM
+        return legendre(u, self.p) if w[1] != w[-1] or w2[1] != w2[-1] else 1
+
+    def above(self, m: int) -> tuple[int, int]:
+        """(total, non-primitive): the solutions whose value has order at
+        least m <= k, the sum over those symbols of class size times
+        count.  Summed over t = 0 mod p^m, a term j reads r = 0 for
+        j <= m and sums to 0 above, so the total is A_m / p^(m + den - k);
+        a non-primitive x = p y has order at least m where y'Qy has m - 2
+        at level k - 2, so the non-primitive sum is A_(m-2) /
+        p^(m + den - k + n - 2) for m >= 2, and p^(n (k - 1)) below."""
+        got = self._above.get(m)
+        if got is None:
+            self._take(m)
+            p, k, n, extra = self.p, self.k, self.n, m + self.den - self.k
+            nprim = p ** (n * (k - 1)) if m < 2 else self._exact(self._sums[m - 2], extra + n - 2)
+            got = self._above[m] = self._exact(self._sums[m], extra), nprim
+        return got
+
+    def _take(self, last: int) -> None:
+        """Take the terms up to j = last."""
+        p, sums, terms = self.p, self._sums, self._terms
+        if last < len(sums):
+            return
+        for _, e, w in islice(self._next, last + 1 - len(sums)):
+            if w is None:
+                sums.append(sums[-1])
+                terms.append(_NO_TERM)
+                continue
+            if e < self._shift:  # scale the sums kept up to the new units
+                up = p ** (self._shift - e)
+                sums[:] = [a * up for a in sums]
+                terms[:] = [(x, v * up) for x, v in terms]
+                self._power, self._shift = self._power * up, e
+            d, self._last = e - self._last, e
+            self._power = self._power * p**d if d >= 0 else self._power // p**-d
+            sums.append(sums[-1] + w[0] * self._power)
+            terms.append((w, self._power))
+        if len(sums) <= last:  # the terms stopped at an irrational one
+            raise ArithmeticError("a Gauss-sum term is not rational")
+
+    def _sum(self, o: int, s: int, cut: int) -> int:
+        """The sum at order o and sign s, cut at j <= cut, in units of
+        p^shift: A_o and the edge terms o < j <= cut, G of them at most."""
+        num, terms = self._sums[o], self._terms
+        if self.p != 2:
+            w, v = terms[o + 1] if o < cut else _NO_TERM
+            return num + w[s] * v
+        for j in range(o + 1, min(o + 3, cut) + 1):
+            w, v = terms[j]
+            num += w[s << 3 >> j - o & 7] * v
+        return num
+
+    def _exact(self, num: int, den: int) -> int:
+        """num p^shift over p^den, a count: raises ArithmeticError where
+        it has a remainder or is negative."""
+        p, e = self.p, den - self._shift
+        count, rest = divmod(num, p**e) if e > 0 else (num * p**-e if e else num, 0)
+        if rest:
+            raise ArithmeticError(f"the Gauss sums mod {p}^{self.k} give a sum with a remainder mod {p}^{e}, not a count")
+        if count < 0:
+            raise ArithmeticError(f"the Gauss sums mod {p}^{self.k} give a negative sum, not a count")
+        return count
 
 
-def _sums_odd(t0: int, scaled: list, layout: SymbolLayout) -> tuple[list[int], list[int]]:
-    """A level's sums for odd p, where G = 1 and every j has a term (j,
-    w, power of p): order j - 1 takes the terms below j and the edge
-    term j at the sign of each slot; the non-primitive sums are the
-    totals' two orders down, and at k = 1 its one x is 0."""
-    k, first = layout.pp.k, layout.first
-    total, acc, at_k2 = [0] * len(layout), t0, t0
-    for j, w, v in scaled:  # order j - 1 holds the slots of sign 1 and -1
-        total[first[j - 1] : first[j]] = acc + w[1] * v, acc + w[-1] * v
-        acc += w[0] * v
-        if j == k - 2:
-            at_k2 = acc
-    total[0] = acc
-    return total, [1, 0, 0] if k == 1 else [at_k2, 0, 0, 0, 0] + total[1 : first[k - 2]]
+# The weights of a j with no term
+_NO_TERM = ((0,) * 8, 0)
 
 
-def _sums_two(t0: int, scaled: list, layout: SymbolLayout) -> tuple[list[int], list[int]]:
-    """A level's sums for p = 2, where G = 3 and a j may have no term.
-    The orders o <= k - 3 see three edge terms in four slots and are
-    summed column by column, the two above see fewer in fewer slots.
-    The non-primitive sums at 2 <= o <= k - 3 are the totals' at o - 2,
-    and at k = 1 the one non-primitive x is 0."""
-    k, first = layout.pp.k, layout.first
-    weights, values = [(0,) * 8] * (k + 1), [0] * (k + 1)  # a j with no term weighs 0
-    for j, w, v in scaled:
-        weights[j], values[j] = w, v
-    at = [[w[r] * v for w, v in zip(weights, values)] for r in range(8)]  # at[r][j]
-    prefix = list(accumulate(at[0][1:], initial=t0))
-
-    def place(out: list[int], o: int, count: int, start: int, reach: int) -> None:
-        """Put the sums from A_start on, with edge terms up to distance
-        reach, at the count orders from o, one column per slot."""
-        columns = [prefix[start : start + count]]
-        for d in range(1, reach + 1):
-            edge = [at[r][start + d : start + d + count] for r in _EDGE_R_TWO[d]]
-            columns = [list(map(add, columns[x % len(columns)], terms)) for x, terms in enumerate(edge)]
-        for x, column in enumerate(columns):
-            out[first[o] + x : first[o + count] : len(columns)] = column
-
-    full = max(0, k - 2)  # the orders o <= k - 3
-    total = [prefix[k]] + [0] * (len(layout) - 1)
-    place(total, 0, full, 0, 3)
-    for o in range(full, k):
-        place(total, o, 1, o, k - o)
-    if k == 1:
-        return total, [1, 0]
-    nprim = [prefix[k - 2]] + [0] * (len(layout) - 1)
-    nprim[first[2] : first[max(2, full)]] = total[1 : first[max(0, full - 2)]]
-    for o in range(max(2, full), k):
-        place(nprim, o, 1, o - 2, k - o)
-    return total, nprim
-
-
-# The r at which an edge term of p = 2 at distance d reads slot x of an
-# order: its sign 2x + 1 times 2^(3 - d) mod 8, for x mod 2^(d - 1).
-_EDGE_R_TWO = ((), (4,), (2, 6), (1, 3, 5, 7))
-
-
-def _terms(pp: PrimePower, n: int, tallies: Tallies, k: int, last: int) -> list[tuple[int, int, tuple]]:
-    """The terms j = 1..last of p^den N_k(t), den = k (k + 3 at p = 2),
-    not 0 at every t, as (j, e, w): the term is w[r] p^e, with r = 0
-    when p^j | t, else at odd p the Legendre symbol of t's unit part and
-    at p = 2 8 t / 2^j mod 8.  Raises ArithmeticError where irrational.
+def _terms(pp: PrimePower, n: int, tallies: Tallies) -> Iterator[tuple[int, int, tuple | None]]:
+    """The terms j = 1..k of p^den N_k(t), den = k (k + 3 at p = 2), one
+    at a time, as (j, e, w): the term is w[r] p^e, with r = 0 when
+    p^j | t, else at odd p the Legendre symbol of t's unit part and at
+    p = 2 8 t / 2^j mod 8, and w is None where the term is 0 at every t.
+    Raises ArithmeticError where irrational.
 
     Odd p.  A block p^e u has G(a, p^j) = p^j when e >= j, and else,
     with m = j - e, p^(e + m // 2) ((a u)/p)^(m mod 2) g^(m mod 2),
@@ -251,11 +261,11 @@ def _terms(pp: PrimePower, n: int, tallies: Tallies, k: int, last: int) -> list[
     t + 3).  That sum is _zeta_sum.
     """
     type1, type2 = tallies
-    terms = []
+    k = pp.k
     if pp.p != 2:
         p = pp.p
         eps = 1 if p % 4 == 1 else -1
-        for j in range(1, last + 1):
+        for j in range(1, k + 1):
             power, odd, lam = 0, 0, 1
             for e, s, c in type1:
                 if e >= j:
@@ -268,9 +278,9 @@ def _terms(pp: PrimePower, n: int, tallies: Tallies, k: int, last: int) -> list[
             sign = -lam if eps < 0 and half % 2 else lam
             # by r = 0, 1, -1: inside, and the edge at either sign
             w = (sign * (p - 1), -sign, -sign) if odd % 2 == 0 else (0, sign * eps, -sign * eps)
-            terms.append((j, n * (k - j) + power + half + j - 1, w))
-        return terms
-    for j in range(1, last + 1):
+            yield j, n * (k - j) + power + half + j - 1, w
+        return
+    for j in range(1, k + 1):
         power, roots, m_sum, d, sign = 0, 0, 0, 0, 1
         for e, u, c in type1:
             if e >= j:
@@ -278,7 +288,8 @@ def _terms(pp: PrimePower, n: int, tallies: Tallies, k: int, last: int) -> list[
                 continue
             m = j - e
             if m == 1:
-                break  # G = 0, so T_j = 0
+                yield j, 0, None  # G = 0, so T_j = 0
+                break
             power, roots, m_sum = power + e * c, roots + (m + 1) * c, m_sum + m * c
             d += c if u % 4 == 1 else -c
             if m % 2 and c % 2 and u % 8 in (3, 5):
@@ -295,8 +306,7 @@ def _terms(pp: PrimePower, n: int, tallies: Tallies, k: int, last: int) -> list[
             w, irrational = _ZETA_ROWS[sign, m_sum % 2, d % 8, roots % 2]
             if irrational[min(j, 3)]:
                 raise ArithmeticError("a Gauss-sum term is not rational")
-            terms.append((j, n * (k - j) + j + power + roots // 2, w))
-    return terms
+            yield j, n * (k - j) + j + power + roots // 2, w
 
 
 def _zeta_sum(r: int, m_odd: int, d: int, root2: int) -> int:
@@ -317,19 +327,6 @@ def _zeta_sum(r: int, m_odd: int, d: int, root2: int) -> int:
     if x % 2 != root2:
         raise ArithmeticError(f"a Gauss-sum term is not rational: {'4 sqrt2' if root2 else '2 sqrt2'} times +-1")
     return 4 if x in (0, 1, 7) else -4
-
-
-def _divide(nums: list[int], p: int, k: int, e: int) -> list[int]:
-    """Each of nums over p^e (e >= 0), a count of solutions mod p^k:
-    raises ArithmeticError where one has a remainder or is negative."""
-    if e:
-        q, sums = p**e, nums
-        nums = list(map(floordiv, sums, repeat(q)))
-        if any(map(ne, map(mul, nums, repeat(q)), sums)):
-            raise ArithmeticError(f"the Gauss sums mod {p}^{k} give a sum with a remainder mod {p}^{e}, not a count")
-    if min(nums) < 0:
-        raise ArithmeticError(f"the Gauss sums mod {p}^{k} give a negative sum, not a count")
-    return nums
 
 
 def _zeta_row(sign: int, m_odd: int, d: int, root2: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:

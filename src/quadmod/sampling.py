@@ -3,13 +3,15 @@
 Draws read prepared forms (counting.prepare).  Each draw counts each
 factor once, by its Gauss sums (PreparedForm.count), and takes t's
 symbol once; a draw whose class is empty ends there.  Otherwise the
-chain walk runs, and the form's first walk builds its tables, once per
-prime-power factor; they give the walk's cell weights, whose sum at
-the first step is the count.  The walk peels the blocks highest order
+chain walk runs, and the form's first walk makes its tables, once per
+prime-power factor: a table per head block and a Level per tail, read
+where a step's scan reaches it.  They give the walk's cell weights,
+whose sum at the first step is the count.  The walk peels the blocks highest order
 first (PreparedForm.walk_order), so the lowest-order blocks come last
 and a draw mostly takes one square root per factor, the last block's.
 It reads its split cells from the form's symbol layout, which computes
-the near cells by rule, and its table entries by symbol position.
+the near cells by rule, its head entries by symbol position and its
+tail entries by symbol.
 Each step draws once below the count of its class and scans the cells
 in order to the one that holds the draw.  A choice that only one class
 can take (the kind of an ANY draw, a factor's branch of a composite
@@ -41,6 +43,7 @@ from typing import TypeVar
 
 from .blockdiag import Block, TypeI, TypeII
 from .counting import (
+    Level,
     PreparedForm,
     RepCounts,
     Table,
@@ -354,8 +357,8 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
         else:
             a, t = _split(pp, t, g, g1, g2, rng)
             parts[b] = _sample_block(blk, pp, a, g1, head_prim, rng)
-        c_tot, c_np = tails[j]
-        total, i, g = c_tot[i2] - c_np[i2] if want_prim else c_np[i2], i2, g2
+        c_tot, c_np = tails[j].at(*g2)
+        total, i, g = c_tot - c_np if want_prim else c_np, i2, g2
     parts[last] = _sample_block(blocks[last], pp, t, g, want_prim, rng)
     return [v for part in parts for v in part]
 
@@ -400,23 +403,35 @@ def _sample_head_type1(
 
 
 def _pick_cell(
-    layout: SymbolLayout, head: Table, tail: Table, i: int, want_prim: bool, r: int
+    layout: SymbolLayout, head: Table, tail: Level, i: int, want_prim: bool, r: int
 ) -> tuple[int, int, bool, bool]:
     """The cell (i1, i2, head primitive, tail primitive) of the target at
     position i whose weight holds r, scanning the split cells (g1, g2)
     in partners order and, in the primitive class, each cell's three
     primitivity splits.  A cell weighs its split size times the head's
     count at g1 times the tail's at g2 in their classes; r must fall
-    below the sum of the weights, the count of the target's class."""
-    (h_tot, h_np), (c_tot, c_np) = head, tail
+    below the sum of the weights, the count of the target's class.  The
+    tail is read only at the g2 the scan reaches, and the cells of
+    g1 = g at the orders o + G and above, the last of its partners, are
+    weighed together (tail.above) and scanned only when r falls in them."""
+    h_tot, h_np = head
+    ords, sgns = layout.ords, layout.sgns
+    far = layout.first[min(ords[i] + layout.gap, layout.pp.k)] if i else -1
     for i1, h in enumerate(h_tot):
         if not h:
             continue
         hn = h_np[i1]
         for i2, size in layout.partners(i, i1):
-            cn = c_np[i2]
+            if i2 == far:  # every symbol from here up, but the zero symbol read first
+                (at, an), (zt, zn) = tail.above(ords[far]), tail.at(INF, 0)
+                w = hn * (an - zn) if not want_prim else hn * (at - an - zt + zn) + (h - hn) * (at - zt)
+                if r >= w:
+                    r -= w
+                    break
+                far = -1  # scan the run cell by cell
+            ct, cn = tail.at(ords[i2], sgns[i2])
             if want_prim:
-                hp, cp = size * (h - hn), c_tot[i2] - cn
+                hp, cp = size * (h - hn), ct - cn
                 splits = ((size * hn * cp, False, True), (hp * cn, True, False), (hp * cp, True, True))
                 for w, head_prim, tail_prim in splits:
                     if r < w:
@@ -427,7 +442,7 @@ def _pick_cell(
                 if r < w:
                     return i1, i2, False, False
                 r -= w
-    raise RuntimeError("the chain walk ran past its last cell: a table disagrees with its level")
+    raise RuntimeError("the chain walk ran past its last cell: a tail disagrees with the count drawn below")
 
 
 def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
@@ -440,8 +455,9 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     back in the blocks' own order, pull back to x = U y since U'QU is
     the block form, with U applied as the diagonalization's moves, so U
     is never built.  Nothing is diagonalized here, and the form's first
-    walk builds its tables and keeps them, so repeated draws of one
-    prepared form pay only for the count and the walk.
+    walk makes its tables and keeps them, with every tail entry read, so
+    repeated draws of one prepared form pay only for the count and the
+    walk.
     """
     _check_kind(kind)
     return _sample_counted(form, t, kind, rng, symbol_of(form.pp, t), form.count(t))
@@ -482,7 +498,7 @@ def sample_form(
 ) -> tuple[int, ...] | None:
     """Uniform solution of x'Qx = t mod p^k of the requested kind:
     prepare the form (diagonalize it) and draw from it with
-    sample_prepared, whose walk builds the form's tables."""
+    sample_prepared, whose walk makes the form's tables."""
     return sample_prepared(prepare(q_mat, pp), t, kind, rng)
 
 
@@ -491,7 +507,7 @@ def sample_composite(
 ) -> tuple[int, ...] | None:
     """Uniform solution mod q = prod p_i^k_i of the requested kind:
     prepare the form once per prime power and draw with sample_factors.
-    Each factor is counted by its Gauss sums, and its tables are built
+    Each factor is counted by its Gauss sums, and its tables are made
     once, for its walk, when the draw reaches it."""
     return sample_factors([prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
 

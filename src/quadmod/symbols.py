@@ -11,10 +11,10 @@ split size: for a target t of symbol g, the number of pairs (a, b) with
 prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` numbers
 the inhabited symbols of one modulus, order by order: the count tables
 are lists indexed by those positions.  The layout holds O(k) ints: a
-class size per order and, per position, the order and the position of
-the negated symbol (each order's slots reversed, or kept when
-p = 1 mod 4), and it makes a symbol from a position only where one is
-returned.  Its ``partners`` is the single source of split cells: given
+class size per order and, per position, the order, the sign and the
+position of the negated symbol (each order's slots reversed, or kept
+when p = 1 mod 4), and it makes a symbol from a position only where one
+is returned.  Its ``partners`` is the single source of split cells: given
 the positions of (g, g1) it lists only the g2 with a non-zero size, as
 (position, size), which is one symbol except when ord(g1) = ord(g).
 ``split_class_size`` looks one triple of symbols up in it.
@@ -144,7 +144,8 @@ class SymbolLayout:
     x = i - first[o] per sign (2x + 1 for p = 2, in min(4, 2^(k-o-1))
     slots; 1, -1 for odd p).  It holds O(k) ints: ``size[o]``, the class
     size of order o (size[k] = 1 for the zero symbol), and per position
-    ``ords``, the order (k at 0), and ``neg``, the negated symbol: the
+    ``ords``, the order (k at 0), ``sgns``, the sign (0 at 0), and
+    ``neg``, the negated symbol: the
     slots of each order reversed, or kept when p = 1 mod 4, where -1 is
     a square.  ``gap`` is the order gap G.  Nothing changes after
     construction: ``partners`` computes every split cell by rule.
@@ -153,7 +154,7 @@ class SymbolLayout:
     def __init__(self, pp: PrimePower):
         p, k = pp.p, pp.k
         self.pp, self.gap = pp, 3 if p == 2 else 1
-        size, first, ords, neg = [1] * (k + 1), [0] * (k + 1), [k], [0]
+        size, first, ords, sgns, neg = [1] * (k + 1), [0] * (k + 1), [k], [0], [0]
         w = 1 if p == 2 else (p - 1) // 2
         for o in range(k - 1, -1, -1):  # one running product, from the top order down
             size[o] = w
@@ -163,9 +164,10 @@ class SymbolLayout:
             lo, slots = len(ords), 2 if p != 2 else min(4, 1 << (k - o - 1))
             first[o] = lo
             ords += [o] * slots
+            sgns += (1, 3, 5, 7)[:slots] if p == 2 else (1, -1)
             neg += range(lo, lo + slots) if p % 4 == 1 else range(lo + slots - 1, lo - 1, -1)
         first[k] = len(ords)
-        self.size, self.first, self.ords, self.neg = size, first, ords, neg
+        self.size, self.first, self.ords, self.sgns, self.neg = size, first, ords, sgns, neg
 
     def __len__(self) -> int:
         return len(self.ords)
@@ -184,11 +186,7 @@ class SymbolLayout:
 
     def symbol(self, i: int) -> PkSymbol:
         """The symbol at position i."""
-        if not i:
-            return SYMBOL_ZERO
-        o = self.ords[i]
-        x = i - self.first[o]
-        return PkSymbol(o, 2 * x + 1 if self.pp.p == 2 else (1, -1)[x])
+        return PkSymbol(self.ords[i], self.sgns[i]) if i else SYMBOL_ZERO
 
     def partners(self, i: int, i1: int) -> list[tuple[int, int]]:
         """The non-zero split sizes at (symbol(i), symbol(i1)), as

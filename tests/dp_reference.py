@@ -11,12 +11,30 @@ orders down (_nonprimitive).  _level_odd and _level_two add the cells
 a gap or more from ord(g) by running sums by order and the near cells
 in closed form.  dp_chain_tables chains the steps back to front.  It
 shares with counting.chain_tables only the layout and the per-block
-tables (block_table, on the classes of gauss.block_signs).
+tables (block_table, on the classes of gauss.block_signs).  level_lists
+reads a gauss.Level at every position, as such a table, and table_dict
+gives a table as the {symbol: RepCounts} dict the public functions
+return.
 """
 
-from quadmod.counting import Table, block_table
-from quadmod.gauss import block_classes, block_signs, block_tallies
+from quadmod.counting import RepCounts, Table, block_table
+from quadmod.gauss import Level, block_classes, block_signs, block_tallies
 from quadmod.symbols import SymbolLayout
+
+
+def level_lists(level: Level, layout: SymbolLayout, order=None) -> Table:
+    """The level read at every position of the layout, in the given
+    order of positions (position order by default), as (total,
+    non-primitive) lists indexed by position."""
+    total, nprim = [0] * len(layout), [0] * len(layout)
+    for i in range(len(layout)) if order is None else order:
+        total[i], nprim[i] = level.at(*layout.symbol(i))
+    return total, nprim
+
+
+def table_dict(layout: SymbolLayout, table: Table) -> dict:
+    """A table as {symbol: RepCounts} in position order."""
+    return {layout.symbol(i): RepCounts(tot, tot - np_, np_) for i, (tot, np_) in enumerate(zip(*table))}
 
 
 def table_classes(blocks, pp):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import dp_reference
@@ -16,6 +18,7 @@ from quadmod.counting import (
     SingularForm,
     ZeroTarget,
     _count_scaled_type2,
+    block_table,
     chain_tables,
     count_composite,
     count_factors,
@@ -369,11 +372,16 @@ P127 = 2**127 - 1
 
 
 def symbol_chain_tables(blocks, pp):
-    """chain_tables of the blocks with each table read through
-    symbol_table."""
+    """The tables of every block and of every suffix blocks[j:], as
+    symbol dicts: chain_tables' head tables and tail Levels, the last
+    block's table, and the Level of all the blocks, each Level read at
+    every position (symbol_table)."""
     layout = SymbolLayout(pp)
-    per_block, suffix = chain_tables(dp_reference.table_classes(blocks, pp), layout)
-    return [symbol_table(layout, t) for t in per_block], [symbol_table(layout, t) for t in suffix]
+    classes = dp_reference.table_classes(blocks, pp)
+    per_block, tails = chain_tables(classes, layout)
+    top = gauss.Level(pp, sum(blk.dim for blk in blocks), gauss.block_tallies(gauss.block_classes(blocks, pp), pp.p))
+    per_block.append(block_table(classes[-1], layout))
+    return [dp_reference.table_dict(layout, t) for t in per_block], [symbol_table(layout, t) for t in (top, *tails)]
 
 
 def reference_chain_tables(blocks, pp):
@@ -656,18 +664,25 @@ def test_gauss_sum_count_equals_the_tables(inst):
 @gauss_sum_instances
 @settings(max_examples=150, deadline=None)
 def test_tables_equal_the_dynamic_program(inst):
-    # every level that chain_tables reads off the Gauss sums, at every
-    # suffix of the walk's blocks, and the top level (table) equal the
-    # split-convolution program's (dp_reference), entry by entry
+    # every tail Level that chain_tables makes, at every suffix of the
+    # walk's blocks after the first, read at every position, and every
+    # entry of the top level (table) equal the split-convolution
+    # program's (dp_reference); the form's own tails are read from the
+    # top position down, so their terms are taken all at once
     q, pp, _, _ = inst
     form = prepare(q, pp)
     walk = tuple(form.blocks[j] for j in form.walk_order)
     layout = form.layout
     want_per_block, want_suffix = dp_reference.dp_chain_tables(walk, layout)
-    assert chain_tables(dp_reference.table_classes(walk, pp), layout) == (want_per_block, want_suffix), (q, pp)
-    assert (form.per_block, form.tails) == (want_per_block, want_suffix[1:]), (q, pp)
-    assert form.table == symbol_table(layout, want_suffix[0]), (q, pp)
-    assert all(is_int_counts(lst) for level in want_suffix for lst in level)
+    per_block, tails = chain_tables(dp_reference.table_classes(walk, pp), layout)
+    assert per_block == want_per_block[:-1], (q, pp)
+    assert [dp_reference.level_lists(tail, layout) for tail in tails] == want_suffix[1:], (q, pp)
+    down = range(len(layout) - 1, -1, -1)
+    read = [dp_reference.level_lists(tail, layout, down) for tail in form.tails]
+    assert form.per_block == want_per_block[:-1] and read == want_suffix[1:], (q, pp)
+    assert form.table == dp_reference.table_dict(layout, want_suffix[0]), (q, pp)
+    assert all(is_int_counts(lst) for level in want_suffix + read for lst in level)
+    assert all(is_int_counts(c) for c in form.table.values())
 
 
 @pytest.mark.parametrize("n", [12, 24, 64])
@@ -683,34 +698,77 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
         assert form.count(t) == table[g], g
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, P127])
+def test_a_level_of_one_block_is_its_block_table(p):
+    # the walk's last tail is a Level of one block: at every position it
+    # equals the block's closed-form table, in ints, for every block
+    # class at k <= 8, d = 0 mod p^k among them, and at p = 2 type II
+    # blocks of every scale and parity
+    for k in range(1, 9):
+        pp = PrimePower(p, k)
+        layout = SymbolLayout(pp)
+        classes = [(INF, 0), *((e, u) for e in range(k) for u in ((1, 3, 5, 7) if p == 2 else (1, -1)))]
+        if p == 2:
+            classes += [TypeII(ell, a, 1, c) for ell in range(k + 1) for a in (0, 1) for c in (0, 1)]
+        for cls in classes:
+            (tallies,) = gauss.suffix_tallies((cls,), p)
+            got = dp_reference.level_lists(gauss.Level(pp, 2 if isinstance(cls, TypeII) else 1, tallies), layout)
+            assert got == block_table(cls, layout) and all(is_int_counts(lst) for lst in got), (pp, cls)
+
+
+@pytest.mark.parametrize("kind", [RepKind.ANY, RepKind.PRIMITIVE])
+def test_a_first_draw_at_a_big_prime_holds_under_four_levels(kind):
+    # a draw reads its tails only where its scans reach, so the first
+    # draw of a dense form mod (2^127 - 1)^60 holds less than four full
+    # levels of the form at its peak (building every tail in full took
+    # about eleven)
+    form = prepare(dense_even_form(16, 24), PrimePower(P127, 60))
+    tracemalloc.start()
+    try:
+        assert sample_prepared(form, 7, kind, random.Random(1)) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    level = sum(sys.getsizeof(c.total) + sys.getsizeof(c.nonprimitive) for c in form.table.values())
+    assert peak < 4 * level, (peak, level)
+
+
 def test_a_sum_that_is_no_count_raises(monkeypatch):
     # a Gauss-sum total that p^k does not divide, or that is not
-    # rational, is an error, never a rounded count: in a count and in
-    # every entry of a table
+    # rational, is an error, never a rounded count: in a count, in every
+    # entry of a table and at every position of every tail Level
     terms = gauss._terms
 
-    def with_term(j, e, w):
-        """The Fourier terms, with one more of weights w at p^e."""
-        monkeypatch.setattr(gauss, "_terms", lambda *args: [*terms(*args), (j, e, w)])
+    def with_term(j0, e0, w0):
+        """The Fourier terms, with w0 p^e0 added to the term of j0."""
+
+        def patched(pp, n, tallies):
+            for j, e, w in terms(pp, n, tallies):
+                if j == j0:
+                    e, w = (e0, (0,) * 8) if w is None else (e, w)
+                    low = min(e, e0)
+                    e, w = low, tuple(a * pp.p ** (e - low) + b * pp.p ** (e0 - low) for a, b in zip(w, w0))
+                yield j, e, w
+
+        monkeypatch.setattr(gauss, "_terms", patched)
 
     for pp in (PrimePower(3, 5), PrimePower(2, 6)):
-        form = prepare(Q4, pp)
-        assert form.tails  # the walk's levels are built before the terms change
-        with_term(1, 0, (1,) * 8)  # p^den does not divide the sums
-        with pytest.raises(ArithmeticError):
-            form.count(7)
-        with pytest.raises(ArithmeticError):
-            count_form(Q4, pp, 7)
-        with pytest.raises(ArithmeticError):
-            form.table
-        with pytest.raises(ArithmeticError):
-            chain_tables(dp_reference.table_classes(form.blocks, pp), form.layout)
-        with_term(1, 40, (-1,) * 8)  # every sum is negative
-        with pytest.raises(ArithmeticError):
-            form.count(7)
-        with pytest.raises(ArithmeticError):
-            form.table
-        monkeypatch.setattr(gauss, "_terms", terms)
+        # p^den does not divide the sums, then every sum is negative
+        for j, e, w in ((1, 0, (1,) * 8), (1, 40, (-1,) * 8)):
+            with_term(j, e, w)
+            form = prepare(Q4, pp)
+            with pytest.raises(ArithmeticError):
+                form.count(7)
+            with pytest.raises(ArithmeticError):
+                count_form(Q4, pp, 7)
+            with pytest.raises(ArithmeticError):
+                form.table
+            assert form.tails
+            for tail in form.tails:
+                for g in map(form.layout.symbol, range(len(form.layout))):
+                    with pytest.raises(ArithmeticError):
+                        tail.at(*g)
+            monkeypatch.setattr(gauss, "_terms", terms)
     # zeta + zeta^-1 over a = 1, 3, 5, 7 is 2 sqrt2: rational only times sqrt2
     with pytest.raises(ArithmeticError):
         gauss._zeta_sum(0, 0, 1, 0)

@@ -39,11 +39,11 @@ from quadmod import (
 )
 from quadmod.blockdiag import TypeI, TypeII
 from quadmod.cli import main
-from quadmod.counting import RepCounts, block_table, symbol_table
+from quadmod.counting import RepCounts, block_table
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
-from dp_reference import table_classes
+from dp_reference import table_classes, table_dict
 from test_counting import count_block
 
 P127 = 2**127 - 1
@@ -139,7 +139,7 @@ def test_block_table_equals_count_block(p):
             ]
         for blk in blocks:
             want = {g: count_block(blk, pp, g) for g in enumerate_symbols(pp) if class_size(pp, g) > 0}
-            got = symbol_table(layout, block_table(table_classes((blk,), pp)[0], layout))
+            got = table_dict(layout, block_table(table_classes((blk,), pp)[0], layout))
             assert got == want and list(got) == list(want), (pp, blk)
 
 
@@ -180,8 +180,8 @@ CROSS_PATH = {
 
 @pytest.mark.parametrize("q_mat, pp", CROSS_PATH.values(), ids=CROSS_PATH)
 def test_count_equals_the_full_top_level(q_mat, pp):
-    # count sums the blocks' Gauss-sum terms, and table builds the whole
-    # top level from the same terms by prefix sums (level_table)
+    # count reads the form's Level of the blocks' Gauss-sum terms at t's
+    # symbol, and table reads a new Level of the same terms at every one
     form = prepare(q_mat, pp)
     table = form.table
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
@@ -198,12 +198,13 @@ def count_by_partners(form, t):
     cell at a time, weighed by the head table and the first tail."""
     layout = form.layout
     i = layout.index(symbol_of(form.pp, t))
-    (h_tot, h_np), (c_tot, c_np) = form.per_block[0], form.tails[0]
+    (h_tot, h_np), tail = form.per_block[0], form.tails[0]
     total = nprim = 0
     for i1 in range(len(layout)):
         for i2, size in layout.partners(i, i1):
-            total += size * h_tot[i1] * c_tot[i2]
-            nprim += size * h_np[i1] * c_np[i2]
+            c_tot, c_np = tail.at(*layout.symbol(i2))
+            total += size * h_tot[i1] * c_tot
+            nprim += size * h_np[i1] * c_np
     return RepCounts(total, total - nprim, nprim)
 
 
@@ -240,23 +241,51 @@ LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], 
 LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
 
 
+def scan_reach(layout, head, i, cell):
+    """The tail positions that the walk's scan at the target position i
+    reads up to the cell (i1, i2) it stops at: every partner of every
+    non-zero head entry, in scan order, up to that cell."""
+    reach = set()
+    for i1, h in enumerate(head[0]):
+        for i2, _ in layout.partners(i, i1) if h else ():
+            reach.add(i2)
+            if (i1, i2) == cell:
+                return reach
+    raise AssertionError("the scan never reaches its cell")
+
+
 @pytest.mark.parametrize("q_mat, pp", LEVEL_FORMS, ids=[f"n{len(q)}-{pp}" for q, pp in LEVEL_FORMS])
 def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls, q_mat, pp):
     _, tables = layer_calls
-    built = CallCounter(quadmod.counting.level_table)
-    monkeypatch.setattr(quadmod.counting, "level_table", built)
-    form = prepare(q_mat, pp)
-    form.count(9)
-    assert (tables.calls, built.calls) == (0, 0)  # preparing and counting build no table
-    # the first read of the tables builds the walk's levels, once
-    levels = max(0, len(form.blocks) - 2)
-    assert len(form.tails) == max(0, len(form.blocks) - 1) and len(form.per_block) == len(form.blocks)
-    assert (tables.calls, built.calls) == (1 if form.blocks else 0, levels)
-    assert sample_prepared(form, 9, RepKind.ANY, random.Random(9)) is not None or form.count(9).total == 0
-    assert (tables.calls, built.calls) == (1 if form.blocks else 0, levels)
-    # the top level is built on each read, and not kept
+    built = CallCounter(quadmod.counting.Level)
+    monkeypatch.setattr(quadmod.counting, "Level", built)
+    pick, reached = quadmod.sampling._pick_cell, {}
+
+    def recorded(layout, head, tail, i, want_prim, r):
+        cell = pick(layout, head, tail, i, want_prim, r)
+        reached.setdefault(id(tail), set()).update(scan_reach(layout, head, i, cell[:2]))
+        return cell
+
+    monkeypatch.setattr(quadmod.sampling, "_pick_cell", recorded)
+    form, t = prepare(q_mat, pp), 8 if pp.p == 2 else 9
+    form.count(t)
+    # preparing and counting build no tail Level: only the form's own
+    assert (tables.calls, built.calls) == (0, 1)
+    # the first read of the tables makes one Level per tail, once
+    tails = max(0, len(form.blocks) - 1)
+    assert len(form.tails) == len(form.per_block) == tails
+    assert (tables.calls, built.calls) == (1, 1 + tails)
+    assert sample_prepared(form, t, RepKind.ANY, random.Random(9)) is not None or not form.blocks
+    assert (tables.calls, built.calls) == (1, 1 + tails)
+    # each step computes the tail entries its scan reaches, and no other
+    layout = form.layout
+    for tail in form.tails:
+        keys = {(pp.k, 0) if g.ord == INF else g for g in map(layout.symbol, reached[id(tail)])}
+        assert tail._read and set(tail._read) <= keys, (set(tail._read), keys)
+        assert len(tail._read) < len(layout)
+    # the top level is read from a new Level on each read of table, and not kept
     assert form.table == form.table
-    assert built.calls == levels + 2 * (len(form.blocks) >= 2)
+    assert built.calls == 1 + tails + 2 * bool(form.blocks)
 
 
 @pytest.mark.parametrize("pp", [PrimePower(3, 60), PrimePower(P127, 60)], ids=["3^60", "P^60"])

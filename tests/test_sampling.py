@@ -684,16 +684,16 @@ def test_walk_raises_when_a_tail_disagrees_with_its_level():
     # class; a tail entry larger than the cells below it sends the next
     # scan past its last cell, which is an error, not a silent pick of
     # that cell.  At t = 36, p^2 | t and both classes are non-empty, so
-    # both kinds reach the tampered tail
+    # both kinds reach the tampered tail, a Level whose every entry is
+    # read 2 10^40 too large in total and 10^40 in non-primitive count
     q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
     mixed = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]  # a type II block and two type I
     for q_mat, pp in ((q4, PrimePower(3, 4)), (mixed, PrimePower(2, 6))):
         form = prepare(q_mat, pp)
         assert len(form.tails) >= 2
         assert 36 % pp.p**2 == 0 and form.count(36).primitive and form.count(36).nonprimitive
-        total, nprim = form.tails[0]
-        total[:] = [x + 2 * 10**40 for x in total]
-        nprim[:] = [x + 10**40 for x in nprim]
+        tail, at = form.tails[0], form.tails[0].at
+        tail.at = lambda o, s, at=at: (at(o, s)[0] + 2 * 10**40, at(o, s)[1] + 10**40)
         for kind in (RepKind.PRIMITIVE, RepKind.NONPRIMITIVE):
             with pytest.raises(RuntimeError, match="past its last cell"):
                 sample_prepared(form, 36, kind, random.Random(5))

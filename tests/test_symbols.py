@@ -215,23 +215,26 @@ LAYOUT_GRID = [PrimePower(2, k) for k in (*range(1, 13), 60)] + [
 
 @pytest.mark.parametrize("pp", LAYOUT_GRID, ids=lambda pp: f"{pp.p if pp.p < 100 else 'P127'}^{pp.k}")
 def test_layout_rule_matches_the_symbol_functions(pp):
-    # positions, per-order sizes and negations come from the layout's one
-    # position rule; each is checked against the per-symbol functions
+    # positions, per-order sizes, signs and negations come from the
+    # layout's one position rule; each is checked against the per-symbol
+    # functions
     layout = SymbolLayout(pp)
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
     assert [layout.symbol(i) for i in range(len(layout))] == inhabited
     for i, g in enumerate(inhabited):
         assert layout.index(layout.symbol(i)) == i
         assert layout.size[layout.ords[i]] == class_size(pp, g)
+        assert (layout.ords[i], layout.sgns[i]) == ((pp.k, 0) if g.ord == INF else g)
         assert layout.symbol(layout.neg[i]) == symbol_of(pp, -symbol_rep(pp, g) if i else 0)
     # O(k) data: no symbol is stored, and no per-position big int
     lists = {name: v for name, v in vars(layout).items() if isinstance(v, list)}
-    assert sorted(lists) == ["first", "neg", "ords", "size"]
+    assert sorted(lists) == ["first", "neg", "ords", "sgns", "size"]
     assert len(layout.first) == len(layout.size) == pp.k + 1
     assert not [v for v in vars(layout).values() if isinstance(v, PkSymbol)]
     assert all(type(x) is int for v in lists.values() for x in v)
     for v in (layout.ords, layout.neg):
         assert len(v) == len(layout) and all(0 <= x < len(layout) for x in v)
+    assert len(layout.sgns) == len(layout)
 
 
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
