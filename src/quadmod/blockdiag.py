@@ -258,10 +258,11 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
                 _swap(m, moves, pos, pos, i, q)
             top = m[pos]
             scale, mod = p**o, p ** (k - o)
-            inv_cop = pow(top[pos] // scale, -1, mod)
+            inv_cop = 0  # the pivot's inverse, taken at the first entry to clear
             for c in range(pos + 1, n):
                 x = top[c]
                 if x:
+                    inv_cop = inv_cop or pow(top[pos] // scale, -1, mod)
                     # x has order >= o, so the quotient is exact
                     a = -((x // scale) * inv_cop % mod)
                     moves.append((c, pos, a))
@@ -293,13 +294,14 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             two_a = top[pos] // scale  # even: diagonal order > o
             b = top[pos + 1] // scale  # odd: order exactly o
             two_c = second[pos + 1] // scale
-            det_inv = pow((two_a * two_c - b * b) % mod, -1, mod)
+            det_inv = 0  # the block's inverse determinant, taken at the first entries to clear
             for c in range(pos + 2, n):
-                # (r, s) solves the pivot block against (d, e) mod 2^(k-o)
+                # (r, s) solves the pivot block against (d, e) mod 2^(k-o): 0 just where they are
                 d, e = top[c] // scale, second[c] // scale
-                r = (two_c * d - b * e) * det_inv % mod
-                s = (two_a * e - b * d) * det_inv % mod
-                if r or s:
+                if d or e:
+                    det_inv = det_inv or pow((two_a * two_c - b * b) % mod, -1, mod)
+                    r = (two_c * d - b * e) * det_inv % mod
+                    s = (two_a * e - b * d) * det_inv % mod
                     moves += [(c, pos, -r), (c, pos + 1, -s)]
                     row = m[c]
                     row[c:] = [(y - r * z - s * w) % q for y, z, w in zip(row[c:], top[c:], second[c:])]

@@ -272,14 +272,13 @@ class PreparedForm:
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k,
-        read off the form's Level at t's order (gauss.Level): the total
-        is N_k(t), and the non-primitive count p^n N_(k-2)(t / p^2) when
-        p^2 divides t, 0 when not (at k = 1, 1 at t = 0 mod p).  It
-        builds no layout and no table, and takes t's Legendre symbol only
-        where an edge term twists by it.  Raises ArithmeticError where
-        the sums do not give a count."""
-        (o, u), level = valuation(self.pp, t % self.pp.q), self._classes[2]
-        total, nprim = level.at(o, u % 8 if self.pp.p == 2 else level.sign(o, u))
+        in one read of the form's Level at t's order and unit part
+        (gauss.Level.count): the total is N_k(t), and the non-primitive
+        count p^n N_(k-2)(t / p^2) when p^2 divides t, 0 when not (at
+        k = 1, 1 at t = 0 mod p).  It builds no layout and no table, and
+        takes t's Legendre symbol only where an edge term twists by it.
+        Raises ArithmeticError where the sums do not give a count."""
+        total, nprim = self._classes[2].count(*valuation(self.pp, t % self.pp.q))
         return RepCounts(total, total - nprim, nprim)
 
 

@@ -13,8 +13,8 @@ quadratic Gauss sum of block i, the sum of e(a x'B_i x / p^j) over
 x mod p^j.  Those sums have closed forms (Ireland & Rosen, A Classical
 Introduction to Modern Number Theory, ch. 6), so T_j depends on the
 blocks only through tallies of their orders and unit classes
-(block_tallies, from the one pass of block_classes), and one loop over
-j gives the terms for every p (_terms).  The Gauss sums read a only
+(block_tallies, from the one pass of block_classes), and each term is
+one function of the tallies and j for every p (_term).  The Gauss sums read a only
 modulo p (odd p) or 8 (p = 2), and e(-a t / p^j) summed over the units
 a of one such class is 0 unless p^(j-1) (odd p) or 2^(j-3) (p = 2)
 divides t.  So every T_j with j above ord t + G vanishes, with the
@@ -26,14 +26,15 @@ symbol are prefix sums over j plus at most G edge terms each.
 A Level is the one reader of those sums: a count, a whole table and
 each step of a draw's walk read the entries they need from it, and it
 takes the terms only up to the highest order read, one big-integer
-step each, linear in size.  A count is an integer, so a sum that p^k
-does not divide raises ArithmeticError rather than round.
+step each, linear in size, in units fixed when it is made.  A count is
+an integer, so a sum that p^k does not divide raises ArithmeticError
+rather than round.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice, product
+from itertools import product
 
 from .blockdiag import Block, TypeI, TypeII
 from .modring import PrimePower, legendre, valuation
@@ -112,7 +113,8 @@ def block_tallies(classes: tuple[BlockClass, ...], p: int) -> Tallies:
 class Level:
     """The counts of the n variables tallied, mod p^k, at any target
     symbol, read on demand: at(o, s) is (total, non-primitive) at the
-    symbol of order o (INF or k for the zero symbol) and sign s.
+    symbol of order o (INF or k for the zero symbol) and sign s, and
+    count(o, u) the same at a target of order o and unit part u.
 
     The total at (o, s) is p^-den times A_o, the prefix sum of p^(nk +
     den - k) and the terms j <= o at r = 0, plus the edge terms j = o + d
@@ -120,28 +122,32 @@ class Level:
     mod 8 for p = 2.  The non-primitive count p^n N_(k-2)(t / p^2) at
     order o >= 2 is p^(-den - n + 2) times the same sum for o - 2 cut
     at j <= k - 2 (each term at level k - 2 is p^(-2n) its term at k),
-    0 below order 2, and at k = 1 the one x = 0 at t = 0.  sign gives
-    the s at which a count reads its target, and above the sums over
-    every symbol from one order up, which a walk's step weighs at once.
+    0 below order 2, and at k = 1 the one x = 0 at t = 0.  above gives
+    the sums over every symbol from one order up, which a walk's step
+    weighs at once.
 
-    The terms are taken up to the highest order read so far, each
-    term's power made from the one before by a small power of p, and
-    summed in units of p^shift, at most p^den and every term's power (a
-    term below it scales what is kept up).  Each entry is divided
-    exactly, or raises ArithmeticError, and kept.
+    Each term comes from _term, one function of the tallies and j, is
+    taken once, up to the highest order read so far, its power made from
+    the one before, and summed in units of p^unit, fixed when the Level
+    is made: unit = min(k, n k) + [p = 2], the least a term can reach.
+    A term j is p^e, e = n (k - j) + j - [p odd] + E (_term), with the
+    blocks' share E at least n j / 2 at odd p (1 at j = 1) and (n (j + 1)
+    - 1) / 2 at p = 2, where a block of order 0 makes the term j = 1 0.
+    So e >= k at odd p and k + 1 at p = 2 once n >= 1, which one unit
+    block reaches; with n = 0 the first term is p^0, or 2^1.  A term
+    below the unit is no Gauss-sum term and raises ArithmeticError, as
+    does an entry that does not divide exactly.  Each entry is kept.
     """
 
     def __init__(self, pp: PrimePower, n: int, tallies: Tallies):
         p, k = pp.p, pp.k
-        self.p, self.k, self.n = p, k, n
+        self.pp, self.p, self.k, self.n, self.tallies = pp, p, k, n, tallies
         self.gap, self.den = (3, k + 3) if p == 2 else (1, k)
+        self._unit = min(k, n * k) + (p == 2)
         self._last = n * k + self.den - k  # the exponent of the last power made
-        self._shift = min(self.den, self._last)
-        self._power = p ** (self._last - self._shift)
+        self._power = p ** (self._last - self._unit)
         self._sums, self._terms = [self._power], [_NO_TERM]  # A_j, and (w, power) by j
-        self._next = _terms(pp, n, tallies)
-        self._read: dict[tuple[Ordinal, int], tuple[int, int]] = {}
-        self._above: dict[int, tuple[int, int]] = {}
+        self._read: dict[tuple[Ordinal, int | None], tuple[int, int]] = {}
 
     def at(self, o: Ordinal, s: int) -> tuple[int, int]:
         k = self.k
@@ -149,22 +155,22 @@ class Level:
             o, s = k, 0
         got = self._read.get((o, s))
         if got is None:
-            if o + self.gap >= len(self._sums):
-                self._take(min(o + self.gap, k))
+            self._take(min(o + self.gap, k))
             total = self._exact(self._sum(o, s, k), self.den)
             nprim = int(o == k) if o < 2 else self._exact(self._sum(o - 2, s, k - 2), self.den + self.n - 2)
             got = self._read[o, s] = total, nprim
         return got
 
-    def sign(self, o: Ordinal, u: int) -> int:
-        """The sign at which at reads a target of order o and unit part
-        u, for odd p: u's Legendre symbol where an edge term of the total
-        or of the non-primitive count twists by it, else 1."""
-        if o >= self.k:
-            return 1
+    def count(self, o: Ordinal, u: int) -> tuple[int, int]:
+        """at for a target of order o and unit part u: at the sign u mod
+        8 for p = 2, and for odd p at u's Legendre symbol where an edge
+        term of the total or of the non-primitive count twists by it,
+        else at 1.  The zero symbol (o >= k) reads no sign."""
+        if self.p == 2 or o >= self.k:
+            return self.at(o, u % 8)
         self._take(o + 1)
         (w, _), (w2, _) = self._terms[o + 1], self._terms[o - 1] if o else _NO_TERM
-        return legendre(u, self.p) if w[1] != w[-1] or w2[1] != w2[-1] else 1
+        return self.at(o, legendre(u, self.p) if w[1] != w[-1] or w2[1] != w2[-1] else 1)
 
     def above(self, m: int) -> tuple[int, int]:
         """(total, non-primitive): the solutions whose value has order at
@@ -173,13 +179,14 @@ class Level:
         j <= m and sums to 0 above, so the total is A_m / p^(m + den - k);
         a non-primitive x = p y has order at least m where y'Qy has m - 2
         at level k - 2, so the non-primitive sum is A_(m-2) /
-        p^(m + den - k + n - 2) for m >= 2, and p^(n (k - 1)) below."""
-        got = self._above.get(m)
+        p^(m + den - k + n - 2) for m >= 2, and p^(n (k - 1)) below.
+        Kept with the entries of at, under (m, None)."""
+        got = self._read.get((m, None))
         if got is None:
             self._take(m)
             p, k, n, extra = self.p, self.k, self.n, m + self.den - self.k
             nprim = p ** (n * (k - 1)) if m < 2 else self._exact(self._sums[m - 2], extra + n - 2)
-            got = self._above[m] = self._exact(self._sums[m], extra), nprim
+            got = self._read[m, None] = self._exact(self._sums[m], extra), nprim
         return got
 
     def _take(self, last: int) -> None:
@@ -187,26 +194,19 @@ class Level:
         p, sums, terms = self.p, self._sums, self._terms
         if last < len(sums):
             return
-        for _, e, w in islice(self._next, last + 1 - len(sums)):
-            if w is None:
-                sums.append(sums[-1])
-                terms.append(_NO_TERM)
-                continue
-            if e < self._shift:  # scale the sums kept up to the new units
-                up = p ** (self._shift - e)
-                sums[:] = [a * up for a in sums]
-                terms[:] = [(x, v * up) for x, v in terms]
-                self._power, self._shift = self._power * up, e
+        for j in range(len(sums), last + 1):
+            # a term that is 0 keeps the last power
+            e, w = _term(self.pp, self.n, self.tallies, j) or (self._last, _NO_TERM[0])
+            if e < self._unit:
+                raise ArithmeticError(f"a Gauss-sum term mod {p}^{self.k} falls below {p}^{self._unit}")
             d, self._last = e - self._last, e
             self._power = self._power * p**d if d >= 0 else self._power // p**-d
             sums.append(sums[-1] + w[0] * self._power)
             terms.append((w, self._power))
-        if len(sums) <= last:  # the terms stopped at an irrational one
-            raise ArithmeticError("a Gauss-sum term is not rational")
 
     def _sum(self, o: int, s: int, cut: int) -> int:
         """The sum at order o and sign s, cut at j <= cut, in units of
-        p^shift: A_o and the edge terms o < j <= cut, G of them at most."""
+        p^unit: A_o and the edge terms o < j <= cut, G of them at most."""
         num, terms = self._sums[o], self._terms
         if self.p != 2:
             w, v = terms[o + 1] if o < cut else _NO_TERM
@@ -217,9 +217,9 @@ class Level:
         return num
 
     def _exact(self, num: int, den: int) -> int:
-        """num p^shift over p^den, a count: raises ArithmeticError where
+        """num p^unit over p^den, a count: raises ArithmeticError where
         it has a remainder or is negative."""
-        p, e = self.p, den - self._shift
+        p, e = self.p, den - self._unit
         count, rest = divmod(num, p**e) if e > 0 else (num * p**-e if e else num, 0)
         if rest:
             raise ArithmeticError(f"the Gauss sums mod {p}^{self.k} give a sum with a remainder mod {p}^{e}, not a count")
@@ -232,12 +232,12 @@ class Level:
 _NO_TERM = ((0,) * 8, 0)
 
 
-def _terms(pp: PrimePower, n: int, tallies: Tallies) -> Iterator[tuple[int, int, tuple | None]]:
-    """The terms j = 1..k of p^den N_k(t), den = k (k + 3 at p = 2), one
-    at a time, as (j, e, w): the term is w[r] p^e, with r = 0 when
-    p^j | t, else at odd p the Legendre symbol of t's unit part and at
-    p = 2 8 t / 2^j mod 8, and w is None where the term is 0 at every t.
-    Raises ArithmeticError where irrational.
+def _term(pp: PrimePower, n: int, tallies: Tallies, j: int) -> tuple[int, tuple] | None:
+    """The term j, 1 <= j <= k, of p^den N_k(t), den = k (k + 3 at
+    p = 2), as (e, w): the term is w[r] p^e, with r = 0 when p^j | t,
+    else at odd p the Legendre symbol of t's unit part and at p = 2
+    8 t / 2^j mod 8.  None where the term is 0 at every t.  Raises
+    ArithmeticError where irrational.
 
     Odd p.  A block p^e u has G(a, p^j) = p^j when e >= j, and else,
     with m = j - e, p^(e + m // 2) ((a u)/p)^(m mod 2) g^(m mod 2),
@@ -261,52 +261,46 @@ def _terms(pp: PrimePower, n: int, tallies: Tallies) -> Iterator[tuple[int, int,
     t + 3).  That sum is _zeta_sum.
     """
     type1, type2 = tallies
-    k = pp.k
-    if pp.p != 2:
-        p = pp.p
+    p, k = pp.p, pp.k
+    if p != 2:
         eps = 1 if p % 4 == 1 else -1
-        for j in range(1, k + 1):
-            power, odd, lam = 0, 0, 1
-            for e, s, c in type1:
-                if e >= j:
-                    power += j * c
-                else:
-                    power += (e + (j - e) // 2) * c
-                    if (j - e) % 2:
-                        odd, lam = odd + c, lam * s
-            half = (odd + 1) // 2
-            sign = -lam if eps < 0 and half % 2 else lam
-            # by r = 0, 1, -1: inside, and the edge at either sign
-            w = (sign * (p - 1), -sign, -sign) if odd % 2 == 0 else (0, sign * eps, -sign * eps)
-            yield j, n * (k - j) + power + half + j - 1, w
-        return
-    for j in range(1, k + 1):
-        power, roots, m_sum, d, sign = 0, 0, 0, 0, 1
-        for e, u, c in type1:
+        power, odd, lam = 0, 0, 1
+        for e, s, c in type1:
             if e >= j:
                 power += j * c
-                continue
-            m = j - e
-            if m == 1:
-                yield j, 0, None  # G = 0, so T_j = 0
-                break
-            power, roots, m_sum = power + e * c, roots + (m + 1) * c, m_sum + m * c
-            d += c if u % 4 == 1 else -c
-            if m % 2 and c % 2 and u % 8 in (3, 5):
-                sign = -sign
+            else:
+                power += (e + (j - e) // 2) * c
+                if (j - e) % 2:
+                    odd, lam = odd + c, lam * s
+        half = (odd + 1) // 2
+        sign = -lam if eps < 0 and half % 2 else lam
+        # by r = 0, 1, -1: inside, and the edge at either sign
+        w = (sign * (p - 1), -sign, -sign) if odd % 2 == 0 else (0, sign * eps, -sign * eps)
+        return n * (k - j) + power + half + j - 1, w
+    power, roots, m_sum, d, sign = 0, 0, 0, 0, 1
+    for e, u, c in type1:
+        if e >= j:
+            power += j * c
+            continue
+        m = j - e
+        if m == 1:
+            return None  # G = 0, so T_j = 0
+        power, roots, m_sum = power + e * c, roots + (m + 1) * c, m_sum + m * c
+        d += c if u % 4 == 1 else -c
+        if m % 2 and c % 2 and u % 8 in (3, 5):
+            sign = -sign
+    for ell, odd_ac, c in type2:
+        m = j - ell - 1
+        if m <= 0:
+            power += 2 * j * c
         else:
-            for ell, odd_ac, c in type2:
-                m = j - ell - 1
-                if m <= 0:
-                    power += 2 * j * c
-                else:
-                    power += (j + ell + 1) * c
-                    if odd_ac and m % 2 and c % 2:
-                        sign = -sign
-            w, irrational = _ZETA_ROWS[sign, m_sum % 2, d % 8, roots % 2]
-            if irrational[min(j, 3)]:
-                raise ArithmeticError("a Gauss-sum term is not rational")
-            yield j, n * (k - j) + j + power + roots // 2, w
+            power += (j + ell + 1) * c
+            if odd_ac and m % 2 and c % 2:
+                sign = -sign
+    w, irrational = _ZETA_ROWS[sign, m_sum % 2, d % 8, roots % 2]
+    if irrational[min(j, 3)]:
+        raise ArithmeticError("a Gauss-sum term is not rational")
+    return n * (k - j) + j + power + roots // 2, w
 
 
 def _zeta_sum(r: int, m_odd: int, d: int, root2: int) -> int:

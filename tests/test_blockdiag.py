@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadmod.blockdiag
 from matrix_helpers import apply_transform, mat_mul
 from quadmod.blockdiag import (
     TypeI,
@@ -61,6 +62,30 @@ def test_hyperbolic_plane_two():
 def test_already_diagonal():
     bd = block_diagonalize([[3, 0], [0, 10]], PrimePower(5, 2))
     assert bd.blocks == (TypeI(3), TypeI(10))
+
+
+@pytest.mark.parametrize("pp", [PrimePower(2**127 - 1, 8), PrimePower(2, 12), PrimePower(3, 5)], ids=str)
+def test_a_pivot_takes_its_inverse_only_to_clear_its_row(monkeypatch, pp):
+    # a Jordan form has nothing to clear, so no pivot inverts its unit part
+    # or, at p = 2, its block's determinant; a pivot with entries to clear
+    # takes one inverse however many it clears
+    inverses = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(quadmod.blockdiag, "pow", counted, raising=False)
+    jordan = [TypeI(3), TypeI(5 * pp.p), TypeI(7 * pp.p**3)] + ([TypeII(1, 1, 1, 0)] if pp.p == 2 else [])
+    moves = block_diagonalize(blocks_to_matrix(jordan), pp).moves
+    assert inverses == [] and all(a is None for *_, a in moves), moves  # swaps only
+    dense = [[2 * (i == j) + 4 * pp.p * (i != j) + 4 * (i + j == 1) for j in range(4)] for i in range(4)]
+    type2 = [[2, 1, 2, 2], [1, 4, 2, 6], [2, 2, 6, 1], [2, 6, 1, 2]]  # two type II pivots at p = 2
+    for q in [dense] + [type2] * (pp.p == 2):
+        inverses.clear()
+        form = block_diagonalize(q, pp)
+        assert len(inverses) == len(form.blocks) - 1, (q, inverses, form.blocks)
 
 
 def test_zero_form():

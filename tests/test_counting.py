@@ -737,20 +737,26 @@ def test_a_sum_that_is_no_count_raises(monkeypatch):
     # a Gauss-sum total that p^k does not divide, or that is not
     # rational, is an error, never a rounded count: in a count, in every
     # entry of a table and at every position of every tail Level
-    terms = gauss._terms
+    term = gauss._term
 
     def with_term(j0, e0, w0):
         """The Fourier terms, with w0 p^e0 added to the term of j0."""
 
-        def patched(pp, n, tallies):
-            for j, e, w in terms(pp, n, tallies):
-                if j == j0:
-                    e, w = (e0, (0,) * 8) if w is None else (e, w)
-                    low = min(e, e0)
-                    e, w = low, tuple(a * pp.p ** (e - low) + b * pp.p ** (e0 - low) for a, b in zip(w, w0))
-                yield j, e, w
+        def patched(pp, n, tallies, j):
+            got = term(pp, n, tallies, j)
+            if j == j0:
+                e, w = (e0, (0,) * 8) if got is None else got
+                low = min(e, e0)
+                got = low, tuple(a * pp.p ** (e - low) + b * pp.p ** (e0 - low) for a, b in zip(w, w0))
+            return got
 
-        monkeypatch.setattr(gauss, "_terms", patched)
+        monkeypatch.setattr(gauss, "_term", patched)
+
+    def irrational(pp, n, tallies, j):
+        """The Fourier terms, with the first one not rational."""
+        if j == 1:
+            raise ArithmeticError("a Gauss-sum term is not rational")
+        return term(pp, n, tallies, j)
 
     for pp in (PrimePower(3, 5), PrimePower(2, 6)):
         # p^den does not divide the sums, then every sum is negative
@@ -768,11 +774,54 @@ def test_a_sum_that_is_no_count_raises(monkeypatch):
                 for g in map(form.layout.symbol, range(len(form.layout))):
                     with pytest.raises(ArithmeticError):
                         tail.at(*g)
-            monkeypatch.setattr(gauss, "_terms", terms)
+            monkeypatch.setattr(gauss, "_term", term)
+        # an irrational term raises at every read that reaches it, the
+        # second read of one entry as the first
+        monkeypatch.setattr(gauss, "_term", irrational)
+        form = prepare(Q4, pp)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                form.count(7)
+            with pytest.raises(ArithmeticError):
+                form.tails[0].at(0, 1)
+        monkeypatch.setattr(gauss, "_term", term)
     # zeta + zeta^-1 over a = 1, 3, 5, 7 is 2 sqrt2: rational only times sqrt2
     with pytest.raises(ArithmeticError):
         gauss._zeta_sum(0, 0, 1, 0)
     assert gauss._zeta_sum(0, 0, 1, 1) == 4
+
+
+@st.composite
+def level_tallies(draw):
+    """(p^k, n, tallies): the Tallies of 0 to 5 blocks mod p^k, p in
+    {2, 3, 5, 7} and k <= 14, of every order, p^k | d among them, and at
+    p = 2 type II blocks of every scale and parity."""
+    pp = PrimePower(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 14)))
+    p = pp.p
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        if p == 2 and draw(st.booleans()):
+            a, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            blocks.append(TypeII(draw(st.integers(0, pp.k)), a, 2 * draw(st.integers(0, 7)) + 1, c))
+        else:
+            u = draw(st.integers(1, 10**4).filter(lambda u: u % p))
+            blocks.append(TypeI(u * p ** draw(st.integers(0, pp.k))))
+    n = sum(blk.dim for blk in blocks)
+    return pp, n, gauss.block_tallies(gauss.block_classes(tuple(blocks), pp), p)
+
+
+@given(level_tallies())
+@example((PrimePower(2, 9), 1, (((0, 1, 1),), ())))  # one block at p = 2: a term at j = 2 of 2^(k+1)
+@example((PrimePower(3, 9), 1, (((0, 1, 1),), ())))  # one unit block at odd p: a term at j = 1 of p^k
+@settings(max_examples=300, deadline=None)
+def test_every_term_is_a_multiple_of_the_unit(inst):
+    # a Level keeps its sums in units of p^unit, fixed when it is made:
+    # no term of any form falls below it
+    pp, n, tallies = inst
+    unit = gauss.Level(pp, n, tallies)._unit
+    terms = [gauss._term(pp, n, tallies, j) for j in range(1, pp.k + 1)]
+    lows = [e for e, _ in filter(None, terms)]
+    assert all(e >= unit for e in lows), (unit, lows)
 
 
 def test_counts_build_no_table(monkeypatch, tmp_path):

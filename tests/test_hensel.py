@@ -12,6 +12,10 @@ assumed: each reference is enumerated at two small levels (k0 = j + 1
 and j + 2 for odd p, j + 3 and j + 4 for p = 2) and used only at the
 classes whose counts grow by p^(n-1) between them.  Nothing here shares
 code with the count tables or the chain walk.
+
+A draw mod a composite q = q_1 q_2 is, by the CRT, a pair of draws, one
+mod each factor, so its projection to each factor follows that factor's
+reference, and the same premise check applies.
 """
 
 import itertools
@@ -22,7 +26,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quadmod import PrimePower, RepKind, prepare, sample_prepared
+from quadmod import PrimePower, RepKind, prepare, sample_composite, sample_prepared
 
 A3 = [[2, 1, 0], [1, 4, 1], [0, 1, 6]]  # det 40: unimodular at 3 and 7
 B3 = [[1, 1, 0], [1, 2, 1], [0, 1, 3]]  # det 2: a non-unit block at 2
@@ -37,8 +41,14 @@ CASES = {
     "B3-3^60-j1-zero": (B3, 3, 1, 0),
     "type2-2^60-j3-deep": (MIXED, 2, 3, 5 * 2**8),
 }
+# (form, ((p, j) by factor), t): each factor at k = 60
+COMPOSITE_CASES = {
+    "B3-2^60*3^60": (B3, ((2, 2), (3, 1)), 7),
+    "A3-5^60*7^60": (A3, ((5, 1), (7, 1)), 7),
+}
 K = 60
 DRAWS = 4000
+COMPOSITE_DRAWS = 3000
 ALPHA = 1e-6
 
 
@@ -75,18 +85,40 @@ def chi_square_p_value(observed, weights):
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 
-@pytest.mark.parametrize("q_mat, p, j, t", CASES.values(), ids=CASES)
-def test_deep_primitive_draws_follow_the_hensel_projection(q_mat, p, j, t):
-    n = len(q_mat)
+def reference(q_mat, p, j, t):
+    """The primitive solutions mod p^k0 by class mod p^j, k0 = j + 1
+    (j + 3 at p = 2), and the classes whose counts grow by p^(n-1) from
+    k0 to k0 + 1, where the reference holds."""
     low_k0 = j + 1 if p > 2 else j + 3
     low, high = (projected(q_mat, p, j, k0, t) for k0 in (low_k0, low_k0 + 1))
-    stable = [c for c in sorted(low) if high[c] == p ** (n - 1) * low[c]]
-    form = prepare(q_mat, PrimePower(p, K))
-    rng = random.Random(f"hensel:{p}:{j}:{t}")
-    got = Counter(tuple(x % p**j for x in sample_prepared(form, t, RepKind.PRIMITIVE, rng)) for _ in range(DRAWS))
+    return low, [c for c in sorted(low) if high[c] == p ** (len(q_mat) - 1) * low[c]]
+
+
+def check_projection(draws, p, j, low, stable):
+    """The draws mod p^j against the reference at its stable classes."""
+    got = Counter(tuple(x % p**j for x in v) for v in draws)
     # a solution mod p^60 reduces to one mod p^k0: no draw outside the reference
     assert set(got) <= set(low), set(got) - set(low)
     inside = [got[c] for c in stable]
-    assert len(stable) >= 2 and sum(inside) >= DRAWS // 2, (len(stable), len(low), sum(inside))
+    assert len(stable) >= 2 and sum(inside) >= len(draws) // 2, (len(stable), len(low), sum(inside))
     pv = chi_square_p_value(inside, [low[c] for c in stable])
     assert pv >= ALPHA, (pv, len(stable))
+
+
+@pytest.mark.parametrize("q_mat, p, j, t", CASES.values(), ids=CASES)
+def test_deep_primitive_draws_follow_the_hensel_projection(q_mat, p, j, t):
+    low, stable = reference(q_mat, p, j, t)
+    form = prepare(q_mat, PrimePower(p, K))
+    rng = random.Random(f"hensel:{p}:{j}:{t}")
+    check_projection([sample_prepared(form, t, RepKind.PRIMITIVE, rng) for _ in range(DRAWS)], p, j, low, stable)
+
+
+@pytest.mark.parametrize("q_mat, factors, t", COMPOSITE_CASES.values(), ids=COMPOSITE_CASES)
+def test_deep_composite_draws_follow_the_hensel_projection_of_each_factor(q_mat, factors, t):
+    # a primitive draw mod the product is primitive mod each factor, and
+    # its residue mod each p^k is a uniform primitive solution there
+    pps = [PrimePower(p, K) for p, _ in factors]
+    rng = random.Random(f"hensel-crt:{'*'.join(map(str, pps))}:{t}")
+    draws = [sample_composite(q_mat, pps, t, RepKind.PRIMITIVE, rng) for _ in range(COMPOSITE_DRAWS)]
+    for p, j in factors:
+        check_projection(draws, p, j, *reference(q_mat, p, j, t))

@@ -277,12 +277,14 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     assert (tables.calls, built.calls) == (1, 1 + tails)
     assert sample_prepared(form, t, RepKind.ANY, random.Random(9)) is not None or not form.blocks
     assert (tables.calls, built.calls) == (1, 1 + tails)
-    # each step computes the tail entries its scan reaches, and no other
+    # each step computes the tail entries its scan reaches, and no other:
+    # at a symbol, or (tail.above) from the order of a reached symbol up
     layout = form.layout
     for tail in form.tails:
-        keys = {(pp.k, 0) if g.ord == INF else g for g in map(layout.symbol, reached[id(tail)])}
+        syms = list(map(layout.symbol, reached[id(tail)]))
+        keys = {(pp.k, 0) if g.ord == INF else g for g in syms} | {(g.ord, None) for g in syms if g.ord != INF}
         assert tail._read and set(tail._read) <= keys, (set(tail._read), keys)
-        assert len(tail._read) < len(layout)
+        assert len([key for key in tail._read if key[1] is not None]) < len(layout)
     # the top level is read from a new Level on each read of table, and not kept
     assert form.table == form.table
     assert built.calls == 1 + tails + 2 * bool(form.blocks)
