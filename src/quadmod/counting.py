@@ -13,10 +13,11 @@ when p^2 | t, and 0 when not (at k = 1: 1 at t = 0 mod p, else 0).
 A draw takes the count it draws below from the same Gauss sums, but it
 needs more than N(t): each step of the chain walk weighs split cells by
 counts at target symbols, of the head block it peels and of the tail,
-the blocks it peels after that one.  Each block's table comes in closed
-form (1x1 blocks for any p, 2x2 blocks for p = 2; block_table), two
-parallel int lists of total and non-primitive counts indexed by the
-positions of the SymbolLayout.  A tail's counts are read on demand off
+the blocks it peels after that one.  Each head block's counts come in
+closed form (1x1 blocks for any p, 2x2 blocks for p = 2; block_cells),
+as its list of cells: (position, total, non-primitive) at the positions
+of the SymbolLayout where the total is not 0, in position order, so a
+scan reads only those.  A tail's counts are read on demand off
 the Gauss sums of its blocks, by the reader a count uses (gauss.Level),
 only at the cells a step's scan reaches.  Symbols and {symbol:
 RepCounts} dicts are made only at the public boundary
@@ -24,11 +25,11 @@ RepCounts} dicts are made only at the public boundary
 
 ``prepare`` diagonalizes a form; each block's order and unit class are
 taken once, for the tallies and tables alike (gauss.block_classes), and
-its layout, tables and Levels on their first read, which a draw's walk
-with a step makes and a count does not: the table of each block the
+its layout, cells and Levels on their first read, which a draw's walk
+with a step makes and a count does not: the cells of each block the
 walk peels but the last, highest order first (PreparedForm.walk_order),
 and one Level per tail.  The walk's first step weighs the cells of the
-top level, from the head block's table and the first tail, and those
+top level, from the head block's cells and the first tail, and those
 weights sum to the Gauss-sum count.  PreparedForm.table reads a new
 Level of all the blocks at every symbol.  Draws and tables stay at
 level k.  A composite modulus is a list of prepared factors.
@@ -62,11 +63,6 @@ class RepCounts(NamedTuple):
     nonprimitive: int
 
 
-# (total, non-primitive) counts at every position of a SymbolLayout:
-# the entry at position i is the count at target symbol layout.symbol(i)
-Table = tuple[list[int], list[int]]
-
-
 class SingularForm(DomainError):
     """det Q = 0, so the local density is undefined."""
 
@@ -93,13 +89,9 @@ def _type2_seeds(a: int, b: int, c: int) -> tuple[int, int]:
     return 3 - odd, odd
 
 
-def _count_scaled_type2(a: int, b: int, c: int, t2: int, k2: int) -> tuple[int, int]:
-    """(prim, nprim) for a*x^2 + b*xy + c*y^2 = t2 over (Z/2^k2)^2, b odd."""
-    return _scaled_type2_counts(_type2_seeds(a, b, c), t2, k2)
-
-
 def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int, int]:
-    """_count_scaled_type2 given the form's _type2_seeds.
+    """(prim, nprim) for a x^2 + b xy + c y^2 = t2 over (Z/2^k2)^2, b
+    odd, given the form's _type2_seeds.
 
     Primitive: each of the three odd-parity seeds that matches t2 mod 2
     lifts to exactly 2^(k2-1) solutions (the odd coordinate lets every
@@ -130,10 +122,11 @@ def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int,
     return prim, (levels - 1) * prim + 4**levels * total_last
 
 
-def block_table(cls: BlockClass, layout: SymbolLayout) -> Table:
-    """The counts of the block of class cls (gauss.block_signs) at every
-    position g of the layout, in closed form, filled order by order.  A
-    type I block d = p^e u reaches one symbol in each order
+def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[int, int, int]]:
+    """The counts of the block of class cls (gauss.block_signs) in closed
+    form, as (position, total, non-primitive) at every position of the
+    layout where the total is not 0, in position order.  A type I block
+    d = p^e u reaches the zero symbol and one symbol in each order
     o = e, e + 2, ... below k, the one of u's square class: its Legendre
     symbol for odd p, and u mod 8 for p = 2, which layout.at reads
     modulo min(8, 2^(k - ord)).  There x = p^((o-e)/2) y with y a unit
@@ -143,48 +136,48 @@ def block_table(cls: BlockClass, layout: SymbolLayout) -> Table:
     (k - e)/2, and d = 0 mod p^k every x.  A type II block's counts read
     the target only through its order (see _scaled_type2_counts), so
     each order takes one value, at t2 = 2^(ord - ell - 1), and the seeds
-    are evaluated once per block."""
+    are evaluated once per block; an anisotropic block (a c odd) has no
+    solution at every other order, which has no cell."""
     pp, first = layout.pp, layout.first
     p, k = pp.p, pp.k
-    total, nprim = [0] * len(layout), [0] * len(layout)
     if not isinstance(cls, TypeII):
         ord_d, sgn = cls
         if ord_d == INF:
-            total[0], nprim[0] = p**k, p ** (k - 1)
-            return total, nprim
-        total[0] = nprim[0] = p ** ((k + ord_d) // 2)
+            return [(0, p**k, p ** (k - 1))]
+        top = p ** ((k + ord_d) // 2)
+        cells = [(0, top, top)]
         for o in range(ord_d, k, 2):
-            i, mult = layout.at(o, sgn), 2 if p != 2 else 4 if k - o >= 3 else k - o
-            total[i] = mult * p ** ((o + ord_d) // 2)
-            if o > ord_d:
-                nprim[i] = total[i]
-        return total, nprim
+            total = (2 if p != 2 else 4 if k - o >= 3 else k - o) * p ** ((o + ord_d) // 2)
+            cells.append((layout.at(o, sgn), total, total if o > ord_d else 0))
+        return cells
     if cls.ell + 1 >= k:
-        total[0], nprim[0] = 4**k, 4 ** (k - 1)
-        return total, nprim
-    k2, scale, seeds = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c)
-    for o in range(cls.ell + 1, k + 1):
+        return [(0, 4**k, 4 ** (k - 1))]
+    k2, scale, seeds, cells = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c), []
+    for o in (k, *range(cls.ell + 1, k)):
         prim, np_ = _scaled_type2_counts(seeds, 1 << (o - cls.ell - 1) if o < k else 0, k2)
-        lo, hi = (first[o], first[o + 1]) if o < k else (0, 1)
-        total[lo:hi] = [scale * (prim + np_)] * (hi - lo)
-        nprim[lo:hi] = [scale * np_] * (hi - lo)
-    return total, nprim
+        if prim + np_:
+            total, nprim = scale * (prim + np_), scale * np_
+            for i in range(first[o], first[o + 1]) if o < k else (0,):
+                cells.append((i, total, nprim))
+    return cells
 
 
-def chain_tables(blocks: tuple[BlockClass, ...], layout: SymbolLayout) -> tuple[list[Table], list[Level]]:
+def chain_tables(
+    blocks: tuple[BlockClass, ...], layout: SymbolLayout
+) -> tuple[list[list[tuple[int, int, int]]], list[Level]]:
     """What a chain walk over the blocks reads, given by their classes as
-    the tables read them (gauss.block_signs): per_block[j], the table of
-    blocks[j], for each head the walk peels, all but the last block, and
-    tails[j], the Level of the blocks after it, blocks[j + 1:], whose
-    entries are read off the Gauss sums of those blocks on demand.  The
-    tallies of the tails are taken back to front, one block at a time.
-    Fewer than two blocks give no tables."""
+    the cells read them (gauss.block_signs): per_block[j], the cells of
+    blocks[j] (block_cells), for each head the walk peels, all but the
+    last block, and tails[j], the Level of the blocks after it,
+    blocks[j + 1:], whose entries are read off the Gauss sums of those
+    blocks on demand.  The tallies of the tails are taken back to front,
+    one block at a time.  Fewer than two blocks give no tables."""
     pp, tails, n = layout.pp, [], 0
     for cls, tallies in zip(reversed(blocks[1:]), suffix_tallies(blocks[1:], pp.p)):
         n += 2 if isinstance(cls, TypeII) else 1
         tails.append(Level(pp, n, tallies))
     tails.reverse()
-    return [block_table(cls, layout) for cls in blocks[:-1]], tails
+    return [block_cells(cls, layout) for cls in blocks[:-1]], tails
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +194,11 @@ class PreparedForm:
     draws, whose chain walk peels the blocks highest order first
     (walk_order), the reverse of the ascending order in which
     block_diagonalize, picking a minimal-order pivot each time, leaves
-    them.  per_block[j] is the
-    table of the j-th block the walk peels, blocks[walk_order[j]], and
-    tails[j] the Level of the direct sum of the blocks it peels after
-    that one (chain_tables).  A draw takes its count from count, like
-    any other caller, and reads the tables only for its walk's weights,
+    them.  per_block[j] lists the non-zero cells of the j-th block the
+    walk peels, blocks[walk_order[j]] (block_cells), and tails[j] is the
+    Level of the direct sum of the blocks it peels after that one
+    (chain_tables).  A draw takes its count from count, like any other
+    caller, and reads the tables only for its walk's weights,
     so a one-block form's walk, which has no step, reads none.  count
     reads the form's own Level of all the blocks, which keeps what it
     has read; table reads a new one at every symbol on every read.
@@ -249,11 +242,11 @@ class PreparedForm:
         return block_signs(*self._classes[:2], self.pp.p)
 
     @cached_property
-    def _tables(self) -> tuple[list[Table], list[Level]]:
+    def _tables(self) -> tuple[list[list[tuple[int, int, int]]], list[Level]]:
         return chain_tables(tuple(map(self._signed.__getitem__, self.walk_order)), self.layout)
 
     @property
-    def per_block(self) -> list[Table]:
+    def per_block(self) -> list[list[tuple[int, int, int]]]:
         return self._tables[0]
 
     @property

@@ -4,18 +4,19 @@ Draws read prepared forms (counting.prepare).  Each draw counts each
 factor once, by its Gauss sums (PreparedForm.count), and takes t's
 symbol once; a draw whose class is empty ends there.  Otherwise the
 chain walk runs, and the form's first walk makes its tables, once per
-prime-power factor: a table per head block and a Level per tail, read
-where a step's scan reaches it.  They give the walk's cell weights,
-whose sum at the first step is the count.  The walk peels the blocks highest order
-first (PreparedForm.walk_order), so the lowest-order blocks come last
-and a draw mostly takes one square root per factor, the last block's.
-It reads its split cells from the form's symbol layout, which computes
-the near cells by rule, its head entries by symbol position and its
-tail entries by symbol.
-Each step draws once below the count of its class and scans the cells
-in order to the one that holds the draw.  A choice that only one class
-can take (the kind of an ANY draw, a factor's branch of a composite
-NONPRIMITIVE draw) is made without a draw.
+prime-power factor: a list of non-zero cells per head block
+(counting.block_cells) and a Level per tail, read where a step's scan
+reaches it.  They give the walk's cell weights, whose sum at the first
+step is the count.  The walk peels the blocks highest order first
+(PreparedForm.walk_order), so the lowest-order blocks come last and a
+draw mostly takes one square root per factor, the last block's.  It
+reads its split cells from the form's symbol layout, which computes the
+near cells by rule, its head entries from the head's cells, in position
+order, and its tail entries by symbol.  Each step draws once below the
+count of its class and scans the cells in order to the one that holds
+the draw.  A choice that only one class can take (the kind of an ANY
+draw, a factor's branch of a composite NONPRIMITIVE draw) is made
+without a draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -46,9 +47,9 @@ from .counting import (
     Level,
     PreparedForm,
     RepCounts,
-    Table,
     _check_factors,
-    _count_scaled_type2,
+    _scaled_type2_counts,
+    _type2_seeds,
     prepare,
 )
 from .modring import (
@@ -61,7 +62,7 @@ from .modring import (
     valuation,
 )
 from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
-from .symbols import PkSymbol, SymbolLayout, class_size, split_class_size, symbol_of
+from .symbols import PkSymbol, SymbolLayout, _check_symbol, _is_empty, split_class_size, symbol_of
 
 logger = logging.getLogger(__name__)
 
@@ -118,10 +119,10 @@ def _choose_kind(c: RepCounts, kind: RepKind, rng: RandomSource) -> bool | None:
 
 def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
     """Uniform element of the symbol class of g in Z/p^k."""
-    size = class_size(pp, g)  # also validates the symbol shape
+    _check_symbol(pp, g)
     if g.ord == INF:
         return 0
-    if size == 0:
+    if _is_empty(pp, g):
         raise DomainError(f"symbol {g} has an empty class for {pp.p}^{pp.k}")
     p, k, q = pp.p, pp.k, pp.q
     i = g.ord
@@ -244,17 +245,18 @@ def _sample_scaled_type2(
     primitive, solves the last level, then draws the free top bits on
     the way back up: the draw order of a recursion, without its depth.
     """
+    seeds = _type2_seeds(a, b, c)
     upper = []  # exponents of the non-primitive levels above the last
     while not want_prim and k2 >= 3:
         upper.append(k2)
         k2 -= 2
         t2 = (t2 // 4) % 2**k2
-        p4, n4 = _count_scaled_type2(a, b, c, t2, k2)
+        p4, n4 = _scaled_type2_counts(seeds, t2, k2)
         want_prim = uniform_below(p4 + n4, rng) < p4
     q2 = 2**k2
     if want_prim:
-        seeds = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
-        y1, y2 = seeds[uniform_below(len(seeds), rng)]
+        starts = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
+        y1, y2 = starts[uniform_below(len(starts), rng)]
         for j in range(1, k2):
             # F(y) = t2 mod 2^j so far; fix the next bit.  Adding
             # (b1, b2)*2^j changes F by b*(y1 b2 + y2 b1)*2^j mod 2^(j+1),
@@ -403,24 +405,21 @@ def _sample_head_type1(
 
 
 def _pick_cell(
-    layout: SymbolLayout, head: Table, tail: Level, i: int, want_prim: bool, r: int
+    layout: SymbolLayout, head: list[tuple[int, int, int]], tail: Level, i: int, want_prim: bool, r: int
 ) -> tuple[int, int, bool, bool]:
     """The cell (i1, i2, head primitive, tail primitive) of the target at
-    position i whose weight holds r, scanning the split cells (g1, g2)
-    in partners order and, in the primitive class, each cell's three
-    primitivity splits.  A cell weighs its split size times the head's
+    position i whose weight holds r, scanning the head's cells (i1, h,
+    hn) (block_cells), each one's split cells (g1, g2) in partners order
+    and, in the primitive class, each cell's three primitivity splits.
+    A cell weighs its split size times the head's
     count at g1 times the tail's at g2 in their classes; r must fall
     below the sum of the weights, the count of the target's class.  The
     tail is read only at the g2 the scan reaches, and the cells of
     g1 = g at the orders o + G and above, the last of its partners, are
     weighed together (tail.above) and scanned only when r falls in them."""
-    h_tot, h_np = head
     ords, sgns = layout.ords, layout.sgns
     far = layout.first[min(ords[i] + layout.gap, layout.pp.k)] if i else -1
-    for i1, h in enumerate(h_tot):
-        if not h:
-            continue
-        hn = h_np[i1]
+    for i1, h, hn in head:
         for i2, size in layout.partners(i, i1):
             if i2 == far:  # every symbol from here up, but the zero symbol read first
                 (at, an), (zt, zn) = tail.above(ords[far]), tail.at(INF, 0)

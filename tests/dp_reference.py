@@ -5,21 +5,33 @@ Gauss sums.
 A level is the table of a direct sum of blocks: its total at a target
 symbol g sums, over the split cells (g1, g2) of g, the split size times
 the head block's count at g1 times the tail's at g2.  _convolve runs
-one level step from the head block's table (counting.block_table) and
-the tail's level; its non-primitive list follows from the totals two
-orders down (_nonprimitive).  _level_odd and _level_two add the cells
+one level step from the head block's table (the dense view of
+counting.block_cells) and the tail's level; its non-primitive list
+follows from the totals two orders down (_nonprimitive).  _level_odd and _level_two add the cells
 a gap or more from ord(g) by running sums by order and the near cells
 in closed form.  dp_chain_tables chains the steps back to front.  It
 shares with counting.chain_tables only the layout and the per-block
-tables (block_table, on the classes of gauss.block_signs).  level_lists
-reads a gauss.Level at every position, as such a table, and table_dict
-gives a table as the {symbol: RepCounts} dict the public functions
-return.
+cells (block_cells, on the classes of gauss.block_signs).  A table here
+is dense: (total, non-primitive) lists indexed by every position of the
+layout.  dense spreads a block's cells over the positions, level_lists
+reads a gauss.Level at every position, and table_dict gives a table as
+the {symbol: RepCounts} dict the public functions return.
 """
 
-from quadmod.counting import RepCounts, Table, block_table
+from quadmod.counting import RepCounts, block_cells
 from quadmod.gauss import Level, block_classes, block_signs, block_tallies
 from quadmod.symbols import SymbolLayout
+
+Table = tuple[list[int], list[int]]
+
+
+def dense(cells, layout: SymbolLayout) -> Table:
+    """A block's cells (position, total, non-primitive) as a table, with
+    0 at every position they leave out."""
+    total, nprim = [0] * len(layout), [0] * len(layout)
+    for i, tot, np_ in cells:
+        total[i], nprim[i] = tot, np_
+    return total, nprim
 
 
 def level_lists(level: Level, layout: SymbolLayout, order=None) -> Table:
@@ -47,7 +59,7 @@ def dp_chain_tables(blocks, layout: SymbolLayout) -> tuple[list[Table], list[Tab
     """Per-block and suffix count tables of the blocks (Block objects):
     suffix[j] is the table of the direct sum of blocks[j:], each level
     the split convolution of its head block's table with the next."""
-    per_block = [block_table(cls, layout) for cls in table_classes(blocks, layout.pp)]
+    per_block = [dense(block_cells(cls, layout), layout) for cls in table_classes(blocks, layout.pp)]
     suffix: list[Table] = per_block[-1:]
     m = sum(blk.dim for blk in blocks[-1:])
     for blk, head in zip(reversed(blocks[:-1]), reversed(per_block[:-1])):

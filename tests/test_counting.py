@@ -17,8 +17,9 @@ from quadmod.counting import (
     RepCounts,
     SingularForm,
     ZeroTarget,
-    _count_scaled_type2,
-    block_table,
+    _scaled_type2_counts,
+    _type2_seeds,
+    block_cells,
     chain_tables,
     count_composite,
     count_factors,
@@ -94,7 +95,7 @@ def count_type2(blk, k, sym_t):
         return _counts(0, 0)
     k2 = k - ell - 1
     t2 = 0 if ord_t == INF else sgn_t % 2 ** (k - ord_t) << (ord_t - ell - 1)  # a target of symbol sym_t, over 2^(ell+1)
-    prim, nprim = _count_scaled_type2(blk.a, blk.b, blk.c, t2, k2)
+    prim, nprim = _scaled_type2_counts(_type2_seeds(blk.a, blk.b, blk.c), t2, k2)
     scale = 4 ** (ell + 1)
     return _counts(prim * scale, nprim * scale)
 
@@ -354,7 +355,8 @@ def test_scaled_type2_count_matches_recursion():
         for k2 in range(41):
             targets = {0} | {2**o * u % 2**k2 for o in range(k2) for u in (1, 3, 5, 7)}
             for t2 in targets:
-                assert _count_scaled_type2(a, b, c, t2, k2) == recursive_scaled_type2(a, b, c, t2, k2), (a, b, c, t2, k2)
+                got = _scaled_type2_counts(_type2_seeds(a, b, c), t2, k2)
+                assert got == recursive_scaled_type2(a, b, c, t2, k2), (a, b, c, t2, k2)
 
 
 def test_type2_count_deep_modulus_partition():
@@ -373,15 +375,17 @@ P127 = 2**127 - 1
 
 def symbol_chain_tables(blocks, pp):
     """The tables of every block and of every suffix blocks[j:], as
-    symbol dicts: chain_tables' head tables and tail Levels, the last
-    block's table, and the Level of all the blocks, each Level read at
-    every position (symbol_table)."""
+    symbol dicts: chain_tables' head cells and tail Levels, the last
+    block's cells, each cell list spread over the layout
+    (dp_reference.dense), and the Level of all the blocks, each Level
+    read at every position (symbol_table)."""
     layout = SymbolLayout(pp)
     classes = dp_reference.table_classes(blocks, pp)
     per_block, tails = chain_tables(classes, layout)
     top = gauss.Level(pp, sum(blk.dim for blk in blocks), gauss.block_tallies(gauss.block_classes(blocks, pp), pp.p))
-    per_block.append(block_table(classes[-1], layout))
-    return [dp_reference.table_dict(layout, t) for t in per_block], [symbol_table(layout, t) for t in (top, *tails)]
+    per_block.append(block_cells(classes[-1], layout))
+    heads = [dp_reference.table_dict(layout, dp_reference.dense(cells, layout)) for cells in per_block]
+    return heads, [symbol_table(layout, t) for t in (top, *tails)]
 
 
 def reference_chain_tables(blocks, pp):
@@ -675,11 +679,11 @@ def test_tables_equal_the_dynamic_program(inst):
     layout = form.layout
     want_per_block, want_suffix = dp_reference.dp_chain_tables(walk, layout)
     per_block, tails = chain_tables(dp_reference.table_classes(walk, pp), layout)
-    assert per_block == want_per_block[:-1], (q, pp)
+    assert [dp_reference.dense(cells, layout) for cells in per_block] == want_per_block[:-1], (q, pp)
     assert [dp_reference.level_lists(tail, layout) for tail in tails] == want_suffix[1:], (q, pp)
     down = range(len(layout) - 1, -1, -1)
     read = [dp_reference.level_lists(tail, layout, down) for tail in form.tails]
-    assert form.per_block == want_per_block[:-1] and read == want_suffix[1:], (q, pp)
+    assert form.per_block == per_block and read == want_suffix[1:], (q, pp)
     assert form.table == dp_reference.table_dict(layout, want_suffix[0]), (q, pp)
     assert all(is_int_counts(lst) for level in want_suffix + read for lst in level)
     assert all(is_int_counts(c) for c in form.table.values())
@@ -701,9 +705,11 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
 @pytest.mark.parametrize("p", [2, 3, 5, P127])
 def test_a_level_of_one_block_is_its_block_table(p):
     # the walk's last tail is a Level of one block: at every position it
-    # equals the block's closed-form table, in ints, for every block
+    # equals the block's closed-form cells spread over the layout, in
+    # ints, so a position the cells leave out holds 0, for every block
     # class at k <= 8, d = 0 mod p^k among them, and at p = 2 type II
-    # blocks of every scale and parity
+    # blocks of every scale and parity, the anisotropic ones (a c odd)
+    # among them; the cells' positions strictly increase and hold no 0
     for k in range(1, 9):
         pp = PrimePower(p, k)
         layout = SymbolLayout(pp)
@@ -713,7 +719,15 @@ def test_a_level_of_one_block_is_its_block_table(p):
         for cls in classes:
             (tallies,) = gauss.suffix_tallies((cls,), p)
             got = dp_reference.level_lists(gauss.Level(pp, 2 if isinstance(cls, TypeII) else 1, tallies), layout)
-            assert got == block_table(cls, layout) and all(is_int_counts(lst) for lst in got), (pp, cls)
+            cells = block_cells(cls, layout)
+            assert got == dp_reference.dense(cells, layout) and all(is_int_counts(lst) for lst in got), (pp, cls)
+            positions = [i for i, _, _ in cells]
+            assert positions == sorted(set(positions)) and all(tot for _, tot, _ in cells), (pp, cls)
+    if p == 2:
+        # an anisotropic block has no solution at every other order
+        layout = SymbolLayout(PrimePower(2, 8))
+        orders = {layout.ords[i] for i, _, _ in block_cells(TypeII(0, 1, 1, 1), layout)}
+        assert orders == {1, 3, 5, 7, 8}
 
 
 @pytest.mark.parametrize("kind", [RepKind.ANY, RepKind.PRIMITIVE])

@@ -2,7 +2,7 @@
 factor, read by every count and draw of the form.
 
 The counts are refereed by enumeration (oracle.solutions_mod), the
-one-pass block tables by count_block symbol by symbol, and the draws by
+one-pass block cells by count_block symbol by symbol, and the draws by
 the wrappers' own transcripts: preparing draws no randomness, so draws
 from one prepared form equal fresh sample_form calls on the same
 generator.
@@ -39,11 +39,11 @@ from quadmod import (
 )
 from quadmod.blockdiag import TypeI, TypeII
 from quadmod.cli import main
-from quadmod.counting import RepCounts, block_table
+from quadmod.counting import RepCounts, block_cells
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
-from dp_reference import table_classes, table_dict
+from dp_reference import dense, table_classes, table_dict
 from test_counting import count_block
 
 P127 = 2**127 - 1
@@ -139,8 +139,12 @@ def test_block_table_equals_count_block(p):
             ]
         for blk in blocks:
             want = {g: count_block(blk, pp, g) for g in enumerate_symbols(pp) if class_size(pp, g) > 0}
-            got = table_dict(layout, block_table(table_classes((blk,), pp)[0], layout))
+            cells = block_cells(table_classes((blk,), pp)[0], layout)
+            got = table_dict(layout, dense(cells, layout))
             assert got == want and list(got) == list(want), (pp, blk)
+            # the cells are the non-zero entries, in strictly increasing positions
+            positions = [i for i, _, _ in cells]
+            assert positions == sorted(set(positions)) and all(tot for _, tot, _ in cells), (pp, blk)
 
 
 def symbol_rep(pp, g):
@@ -195,16 +199,16 @@ def test_count_equals_the_full_top_level(q_mat, pp):
 def count_by_partners(form, t):
     """The sum of the chain walk's first-step cell weights at t: every
     split cell (g1, g2) of t's symbol that layout.partners lists, one
-    cell at a time, weighed by the head table and the first tail."""
+    cell at a time, weighed by the head's cells and the first tail."""
     layout = form.layout
     i = layout.index(symbol_of(form.pp, t))
-    (h_tot, h_np), tail = form.per_block[0], form.tails[0]
+    head, tail = form.per_block[0], form.tails[0]
     total = nprim = 0
-    for i1 in range(len(layout)):
+    for i1, h_tot, h_np in head:
         for i2, size in layout.partners(i, i1):
             c_tot, c_np = tail.at(*layout.symbol(i2))
-            total += size * h_tot[i1] * c_tot
-            nprim += size * h_np[i1] * c_np
+            total += size * h_tot * c_tot
+            nprim += size * h_np * c_np
     return RepCounts(total, total - nprim, nprim)
 
 
@@ -244,10 +248,10 @@ LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
 def scan_reach(layout, head, i, cell):
     """The tail positions that the walk's scan at the target position i
     reads up to the cell (i1, i2) it stops at: every partner of every
-    non-zero head entry, in scan order, up to that cell."""
+    head cell, in scan order, up to that cell."""
     reach = set()
-    for i1, h in enumerate(head[0]):
-        for i2, _ in layout.partners(i, i1) if h else ():
+    for i1, _, _ in head:
+        for i2, _ in layout.partners(i, i1):
             reach.add(i2)
             if (i1, i2) == cell:
                 return reach
@@ -295,11 +299,11 @@ def test_a_one_block_walk_builds_no_table(monkeypatch, layer_calls, pp):
     # a one-block form's walk has no step, so its draw reads neither a
     # table nor the layout
     _, tables = layer_calls
-    block_tables = CallCounter(quadmod.counting.block_table)
-    monkeypatch.setattr(quadmod.counting, "block_table", block_tables)
+    heads = CallCounter(quadmod.counting.block_cells)
+    monkeypatch.setattr(quadmod.counting, "block_cells", heads)
     form = prepare([[7]], pp)
     assert sample_prepared(form, 7 * 4, RepKind.ANY, random.Random(7)) is not None
-    assert (tables.calls, block_tables.calls) == (0, 0)
+    assert (tables.calls, heads.calls) == (0, 0)
     assert "layout" not in vars(form) and "_tables" not in vars(form)
 
 

@@ -11,7 +11,7 @@ import quadmod.modring
 import quadmod.sampling
 import quadmod.sqroots
 from quadmod.blockdiag import TypeI, TypeII
-from quadmod.counting import PreparedForm, _count_scaled_type2, count_composite, prepare
+from quadmod.counting import PreparedForm, _scaled_type2_counts, _type2_seeds, count_composite, prepare
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
@@ -365,7 +365,7 @@ def recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, rng):
         z1, z2 = uniform_below(2, rng), uniform_below(2, rng)
     else:
         t4 = (t2 // 4) % 2**m
-        p4, n4 = _count_scaled_type2(a, b, c, t4, m)
+        p4, n4 = _scaled_type2_counts(_type2_seeds(a, b, c), t4, m)
         inner_prim = uniform_below(p4 + n4, rng) < p4
         w1, w2 = recursive_sample_scaled_type2(a, b, c, t4, m, inner_prim, rng)
         z1 = w1 + (uniform_below(2, rng) << m)
@@ -378,7 +378,7 @@ def test_scaled_type2_sampler_matches_recursion():
     for a, b, c in ((0, 1, 0), (1, 1, 1), (2, 1, 3)):
         for k2 in range(1, 41):
             for t2 in {0, 4 % 2**k2, 2 ** (k2 - 1), 2 ** (2 * (k2 // 3)) % 2**k2, 3 * 2 ** (k2 // 2) % 2**k2}:
-                p, n = _count_scaled_type2(a, b, c, t2, k2)
+                p, n = _scaled_type2_counts(_type2_seeds(a, b, c), t2, k2)
                 for want_prim, size in ((True, p), (False, n)):
                     if size == 0:
                         continue
