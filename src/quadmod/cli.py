@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .blockdiag import AsymmetricEntry, TypeI, block_diagonalize, check_symmetric
-from .counting import count_composite, count_factors, count_form, local_density, prepare
+from .counting import count_composite, count_factors, local_density, prepare
 from .modring import DomainError, PrimePower
-from .sampling import RepKind, sample_composite, sample_factors, sample_form, sample_prepared
+from .sampling import RepKind, sample_composite, sample_factors
 from .sqroots import LasVegasFail
 
 
@@ -57,7 +57,6 @@ class Instance:
     q: list[list[int]]
     factors: tuple[PrimePower, ...]
     t: int
-    composite: bool
 
     @property
     def modulus(self) -> int:
@@ -147,16 +146,16 @@ def parse_instance(source: str | None = None) -> Instance:
         primes = [pp.p for pp in factors]
         if len(set(primes)) != len(primes):
             raise ParseError("factors: primes must be distinct")
-        return Instance(mat, tuple(factors), t, composite=True)
+        return Instance(mat, tuple(factors), t)
 
     if "p" not in obj or "k" not in obj:
         raise ParseError("missing field 'p' or 'k' (or use 'factors')")
     pp = _parse_prime_power(obj["p"], obj["k"], "")
-    return Instance(mat, (pp,), t, composite=False)
+    return Instance(mat, (pp,), t)
 
 
 def _single(instance: Instance, command: str) -> PrimePower:
-    if instance.composite and len(instance.factors) != 1:
+    if len(instance.factors) != 1:
         raise ParseError(f"{command} needs a single prime power, not a composite modulus")
     return instance.factors[0]
 
@@ -168,10 +167,7 @@ def _render(payload: dict, lines: list[str], fmt: str) -> str:
 
 
 def _cmd_count(instance: Instance, flags) -> tuple[int, str]:
-    if instance.composite:
-        c = count_composite(instance.q, list(instance.factors), instance.t)
-    else:
-        c = count_form(instance.q, instance.factors[0], instance.t)
+    c = count_composite(instance.q, list(instance.factors), instance.t)
     payload = {
         "total": str(c.total),
         "primitive": str(c.primitive),
@@ -184,10 +180,7 @@ def _cmd_count(instance: Instance, flags) -> tuple[int, str]:
 def _cmd_sample(instance: Instance, flags) -> tuple[int, str]:
     kind = RepKind(flags.kind)
     rng = random.Random(flags.seed)
-    if instance.composite:
-        x = sample_composite(instance.q, list(instance.factors), instance.t, kind, rng)
-    else:
-        x = sample_form(instance.q, instance.factors[0], instance.t, kind, rng)
+    x = sample_composite(instance.q, list(instance.factors), instance.t, kind, rng)
     if x is None:
         return 1, _render({"result": "no-solution"}, ["no solution"], flags.format)
     payload = {"result": "ok", "x": [str(v) for v in x]}
@@ -244,10 +237,6 @@ def _check_sampling(instance: Instance, flags, rng, prepared) -> tuple[str, str]
     kind = RepKind(flags.kind)
     forms = prepared()
     c = count_factors(forms, instance.t)
-    if instance.composite:
-        draw = lambda: sample_factors(forms, instance.t, kind, rng)
-    else:
-        draw = lambda: sample_prepared(forms[0], instance.t, kind, rng)
     size = {
         RepKind.ANY: c.total,
         RepKind.PRIMITIVE: c.primitive,
@@ -258,7 +247,7 @@ def _check_sampling(instance: Instance, flags, rng, prepared) -> tuple[str, str]
     m = instance.modulus
     seen = Counter()
     for _ in range(flags.trials):
-        x = draw()
+        x = sample_factors(forms, instance.t, kind, rng)
         acc = 0
         n = len(instance.q)
         for i in range(n):

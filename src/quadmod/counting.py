@@ -23,34 +23,33 @@ only at the cells a step's scan reaches.  Symbols and {symbol:
 RepCounts} dicts are made only at the public boundary
 (PreparedForm.table, symbol_table).
 
-``prepare`` diagonalizes a form; each block's order and unit class are
-taken once, for the tallies and tables alike (gauss.block_classes), and
-its layout, cells and Levels on their first read, which a draw's walk
-with a step makes and a count does not: the cells of each block the
-walk peels but the last, highest order first (PreparedForm.walk_order),
-and one Level per tail.  The walk's first step weighs the cells of the
-top level, from the head block's cells and the first tail, and those
-weights sum to the Gauss-sum count.  PreparedForm.table reads a new
-Level of all the blocks at every symbol.  Draws and tables stay at
-level k.  A composite modulus is a list of prepared factors.
+``prepare`` diagonalizes a form and builds what a count reads: each
+block's order and unit class, taken once for the tallies and the walk
+alike (gauss.block_classes), the tallies and the Level of all the
+blocks.  PreparedForm.walk() builds, on its first call, what a draw's
+walk with a step reads and a count does not: the layout, the cells of
+each block the walk peels but the last, highest order first
+(PreparedForm.walk_order), and one Level per tail.  The walk's first
+step weighs the cells of the top level, from the head block's cells
+and the first tail, and those weights sum to the Gauss-sum count.
+PreparedForm.table reads a new Level of all the blocks at every symbol.
+Draws and tables stay at level k.  A composite modulus is a list of
+prepared factors, all of one number of variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .blockdiag import (
-    Block,
     BlockDiagForm,
     TypeII,
     block_diagonalize,
     check_symmetric,
     integer_det,
 )
-from .gauss import BlockClass, Level, Tallies, block_classes, block_signs, block_tallies, suffix_tallies
+from .gauss import BlockClass, Level, block_classes, block_signs, block_tallies, suffix_tallies
 from .modring import INF, DomainError, PrimePower, valuation
 from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
 
@@ -180,45 +179,34 @@ def chain_tables(
     return [block_cells(cls, layout) for cls in blocks[:-1]], tails
 
 
-@dataclass(frozen=True, eq=False)
 class PreparedForm:
     """x'Qx mod p^k with its block diagonalization, and what counts and
-    draws read of it, each built on its first read and kept.
+    draws read of it.
 
     diag holds the blocks and the moves that reach them; u, with u'Qu
     the direct sum of the blocks mod p^k, is built from those moves the
     first time it is read, and a draw applies the moves to its vector
-    instead.  Each block's order and unit class are taken once
-    (_classes), with the Gauss-sum tallies and the Level that count
-    reads, which build neither u nor a table.  The tables are for
-    draws, whose chain walk peels the blocks highest order first
-    (walk_order), the reverse of the ascending order in which
-    block_diagonalize, picking a minimal-order pivot each time, leaves
-    them.  per_block[j] lists the non-zero cells of the j-th block the
-    walk peels, blocks[walk_order[j]] (block_cells), and tails[j] is the
-    Level of the direct sum of the blocks it peels after that one
-    (chain_tables).  A draw takes its count from count, like any other
-    caller, and reads the tables only for its walk's weights,
-    so a one-block form's walk, which has no step, reads none.  count
-    reads the form's own Level of all the blocks, which keeps what it
-    has read; table reads a new one at every symbol on every read.
+    instead.  Making the form takes each block's class once (classes),
+    their tallies and the Level of all the blocks, which count reads:
+    every caller counts.  walk() makes what a draw's chain walk reads,
+    once.  The walk peels the blocks highest order first (walk_order),
+    the reverse of the ascending order in which block_diagonalize,
+    picking a minimal-order pivot each time, leaves them.  table reads a
+    new layout and Level at every symbol on every read.
     """
 
-    pp: PrimePower
-    diag: BlockDiagForm
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return self.diag.blocks
+    def __init__(self, pp: PrimePower, diag: BlockDiagForm):
+        self.pp, self.diag, self.blocks = pp, diag, diag.blocks
+        self.n = sum(blk.dim for blk in self.blocks)
+        self.classes = block_classes(self.blocks, pp)
+        self.tallies = block_tallies(self.classes, pp.p)
+        self.level = Level(pp, self.n, self.tallies)
+        self._walk = None  # walk()'s tables, made on its first call
 
     @property
     def u(self) -> tuple[tuple[int, ...], ...]:
         """The basis change, built on its first read (BlockDiagForm.u)."""
         return self.diag.u
-
-    @cached_property
-    def layout(self) -> SymbolLayout:
-        return SymbolLayout(self.pp)
 
     @property
     def walk_order(self) -> range:
@@ -229,29 +217,18 @@ class PreparedForm:
         block's."""
         return range(len(self.blocks) - 1, -1, -1)
 
-    @cached_property
-    def _classes(self) -> tuple[tuple[BlockClass, ...], Tallies, Level]:
-        """Each block's class, in one pass, the blocks' tallies, and the
-        Level of all the blocks, which count reads."""
-        classes = block_classes(self.blocks, self.pp)
-        tallies = block_tallies(classes, self.pp.p)
-        return classes, tallies, Level(self.pp, sum(blk.dim for blk in self.blocks), tallies)
-
-    @property
-    def _signed(self) -> tuple[BlockClass, ...]:
-        return block_signs(*self._classes[:2], self.pp.p)
-
-    @cached_property
-    def _tables(self) -> tuple[list[list[tuple[int, int, int]]], list[Level]]:
-        return chain_tables(tuple(map(self._signed.__getitem__, self.walk_order)), self.layout)
-
-    @property
-    def per_block(self) -> list[list[tuple[int, int, int]]]:
-        return self._tables[0]
-
-    @property
-    def tails(self) -> list[Level]:
-        return self._tables[1]
+    def walk(self) -> tuple[SymbolLayout, list[list[tuple[int, int, int]]], list[Level]]:
+        """(layout, per_block, tails), made on the first call and kept:
+        the form's symbol layout, per_block[j] the non-zero cells of the
+        j-th block the walk peels, blocks[walk_order[j]] (block_cells),
+        and tails[j] the Level of the direct sum of the blocks it peels
+        after that one (chain_tables).  A one-block form's walk has no
+        step and never calls this."""
+        if self._walk is None:
+            signed = block_signs(self.classes, self.tallies, self.pp.p)
+            layout = SymbolLayout(self.pp)
+            self._walk = (layout, *chain_tables(tuple(map(signed.__getitem__, self.walk_order)), layout))
+        return self._walk
 
     @property
     def table(self) -> dict[PkSymbol, RepCounts]:
@@ -260,8 +237,7 @@ class PreparedForm:
         the one solution at target 0."""
         if not self.blocks:
             return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
-        _, tallies, level = self._classes
-        return symbol_table(self.layout, Level(self.pp, level.n, tallies))
+        return symbol_table(SymbolLayout(self.pp), Level(self.pp, self.n, self.tallies))
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k,
@@ -271,13 +247,14 @@ class PreparedForm:
         k = 1, 1 at t = 0 mod p).  It builds no layout and no table, and
         takes t's Legendre symbol only where an edge term twists by it.
         Raises ArithmeticError where the sums do not give a count."""
-        total, nprim = self._classes[2].count(*valuation(self.pp, t % self.pp.q))
+        total, nprim = self.level.count(*valuation(self.pp, t % self.pp.q))
         return RepCounts(total, total - nprim, nprim)
 
 
 def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
-    """Check Q and block-diagonalize it, once.  The layout, the tables,
-    the Levels and u are left to the form's first read of each."""
+    """Check Q and block-diagonalize it, once, and take what a count
+    reads (PreparedForm).  The layout and tables of a draw's walk are
+    left to the form's first walk(), and u to its first read."""
     return PreparedForm(pp, block_diagonalize(q_mat, pp))  # checks Q
 
 
@@ -346,9 +323,17 @@ def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepC
     return _crt_counts([count_form(q_mat, pp, t) for pp in factored_q])
 
 
-def count_factors(forms: list[PreparedForm], t: int) -> RepCounts:
-    """Counts mod the product of the prepared factors' moduli, by CRT."""
+def _check_forms(forms: list[PreparedForm]) -> None:
+    """_check_factors, and reject forms of different numbers of variables."""
     _check_factors([form.pp for form in forms])
+    if len({form.n for form in forms}) != 1:
+        raise DomainError("the prepared factors have different numbers of variables")
+
+
+def count_factors(forms: list[PreparedForm], t: int) -> RepCounts:
+    """Counts mod the product of the prepared factors' moduli, by CRT;
+    forms of different numbers of variables raise DomainError."""
+    _check_forms(forms)
     return _crt_counts([form.count(t) for form in forms])
 
 

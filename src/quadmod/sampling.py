@@ -3,11 +3,11 @@
 Draws read prepared forms (counting.prepare).  Each draw counts each
 factor once, by its Gauss sums (PreparedForm.count), and takes t's
 symbol once; a draw whose class is empty ends there.  Otherwise the
-chain walk runs, and the form's first walk makes its tables, once per
-prime-power factor: a list of non-zero cells per head block
-(counting.block_cells) and a Level per tail, read where a step's scan
-reaches it.  They give the walk's cell weights, whose sum at the first
-step is the count.  The walk peels the blocks highest order first
+chain walk runs and reads PreparedForm.walk(), made on the form's
+first walk, once per prime-power factor: its layout, a list of non-zero
+cells per head block (counting.block_cells) and a Level per tail, read
+where a step's scan reaches it.  They give the walk's cell weights,
+whose sum at the first step is the count.  The walk peels the blocks highest order first
 (PreparedForm.walk_order), so the lowest-order blocks come last and a
 draw mostly takes one square root per factor, the last block's.  It
 reads its split cells from the form's symbol layout, which computes the
@@ -47,7 +47,7 @@ from .counting import (
     Level,
     PreparedForm,
     RepCounts,
-    _check_factors,
+    _check_forms,
     _scaled_type2_counts,
     _type2_seeds,
     prepare,
@@ -347,7 +347,7 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
     *order, last = form.walk_order
     parts: list[tuple[int, ...]] = [()] * len(blocks)
     if order:  # a walk with a step reads the layout and the tables
-        layout, per_block, tails = form.layout, form.per_block, form.tails
+        layout, per_block, tails = form.walk()
         i = layout.index(g)
     for j, b in enumerate(order):
         r = uniform_below(total, rng)
@@ -453,10 +453,10 @@ def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource
     count weights, then go on with the rest.  Block solutions y, put
     back in the blocks' own order, pull back to x = U y since U'QU is
     the block form, with U applied as the diagonalization's moves, so U
-    is never built.  Nothing is diagonalized here, and the form's first
-    walk makes its tables and keeps them, with every tail entry read, so
-    repeated draws of one prepared form pay only for the count and the
-    walk.
+    is never built.  Nothing is diagonalized here.  The form's first
+    walk with a step calls form.walk(), which makes the layout and tables
+    and keeps them, with every tail entry read, so repeated draws of one
+    prepared form pay only for the count and the walk.
     """
     _check_kind(kind)
     return _sample_counted(form, t, kind, rng, symbol_of(form.pp, t), form.count(t))
@@ -521,9 +521,10 @@ def sample_factors(
     non-primitive at *some* prime, sampled by walking the factors and
     branching, with exact weights, between "this factor non-primitive,
     rest unconstrained" and "this factor primitive, constraint pending";
-    a branch that only one side can take is taken with no draw.
+    a branch that only one side can take is taken with no draw.  Forms
+    of different numbers of variables raise DomainError before any draw.
     """
-    _check_factors([form.pp for form in forms])
+    _check_forms(forms)
     _check_kind(kind)
     syms = [symbol_of(form.pp, t) for form in forms]
     per = [form.count(t) for form in forms]

@@ -20,7 +20,7 @@ def test_parse_instance_basic(tmp_path):
     path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
     inst = parse_instance(path)
     assert inst.q == [[1, 0], [0, 1]]
-    assert not inst.composite
+    assert len(inst.factors) == 1
     assert inst.factors[0].p == 5 and inst.factors[0].k == 1
     assert inst.t == 1
     assert inst.modulus == 5
@@ -38,7 +38,7 @@ def test_parse_instance_composite(tmp_path):
         tmp_path, {"q": [[1]], "factors": [{"p": "3", "k": 1}, {"p": "5", "k": 2}], "t": 4}
     )
     inst = parse_instance(path)
-    assert inst.composite and inst.modulus == 75
+    assert len(inst.factors) == 2 and inst.modulus == 75
 
 
 def test_parse_instance_errors(tmp_path):
@@ -192,7 +192,7 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("quadmod.cli.count_form", broken)
+    monkeypatch.setattr("quadmod.cli.count_composite", broken)
     path = write_instance(tmp_path, {"q": [[1]], "p": "5", "k": 1, "t": "1"})
     assert main(["count", path]) == 4
     captured = capsys.readouterr()

@@ -676,14 +676,14 @@ def test_tables_equal_the_dynamic_program(inst):
     q, pp, _, _ = inst
     form = prepare(q, pp)
     walk = tuple(form.blocks[j] for j in form.walk_order)
-    layout = form.layout
+    layout, form_per_block, form_tails = form.walk()
     want_per_block, want_suffix = dp_reference.dp_chain_tables(walk, layout)
     per_block, tails = chain_tables(dp_reference.table_classes(walk, pp), layout)
     assert [dp_reference.dense(cells, layout) for cells in per_block] == want_per_block[:-1], (q, pp)
     assert [dp_reference.level_lists(tail, layout) for tail in tails] == want_suffix[1:], (q, pp)
     down = range(len(layout) - 1, -1, -1)
-    read = [dp_reference.level_lists(tail, layout, down) for tail in form.tails]
-    assert form.per_block == per_block and read == want_suffix[1:], (q, pp)
+    read = [dp_reference.level_lists(tail, layout, down) for tail in form_tails]
+    assert form_per_block == per_block and read == want_suffix[1:], (q, pp)
     assert form.table == dp_reference.table_dict(layout, want_suffix[0]), (q, pp)
     assert all(is_int_counts(lst) for level in want_suffix + read for lst in level)
     assert all(is_int_counts(c) for c in form.table.values())
@@ -695,9 +695,9 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
     # dense forms, whose blocks at p = 2 include type II ones, at a target
     # of every inhabited symbol
     form = prepare(dense_even_form(n, n), pp)
-    table = form.table
-    for i in range(len(form.layout)):
-        g = form.layout.symbol(i)
+    table, layout = form.table, form.walk()[0]
+    for i in range(len(layout)):
+        g = layout.symbol(i)
         t = 0 if g.ord == INF else pp.p**g.ord * next(u for u in range(1, 8) if symbol_of(pp, u * pp.p**g.ord) == g)
         assert form.count(t) == table[g], g
 
@@ -783,9 +783,10 @@ def test_a_sum_that_is_no_count_raises(monkeypatch):
                 count_form(Q4, pp, 7)
             with pytest.raises(ArithmeticError):
                 form.table
-            assert form.tails
-            for tail in form.tails:
-                for g in map(form.layout.symbol, range(len(form.layout))):
+            layout, _, tails = form.walk()
+            assert tails
+            for tail in tails:
+                for g in map(layout.symbol, range(len(layout))):
                     with pytest.raises(ArithmeticError):
                         tail.at(*g)
             monkeypatch.setattr(gauss, "_term", term)
@@ -797,7 +798,7 @@ def test_a_sum_that_is_no_count_raises(monkeypatch):
             with pytest.raises(ArithmeticError):
                 form.count(7)
             with pytest.raises(ArithmeticError):
-                form.tails[0].at(0, 1)
+                form.walk()[2][0].at(0, 1)
         monkeypatch.setattr(gauss, "_term", term)
     # zeta + zeta^-1 over a = 1, 3, 5, 7 is 2 sqrt2: rational only times sqrt2
     with pytest.raises(ArithmeticError):

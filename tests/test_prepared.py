@@ -200,9 +200,9 @@ def count_by_partners(form, t):
     """The sum of the chain walk's first-step cell weights at t: every
     split cell (g1, g2) of t's symbol that layout.partners lists, one
     cell at a time, weighed by the head's cells and the first tail."""
-    layout = form.layout
+    layout, per_block, tails = form.walk()
     i = layout.index(symbol_of(form.pp, t))
-    head, tail = form.per_block[0], form.tails[0]
+    head, tail = per_block[0], tails[0]
     total = nprim = 0
     for i1, h_tot, h_np in head:
         for i2, size in layout.partners(i, i1):
@@ -232,8 +232,8 @@ def test_count_sums_the_far_cells_by_order(q_mat, pp):
     # both classes, at every symbol; at p = 2 the two top orders have
     # the class size of the order below them, a ratio of 1
     form = prepare(q_mat, pp)
-    layout = form.layout
-    assert form.tails
+    layout, _, tails = form.walk()
+    assert tails
     if pp.p == 2:
         assert [o for o in range(1, pp.k) if layout.size[o - 1] == layout.size[o]] == list(range(max(1, pp.k - 2), pp.k))
     for i in range(len(layout)):
@@ -277,14 +277,14 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     assert (tables.calls, built.calls) == (0, 1)
     # the first read of the tables makes one Level per tail, once
     tails = max(0, len(form.blocks) - 1)
-    assert len(form.tails) == len(form.per_block) == tails
+    layout, per_block, form_tails = form.walk()
+    assert len(form_tails) == len(per_block) == tails
     assert (tables.calls, built.calls) == (1, 1 + tails)
     assert sample_prepared(form, t, RepKind.ANY, random.Random(9)) is not None or not form.blocks
     assert (tables.calls, built.calls) == (1, 1 + tails)
     # each step computes the tail entries its scan reaches, and no other:
     # at a symbol, or (tail.above) from the order of a reached symbol up
-    layout = form.layout
-    for tail in form.tails:
+    for tail in form_tails:
         syms = list(map(layout.symbol, reached[id(tail)]))
         keys = {(pp.k, 0) if g.ord == INF else g for g in syms} | {(g.ord, None) for g in syms if g.ord != INF}
         assert tail._read and set(tail._read) <= keys, (set(tail._read), keys)
@@ -300,11 +300,13 @@ def test_a_one_block_walk_builds_no_table(monkeypatch, layer_calls, pp):
     # table nor the layout
     _, tables = layer_calls
     heads = CallCounter(quadmod.counting.block_cells)
+    layouts = CallCounter(quadmod.counting.SymbolLayout)
     monkeypatch.setattr(quadmod.counting, "block_cells", heads)
+    monkeypatch.setattr(quadmod.counting, "SymbolLayout", layouts)
     form = prepare([[7]], pp)
     assert sample_prepared(form, 7 * 4, RepKind.ANY, random.Random(7)) is not None
     assert (tables.calls, heads.calls) == (0, 0)
-    assert "layout" not in vars(form) and "_tables" not in vars(form)
+    assert layouts.calls == 0
 
 
 # (diagonal mod 101^6, the residues mod 101 of its units and of each
@@ -322,8 +324,6 @@ def test_a_count_and_a_draw_take_one_legendre_symbol_per_block(monkeypatch, diag
     # and the first draw's tables one per block but the last of each
     # order, so the two take one per block between them, none twice
     pp = PrimePower(101, 6)
-    form = prepare([[d if i == j else 0 for j in range(3)] for i, d in enumerate(diagonal)], pp)
-    assert sorted(blk.d for blk in form.blocks) == sorted(diagonal)
     calls = Counter()
 
     def counted(a, p):
@@ -333,10 +333,13 @@ def test_a_count_and_a_draw_take_one_legendre_symbol_per_block(monkeypatch, diag
     for mod in (quadmod.counting, quadmod.gauss):
         if hasattr(mod, "legendre"):
             monkeypatch.setattr(mod, "legendre", counted)
+    # prepare takes the count's symbols, so the counter is in place first
+    form = prepare([[d if i == j else 0 for j in range(3)] for i, d in enumerate(diagonal)], pp)
+    assert sorted(blk.d for blk in form.blocks) == sorted(diagonal)
     t = 2 * 3**2  # a unit part and its negative that are none of the residues
     assert form.count(t).total > 0
     assert sample_prepared(form, t, RepKind.ANY, random.Random(3)) is not None
-    assert form.tails
+    assert form.walk()[2]
     taken = {r: calls[r] for r in residues if calls[r]}
     assert sum(taken.values()) == len(diagonal) and max(taken.values()) == 1, taken
 
@@ -405,16 +408,17 @@ def test_layout_is_local_to_one_prepared_form():
     rng = random.Random(3)
     pp = PrimePower(3, 6)
     form = prepare(Q4, pp)
-    layout_state = copy.deepcopy(vars(form.layout))
+    layout = form.walk()[0]
+    layout_state = copy.deepcopy(vars(layout))
     for t in range(0, 40, 3):
         sample_prepared(form, t, RepKind.ANY, rng)
         sample_prepared(form, t, RepKind.PRIMITIVE, rng)
-    assert vars(form.layout) == layout_state
+    assert vars(layout) == layout_state
     for _ in range(3):
         count_form(Q4, pp, 5)
         sample_form(Q4, pp, 5, RepKind.PRIMITIVE, rng)
         sample_composite(Q4, [PrimePower(2, 5), pp], 5, RepKind.NONPRIMITIVE, rng)
-    assert prepare(Q4, pp).layout is not form.layout
+    assert prepare(Q4, pp).walk()[0] is not layout
     assert container_sizes() == before
 
 

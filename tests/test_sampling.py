@@ -11,7 +11,15 @@ import quadmod.modring
 import quadmod.sampling
 import quadmod.sqroots
 from quadmod.blockdiag import TypeI, TypeII
-from quadmod.counting import PreparedForm, _scaled_type2_counts, _type2_seeds, count_composite, prepare
+from quadmod.counting import (
+    PreparedForm,
+    _scaled_type2_counts,
+    _type2_seeds,
+    count_composite,
+    count_factors,
+    count_form,
+    prepare,
+)
 from quadmod.modring import INF, DomainError, PrimePower, uniform_below
 from quadmod.oracle import chi_square_uniform, enumerate_reps
 from quadmod.sampling import (
@@ -339,6 +347,37 @@ def test_sample_composite_single_factor_matches_form():
     got = draws(lambda r: sample_composite(I2, [pp], 2, RepKind.ANY, r), 400, seed=3)
     sols, _ = enumerate_reps(I2, pp, 2)
     assert set(got) == set(sols)
+    # a composite of one factor is the prime-power call, draw for draw:
+    # the same vectors, counts and final RNG state, empty classes included
+    for q_mat in (Q4, I2):
+        for pp in (PrimePower(2, 6), PrimePower(3, 4), PrimePower(5, 3), PrimePower(2**127 - 1, 2)):
+            for kind in RepKind:
+                rng_a, rng_b = random.Random(17), random.Random(17)
+                for t in (0, 1, 2, 7, 8, 12, 25, 36):
+                    assert count_form(q_mat, pp, t) == count_composite(q_mat, [pp], t), (pp, t)
+                    for _ in range(3):
+                        want = sample_form(q_mat, pp, t, kind, rng_a)
+                        assert sample_composite(q_mat, [pp], t, kind, rng_b) == want, (pp, kind, t)
+                assert rng_a.getstate() == rng_b.getstate(), (pp, kind)
+
+
+@pytest.mark.parametrize("wide_first", [False, True], ids=["narrow-first", "wide-first"])
+def test_prepared_factors_of_different_dimensions_are_rejected(wide_first):
+    # x^2 mod 3 and x^2 + y^2 mod 5 are not one form mod 15: counting
+    # them multiplied two unrelated counts, and drawing from them
+    # returned a 1-tuple or raised IndexError.  Both functions raise
+    # before any count or draw
+    forms = [prepare([[1]], PrimePower(3, 1)), prepare(I2, PrimePower(5, 1))]
+    if wide_first:
+        forms.reverse()
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(DomainError, match="numbers of variables"):
+        count_factors(forms, 1)
+    for kind in RepKind:
+        with pytest.raises(DomainError, match="numbers of variables"):
+            sample_factors(forms, 1, kind, rng)
+    assert rng.getstate() == state
 
 
 def recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, rng):
@@ -690,9 +729,10 @@ def test_walk_raises_when_a_tail_disagrees_with_its_level():
     mixed = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]  # a type II block and two type I
     for q_mat, pp in ((q4, PrimePower(3, 4)), (mixed, PrimePower(2, 6))):
         form = prepare(q_mat, pp)
-        assert len(form.tails) >= 2
+        tails = form.walk()[2]
+        assert len(tails) >= 2
         assert 36 % pp.p**2 == 0 and form.count(36).primitive and form.count(36).nonprimitive
-        tail, at = form.tails[0], form.tails[0].at
+        tail, at = tails[0], tails[0].at
         tail.at = lambda o, s, at=at: (at(o, s)[0] + 2 * 10**40, at(o, s)[1] + 10**40)
         for kind in (RepKind.PRIMITIVE, RepKind.NONPRIMITIVE):
             with pytest.raises(RuntimeError, match="past its last cell"):
