@@ -31,21 +31,21 @@ Matrices are plain lists of lists of ints, reduced mod p^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
-from .modring import DomainError, PrimePower
+from .modring import DomainError, Frozen, PrimePower, _set
 
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
-class TypeI:
+class TypeI(Frozen):
     """1x1 block [d]."""
 
+    __slots__ = _fields = ("d",)
     d: int
+
+    def __init__(self, d: int) -> None:
+        _set(self, "d", d)
 
     @property
     def dim(self) -> int:
@@ -55,18 +55,22 @@ class TypeI:
         return [[self.d]]
 
 
-@dataclass(frozen=True)
-class TypeII:
+class TypeII(Frozen):
     """2x2 block 2^ell * [[2a, b], [b, 2c]] with b odd (p = 2 only)."""
 
+    __slots__ = _fields = ("ell", "a", "b", "c")
     ell: int
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.b % 2 == 0:
-            raise DomainError(f"TypeII needs odd b, got {self.b}")
+    def __init__(self, ell: int, a: int, b: int, c: int) -> None:
+        if b % 2 == 0:
+            raise DomainError(f"TypeII needs odd b, got {b}")
+        _set(self, "ell", ell)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @property
     def dim(self) -> int:
@@ -85,19 +89,28 @@ Block = TypeI | TypeII
 Move = tuple[int, int, int | None]
 
 
-@dataclass(frozen=True)
-class BlockDiagForm:
+class BlockDiagForm(Frozen):
     """The blocks of Q and the moves that reach them: u'Qu is the
     direct sum of the blocks mod p^k, where u is built from the moves
     the first time it is read."""
 
+    __slots__ = ("blocks", "modulus", "moves", "_u")
+    _fields = ("blocks", "modulus", "moves")
     blocks: tuple[Block, ...]
     modulus: PrimePower
     moves: tuple[Move, ...]
 
-    @cached_property
+    def __init__(self, blocks: tuple[Block, ...], modulus: PrimePower, moves: tuple[Move, ...]) -> None:
+        _set(self, "blocks", blocks)
+        _set(self, "modulus", modulus)
+        _set(self, "moves", moves)
+        _set(self, "_u", None)
+
+    @property
     def u(self) -> tuple[tuple[int, ...], ...]:
-        return basis_change(sum(b.dim for b in self.blocks), self.moves, self.modulus.q)
+        if self._u is None:
+            _set(self, "_u", basis_change(sum(b.dim for b in self.blocks), self.moves, self.modulus.q))
+        return self._u
 
     def u_times(self, y: list[int]) -> tuple[int, ...]:
         """u y mod q, without building u.  u is the product of the
@@ -138,28 +151,31 @@ def identity(n: int) -> Matrix:
 
 
 def integer_det(a: Matrix) -> int:
-    """Exact determinant over Z (fraction-free via Fractions; n is small)."""
+    """Exact determinant over Z by Bareiss's fraction-free elimination.
+    After the step at pivot column c, entry (i, j) below and right of
+    the pivot is the minor of a (its rows as swapped so far) on rows
+    0..c, i and columns 0..c, j.  So each step's division by the
+    previous pivot is exact, every entry stays an integer, and the last
+    entry is the determinant.  A zero pivot is exchanged with a row
+    below it, which negates the determinant; a column with none makes
+    it 0."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
-    return int(det)
+            sign = -sign
+        top = m[col]
+        pivot, right = top[col], top[col + 1 :]
+        for row in m[col + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[col + 1 :], right)]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 def blocks_to_matrix(bd) -> Matrix:

@@ -22,16 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .blockdiag import AsymmetricEntry, TypeI, block_diagonalize, check_symmetric
 from .counting import count_composite, count_factors, local_density, prepare
-from .modring import DomainError, PrimePower
+from .modring import DomainError, Frozen, PrimePower, _set
 from .sampling import RepKind, sample_composite, sample_factors
 from .sqroots import LasVegasFail
 
@@ -52,11 +50,16 @@ class UsageError(ParseError):
     """The command line does not parse."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
+    __slots__ = _fields = ("q", "factors", "t")
     q: list[list[int]]
     factors: tuple[PrimePower, ...]
     t: int
+
+    def __init__(self, q: list[list[int]], factors: tuple[PrimePower, ...], t: int) -> None:
+        _set(self, "q", q)
+        _set(self, "factors", factors)
+        _set(self, "t", t)
 
     @property
     def modulus(self) -> int:
@@ -329,7 +332,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug; never report it as a verdict
-        logging.getLogger(__name__).debug("internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     print(report)

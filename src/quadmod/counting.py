@@ -39,8 +39,7 @@ prepared factors, all of one number of variables.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .blockdiag import (
     BlockDiagForm,
@@ -52,6 +51,9 @@ from .blockdiag import (
 from .gauss import BlockClass, Level, block_classes, block_signs, block_tallies, suffix_tallies
 from .modring import INF, DomainError, PrimePower, valuation
 from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = list[list[int]]
 
@@ -284,6 +286,8 @@ def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
     """The local density of Q at t: A_{p^s}(Q,t) / p^(s(n-1)) at the
     stabilizing level s = 1 + ord_p(8 t det Q)."""
+    from fractions import Fraction  # only a density needs it: no count or draw loads fractions
+
     n = check_symmetric(q_mat)
     det = integer_det(q_mat)
     if det == 0:

@@ -3,13 +3,16 @@
 Everything downstream works with plain Python ints as ring elements,
 canonically reduced into ``range(p**k)`` at the boundaries.  A
 :class:`PrimePower` instance carries the modulus around.
+
+The package's immutable values (PrimePower, the blocks, BlockDiagForm,
+cli.Instance) are Frozen subclasses, not dataclasses: importing
+dataclasses loads inspect and ast, a cost to every start of the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 INF = math.inf  # p-adic order of 0
@@ -120,30 +123,76 @@ def is_probable_prime(n: int) -> bool:
     return _strong_lucas_probable_prime(n)
 
 
-@dataclass(frozen=True)
-class PrimePower:
+# sets an attribute of a Frozen instance, which refuses plain assignment
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of an immutable value class.  A subclass lists its slots,
+    names in _fields the ones that make its value, and sets its slots
+    with _set.  Its repr, == and hash read those fields, and == holds
+    only between instances of one class.  pickle and copy rebuild an
+    instance by calling the class on its fields, so a slot outside
+    _fields must follow from them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PrimePower(Frozen):
     """The modulus p^k with p prime and k >= 1; q is the modulus itself,
     p**k, computed once (it takes no part in ==, hash or repr)."""
 
+    __slots__ = ("p", "k", "q")
+    _fields = ("p", "k")
     p: int
     k: int
-    q: int = field(init=False, repr=False, compare=False)
+    q: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"exponent must be >= 1, got {self.k}")
-        if not is_probable_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
-        object.__setattr__(self, "q", self.p**self.k)
+    def __init__(self, p: int, k: int) -> None:
+        # exact ints only: a float p or k gives a float q and rounded counts
+        if type(p) is not int or type(k) is not int:
+            raise DomainError(f"p and k must be ints, got p={p!r}, k={k!r}")
+        if k < 1:
+            raise DomainError(f"exponent must be >= 1, got {k}")
+        if not is_probable_prime(p):
+            raise DomainError(f"{p} is not prime")
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "q", p**k)
 
     def with_exponent(self, k: int) -> PrimePower:
         """p^k for the same prime, without testing p again."""
-        if k < 1:
-            raise DomainError(f"exponent must be >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise DomainError(f"exponent must be an int >= 1, got {k!r}")
         out = object.__new__(PrimePower)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "k", k)
-        object.__setattr__(out, "q", self.p**k)
+        _set(out, "p", self.p)
+        _set(out, "k", k)
+        _set(out, "q", self.p**k)
         return out
 
 

@@ -35,10 +35,8 @@ Every p = 2 path is deterministic once its random free digits are drawn.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
 
@@ -64,8 +62,6 @@ from .modring import (
 from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
 from .symbols import PkSymbol, SymbolLayout, _check_symbol, _is_empty, split_class_size, symbol_of
 
-logger = logging.getLogger(__name__)
-
 T = TypeVar("T")
 
 
@@ -75,18 +71,25 @@ class RepKind(Enum):
     NONPRIMITIVE = "nonprimitive"
 
 
-@dataclass
 class RejectionStats:
     """Counters for single iterations of the equal-orders rejection loop."""
 
-    trials: int = 0
-    rejects: int = 0
+    def __init__(self, trials: int = 0, rejects: int = 0) -> None:
+        self.trials = trials
+        self.rejects = rejects
+
+    def __repr__(self) -> str:
+        return f"RejectionStats(trials={self.trials!r}, rejects={self.rejects!r})"
+
+    def __eq__(self, other):
+        if type(other) is not RejectionStats:
+            return NotImplemented
+        return (self.trials, self.rejects) == (other.trials, other.rejects)
 
     def record(self, accepted: bool) -> None:
         self.trials += 1
         if not accepted:
             self.rejects += 1
-            logger.debug("split rejection (%d/%d rejected)", self.rejects, self.trials)
 
     def failure_rate(self) -> float:
         return self.rejects / self.trials if self.trials else 0.0

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -32,6 +34,34 @@ def test_integer_det():
     assert integer_det([[0, 1, 0], [1, 0, 0], [0, 0, 3]]) == -3
 
 
+def test_integer_det_matches_sympy():
+    # Bareiss's elimination against sympy, on random matrices, singular
+    # ones, and ones whose leading minors vanish so a pivot needs a row swap
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240)
+    for n in range(9):
+        for _ in range(12):
+            bound = 10 ** rng.choice((1, 3, 40))
+            a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            cases = [a]
+            if n >= 2:
+                i, j, r = rng.sample(range(n), 2) + [rng.randrange(n)]
+                c1, c2 = rng.randint(-9, 9), rng.randint(-9, 9)
+                singular = [row[:] for row in a]
+                singular[i] = [c1 * x + c2 * y for x, y in zip(a[j], a[r])] if r not in (i, j) else a[j][:]
+                column = [row[:] for row in a]  # only the last row has a non-zero first entry
+                for row in column[:-1]:
+                    row[0] = 0
+                minor = [row[:] for row in a]  # the leading 2 x 2 minor vanishes
+                minor[1][:2] = [c1 * x for x in a[0][:2]]
+                perm = rng.sample(range(n), n)
+                permutation = [[bound * (perm[row] == col) for col in range(n)] for row in range(n)]
+                cases += [singular, column, minor, permutation]
+            for m in cases:
+                assert integer_det(m) == sympy.Matrix(n, n, [x for row in m for x in row]).det(), m
+    assert integer_det([[0, 0], [0, 5]]) == 0
+
+
 def test_matrix_helpers():
     q = 7
     a = [[1, 2], [3, 4]]
@@ -44,6 +74,39 @@ def test_type2_matrix_scaling():
     assert blk.matrix() == [[4, 6], [6, 0]]
     with pytest.raises(DomainError):
         TypeII(0, 1, 2, 1)  # middle coefficient must be odd
+
+
+def copies(value):
+    out = [copy.copy(value), copy.deepcopy(value)]
+    return out + [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def test_blocks_and_forms_are_immutable_values():
+    pp = PrimePower(2, 5)
+    bd = block_diagonalize([[0, 1, 0], [1, 0, 0], [0, 0, 3]], pp)
+    u = bd.u
+    assert bd.u is u  # built on the first read, then kept
+    values = [
+        (TypeI(3), (3,), "TypeI(d=3)"),
+        (TypeII(0, 0, 1, 0), (0, 0, 1, 0), "TypeII(ell=0, a=0, b=1, c=0)"),
+        (bd, (bd.blocks, pp, bd.moves), f"BlockDiagForm(blocks={bd.blocks!r}, modulus={pp!r}, moves={bd.moves!r})"),
+    ]
+    assert [type(b) for b in bd.blocks] == [TypeI, TypeII] and bd.moves
+    for value, fields, text in values:
+        assert repr(value) == text
+        assert value != fields and value == type(value)(*fields) and hash(value) == hash(type(value)(*fields))
+        for name in (*value._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        for other in copies(value):
+            assert type(other) is type(value) and other == value and hash(other) == hash(value)
+            assert repr(other) == text
+    for other in copies(bd):
+        assert other.u == u
+    with pytest.raises(AttributeError):
+        del bd.blocks
+    with pytest.raises(DomainError):
+        TypeII(0, 1, 2, 1)
 
 
 def test_hyperbolic_plane_odd():

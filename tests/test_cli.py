@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -232,3 +234,34 @@ def test_count_does_not_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_count_loads_no_module_it_does_not_run(tmp_path):
+    # dataclasses (which loads inspect), logging and fractions would add
+    # to every CLI start; a count runs none of them, nor numpy.  Only the
+    # modules that the bare interpreter had not loaded count
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "3", "k": 60, "t": "1"})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\nbare = set(sys.modules)\nfrom quadmod.cli import main\ncode = main(sys.argv[1:])\n"
+        "unused = {'dataclasses', 'inspect', 'logging', 'fractions', 'numpy'}\n"
+        "print(sorted(unused & set(sys.modules) - bare), code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "count", path], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0"
+
+
+def test_instance_is_an_immutable_value(tmp_path):
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
+    inst = parse_instance(path)
+    assert inst == parse_instance(path) and inst != ([[1, 0], [0, 1]], inst.factors, 1)
+    assert repr(inst) == "Instance(q=[[1, 0], [0, 1]], factors=(PrimePower(p=5, k=1),), t=1)"
+    for name in ("q", "factors", "t", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 1)
+    for other in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert type(other) is type(inst) and other == inst and other.modulus == 5

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadmod.counting import count_form
 from quadmod.modring import (
     INF,
     DomainError,
@@ -93,6 +96,41 @@ def test_prime_power_stores_its_modulus():
     assert PrimePower(3, 4) != PrimePower(3, 5)
     with pytest.raises(TypeError):
         PrimePower(3, 4, 81)
+
+
+def test_prime_power_takes_int_p_and_k_only():
+    # a float p gave a float modulus, and counts came back as rounded
+    # floats (1.6210220612075905e+19 for this one); a float k made q =
+    # 2**2.5, and a bool k printed as k=True
+    assert count_form([[1, 0], [0, 1]], PrimePower(3, 40), 1).total == 16210220612075905068
+    with pytest.raises(DomainError):
+        count_form([[1, 0], [0, 1]], PrimePower(3.0, 40), 1)
+    with pytest.raises(DomainError):
+        PrimePower(2, 2.5)
+    with pytest.raises(DomainError):
+        PrimePower(5, True)
+    with pytest.raises(DomainError):
+        PrimePower(True, 1)
+    pp = PrimePower(3, 1)
+    for k in (2.0, True):
+        with pytest.raises(DomainError):
+            pp.with_exponent(k)
+
+
+def test_prime_power_is_an_immutable_value():
+    pp = PrimePower(3, 4)
+    assert pp != (3, 4) and pp != PrimePower(3, 1).with_exponent(5)
+    for name in ("p", "k", "q", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pp, name, 5)
+    with pytest.raises(AttributeError):
+        del pp.k
+    assert (pp.p, pp.k, pp.q) == (3, 4, 81)
+    copies = [copy.copy(pp), copy.deepcopy(pp)]
+    copies += [pickle.loads(pickle.dumps(pp, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is PrimePower and other == pp and hash(other) == hash(pp)
+        assert other.q == 81 and repr(other) == repr(pp)
 
 
 def test_valuation_examples():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -539,6 +541,18 @@ def test_root_free_heads_reach_every_solution(monkeypatch):
 EQUAL_ORDERS_CALLERS = [pytest.param("head", p, id=str(p)) for p in (3, 7, 11, 13)] + [
     pytest.param("split", p, id=f"split-{p}") for p in (3, 7, 11, 13)
 ]
+
+
+def test_rejection_stats_start_at_zero():
+    stats = quadmod.sampling.RejectionStats()
+    assert (stats.trials, stats.rejects, stats.failure_rate()) == (0, 0, 0.0)
+    assert stats == quadmod.sampling.RejectionStats(0, 0) and repr(stats) == "RejectionStats(trials=0, rejects=0)"
+    stats.record(True)
+    stats.record(False)
+    assert stats == quadmod.sampling.RejectionStats(2, 1) and stats != (2, 1)
+    assert copy.deepcopy(stats) == stats == pickle.loads(pickle.dumps(stats))
+    stats.reset()
+    assert (stats.trials, stats.rejects) == (0, 0)
 
 
 @pytest.mark.parametrize("caller, p", EQUAL_ORDERS_CALLERS)
