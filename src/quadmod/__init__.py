@@ -39,7 +39,6 @@ from .sampling import (
     sample_prepared,
     sample_split,
     sample_symbol_elem,
-    split_rejection_stats,
 )
 from .sqroots import (
     LasVegasFail,
@@ -97,7 +96,6 @@ __all__ = [
     "sample_split",
     "sample_symbol_elem",
     "split_class_size",
-    "split_rejection_stats",
     "sqrt_unit_mod_2k",
     "sqrt_unit_mod_p",
     "symbol_of",

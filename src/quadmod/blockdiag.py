@@ -26,7 +26,12 @@ BlockDiagForm.u replays them on the identity (basis_change) the first
 time it is read.  A count reads the blocks only, and a draw applies the
 moves to one vector (BlockDiagForm.u_times), so neither pays for U.
 
-Matrices are plain lists of lists of ints, reduced mod p^k.
+Matrices are plain lists of lists of ints.  The sweep does not reduce
+the rows it changes: a row is reduced mod p^k when it becomes a pivot
+row (a type I row once it has an entry to clear), so an entry grows to
+about twice the width of p^k plus log n bits.  The pivot search reads
+entries only mod powers of p and through gcds with p^k, which an
+unreduced entry gives the same.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class TypeII(Frozen):
 
     def __init__(self, ell: int, a: int, b: int, c: int) -> None:
         if b % 2 == 0:
-            raise DomainError(f"TypeII needs odd b, got {b}")
+            raise DomainError("TypeII needs an odd b")
         _set(self, "ell", ell)
         _set(self, "a", a)
         _set(self, "b", b)
@@ -116,13 +121,16 @@ class BlockDiagForm(Frozen):
         """u y mod q, without building u.  u is the product of the
         moves' elementary matrices in order, so u y applies them to y
         last move first: a shear (c, s, a) adds a y[c] to y[s], and a
-        swap (i, j) makes (y[i], y[j]) = (-y[j], y[i])."""
+        swap (i, j) makes (y[i], y[j]) = (-y[j], y[i]).  A coordinate is
+        reduced mod q when a shear reads it as the multiplier, and all of
+        them once at the end."""
         q, y = self.modulus.q, list(y)
         for c, s, a in reversed(self.moves):
             if a is None:
                 y[c], y[s] = -y[s], y[c]
             else:
-                y[s] = (y[s] + a * y[c]) % q
+                y[c] %= q
+                y[s] += a * y[c]
         return tuple(v % q for v in y)
 
 
@@ -276,15 +284,16 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             scale, mod = p**o, p ** (k - o)
             inv_cop = 0  # the pivot's inverse, taken at the first entry to clear
             for c in range(pos + 1, n):
-                x = top[c]
-                if x:
-                    inv_cop = inv_cop or pow(top[pos] // scale, -1, mod)
-                    # x has order >= o, so the quotient is exact
-                    a = -((x // scale) * inv_cop % mod)
+                if top[c] % q:
+                    if not inv_cop:
+                        top[pos:] = [x % q for x in top[pos:]]
+                        inv_cop = pow(top[pos] // scale, -1, mod)
+                    # top[c] has order >= o, so the quotient is exact
+                    a = -((top[c] // scale) * inv_cop % mod)
                     moves.append((c, pos, a))
                     row = m[c]
-                    row[c:] = [(y + a * z) % q for y, z in zip(row[c:], top[c:])]
-            blocks.append(TypeI(top[pos]))
+                    row[c:] = [y + a * z for y, z in zip(row[c:], top[c:])]
+            blocks.append(TypeI(top[pos] % q))
             pos += 1
         elif p != 2:
             # pull the off-diagonal minimum onto the diagonal:
@@ -306,6 +315,8 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             if j != pos + 1:
                 _swap(m, moves, pos, pos + 1, j, q)
             top, second = m[pos], m[pos + 1]
+            top[pos:] = [x % q for x in top[pos:]]
+            second[pos:] = [x % q for x in second[pos:]]
             scale, mod = 2**o, 2 ** (k - o)
             two_a = top[pos] // scale  # even: diagonal order > o
             b = top[pos + 1] // scale  # odd: order exactly o
@@ -320,7 +331,7 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
                     s = (two_a * e - b * d) * det_inv % mod
                     moves += [(c, pos, -r), (c, pos + 1, -s)]
                     row = m[c]
-                    row[c:] = [(y - r * z - s * w) % q for y, z, w in zip(row[c:], top[c:], second[c:])]
+                    row[c:] = [y - r * z - s * w for y, z, w in zip(row[c:], top[c:], second[c:])]
             blocks.append(TypeII(o, top[pos] // (2 * scale), b, second[pos + 1] // (2 * scale)))
             pos += 2
     return BlockDiagForm(tuple(blocks), pp, tuple(moves))

@@ -321,6 +321,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # counts, draws and inputs may have any number of digits, so the
+    # interpreter's cap on int <-> decimal string conversion is lifted
+    # while main runs (Python before 3.10.7 has no cap and no setter)
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_intermixed_args(argv)
         instance = parse_instance(args.instance)

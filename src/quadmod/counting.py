@@ -280,7 +280,9 @@ def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes L = k
     level = min(pp.k, ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
     scale = pp.p ** ((len(q_mat) - 1) * (pp.k - level))
-    return RepCounts(*(c * scale for c in prepare(q_mat, pp.with_exponent(level)).count(t)))
+    c = prepare(q_mat, pp.with_exponent(level)).count(t)
+    total, nonprimitive = c.total * scale, c.nonprimitive * scale
+    return RepCounts(total, total - nonprimitive, nonprimitive)
 
 
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:

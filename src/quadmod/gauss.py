@@ -198,7 +198,7 @@ class Level:
             # a term that is 0 keeps the last power
             e, w = _term(self.pp, self.n, self.tallies, j) or (self._last, _NO_TERM[0])
             if e < self._unit:
-                raise ArithmeticError(f"a Gauss-sum term mod {p}^{self.k} falls below {p}^{self._unit}")
+                raise ArithmeticError(f"a Gauss-sum term mod p^{self.k} falls below p^{self._unit}")
             d, self._last = e - self._last, e
             self._power = self._power * p**d if d >= 0 else self._power // p**-d
             sums.append(sums[-1] + w[0] * self._power)
@@ -222,9 +222,9 @@ class Level:
         p, e = self.p, den - self._unit
         count, rest = divmod(num, p**e) if e > 0 else (num * p**-e if e else num, 0)
         if rest:
-            raise ArithmeticError(f"the Gauss sums mod {p}^{self.k} give a sum with a remainder mod {p}^{e}, not a count")
+            raise ArithmeticError(f"the Gauss sums mod p^{self.k} give a sum with a remainder mod p^{e}, not a count")
         if count < 0:
-            raise ArithmeticError(f"the Gauss sums mod {p}^{self.k} give a negative sum, not a count")
+            raise ArithmeticError(f"the Gauss sums mod p^{self.k} give a negative sum, not a count")
         return count
 
 

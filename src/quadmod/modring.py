@@ -178,9 +178,9 @@ class PrimePower(Frozen):
         if type(p) is not int or type(k) is not int:
             raise DomainError(f"p and k must be ints, got p={p!r}, k={k!r}")
         if k < 1:
-            raise DomainError(f"exponent must be >= 1, got {k}")
+            raise DomainError("exponent must be >= 1")
         if not is_probable_prime(p):
-            raise DomainError(f"{p} is not prime")
+            raise DomainError("p is not prime")
         _set(self, "p", p)
         _set(self, "k", k)
         _set(self, "q", p**k)
@@ -188,7 +188,7 @@ class PrimePower(Frozen):
     def with_exponent(self, k: int) -> PrimePower:
         """p^k for the same prime, without testing p again."""
         if type(k) is not int or k < 1:
-            raise DomainError(f"exponent must be an int >= 1, got {k!r}")
+            raise DomainError("exponent must be an int >= 1")
         out = object.__new__(PrimePower)
         _set(out, "p", self.p)
         _set(out, "k", k)
@@ -236,5 +236,5 @@ def legendre(t: int, p: int) -> int:
 def uniform_below(n: int, rng: RandomSource) -> int:
     """Uniform integer in [0, n).  Exact: no floating point involved."""
     if n < 1:
-        raise DomainError(f"uniform_below needs n >= 1, got {n}")
+        raise DomainError("uniform_below needs n >= 1")
     return rng.randrange(n)

@@ -92,7 +92,7 @@ def value_histogram(q_mat, m: int, step: int = 1, budget: int = DEFAULT_BUDGET) 
     """Histogram over t of |{x in (step*Z/m)^n : x'Qx = t mod m}|."""
     n = len(q_mat)
     if (m // step) ** n > budget:
-        raise BudgetExceeded(f"(m/step)^n = {(m // step) ** n} exceeds budget {budget}")
+        raise BudgetExceeded("(m/step)^n exceeds the budget")
     vals = _value_grid(q_mat, m, step)
     return np.bincount(vals.ravel(), minlength=m)
 
@@ -101,7 +101,7 @@ def solutions_mod(q_mat, m: int, t: int, budget: int = DEFAULT_BUDGET) -> list[t
     """All x in (Z/m)^n with x'Qx = t mod m, in odometer (lexicographic) order."""
     n = len(q_mat)
     if m**n > budget:
-        raise BudgetExceeded(f"m^n = {m ** n} exceeds budget {budget}")
+        raise BudgetExceeded("m^n exceeds the budget")
     vals = _value_grid(q_mat, m)
     hits = np.argwhere(vals == t % m)
     return [tuple(int(c) for c in row) for row in hits]

@@ -71,37 +71,6 @@ class RepKind(Enum):
     NONPRIMITIVE = "nonprimitive"
 
 
-class RejectionStats:
-    """Counters for single iterations of the equal-orders rejection loop."""
-
-    def __init__(self, trials: int = 0, rejects: int = 0) -> None:
-        self.trials = trials
-        self.rejects = rejects
-
-    def __repr__(self) -> str:
-        return f"RejectionStats(trials={self.trials!r}, rejects={self.rejects!r})"
-
-    def __eq__(self, other):
-        if type(other) is not RejectionStats:
-            return NotImplemented
-        return (self.trials, self.rejects) == (other.trials, other.rejects)
-
-    def record(self, accepted: bool) -> None:
-        self.trials += 1
-        if not accepted:
-            self.rejects += 1
-
-    def failure_rate(self) -> float:
-        return self.rejects / self.trials if self.trials else 0.0
-
-    def reset(self) -> None:
-        self.trials = 0
-        self.rejects = 0
-
-
-split_rejection_stats = RejectionStats()
-
-
 def _check_kind(kind: RepKind) -> None:
     if not isinstance(kind, RepKind):
         raise DomainError(f"kind must be a RepKind, got {kind!r}")
@@ -126,7 +95,7 @@ def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
     if g.ord == INF:
         return 0
     if _is_empty(pp, g):
-        raise DomainError(f"symbol {g} has an empty class for {pp.p}^{pp.k}")
+        raise DomainError(f"symbol {g} has an empty class mod p^{pp.k}")
     p, k, q = pp.p, pp.k, pp.q
     i = g.ord
     if p == 2:
@@ -187,14 +156,11 @@ def _draw_unit_digit(p: int, accept: Callable[[int], bool], rng: RandomSource) -
     """The rejection loop of an odd-p cell whose three orders are equal:
     a unit digit in 1..p-1, drawn again until accept holds for it.  A
     split accepts with probability at least 1/6 (tending to 1/4), a type
-    I head step at least 1/3 (tending to 1/2).  Each trial is recorded in
-    split_rejection_stats; RETRY_CAP trials without success raise
-    LasVegasFail."""
+    I head step at least 1/3 (tending to 1/2).  RETRY_CAP trials without
+    success raise LasVegasFail."""
     for _ in range(RETRY_CAP):
         y0 = 1 + uniform_below(p - 1, rng)
-        ok = accept(y0)
-        split_rejection_stats.record(ok)
-        if ok:
+        if accept(y0):
             return y0
     raise LasVegasFail("equal-orders rejection exhausted")
 

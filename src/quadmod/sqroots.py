@@ -58,11 +58,11 @@ def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
             v = pow(t2, (p - 5) // 8, p)
             x = t * v * (t2 * v * v - 1) % p
         if x * x % p != t:
-            raise NonResidue(f"{t} is a non-residue mod {p}")
+            raise NonResidue("t is a non-residue mod p")
         return (x, p - x) if x <= p - x else (p - x, x)
 
     if legendre(t, p) == -1:
-        raise NonResidue(f"{t} is a non-residue mod {p}")
+        raise NonResidue("t is a non-residue mod p")
     # write p - 1 = u * 2^e with u odd.
     u, e = p - 1, 0
     while u % 2 == 0:
@@ -129,7 +129,7 @@ def sqrt_unit_mod_2k(k: int, t: int) -> tuple[int, ...]:
     if t % 2 == 0:
         raise DomainError("t must be odd")
     if t % min(8, q) != 1:
-        raise NotASquare(f"{t} is not a square mod 2^{k}")
+        raise NotASquare(f"t is not a square mod 2^{k}")
     if k == 1:
         return (1,)
     if k == 2:

@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules: call counters around the names
 through which one layer calls another."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import quadmod.counting
@@ -38,3 +40,25 @@ def root_calls(monkeypatch):
     monkeypatch.setattr(quadmod.sampling, "lift_sqrt_odd", odd)
     monkeypatch.setattr(quadmod.sampling, "sqrt_unit_mod_2k", two)
     return odd, two
+
+
+@pytest.fixture
+def unit_digit_trials(monkeypatch):
+    """Trials and rejections of sampling's equal-orders rejection loop
+    (_draw_unit_digit), which a split and a type I head step share: each
+    call of the loop's accept test is a trial, and each False a
+    rejection."""
+    counts = SimpleNamespace(trials=0, rejects=0)
+    draw = quadmod.sampling._draw_unit_digit
+
+    def counted(p, accept, rng):
+        def watched(u):
+            ok = accept(u)
+            counts.trials += 1
+            counts.rejects += not ok
+            return ok
+
+        return draw(p, watched, rng)
+
+    monkeypatch.setattr(quadmod.sampling, "_draw_unit_digit", counted)
+    return counts

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from quadmod import PrimePower, count_form
 from quadmod.cli import AsymmetricMatrix, NotPrime, ParseError, main, parse_instance
 
 
@@ -210,6 +211,40 @@ def test_strong_pseudoprime_modulus_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not prime" in captured.err
+
+
+def decimal(s: str) -> int:
+    """int(s) for a decimal string of any length, read in chunks that
+    stay below the interpreter's cap on str -> int conversion."""
+    v = 0
+    for i in range(0, len(s), 1000):
+        v = v * 10 ** len(s[i : i + 1000]) + int(s[i : i + 1000])
+    return v
+
+
+def test_integers_of_any_size_are_read_and_printed_exactly(tmp_path, capsys):
+    # a count of about 6900 digits, draws of about 4800 and a target of
+    # 4400 digits, past the interpreter's 4300-digit cap on int <-> str
+    # conversion, which main lifts while it runs and then puts back
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    cap = digit_cap()
+    p127, q4 = 2**127 - 1, [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
+    path = write_instance(tmp_path, {"q": q4, "p": str(p127), "k": 60, "t": 7})
+    assert main(["count", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    c = count_form(q4, PrimePower(p127, 60), 7)
+    assert c.total > 10**6000
+    assert [decimal(out[key]) for key in ("total", "primitive", "nonprimitive")] == list(c)
+    assert digit_cap() == cap
+    digits = "1" + "0" * 4398 + "7"
+    q = 3**10000
+    for t, text in ((1, '"1"'), (10**4399 + 7, f'"{digits}"'), (10**4399 + 7, digits)):
+        path = tmp_path / "deep.json"
+        path.write_text('{"q": [[1, 0], [0, 1]], "p": "3", "k": 10000, "t": ' + text + "}")
+        assert main(["sample", str(path), "--seed", "3"]) == 0, capsys.readouterr().err
+        x1, x2 = map(decimal, json.loads(capsys.readouterr().out)["x"])
+        assert (x1 * x1 + x2 * x2 - t) % q == 0
+        assert digit_cap() == cap
 
 
 def test_python_dash_m_entry_point(tmp_path):

@@ -30,6 +30,12 @@ def test_prime_power_validation():
         PrimePower(5, 0)
     with pytest.raises(DomainError):
         PrimePower(-3, 2)
+    # values past the interpreter's 4300-digit cap on int -> str
+    # conversion get the documented error, not one from its message
+    with pytest.raises(DomainError, match="not prime"):
+        PrimePower(10**5000, 1)
+    with pytest.raises(DomainError, match="exponent"):
+        PrimePower(5, -(10**5000))
 
 
 def test_is_probable_prime_small():
@@ -210,3 +216,5 @@ def test_uniform_below_deterministic_and_in_range():
     assert len(set(draws)) == 100
     with pytest.raises(DomainError):
         uniform_below(0, rng)
+    with pytest.raises(DomainError):
+        uniform_below(-(10**5000), rng)

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from collections import Counter
 
@@ -543,20 +541,8 @@ EQUAL_ORDERS_CALLERS = [pytest.param("head", p, id=str(p)) for p in (3, 7, 11, 1
 ]
 
 
-def test_rejection_stats_start_at_zero():
-    stats = quadmod.sampling.RejectionStats()
-    assert (stats.trials, stats.rejects, stats.failure_rate()) == (0, 0, 0.0)
-    assert stats == quadmod.sampling.RejectionStats(0, 0) and repr(stats) == "RejectionStats(trials=0, rejects=0)"
-    stats.record(True)
-    stats.record(False)
-    assert stats == quadmod.sampling.RejectionStats(2, 1) and stats != (2, 1)
-    assert copy.deepcopy(stats) == stats == pickle.loads(pickle.dumps(stats))
-    stats.reset()
-    assert (stats.trials, stats.rejects) == (0, 0)
-
-
 @pytest.mark.parametrize("caller, p", EQUAL_ORDERS_CALLERS)
-def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, caller, p):
+def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, unit_digit_trials, caller, p):
     # the one rejection loop of a cell with ord g1 = ord g2 = ord g, from
     # both its callers.  A type I head redraws y's unit digit y0 until
     # the tail's unit digit ct - cd*y0^2 is non-zero with g2's sign; a
@@ -565,8 +551,7 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, caller, p):
     # share of digits in 1..p-1 that fail, enumerated here with Euler's
     # criterion; the rejects over all trials must sit within 5 sigma of
     # the sum of those shares
-    stats = quadmod.sampling.RejectionStats()
-    monkeypatch.setattr(quadmod.sampling, "split_rejection_stats", stats)
+    stats = unit_digit_trials
     expected = variance = 0.0
     failures = 0
 

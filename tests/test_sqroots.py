@@ -68,6 +68,8 @@ def test_sqrt_unit_mod_2k_examples():
         sqrt_unit_mod_2k(4, 5)
     with pytest.raises(NotASquare):
         sqrt_unit_mod_2k(3, 3)
+    with pytest.raises(NotASquare):  # past the 4300-digit cap on int -> str
+        sqrt_unit_mod_2k(20000, 3 + 8 * 10**5000)
 
 
 def test_sqrt_unit_mod_2k_exhaustive_small():
