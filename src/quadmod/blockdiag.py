@@ -143,14 +143,21 @@ class AsymmetricEntry(DomainError):
 
 
 def check_symmetric(q_mat: Matrix) -> int:
-    """Validate a square symmetric matrix; return its dimension."""
+    """Validate a square symmetric matrix of ints, each of type int
+    exactly (a float, Fraction or bool entry raises); return its
+    dimension."""
     n = len(q_mat)
-    if any(len(row) != n for row in q_mat):
-        raise DomainError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if q_mat[i][j] != q_mat[j][i]:
-                raise AsymmetricEntry(i, j)
+    for i, row in enumerate(q_mat):
+        if len(row) != n:
+            raise DomainError("matrix is not square")
+        for j in range(i + 1):  # rows 0..i are n long
+            a, b = row[j], q_mat[j][i]
+            # an int object held in both places needs no second look
+            if type(a) is not int or a is not b and (type(b) is not int or a != b):
+                if type(a) is type(b) is int:
+                    raise AsymmetricEntry(i, j)
+                r, c, v = (i, j, a) if type(a) is not int else (j, i, b)
+                raise DomainError(f"matrix entry ({r},{c}) is a {type(v).__name__}, not an int")
     return n
 
 

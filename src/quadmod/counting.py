@@ -249,6 +249,8 @@ class PreparedForm:
         k = 1, 1 at t = 0 mod p).  It builds no layout and no table, and
         takes t's Legendre symbol only where an edge term twists by it.
         Raises ArithmeticError where the sums do not give a count."""
+        if type(t) is not int:
+            raise DomainError(f"t must be an int, got {type(t).__name__}")
         total, nprim = self.level.count(*valuation(self.pp, t % self.pp.q))
         return RepCounts(total, total - nprim, nprim)
 
@@ -277,6 +279,8 @@ def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     has an order 2 less (module docstring).  prepare(q_mat, pp).count(t)
     counts at level k itself, with the same result.  The form in no
     variables is counted at k."""
+    if type(t) is not int:
+        raise DomainError(f"t must be an int, got {type(t).__name__}")
     ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes L = k
     level = min(pp.k, ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
     scale = pp.p ** ((len(q_mat) - 1) * (pp.k - level))
@@ -290,6 +294,8 @@ def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
     stabilizing level s = 1 + ord_p(8 t det Q)."""
     from fractions import Fraction  # only a density needs it: no count or draw loads fractions
 
+    if type(t) is not int:
+        raise DomainError(f"t must be an int, got {type(t).__name__}")
     n = check_symmetric(q_mat)
     det = integer_det(q_mat)
     if det == 0:

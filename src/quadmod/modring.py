@@ -176,7 +176,7 @@ class PrimePower(Frozen):
     def __init__(self, p: int, k: int) -> None:
         # exact ints only: a float p or k gives a float q and rounded counts
         if type(p) is not int or type(k) is not int:
-            raise DomainError(f"p and k must be ints, got p={p!r}, k={k!r}")
+            raise DomainError(f"p and k must be ints, got {type(p).__name__} and {type(k).__name__}")
         if k < 1:
             raise DomainError("exponent must be >= 1")
         if not is_probable_prime(p):

@@ -22,7 +22,8 @@ Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
 solution class returns None (NoSolution); exhausting the retry cap of
 a randomized search raises LasVegasFail (Fail); a kind that is not a
-RepKind raises DomainError before any draw.  All case selection
+RepKind, or a t that is not an int, raises DomainError before any
+draw.  All case selection
 draws exact big-integer weights via uniform_below -- no floats, so a
 fixed seed gives a fixed transcript.
 
@@ -44,8 +45,8 @@ from .blockdiag import Block, TypeI, TypeII
 from .counting import (
     Level,
     PreparedForm,
-    RepCounts,
     _check_forms,
+    _crt_counts,
     _scaled_type2_counts,
     _type2_seeds,
     prepare,
@@ -73,20 +74,7 @@ class RepKind(Enum):
 
 def _check_kind(kind: RepKind) -> None:
     if not isinstance(kind, RepKind):
-        raise DomainError(f"kind must be a RepKind, got {kind!r}")
-
-
-def _choose_kind(c: RepCounts, kind: RepKind, rng: RandomSource) -> bool | None:
-    """Pick the primitive (True) or non-primitive (False) class with
-    probability proportional to its count; None when the request is
-    empty.  When only one class is non-empty it is taken with no draw."""
-    if kind is RepKind.PRIMITIVE:
-        return True if c.primitive else None
-    if kind is RepKind.NONPRIMITIVE:
-        return False if c.nonprimitive else None
-    if c.primitive and c.nonprimitive:
-        return uniform_below(c.total, rng) < c.primitive
-    return bool(c.primitive) if c.total else None
+        raise DomainError(f"kind must be a RepKind, got {type(kind).__name__}")
 
 
 def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
@@ -120,8 +108,8 @@ def sample_split(
     """Uniform pair (a, b) with symbol(a) = g1, symbol(b) = g2, a + b = t;
     None when no such pair exists.  A draw whose equal-orders rejection
     loop runs out is started again, RETRY_CAP times in all."""
+    g = symbol_of(pp, t)  # and checks t
     t %= pp.q
-    g = symbol_of(pp, t)
     if split_class_size(pp, g, g1, g2) == 0:
         return None
     return _restarting(lambda: _split(pp, t, g, g1, g2, rng))
@@ -413,43 +401,6 @@ def _pick_cell(
     raise RuntimeError("the chain walk ran past its last cell: a tail disagrees with the count drawn below")
 
 
-def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
-    """Uniform solution of the prepared x'Qx = t mod p^k of the requested kind.
-
-    Peel the blocks off one at a time, highest order first (the walk
-    order of the form's tables): choose how the target splits between
-    that block and the rest (and how primitivity splits) with exact
-    count weights, then go on with the rest.  Block solutions y, put
-    back in the blocks' own order, pull back to x = U y since U'QU is
-    the block form, with U applied as the diagonalization's moves, so U
-    is never built.  Nothing is diagonalized here.  The form's first
-    walk with a step calls form.walk(), which makes the layout and tables
-    and keeps them, with every tail entry read, so repeated draws of one
-    prepared form pay only for the count and the walk.
-    """
-    _check_kind(kind)
-    return _sample_counted(form, t, kind, rng, symbol_of(form.pp, t), form.count(t))
-
-
-def _sample_counted(
-    form: PreparedForm, t: int, kind: RepKind, rng: RandomSource, g: PkSymbol, counts: RepCounts
-) -> tuple[int, ...] | None:
-    """sample_prepared given t's symbol g and its count (form.count(t)),
-    which the caller has taken.  The tables are read only once a walk
-    runs, so an empty class builds none."""
-    pp = form.pp
-    t %= pp.q
-    if not form.blocks:
-        # the empty vector is the one solution, of value 0 and non-primitive
-        return () if t == 0 and kind is not RepKind.PRIMITIVE else None
-    want_prim = _choose_kind(counts, kind, rng)
-    if want_prim is None:
-        return None
-    total = counts.primitive if want_prim else counts.nonprimitive
-    y = _restarting(lambda: _sample_chain(form, t, g, want_prim, total, rng))
-    return form.diag.u_times(y)
-
-
 def _restarting(draw: Callable[[], T]) -> T:
     """draw(), started again after each LasVegasFail; the RETRY_CAP-th
     failure is raised."""
@@ -470,6 +421,12 @@ def sample_form(
     return sample_prepared(prepare(q_mat, pp), t, kind, rng)
 
 
+def sample_prepared(form: PreparedForm, t: int, kind: RepKind, rng: RandomSource) -> tuple[int, ...] | None:
+    """Uniform solution of the prepared x'Qx = t mod p^k of the requested
+    kind: the draw of sample_factors from its one factor."""
+    return sample_factors([form], t, kind, rng)
+
+
 def sample_composite(
     q_mat, factored_q: list[PrimePower], t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, ...] | None:
@@ -486,53 +443,55 @@ def sample_factors(
     """Uniform solution mod the product of the prepared factors' moduli,
     of the requested kind, assembled by the Chinese Remainder Theorem.
 
-    Any and Primitive are per-factor constraints.  NonPrimitive means
-    non-primitive at *some* prime, sampled by walking the factors and
-    branching, with exact weights, between "this factor non-primitive,
-    rest unconstrained" and "this factor primitive, constraint pending";
-    a branch that only one side can take is taken with no draw.  Forms
-    of different numbers of variables raise DomainError before any draw.
+    Each factor is counted once and t's symbol taken once per factor; a
+    class that the product's count leaves empty returns None before any
+    draw.  Then each factor takes its class in turn: Primitive the
+    primitive one, Any one drawn with probability proportional to its
+    count.  NonPrimitive means non-primitive at *some* prime: until a
+    factor is drawn non-primitive, each branches, with exact weights,
+    between "this factor non-primitive, rest unconstrained" and "this
+    factor primitive, constraint pending"; the factors after it are
+    drawn as Any.  A choice that only one class can take uses no draw.
+
+    In its class, a factor's walk peels the blocks off one at a time,
+    highest order first (_sample_chain): it chooses how the target
+    splits between that block and the rest, and how primitivity splits,
+    with exact count weights, then goes on with the rest.  Block
+    solutions y, put back in the blocks' own order, pull back to x = U y
+    since U'QU is the block form, with U applied as the diagonalization's
+    moves: U is never built, and nothing is diagonalized here.  A form's
+    first walk with a step calls form.walk(), which makes the layout and
+    tables and keeps them, so repeated draws of one prepared form pay
+    only for the count and the walk.  The form in no variables has no
+    blocks and no walk: its one solution, the empty vector, is of value
+    0 and non-primitive.  Forms of different numbers of variables raise
+    DomainError before any draw.
     """
     _check_forms(forms)
     _check_kind(kind)
     syms = [symbol_of(form.pp, t) for form in forms]
     per = [form.count(t) for form in forms]
-
-    if kind is RepKind.NONPRIMITIVE:
-        r = len(forms)
-        suffix_tot, suffix_prim = [1] * (r + 1), [1] * (r + 1)
-        for j in range(r - 1, -1, -1):
-            suffix_tot[j] = per[j].total * suffix_tot[j + 1]
-            suffix_prim[j] = per[j].primitive * suffix_prim[j + 1]
-        if suffix_tot[0] - suffix_prim[0] == 0:
-            return None
-        parts = []
-        pending = True
-        for j, form in enumerate(forms):
-            if not pending:
-                parts.append(_sample_counted(form, t, RepKind.ANY, rng, syms[j], per[j]))
-                continue
-            w_non = per[j].nonprimitive * suffix_tot[j + 1]
-            w_prim = per[j].primitive * (suffix_tot[j + 1] - suffix_prim[j + 1])
-            if w_non and (not w_prim or uniform_below(w_non + w_prim, rng) < w_non):
-                parts.append(_sample_counted(form, t, RepKind.NONPRIMITIVE, rng, syms[j], per[j]))
-                pending = False
-            else:
-                parts.append(_sample_counted(form, t, RepKind.PRIMITIVE, rng, syms[j], per[j]))
-    else:
-        needed = [c.primitive if kind is RepKind.PRIMITIVE else c.total for c in per]
-        if any(cnt == 0 for cnt in needed):
-            return None
-        parts = [_sample_counted(form, t, kind, rng, g, c) for form, g, c in zip(forms, syms, per)]
-
-    # componentwise CRT
+    n_any, n_prim, n_non = _crt_counts(per)
+    if not (n_prim if kind is RepKind.PRIMITIVE else n_non if kind is RepKind.NONPRIMITIVE else n_any):
+        return None
     q = math.prod(form.pp.q for form in forms)
-    n = len(parts[0])
-    x = [0] * n
-    for form, vec in zip(forms, parts):
-        assert vec is not None
-        m = q // form.pp.q
-        e = m * pow(m, -1, form.pp.q)
-        for i in range(n):
-            x[i] = (x[i] + e * vec[i]) % q
+    x = [0] * forms[0].n
+    pending = kind is RepKind.NONPRIMITIVE  # and no factor drawn non-primitive yet
+    for j, (form, g, c) in enumerate(zip(forms, syms, per)):
+        if pending:
+            rest = _crt_counts(per[j + 1 :])
+            w_non, w_prim = c.nonprimitive * rest.total, c.primitive * rest.nonprimitive
+            pending = want_prim = not w_non or bool(w_prim) and uniform_below(w_non + w_prim, rng) >= w_non
+        elif kind is RepKind.PRIMITIVE:
+            want_prim = True
+        elif c.primitive and c.nonprimitive:
+            want_prim = uniform_below(c.total, rng) < c.primitive
+        else:
+            want_prim = bool(c.primitive)
+        pp, total = form.pp, c.primitive if want_prim else c.nonprimitive
+        y = _restarting(lambda: _sample_chain(form, t % pp.q, g, want_prim, total, rng)) if form.blocks else []
+        m = q // pp.q
+        e = m * pow(m, -1, pp.q)  # 1 mod this factor's modulus, 0 mod the others'
+        for i, v in enumerate(form.diag.u_times(y)):
+            x[i] = (x[i] + e * v) % q
     return tuple(x)

@@ -56,17 +56,25 @@ SYMBOL_ZERO = PkSymbol(INF, 0)
 def _check_symbol(pp: PrimePower, g: PkSymbol) -> None:
     if g.ord == INF:
         if g.sgn != 0:
-            raise DomainError(f"order INF must carry sign 0, got {g}")
+            raise DomainError(f"order INF must carry sign 0, got sign {_shown(g.sgn)}")
         return
     if not (isinstance(g.ord, int) and 0 <= g.ord < pp.k):
-        raise DomainError(f"order {g.ord} out of range for k={pp.k}")
+        raise DomainError(f"order {_shown(g.ord)} out of range for k={pp.k}")
     allowed = (1, 3, 5, 7) if pp.p == 2 else (1, -1)
     if g.sgn not in allowed:
-        raise DomainError(f"sign {g.sgn} invalid for p={pp.p}")
+        raise DomainError(f"sign {_shown(g.sgn)} invalid for p={pp.p}")
+
+
+def _shown(v) -> str:
+    """v as an error message names it: an int of more than 64 bits by its
+    size, as printing an int past 4300 digits raises ValueError."""
+    return f"of {v.bit_length()} bits" if isinstance(v, int) and v.bit_length() > 64 else str(v)
 
 
 def symbol_of(pp: PrimePower, t: int) -> PkSymbol:
     """The symbol (ord, sgn) of t mod p^k."""
+    if type(t) is not int:
+        raise DomainError(f"t must be an int, got {type(t).__name__}")
     r = t % pp.q
     if r == 0:
         return SYMBOL_ZERO

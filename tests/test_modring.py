@@ -117,6 +117,12 @@ def test_prime_power_takes_int_p_and_k_only():
         PrimePower(5, True)
     with pytest.raises(DomainError):
         PrimePower(True, 1)
+    # the message names types: the repr of an int past the 4300-digit
+    # limit on int -> str conversion raised a bare ValueError
+    with pytest.raises(DomainError, match="got int and float"):
+        PrimePower(10**5000, 1.5)
+    with pytest.raises(DomainError, match="got float and int"):
+        PrimePower(3.0, 10**5000)
     pp = PrimePower(3, 1)
     for k in (2.0, True):
         with pytest.raises(DomainError):

@@ -329,7 +329,7 @@ KIND_SAMPLERS = {
 
 
 @pytest.mark.parametrize("name", KIND_SAMPLERS)
-@pytest.mark.parametrize("kind", ["primitive", None], ids=["str", "None"])
+@pytest.mark.parametrize("kind", ["primitive", None, 10**5000], ids=["str", "None", "int-of-5001-digits"])
 def test_samplers_reject_a_kind_that_is_not_a_repkind(name, kind):
     # a string or None is neither coerced nor read as ANY: every public
     # sampler raises before its first draw.  (Read as ANY, x^2 = 0 mod 9

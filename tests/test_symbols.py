@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadmod.symbols
 from quadmod.modring import INF, DomainError, PrimePower, legendre
+from quadmod.sampling import sample_split, sample_symbol_elem
 from quadmod.symbols import (
     PkSymbol,
     SymbolLayout,
@@ -318,6 +321,22 @@ def test_split_partners_validate_symbols():
         split_class_size(pp, PkSymbol(0, 1), PkSymbol(2, 1), PkSymbol(0, 1))
     with pytest.raises(DomainError, match="order INF must carry sign 0"):
         split_class_size(pp, PkSymbol(0, 1), PkSymbol(0, 1), PkSymbol(INF, 1))
+    # an order or sign past the interpreter's 4300-digit limit on int ->
+    # str conversion raised a bare ValueError from the message; it is
+    # named by its size, by every function that checks a symbol
+    huge, rng = 10**5000, random.Random(0)
+    for g, message in (
+        (PkSymbol(huge, 1), "order of 16610 bits out of range for k=2"),
+        (PkSymbol(-huge, 1), "order of 16610 bits out of range for k=2"),
+        (PkSymbol(0, huge), "sign of 16610 bits invalid for p=5"),
+        (PkSymbol(INF, huge), "order INF must carry sign 0, got sign of 16610 bits"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            split_class_size(pp, PkSymbol(0, 1), g, PkSymbol(0, 1))
+        with pytest.raises(DomainError, match=message):
+            sample_split(pp, 3, g, PkSymbol(0, 1), rng)
+        with pytest.raises(DomainError, match=message):
+            sample_symbol_elem(pp, g, rng)
 
 
 def test_symbols_module_holds_no_caches():
