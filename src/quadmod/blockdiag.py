@@ -22,16 +22,19 @@ mirrors those two rows and columns.  A step costs O((n - pos)^2), and
 the whole pass O(n^3).
 
 The elimination does not build U: it records its moves, and
-BlockDiagForm.u replays them on the identity (basis_change) the first
-time it is read.  A count reads the blocks only, and a draw applies the
-moves to one vector (BlockDiagForm.u_times), so neither pays for U.
+BlockDiagForm.u_times applies them to one vector, last move first.  A
+draw pulls its block solution back that way, a count reads the blocks
+only, and BlockDiagForm.u, built the first time it is read, is u_times
+of the unit vectors.
 
-Matrices are plain lists of lists of ints.  The sweep does not reduce
-the rows it changes: a row is reduced mod p^k when it becomes a pivot
-row (a type I row once it has an entry to clear), so an entry grows to
-about twice the width of p^k plus log n bits.  The pivot search reads
-entries only mod powers of p and through gcds with p^k, which an
-unreduced entry gives the same.
+Matrices are plain lists of lists of ints.  The input is reduced mod
+p^k once; after that a row is reduced only when it becomes a pivot row
+(a type I row once it has an entry to clear), and a block's entries as
+the block is made.  The sweep, the swaps and the odd-p pull leave the
+rows they change unreduced, so an entry grows to about twice the width
+of p^k plus log n bits.  The pivot search reads entries only mod powers
+of p and through gcds with p^k, which an unreduced entry gives the
+same.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ Move = tuple[int, int, int | None]
 
 class BlockDiagForm(Frozen):
     """The blocks of Q and the moves that reach them: u'Qu is the
-    direct sum of the blocks mod p^k, where u is built from the moves
-    the first time it is read."""
+    direct sum of the blocks mod p^k.  u_times applies u to one vector,
+    and u is built from it the first time it is read."""
 
     __slots__ = ("blocks", "modulus", "moves", "_u")
     _fields = ("blocks", "modulus", "moves")
@@ -113,8 +116,11 @@ class BlockDiagForm(Frozen):
 
     @property
     def u(self) -> tuple[tuple[int, ...], ...]:
+        """u mod q, built on its first read: column j is u_times(e_j)."""
         if self._u is None:
-            _set(self, "_u", basis_change(sum(b.dim for b in self.blocks), self.moves, self.modulus.q))
+            n = sum(b.dim for b in self.blocks)
+            cols = [self.u_times([int(i == j) for i in range(n)]) for j in range(n)]
+            _set(self, "_u", tuple(zip(*cols)))
         return self._u
 
     def u_times(self, y: list[int]) -> tuple[int, ...]:
@@ -161,10 +167,6 @@ def check_symmetric(q_mat: Matrix) -> int:
     return n
 
 
-def identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def integer_det(a: Matrix) -> int:
     """Exact determinant over Z by Bareiss's fraction-free elimination.
     After the step at pivot column c, entry (i, j) below and right of
@@ -208,18 +210,6 @@ def blocks_to_matrix(bd) -> Matrix:
     return out
 
 
-def basis_change(n: int, moves: tuple[Move, ...], q: int) -> tuple[tuple[int, ...], ...]:
-    """U mod q: the n x n identity with the recorded moves applied in
-    order to its columns, one whole column per move."""
-    cols = identity(n)  # cols[j] is column j of U
-    for c, s, a in moves:
-        if a is None:
-            cols[c], cols[s] = cols[s], [-x % q for x in cols[c]]
-        else:
-            cols[c] = [(x + a * y) % q for x, y in zip(cols[c], cols[s])]
-    return tuple(zip(*cols))
-
-
 def _pivot(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
     """Minimal-order entry (i, j, ord) with pos <= i <= j: the first
     diagonal entry of that order, else the first off-diagonal one in
@@ -259,14 +249,14 @@ def _mirror(m: Matrix, pos: int, i: int) -> None:
         m[r][i] = row[r]
 
 
-def _swap(m: Matrix, moves: list[Move], pos: int, i: int, j: int, q: int) -> None:
+def _swap(m: Matrix, moves: list[Move], pos: int, i: int, j: int) -> None:
     """Exchange basis vectors i, j >= pos, negating the new j to keep
     det = +1: on the columns and then the rows of m."""
     _mirror(m, pos, i)
     _mirror(m, pos, j)
     for row in m[pos:]:
-        row[i], row[j] = row[j], -row[i] % q
-    m[i], m[j] = m[j], [-x % q for x in m[i]]
+        row[i], row[j] = row[j], -row[i]
+    m[i], m[j] = m[j], [-x for x in m[i]]
     moves.append((i, j, None))
 
 
@@ -286,7 +276,7 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             break
         if i == j:
             if i != pos:
-                _swap(m, moves, pos, pos, i, q)
+                _swap(m, moves, pos, pos, i)
             top = m[pos]
             scale, mod = p**o, p ** (k - o)
             inv_cop = 0  # the pivot's inverse, taken at the first entry to clear
@@ -311,16 +301,16 @@ def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
             _mirror(m, pos, i)
             _mirror(m, pos, j)
             for row in m[pos:]:
-                row[i] = (row[i] + row[j]) % q
-            m[i] = [(x + y) % q for x, y in zip(m[i], m[j])]
+                row[i] += row[j]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
             moves.append((i, j, 1))
             # re-run selection; the pivot is now diagonal
         else:
             # p = 2: the 2x2 pivot stays; move it to (pos, pos+1)
             if i != pos:
-                _swap(m, moves, pos, pos, i, q)
+                _swap(m, moves, pos, pos, i)
             if j != pos + 1:
-                _swap(m, moves, pos, pos + 1, j, q)
+                _swap(m, moves, pos, pos + 1, j)
             top, second = m[pos], m[pos + 1]
             top[pos:] = [x % q for x in top[pos:]]
             second[pos:] = [x % q for x in second[pos:]]

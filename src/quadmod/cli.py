@@ -305,6 +305,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    """An option's value that counts something: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="quadmod",
@@ -314,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("instance", nargs="?", default=None, help="instance JSON file (default: stdin)")
     parser.add_argument("--kind", choices=["any", "primitive", "nonprimitive"], default="any")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=0, help="sampling trials for check")
-    parser.add_argument("--budget", type=int, default=None, help="oracle enumeration cap")
+    parser.add_argument("--trials", type=_non_negative_int, default=0, help="sampling trials for check")
+    parser.add_argument("--budget", type=_non_negative_int, default=None, help="oracle enumeration cap")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     return parser
 

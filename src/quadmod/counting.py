@@ -185,16 +185,17 @@ class PreparedForm:
     """x'Qx mod p^k with its block diagonalization, and what counts and
     draws read of it.
 
-    diag holds the blocks and the moves that reach them; u, with u'Qu
-    the direct sum of the blocks mod p^k, is built from those moves the
-    first time it is read, and a draw applies the moves to its vector
-    instead.  Making the form takes each block's class once (classes),
-    their tallies and the Level of all the blocks, which count reads:
-    every caller counts.  walk() makes what a draw's chain walk reads,
-    once.  The walk peels the blocks highest order first (walk_order),
-    the reverse of the ascending order in which block_diagonalize,
-    picking a minimal-order pivot each time, leaves them.  table reads a
-    new layout and Level at every symbol on every read.
+    diag holds the blocks and the moves that reach them; diag.u, with
+    u'Qu the direct sum of the blocks mod p^k, is built from those moves
+    the first time it is read, and a draw applies the moves to its
+    vector instead (diag.u_times).  Making the form takes each block's
+    class once (classes), their tallies and the Level of all the blocks,
+    which count reads: every caller counts.  walk() makes what a draw's
+    chain walk reads, once.  The walk peels the blocks highest order
+    first (walk_order), the reverse of the ascending order in which
+    block_diagonalize, picking a minimal-order pivot each time, leaves
+    them.  table reads a new layout and Level at every symbol on every
+    read.
     """
 
     def __init__(self, pp: PrimePower, diag: BlockDiagForm):
@@ -204,11 +205,6 @@ class PreparedForm:
         self.tallies = block_tallies(self.classes, pp.p)
         self.level = Level(pp, self.n, self.tallies)
         self._walk = None  # walk()'s tables, made on its first call
-
-    @property
-    def u(self) -> tuple[tuple[int, ...], ...]:
-        """The basis change, built on its first read (BlockDiagForm.u)."""
-        return self.diag.u
 
     @property
     def walk_order(self) -> range:
@@ -310,7 +306,7 @@ def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
         s += 1
     pp = base.with_exponent(s)
     total = count_form(q_mat, pp, t).total
-    return Fraction(total, p ** (s * (n - 1)))
+    return Fraction(total) / Fraction(p) ** (s * (n - 1))  # exact at n = 0 too
 
 
 def _check_factors(factored_q: list[PrimePower]) -> None:

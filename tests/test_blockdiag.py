@@ -235,6 +235,11 @@ def test_block_diagonalize_contract_wide(n, p, k):
         assert all(b.b % 2 == 1 for b in bd.blocks if isinstance(b, TypeII))
 
 
+def value(mat, y, q):
+    """y'My mod q."""
+    return sum(v * w for v, w in zip(y, times(mat, y, q))) % q
+
+
 def times(u, y, q):
     """u y mod q, as a dense product."""
     return [row[0] for row in mat_mul(u, [[v] for v in y], q)]
@@ -247,14 +252,19 @@ def times(u, y, q):
 )
 def test_u_times_applies_the_moves_as_u(n, p, k):
     # a draw pulls its block solution back through the recorded moves
-    # alone; both kinds of move must occur for the check to mean much
+    # alone; both kinds of move must occur for the check to mean much.
+    # u is built from u_times, so the pull-back is also checked without
+    # u: Q(u_times(y)) = D(y) mod q, D the direct sum of the blocks
     pp = PrimePower(p, k)
     rng = random.Random(f"u_times {n} {p} {k}")
     kinds = set()
     for mat in wide_forms(n, p, k):
         bd = block_diagonalize(mat, pp)
+        d = blocks_to_matrix(bd)
         kinds |= {a is None for _, _, a in bd.moves}
         for _ in range(3):
             y = [rng.randrange(pp.q) for _ in range(n)]
-            assert list(bd.u_times(y)) == times(bd.u, y, pp.q)
+            x = list(bd.u_times(y))
+            assert x == times(bd.u, y, pp.q)
+            assert value(mat, x, pp.q) == value(d, y, pp.q)
     assert kinds == {True, False}

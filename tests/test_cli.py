@@ -191,6 +191,22 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert captured.err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("option", ["--trials", "--budget"])
+def test_negative_trials_and_budget_are_usage_errors(tmp_path, capsys, option):
+    # a negative count of trials or of enumerated vectors is malformed,
+    # not 0 trials or a budget nothing fits in; 0 itself is valid
+    path = write_instance(tmp_path, {"q": [[1, 0], [0, 1]], "p": "5", "k": 1, "t": "1"})
+    for value in ("-5", "-1"):
+        assert main(["check", path, option, value]) == 3, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: quadmod")
+        assert captured.err.splitlines()[-1] == f"error: argument {option}: invalid non-negative int value: {value!r}"
+    assert main(["check", path, option, "0", "--format", "text"]) == 0
+    budget_0 = "SKIPPED (m^n exceeds budget 0)" if option == "--budget" else "OK"
+    assert capsys.readouterr().out.splitlines() == [f"count==oracle: {budget_0}"]
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise RecursionError("maximum recursion depth exceeded")

@@ -271,6 +271,15 @@ def test_local_density_examples():
         local_density([[1]], 5, 0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_local_density_of_the_form_in_no_variables(p):
+    # Q(x) = 0 for the one x, and s > ord_p t, so t is no value mod p^s:
+    # the density is 0, taken exactly although p^(s(n-1)) is a fraction
+    for t in (1, -1, 2, 7, p, p**3, -(p**5) * 11):
+        density = local_density([], p, t)
+        assert type(density) is Fraction and density == 0, t
+
+
 @pytest.mark.parametrize("p", [1, -1, 0, 4])
 def test_local_density_rejects_a_non_prime_p(p):
     # checked before the stabilizing loop, which would never end for p = +-1

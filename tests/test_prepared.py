@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from conftest import CallCounter
@@ -425,9 +426,16 @@ def test_layout_is_local_to_one_prepared_form():
 def test_counts_never_build_u(monkeypatch, tmp_path, capsys):
     # a count reads the blocks and tables only, and a draw applies the
     # recorded moves to its one vector; u is built from the moves only
-    # where it is printed, once per diagonalization
-    builds = CallCounter(quadmod.blockdiag.basis_change)
-    monkeypatch.setattr(quadmod.blockdiag, "basis_change", builds)
+    # where it is printed, once per diagonalization.  A read of u that
+    # finds it unbuilt is a build.
+    builds = SimpleNamespace(calls=0)
+    read_u = quadmod.blockdiag.BlockDiagForm.u.fget
+
+    def counted_u(bd):
+        builds.calls += bd._u is None
+        return read_u(bd)
+
+    monkeypatch.setattr(quadmod.blockdiag.BlockDiagForm, "u", property(counted_u))
     pp = PrimePower(3, 4)
     count_form(Q4, pp, 7)
     count_form(dense_even(6, 24), PrimePower(2, 6), 8)
@@ -442,7 +450,7 @@ def test_counts_never_build_u(monkeypatch, tmp_path, capsys):
     assert main(["diagonalize", str(path)]) == 0
     assert builds.calls == 1
     printed = json.loads(capsys.readouterr().out.splitlines()[-1])["u"]
-    assert printed == [[str(v) for v in row] for row in prepare(Q4, pp).u]
+    assert printed == [[str(v) for v in row] for row in prepare(Q4, pp).diag.u]
 
     form = prepare(Q4, pp)
     builds.calls = 0
