@@ -261,8 +261,15 @@ def _swap(m: Matrix, moves: list[Move], pos: int, i: int, j: int) -> None:
 
 
 def block_diagonalize(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
-    """Deterministic block diagonalization over Z/p^k."""
-    n = check_symmetric(q_mat)
+    """Deterministic block diagonalization over Z/p^k: check Q
+    (check_symmetric), then eliminate."""
+    check_symmetric(q_mat)
+    return _eliminate(q_mat, pp)
+
+
+def _eliminate(q_mat: Matrix, pp: PrimePower) -> BlockDiagForm:
+    """block_diagonalize of a Q that check_symmetric has passed."""
+    n = len(q_mat)
     p, k, q = pp.p, pp.k, pp.q
     m = [[x % q for x in row] for row in q_mat]
     moves: list[Move] = []

@@ -41,13 +41,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .blockdiag import (
-    BlockDiagForm,
-    TypeII,
-    block_diagonalize,
-    check_symmetric,
-    integer_det,
-)
+from .blockdiag import BlockDiagForm, TypeII, check_symmetric, integer_det
+# the elimination without the check: each public entry below checks Q once per call; it keeps
+# the name under which the tests and perfbench/tracing.py count diagonalizations
+from .blockdiag import _eliminate as block_diagonalize
 from .gauss import BlockClass, Level, block_classes, block_signs, block_tallies, suffix_tallies
 from .modring import INF, DomainError, PrimePower, valuation
 from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
@@ -136,9 +133,14 @@ def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[int, int, i
     at o = e; t = 0 takes the p^((k + e) // 2) x of order at least
     (k - e)/2, and d = 0 mod p^k every x.  A type II block's counts read
     the target only through its order (see _scaled_type2_counts), so
-    each order takes one value, at t2 = 2^(ord - ell - 1), and the seeds
-    are evaluated once per block; an anisotropic block (a c odd) has no
-    solution at every other order, which has no cell."""
+    each order takes one value, at t2 = 2^j, j = ord - ell - 1; below
+    the top order those read j only through j = 0, its parity and
+    j // 2, and come in one pass.  With E and O the primitive counts at
+    an even and an odd t2 (the seeds of that parity times 2^(k2 - 1)),
+    the primitive count is O at j = 0 and E above, and the non-primitive
+    one 0 at j < 2, then (j // 2 - 1) E plus E at odd j and O at even j.
+    An anisotropic block (a c odd) has E = 0, so no solution at every
+    other order, which has no cell."""
     pp, first = layout.pp, layout.first
     p, k = pp.p, pp.k
     if not isinstance(cls, TypeII):
@@ -153,13 +155,16 @@ def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[int, int, i
         return cells
     if cls.ell + 1 >= k:
         return [(0, 4**k, 4 ** (k - 1))]
-    k2, scale, seeds, cells = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c), []
-    for o in (k, *range(cls.ell + 1, k)):
-        prim, np_ = _scaled_type2_counts(seeds, 1 << (o - cls.ell - 1) if o < k else 0, k2)
-        if prim + np_:
-            total, nprim = scale * (prim + np_), scale * np_
-            for i in range(first[o], first[o + 1]) if o < k else (0,):
-                cells.append((i, total, nprim))
+    k2, scale, seeds = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c)
+    prim, np_ = _scaled_type2_counts(seeds, 0, k2)  # at the zero symbol, which x = 0 reaches
+    cells = [(0, scale * (prim + np_), scale * np_)]
+    even, odd = (scale * s << (k2 - 1) for s in seeds)  # E and O, scaled
+    for j in range(k2):
+        nprim = 0 if j < 2 else (j // 2 - 1) * even + (even if j & 1 else odd)
+        total = (even if j else odd) + nprim
+        if total:
+            o = cls.ell + 1 + j
+            cells += [(i, total, nprim) for i in range(first[o], first[o + 1])]
     return cells
 
 
@@ -255,7 +260,13 @@ def prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
     """Check Q and block-diagonalize it, once, and take what a count
     reads (PreparedForm).  The layout and tables of a draw's walk are
     left to the form's first walk(), and u to its first read."""
-    return PreparedForm(pp, block_diagonalize(q_mat, pp))  # checks Q
+    check_symmetric(q_mat)
+    return _prepare(q_mat, pp)
+
+
+def _prepare(q_mat: Matrix, pp: PrimePower) -> PreparedForm:
+    """prepare of a Q that check_symmetric has passed."""
+    return PreparedForm(pp, block_diagonalize(q_mat, pp))
 
 
 def form_counts_by_symbol(q_mat: Matrix, pp: PrimePower) -> dict[PkSymbol, RepCounts]:
@@ -277,10 +288,16 @@ def count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
     variables is counted at k."""
     if type(t) is not int:
         raise DomainError(f"t must be an int, got {type(t).__name__}")
+    check_symmetric(q_mat)
+    return _count_form(q_mat, pp, t)
+
+
+def _count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
+    """count_form of an int t and a Q that check_symmetric has passed."""
     ord_t = valuation(pp, t % pp.q).ord  # INF at t = 0 mod p^k, which makes L = k
     level = min(pp.k, ord_t + 1 + 2 * (pp.p == 2)) if q_mat else pp.k
     scale = pp.p ** ((len(q_mat) - 1) * (pp.k - level))
-    c = prepare(q_mat, pp.with_exponent(level)).count(t)
+    c = _prepare(q_mat, pp.with_exponent(level)).count(t)
     total, nonprimitive = c.total * scale, c.nonprimitive * scale
     return RepCounts(total, total - nonprimitive, nonprimitive)
 
@@ -305,7 +322,7 @@ def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
         arg //= p
         s += 1
     pp = base.with_exponent(s)
-    total = count_form(q_mat, pp, t).total
+    total = _count_form(q_mat, pp, t).total
     return Fraction(total) / Fraction(p) ** (s * (n - 1))  # exact at n = 0 too
 
 
@@ -326,9 +343,12 @@ def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepC
     scaled by p^((n - 1)(k - L)).  The Fourier terms above L are 0, so the
     totals scale, and the non-primitive counts, and so the primitive
     counts that the CRT product multiplies, scale with them (module
-    docstring).  No table is built."""
+    docstring).  No table is built, and Q is checked once."""
     _check_factors(factored_q)
-    return _crt_counts([count_form(q_mat, pp, t) for pp in factored_q])
+    if type(t) is not int:
+        raise DomainError(f"t must be an int, got {type(t).__name__}")
+    check_symmetric(q_mat)
+    return _crt_counts([_count_form(q_mat, pp, t) for pp in factored_q])
 
 
 def _check_forms(forms: list[PreparedForm]) -> None:

@@ -41,12 +41,13 @@ from collections.abc import Callable
 from enum import Enum
 from typing import TypeVar
 
-from .blockdiag import Block, TypeI, TypeII
+from .blockdiag import Block, TypeI, TypeII, check_symmetric
 from .counting import (
     Level,
     PreparedForm,
     _check_forms,
     _crt_counts,
+    _prepare,
     _scaled_type2_counts,
     _type2_seeds,
     prepare,
@@ -431,10 +432,12 @@ def sample_composite(
     q_mat, factored_q: list[PrimePower], t: int, kind: RepKind, rng: RandomSource
 ) -> tuple[int, ...] | None:
     """Uniform solution mod q = prod p_i^k_i of the requested kind:
-    prepare the form once per prime power and draw with sample_factors.
-    Each factor is counted by its Gauss sums, and its tables are made
-    once, for its walk, when the draw reaches it."""
-    return sample_factors([prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
+    check Q once, prepare the form once per prime power and draw with
+    sample_factors.  Each factor is counted by its Gauss sums, and its
+    tables are made once, for its walk, when the draw reaches it."""
+    if factored_q:  # an empty list is sample_factors' error, raised before Q is read
+        check_symmetric(q_mat)
+    return sample_factors([_prepare(q_mat, pp) for pp in factored_q], t, kind, rng)
 
 
 def sample_factors(

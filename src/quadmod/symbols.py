@@ -10,12 +10,13 @@ The chain walk splits a target between a block and the rest by the
 split size: for a target t of symbol g, the number of pairs (a, b) with
 prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` numbers
 the inhabited symbols of one modulus, order by order: the count tables
-are lists indexed by those positions.  The layout holds O(k) ints: a
-class size per order and, per position, the order, the sign and the
-position of the negated symbol (each order's slots reversed, or kept
-when p = 1 mod 4), and it makes a symbol from a position only where one
-is returned.  Its ``partners`` is the single source of split cells: given
-the positions of (g, g1) it lists only the g2 with a non-zero size, as
+are lists indexed by those positions.  The layout holds O(k) word-sized
+ints: per position the order, the sign and the position of the negated
+symbol (each order's slots reversed, or kept when p = 1 mod 4), and per
+order its first position.  It makes a class size, by the rule
+class_size also reads, and a symbol from a position only where one is
+returned.  Its ``partners`` is the single source of split cells: given
+the positions of (g, g1) it yields only the g2 with a non-zero size, as
 (position, size), which is one symbol except when ord(g1) = ord(g).
 ``split_class_size`` looks one triple of symbols up in it.
 
@@ -35,8 +36,8 @@ calls.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple
 
 from .modring import INF, DomainError, PrimePower, legendre, valuation
 
@@ -54,11 +55,16 @@ SYMBOL_ZERO = PkSymbol(INF, 0)
 
 
 def _check_symbol(pp: PrimePower, g: PkSymbol) -> None:
+    """An order is INF or an int, and a sign an int, of type int exactly."""
+    if type(g.sgn) is not int:
+        raise DomainError(f"sign must be an int, got {type(g.sgn).__name__}")
     if g.ord == INF:
         if g.sgn != 0:
             raise DomainError(f"order INF must carry sign 0, got sign {_shown(g.sgn)}")
         return
-    if not (isinstance(g.ord, int) and 0 <= g.ord < pp.k):
+    if type(g.ord) is not int:
+        raise DomainError(f"order must be an int or INF, got {type(g.ord).__name__}")
+    if not 0 <= g.ord < pp.k:
         raise DomainError(f"order {_shown(g.ord)} out of range for k={pp.k}")
     allowed = (1, 3, 5, 7) if pp.p == 2 else (1, -1)
     if g.sgn not in allowed:
@@ -102,14 +108,12 @@ def class_size(pp: PrimePower, g: PkSymbol) -> int:
     symbols report 0, keeping the partition sum equal to p^k.
     """
     _check_symbol(pp, g)
-    if g.ord == INF:
-        return 1
-    if _is_empty(pp, g):
-        return 0
-    m = pp.k - g.ord
-    if pp.p != 2:
-        return (pp.p - 1) // 2 * pp.p ** (m - 1)
-    return 2 ** (m - 3) if m >= 3 else 1
+    return 0 if _is_empty(pp, g) else _size(pp.p, pp.k, pp.k if g.ord == INF else g.ord)
+
+
+def _size(p: int, k: int, o: int) -> int:
+    """The size of an inhabited class of order o (class_size), 1 at o = k."""
+    return 1 if o == k else (p - 1) // 2 * p ** (k - o - 1) if p != 2 else 1 << max(k - o - 3, 0)
 
 
 def _is_empty(pp: PrimePower, g: PkSymbol) -> bool:
@@ -142,7 +146,8 @@ def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) ->
     if any(_is_empty(pp, h) for h in (g, g1, g2)):
         return 0  # before index, which knows only inhabited symbols
     layout = SymbolLayout(pp)
-    return dict(layout.partners(layout.index(g), layout.index(g1))).get(layout.index(g2), 0)
+    j, cells = layout.index(g2), layout.partners(layout.index(g), layout.index(g1))
+    return next((size if i2 == j else 0 for i2, size in cells if i2 >= j), 0)  # cells in position order
 
 
 class SymbolLayout:
@@ -150,24 +155,18 @@ class SymbolLayout:
     enumerate_symbols order, which index every count table: the zero
     symbol at 0, then order o at first[o] <= i < first[o + 1], one slot
     x = i - first[o] per sign (2x + 1 for p = 2, in min(4, 2^(k-o-1))
-    slots; 1, -1 for odd p).  It holds O(k) ints: ``size[o]``, the class
-    size of order o (size[k] = 1 for the zero symbol), and per position
-    ``ords``, the order (k at 0), ``sgns``, the sign (0 at 0), and
-    ``neg``, the negated symbol: the
-    slots of each order reversed, or kept when p = 1 mod 4, where -1 is
-    a square.  ``gap`` is the order gap G.  Nothing changes after
-    construction: ``partners`` computes every split cell by rule.
+    slots; 1, -1 for odd p).  It holds O(k) word-sized ints: ``first``,
+    and per position ``ords``, the order (k at 0), ``sgns``, the sign (0
+    at 0), and ``neg``, the negated symbol: the slots of each order
+    reversed, or kept when p = 1 mod 4, where -1 is a square.  ``gap``
+    is the order gap G.  Nothing changes after construction: ``size``
+    makes a class size and ``partners`` every split cell by rule.
     """
 
     def __init__(self, pp: PrimePower):
         p, k = pp.p, pp.k
         self.pp, self.gap = pp, 3 if p == 2 else 1
-        size, first, ords, sgns, neg = [1] * (k + 1), [0] * (k + 1), [k], [0], [0]
-        w = 1 if p == 2 else (p - 1) // 2
-        for o in range(k - 1, -1, -1):  # one running product, from the top order down
-            size[o] = w
-            if p != 2 or k - o >= 3:
-                w *= p
+        first, ords, sgns, neg = [0] * (k + 1), [k], [0], [0]
         for o in range(k):
             lo, slots = len(ords), 2 if p != 2 else min(4, 1 << (k - o - 1))
             first[o] = lo
@@ -175,10 +174,14 @@ class SymbolLayout:
             sgns += (1, 3, 5, 7)[:slots] if p == 2 else (1, -1)
             neg += range(lo, lo + slots) if p % 4 == 1 else range(lo + slots - 1, lo - 1, -1)
         first[k] = len(ords)
-        self.size, self.first, self.ords, self.sgns, self.neg = size, first, ords, sgns, neg
+        self.first, self.ords, self.sgns, self.neg = first, ords, sgns, neg
 
     def __len__(self) -> int:
         return len(self.ords)
+
+    def size(self, o: int) -> int:
+        """The size of the classes of order o, 1 at o = k (the zero symbol)."""
+        return _size(self.pp.p, self.pp.k, o)
 
     def at(self, o: int, s: int) -> int:
         """The position of the symbol of finite order o and sign s (1 or
@@ -196,7 +199,7 @@ class SymbolLayout:
         """The symbol at position i."""
         return PkSymbol(self.ords[i], self.sgns[i]) if i else SYMBOL_ZERO
 
-    def partners(self, i: int, i1: int) -> list[tuple[int, int]]:
+    def partners(self, i: int, i1: int) -> Iterable[tuple[int, int]]:
         """The non-zero split sizes at (symbol(i), symbol(i1)), as
         (position, size) in position order.
 
@@ -214,23 +217,24 @@ class SymbolLayout:
         * ord(g1) = ord(t): b = t - a has order >= ord(t).  b = 0 needs
           g1 = g (one pair).  The rest are the near cells (near), and,
           when g1 = g, every inhabited symbol of order >= ord(g) + G,
-          each with the size of its class.
+          each with the size of its class, made as the run is read.
         """
         if i1 == 0:
             return [(i, 1)]
         o1 = self.ords[i1]
         if i == 0:
-            return [(self.neg[i1], self.size[o1])]
-        o, size = self.ords[i], self.size[o1]
+            return [(self.neg[i1], self.size(o1))]
+        o = self.ords[i]
         if o1 >= o + self.gap:
-            return [(i, size)]
+            return [(i, self.size(o1))]
         if o1 <= o - self.gap:
-            return [(self.neg[i1], size)]
+            return [(self.neg[i1], self.size(o1))]
         near = self.near(i, i1)
         if i1 != i:
             return near
-        far = self.first[min(o + self.gap, self.pp.k)]
-        return [(0, 1), *near, *zip(range(far, len(self.ords)), map(self.size.__getitem__, self.ords[far:]))]
+        first = self.first
+        far = (zip(range(first[u], first[u + 1]), repeat(self.size(u))) for u in range(o + self.gap, self.pp.k))
+        return chain([(0, 1)], near, chain.from_iterable(far))
 
     def near(self, i: int, i1: int) -> list[tuple[int, int]]:
         """The partners of finite order below ord(g) + G at two finite
@@ -255,7 +259,7 @@ class SymbolLayout:
         o, o1 = self.ords[i], self.ords[i1]
         if o1 != o:  # the sign of the difference
             s, s1 = 2 * (i - first[o]) + 1, 2 * (i1 - first[o1]) + 1
-            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), self.size[o1])]
+            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), self.size(o1))]
         if p != 2:
             lo, scale = first[o], p ** (k - o - 1)
             s, s1 = (1, -1)[i - lo], (1, -1)[i1 - lo]
@@ -271,5 +275,5 @@ class SymbolLayout:
             if d & ((1 << delta) - 1) or not e & 1:
                 continue
             lo, hi = first[o + delta], first[o + delta + 1]
-            out += zip(range(lo + (e >> 1), hi, m >> (delta + 1)), repeat(self.size[o + delta]))  # slots (s2 - 1) / 2
+            out += zip(range(lo + (e >> 1), hi, m >> (delta + 1)), repeat(self.size(o + delta)))  # slots (s2 - 1) / 2
         return out

@@ -123,7 +123,7 @@ def _nonprimitive(layout: SymbolLayout, total: list[int], m: int) -> list[int]:
         nprim[0] = 1
         return nprim
     lifts = p**m
-    nprim[0] = (total[0] + sum(size[o] * sum(total[first[o] : first[o + 1]]) for o in (k - 2, k - 1))) // lifts
+    nprim[0] = (total[0] + sum(size(o) * sum(total[first[o] : first[o + 1]]) for o in (k - 2, k - 1))) // lifts
     top = max(2, k - 2) if p == 2 else k  # every order 2 <= o < top keeps its sign in each lift
     scale = p ** (m - 2)
     nprim[first[2] : first[top]] = [x // scale for x in total[1 : first[top - 2]]]
@@ -157,8 +157,8 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     for i in range(len(h) - 2, 0, -2):
         level[i] = c[i] * a + h[i] * s
         level[i + 1] = c[i + 1] * a + h[i + 1] * s
-        a += size[i >> 1] * (h[i] + h[i + 1])
-        s += size[i >> 1] * (c[i] + c[i + 1])
+        a += size(i >> 1) * (h[i] + h[i + 1])
+        s += size(i >> 1) * (c[i] + c[i + 1])
     # up the orders: B over the orders below o, and the near cells
     b, w = 0, p ** (k - 1)
     for i in range(1, len(h), 2):
@@ -166,7 +166,7 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
         both, e = w * p4 * (h1 + h2) * (c[i] + c[i + 1]), eps * w
         level[i] += b + both - e * h[n1] * c[n1]
         level[i + 1] += b + both - e * h[n2] * c[n2]
-        b += size[i >> 1] * (h1 * c[n1] + h2 * c[n2])
+        b += size(i >> 1) * (h1 * c[n1] + h2 * c[n2])
         w //= p
     level[0] = b + h[0] * c[0]
     return level
@@ -218,7 +218,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
             c2 * a + h2 * s + e1 * c1 + e2 * c0 + e3 * c3 + f1 * h1 + f2 * h0 + f3 * h3,
             c3 * a + h3 * s + e1 * c2 + e2 * c1 + e3 * c0 + f1 * h2 + f2 * h1 + f3 * h0,
         )[: hi - lo]
-        w = size[o]
+        w = size(o)
         upper, upper2 = (
             (w * sum(h[lo:hi:2]), w * sum(h[lo + 1 : hi : 2]), w * sum(c[lo:hi:2]), w * sum(c[lo + 1 : hi : 2])),
             upper,
@@ -234,7 +234,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
         c0, c1, c2, c3 = c[lo:hi] * (4 // (hi - lo))
         base = b_sum[o] + d2[1]
         level[lo:hi] = [x + base + d for x, d in zip(level[lo:hi], (d1[0], d1[2], d1[0], d1[2]))]
-        w, n = size[o], 4 // (hi - lo)
+        w, n = size(o), 4 // (hi - lo)
         d1, d2 = [
             w * x // n
             for x in (

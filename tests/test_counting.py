@@ -368,6 +368,35 @@ def test_scaled_type2_count_matches_recursion():
                 assert got == recursive_scaled_type2(a, b, c, t2, k2), (a, b, c, t2, k2)
 
 
+def type2_cells_by_order(cls, layout):
+    """block_cells of the type II block of class cls, built order by
+    order: one _scaled_type2_counts per order, at t2 = 2^(ord - ell - 1)
+    and at t2 = 0 for the zero symbol."""
+    k, first = layout.pp.k, layout.first
+    if cls.ell + 1 >= k:
+        return [(0, 4**k, 4 ** (k - 1))]
+    k2, scale, seeds, cells = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c), []
+    for o in (k, *range(cls.ell + 1, k)):
+        prim, np_ = _scaled_type2_counts(seeds, 1 << (o - cls.ell - 1) if o < k else 0, k2)
+        if prim + np_:
+            for i in range(first[o], first[o + 1]) if o < k else (0,):
+                cells.append((i, scale * (prim + np_), scale * np_))
+    return cells
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 24, 60])
+def test_type2_cells_in_one_pass_match_the_per_order_counts(k):
+    # block_cells makes a type II block's cells below the top order in
+    # one pass; they equal the per-order construction for every class:
+    # each scale ell, and each parity of a and c (b is odd)
+    layout = SymbolLayout(PrimePower(2, k))
+    for ell in range(k + 1):
+        for a in (0, 1, 2, 3):
+            for c in (0, 1, 2, 3):
+                cls = TypeII(ell, a, 1 + 2 * (a + c) % 4, c)
+                assert block_cells(cls, layout) == type2_cells_by_order(cls, layout), (k, cls)
+
+
 def test_type2_count_deep_modulus_partition():
     # 1200 levels of the two-bits-down reduction at t = 0: deeper than
     # the interpreter's stack allows a recursion to go

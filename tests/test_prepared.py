@@ -236,7 +236,7 @@ def test_count_sums_the_far_cells_by_order(q_mat, pp):
     layout, _, tails = form.walk()
     assert tails
     if pp.p == 2:
-        assert [o for o in range(1, pp.k) if layout.size[o - 1] == layout.size[o]] == list(range(max(1, pp.k - 2), pp.k))
+        assert [o for o in range(1, pp.k) if layout.size(o - 1) == layout.size(o)] == list(range(max(1, pp.k - 2), pp.k))
     for i in range(len(layout)):
         t = symbol_rep(pp, layout.symbol(i))
         assert count_by_partners(form, t) == form.count(t), layout.symbol(i)
@@ -354,6 +354,30 @@ def test_prepare_checks_symmetry_once(monkeypatch, q_mat):
         check.calls = 0
         prepare(q_mat, pp)
         assert check.calls == 1, pp
+
+
+THREE_FACTORS = [PrimePower(2, 3), PrimePower(3, 2), PrimePower(13, 1)]
+CHECKED_ONCE = {
+    "count_composite": lambda: count_composite(Q4, THREE_FACTORS, 14),
+    "sample_composite-any": lambda: sample_composite(Q4, THREE_FACTORS, 14, RepKind.ANY, random.Random(2)),
+    "sample_composite-primitive": lambda: sample_composite(Q4, THREE_FACTORS, 14, RepKind.PRIMITIVE, random.Random(2)),
+    "sample_composite-nonprimitive": lambda: sample_composite(
+        Q4, THREE_FACTORS, 14, RepKind.NONPRIMITIVE, random.Random(2)
+    ),
+    "local_density": lambda: local_density(Q4, 3, 7),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_ONCE)
+def test_composites_and_densities_check_q_once(monkeypatch, name):
+    # a composite call checks Q once, not once per prime power, and
+    # local_density once, not again inside its count
+    check = CallCounter(quadmod.blockdiag.check_symmetric)
+    for mod in (quadmod.blockdiag, quadmod.counting, quadmod.sampling):
+        if hasattr(mod, "check_symmetric"):
+            monkeypatch.setattr(mod, "check_symmetric", check)
+    CHECKED_ONCE[name]()
+    assert check.calls == 1
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

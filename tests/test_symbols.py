@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -226,18 +227,37 @@ def test_layout_rule_matches_the_symbol_functions(pp):
     assert [layout.symbol(i) for i in range(len(layout))] == inhabited
     for i, g in enumerate(inhabited):
         assert layout.index(layout.symbol(i)) == i
-        assert layout.size[layout.ords[i]] == class_size(pp, g)
+        assert layout.size(layout.ords[i]) == class_size(pp, g)
         assert (layout.ords[i], layout.sgns[i]) == ((pp.k, 0) if g.ord == INF else g)
         assert layout.symbol(layout.neg[i]) == symbol_of(pp, -symbol_rep(pp, g) if i else 0)
-    # O(k) data: no symbol is stored, and no per-position big int
+    # O(k) data: no symbol is stored, and no big int: every int the
+    # layout holds fits in a machine word
     lists = {name: v for name, v in vars(layout).items() if isinstance(v, list)}
-    assert sorted(lists) == ["first", "neg", "ords", "sgns", "size"]
-    assert len(layout.first) == len(layout.size) == pp.k + 1
+    assert sorted(lists) == ["first", "neg", "ords", "sgns"]
+    assert len(layout.first) == pp.k + 1
     assert not [v for v in vars(layout).values() if isinstance(v, PkSymbol)]
     assert all(type(x) is int for v in lists.values() for x in v)
+    held = [x for v in vars(layout).values() for x in (v if isinstance(v, list) else [v])]
+    assert all(-(2**63) <= x < 2**63 for x in held if isinstance(x, int))
     for v in (layout.ords, layout.neg):
         assert len(v) == len(layout) and all(0 <= x < len(layout) for x in v)
     assert len(layout.sgns) == len(layout)
+
+
+@pytest.mark.parametrize(
+    "pp", [PrimePower(3, 16000), PrimePower(2, 16000), PrimePower(P127, 2000)], ids=["3^16000", "2^16000", "P127^2000"]
+)
+def test_layout_memory_is_o_k_words(pp):
+    # the layout holds word-sized ints only, so building it peaks at a
+    # bounded number of bytes per order; a class size stored per order
+    # took O(k) bits each
+    tracemalloc.start()
+    try:
+        SymbolLayout(pp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * pp.k, peak / pp.k
 
 
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
@@ -342,3 +362,42 @@ def test_split_partners_validate_symbols():
 def test_symbols_module_holds_no_caches():
     # nothing in the module may grow with the moduli it has seen
     assert not [name for name, value in vars(quadmod.symbols).items() if hasattr(value, "cache_info")]
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (PkSymbol(True, 1), "order must be an int or INF, got bool"),
+        (PkSymbol(1.0, 1), "order must be an int or INF, got float"),
+        (PkSymbol("1", 1), "order must be an int or INF, got str"),
+        (PkSymbol(0, True), "sign must be an int, got bool"),
+        (PkSymbol(1, 3.0), "sign must be an int, got float"),
+        (PkSymbol(1, -1.0), "sign must be an int, got float"),
+        (PkSymbol(0, "1"), "sign must be an int, got str"),
+        (PkSymbol(INF, 0.0), "sign must be an int, got float"),
+        (PkSymbol(INF, False), "sign must be an int, got bool"),
+    ],
+    ids=repr,
+)
+def test_symbol_fields_must_be_ints(g, message):
+    # an order or a sign of a type other than int was read by its value
+    # (PkSymbol(1, 3.0) drew the float 6.0 mod 2^5, and PkSymbol(True, 1)
+    # was order 1) or rejected as out of range; every function that
+    # checks a symbol names the type, before any draw
+    one = PkSymbol(0, 1)
+    for pp in (PrimePower(2, 5), PrimePower(5, 4)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        calls = (
+            lambda: class_size(pp, g),
+            lambda: split_class_size(pp, g, one, one),
+            lambda: split_class_size(pp, one, g, one),
+            lambda: split_class_size(pp, one, one, g),
+            lambda: sample_symbol_elem(pp, g, rng),
+            lambda: sample_split(pp, 3, g, one, rng),
+            lambda: sample_split(pp, 3, one, g, rng),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=message):
+                call()
+        assert rng.getstate() == state
