@@ -27,10 +27,16 @@ import sys
 from collections import Counter
 from math import gcd, prod
 
-from .blockdiag import AsymmetricEntry, TypeI, block_diagonalize, check_symmetric
-from .counting import count_composite, count_factors, local_density, prepare
+from .blockdiag import AsymmetricEntry, TypeI, check_symmetric
+# parse_instance checks Q, once; the commands call the library's paths
+# that do not check it again, under the public names, which the tests
+# and perfbench/tracing.py wrap
+from .blockdiag import _eliminate as block_diagonalize
+from .counting import _count_composite as count_composite
+from .counting import _local_density as local_density
+from .counting import _prepare, count_factors
 from .modring import DomainError, Frozen, PrimePower, _set
-from .sampling import RepKind, sample_composite, sample_factors
+from .sampling import RepKind, sample_factors
 from .sqroots import LasVegasFail
 
 
@@ -183,7 +189,7 @@ def _cmd_count(instance: Instance, flags) -> tuple[int, str]:
 def _cmd_sample(instance: Instance, flags) -> tuple[int, str]:
     kind = RepKind(flags.kind)
     rng = random.Random(flags.seed)
-    x = sample_composite(instance.q, list(instance.factors), instance.t, kind, rng)
+    x = sample_factors([_prepare(instance.q, pp) for pp in instance.factors], instance.t, kind, rng)
     if x is None:
         return 1, _render({"result": "no-solution"}, ["no solution"], flags.format)
     payload = {"result": "ok", "x": [str(v) for v in x]}
@@ -274,7 +280,7 @@ def _check_sampling(instance: Instance, flags, rng, prepared) -> tuple[str, str]
 def _cmd_check(instance: Instance, flags) -> tuple[int, str]:
     rng = random.Random(flags.seed)
     # the factors, prepared on first use, then shared by the count and every draw
-    prepared = functools.cache(lambda: [prepare(instance.q, pp) for pp in instance.factors])
+    prepared = functools.cache(lambda: [_prepare(instance.q, pp) for pp in instance.factors])
     results = [_check_counts(instance, flags.budget, prepared)]
     if flags.trials > 0:
         results.append(_check_sampling(instance, flags, rng, prepared))

@@ -15,24 +15,24 @@ needs more than N(t): each step of the chain walk weighs split cells by
 counts at target symbols, of the head block it peels and of the tail,
 the blocks it peels after that one.  Each head block's counts come in
 closed form (1x1 blocks for any p, 2x2 blocks for p = 2; block_cells),
-as its list of cells: (position, total, non-primitive) at the positions
-of the SymbolLayout where the total is not 0, in position order, so a
-scan reads only those.  A tail's counts are read on demand off
-the Gauss sums of its blocks, by the reader a count uses (gauss.Level),
-only at the cells a step's scan reaches.  Symbols and {symbol:
-RepCounts} dicts are made only at the public boundary
-(PreparedForm.table, symbol_table).
+as its list of cells: (symbol, total, non-primitive) at the inhabited
+symbols where the total is not 0, in enumerate_symbols order, so a scan
+reads only those.  A tail's counts are read on demand off the Gauss
+sums of its blocks, by the reader a count uses (gauss.Level), only at
+the cells a step's scan reaches.  {symbol: RepCounts} dicts are made
+only at the public boundary (PreparedForm.table, symbol_table).
 
 ``prepare`` diagonalizes a form and builds what a count reads: each
 block's order and unit class, taken once for the tallies and the walk
 alike (gauss.block_classes), the tallies and the Level of all the
 blocks.  PreparedForm.walk() builds, on its first call, what a draw's
-walk with a step reads and a count does not: the layout, the cells of
-each block the walk peels but the last, highest order first
-(PreparedForm.walk_order), and one Level per tail.  The walk's first
-step weighs the cells of the top level, from the head block's cells
-and the first tail, and those weights sum to the Gauss-sum count.
-PreparedForm.table reads a new Level of all the blocks at every symbol.
+walk with a step reads and a count does not: the layout, which holds
+no table (symbols.SymbolLayout), the cells of each block the walk
+peels but the last, highest order first (PreparedForm.walk_order), and
+one Level per tail.  The walk's first step weighs the cells of the top
+level, from the head block's cells and the first tail, and those
+weights sum to the Gauss-sum count.  PreparedForm.table reads a new
+Level of all the blocks at every symbol.
 Draws and tables stay at level k.  A composite modulus is a list of
 prepared factors, all of one number of variables.
 """
@@ -70,11 +70,11 @@ class ZeroTarget(DomainError):
 
 
 def symbol_table(layout: SymbolLayout, level: Level) -> dict[PkSymbol, RepCounts]:
-    """A Level read at every position of the layout, as {symbol:
-    RepCounts} in position order, the form in which the public functions
+    """A Level read at every symbol of the layout, as {symbol: RepCounts}
+    in enumerate_symbols order, the form in which the public functions
     return tables."""
     table = {}
-    for g in map(layout.symbol, range(len(layout))):
+    for g in layout:
         tot, np_ = level.at(*g)
         table[g] = RepCounts(tot, tot - np_, np_)
     return table
@@ -120,13 +120,13 @@ def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int,
     return prim, (levels - 1) * prim + 4**levels * total_last
 
 
-def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[int, int, int]]:
+def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[PkSymbol, int, int]]:
     """The counts of the block of class cls (gauss.block_signs) in closed
-    form, as (position, total, non-primitive) at every position of the
-    layout where the total is not 0, in position order.  A type I block
+    form, as (symbol, total, non-primitive) at every inhabited symbol
+    where the total is not 0, in enumerate_symbols order.  A type I block
     d = p^e u reaches the zero symbol and one symbol in each order
     o = e, e + 2, ... below k, the one of u's square class: its Legendre
-    symbol for odd p, and u mod 8 for p = 2, which layout.at reads
+    symbol for odd p, and u mod 8 for p = 2, which layout.symbol reads
     modulo min(8, 2^(k - ord)).  There x = p^((o-e)/2) y with y a unit
     root of the unit parts (2 of them for odd p; for p = 2, 4 once
     k - o >= 3, else k - o) and (o + e)/2 free digits, primitive exactly
@@ -141,36 +141,35 @@ def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[int, int, i
     one 0 at j < 2, then (j // 2 - 1) E plus E at odd j and O at even j.
     An anisotropic block (a c odd) has E = 0, so no solution at every
     other order, which has no cell."""
-    pp, first = layout.pp, layout.first
-    p, k = pp.p, pp.k
+    p, k = layout.pp.p, layout.pp.k
     if not isinstance(cls, TypeII):
         ord_d, sgn = cls
         if ord_d == INF:
-            return [(0, p**k, p ** (k - 1))]
+            return [(SYMBOL_ZERO, p**k, p ** (k - 1))]
         top = p ** ((k + ord_d) // 2)
-        cells = [(0, top, top)]
+        cells = [(SYMBOL_ZERO, top, top)]
         for o in range(ord_d, k, 2):
             total = (2 if p != 2 else 4 if k - o >= 3 else k - o) * p ** ((o + ord_d) // 2)
-            cells.append((layout.at(o, sgn), total, total if o > ord_d else 0))
+            cells.append((layout.symbol(o, sgn), total, total if o > ord_d else 0))
         return cells
     if cls.ell + 1 >= k:
-        return [(0, 4**k, 4 ** (k - 1))]
+        return [(SYMBOL_ZERO, 4**k, 4 ** (k - 1))]
     k2, scale, seeds = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c)
     prim, np_ = _scaled_type2_counts(seeds, 0, k2)  # at the zero symbol, which x = 0 reaches
-    cells = [(0, scale * (prim + np_), scale * np_)]
+    cells = [(SYMBOL_ZERO, scale * (prim + np_), scale * np_)]
     even, odd = (scale * s << (k2 - 1) for s in seeds)  # E and O, scaled
     for j in range(k2):
         nprim = 0 if j < 2 else (j // 2 - 1) * even + (even if j & 1 else odd)
         total = (even if j else odd) + nprim
         if total:
             o = cls.ell + 1 + j
-            cells += [(i, total, nprim) for i in range(first[o], first[o + 1])]
+            cells += [(PkSymbol(o, s), total, nprim) for s in layout.signs(o)]
     return cells
 
 
 def chain_tables(
     blocks: tuple[BlockClass, ...], layout: SymbolLayout
-) -> tuple[list[list[tuple[int, int, int]]], list[Level]]:
+) -> tuple[list[list[tuple[PkSymbol, int, int]]], list[Level]]:
     """What a chain walk over the blocks reads, given by their classes as
     the cells read them (gauss.block_signs): per_block[j], the cells of
     blocks[j] (block_cells), for each head the walk peels, all but the
@@ -220,7 +219,7 @@ class PreparedForm:
         block's."""
         return range(len(self.blocks) - 1, -1, -1)
 
-    def walk(self) -> tuple[SymbolLayout, list[list[tuple[int, int, int]]], list[Level]]:
+    def walk(self) -> tuple[SymbolLayout, list[list[tuple[PkSymbol, int, int]]], list[Level]]:
         """(layout, per_block, tails), made on the first call and kept:
         the form's symbol layout, per_block[j] the non-zero cells of the
         j-th block the walk peels, blocks[walk_order[j]] (block_cells),
@@ -305,12 +304,17 @@ def _count_form(q_mat: Matrix, pp: PrimePower, t: int) -> RepCounts:
 def local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
     """The local density of Q at t: A_{p^s}(Q,t) / p^(s(n-1)) at the
     stabilizing level s = 1 + ord_p(8 t det Q)."""
-    from fractions import Fraction  # only a density needs it: no count or draw loads fractions
-
     if type(t) is not int:
         raise DomainError(f"t must be an int, got {type(t).__name__}")
-    n = check_symmetric(q_mat)
-    det = integer_det(q_mat)
+    check_symmetric(q_mat)
+    return _local_density(q_mat, p, t)
+
+
+def _local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
+    """local_density of an int t and a Q that check_symmetric has passed."""
+    from fractions import Fraction  # only a density needs it: no count or draw loads fractions
+
+    n, det = len(q_mat), integer_det(q_mat)
     if det == 0:
         raise SingularForm("det Q = 0")
     if t == 0:
@@ -348,6 +352,12 @@ def count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepC
     if type(t) is not int:
         raise DomainError(f"t must be an int, got {type(t).__name__}")
     check_symmetric(q_mat)
+    return _count_composite(q_mat, factored_q, t)
+
+
+def _count_composite(q_mat: Matrix, factored_q: list[PrimePower], t: int) -> RepCounts:
+    """count_composite of checked factors, an int t and a Q that
+    check_symmetric has passed."""
     return _crt_counts([_count_form(q_mat, pp, t) for pp in factored_q])
 
 

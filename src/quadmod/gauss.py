@@ -146,7 +146,8 @@ class Level:
         self._unit = min(k, n * k) + (p == 2)
         self._last = n * k + self.den - k  # the exponent of the last power made
         self._power = p ** (self._last - self._unit)
-        self._sums, self._terms = [self._power], [_NO_TERM]  # A_j, and (w, power) by j
+        # A_j, and the weights and power of the term j, by j
+        self._sums, self._weights, self._powers = [self._power], [_NO_TERM], [0]
         self._read: dict[tuple[Ordinal, int | None], tuple[int, int]] = {}
 
     def at(self, o: Ordinal, s: int) -> tuple[int, int]:
@@ -169,7 +170,7 @@ class Level:
         if self.p == 2 or o >= self.k:
             return self.at(o, u % 8)
         self._take(o + 1)
-        (w, _), (w2, _) = self._terms[o + 1], self._terms[o - 1] if o else _NO_TERM
+        w, w2 = self._weights[o + 1], self._weights[o - 1] if o else _NO_TERM
         return self.at(o, legendre(u, self.p) if w[1] != w[-1] or w2[1] != w2[-1] else 1)
 
     def above(self, m: int) -> tuple[int, int]:
@@ -191,29 +192,28 @@ class Level:
 
     def _take(self, last: int) -> None:
         """Take the terms up to j = last."""
-        p, sums, terms = self.p, self._sums, self._terms
+        p, sums = self.p, self._sums
         if last < len(sums):
             return
         for j in range(len(sums), last + 1):
             # a term that is 0 keeps the last power
-            e, w = _term(self.pp, self.n, self.tallies, j) or (self._last, _NO_TERM[0])
+            e, w = _term(self.pp, self.n, self.tallies, j) or (self._last, _NO_TERM)
             if e < self._unit:
                 raise ArithmeticError(f"a Gauss-sum term mod p^{self.k} falls below p^{self._unit}")
             d, self._last = e - self._last, e
             self._power = self._power * p**d if d >= 0 else self._power // p**-d
             sums.append(sums[-1] + w[0] * self._power)
-            terms.append((w, self._power))
+            self._weights.append(w)
+            self._powers.append(self._power)
 
     def _sum(self, o: int, s: int, cut: int) -> int:
         """The sum at order o and sign s, cut at j <= cut, in units of
         p^unit: A_o and the edge terms o < j <= cut, G of them at most."""
-        num, terms = self._sums[o], self._terms
+        num, weights, powers = self._sums[o], self._weights, self._powers
         if self.p != 2:
-            w, v = terms[o + 1] if o < cut else _NO_TERM
-            return num + w[s] * v
+            return num + weights[o + 1][s] * powers[o + 1] if o < cut else num
         for j in range(o + 1, min(o + 3, cut) + 1):
-            w, v = terms[j]
-            num += w[s << 3 >> j - o & 7] * v
+            num += weights[j][s << 3 >> j - o & 7] * powers[j]
         return num
 
     def _exact(self, num: int, den: int) -> int:
@@ -229,7 +229,7 @@ class Level:
 
 
 # The weights of a j with no term
-_NO_TERM = ((0,) * 8, 0)
+_NO_TERM = (0,) * 8
 
 
 def _term(pp: PrimePower, n: int, tallies: Tallies, j: int) -> tuple[int, tuple] | None:

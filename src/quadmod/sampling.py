@@ -9,14 +9,14 @@ cells per head block (counting.block_cells) and a Level per tail, read
 where a step's scan reaches it.  They give the walk's cell weights,
 whose sum at the first step is the count.  The walk peels the blocks highest order first
 (PreparedForm.walk_order), so the lowest-order blocks come last and a
-draw mostly takes one square root per factor, the last block's.  It
-reads its split cells from the form's symbol layout, which computes the
-near cells by rule, its head entries from the head's cells, in position
-order, and its tail entries by symbol.  Each step draws once below the
-count of its class and scans the cells in order to the one that holds
-the draw.  A choice that only one class can take (the kind of an ANY
-draw, a factor's branch of a composite NONPRIMITIVE draw) is made
-without a draw.
+draw mostly takes one square root per factor, the last block's.  Every
+cell is named by its symbols: the walk reads its split cells (g1, g2)
+from the form's symbol layout, which computes them by rule, its head
+entries from the head's cells, in enumerate_symbols order, and its tail
+entries at g2.  Each step draws once below the count of its class and
+scans the cells in order to the one that holds the draw.  A choice that
+only one class can take (the kind of an ANY draw, a factor's branch of
+a composite NONPRIMITIVE draw) is made without a draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
@@ -306,11 +306,10 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
     parts: list[tuple[int, ...]] = [()] * len(blocks)
     if order:  # a walk with a step reads the layout and the tables
         layout, per_block, tails = form.walk()
-        i = layout.index(g)
     for j, b in enumerate(order):
         r = uniform_below(total, rng)
-        i1, i2, head_prim, want_prim = _pick_cell(layout, per_block[j], tails[j], i, want_prim, r)
-        blk, g1, g2 = blocks[b], layout.symbol(i1), layout.symbol(i2)
+        g1, g2, head_prim, want_prim = _pick_cell(layout, per_block[j], tails[j], g, want_prim, r)
+        blk = blocks[b]
         if isinstance(blk, TypeI) and g1.ord != INF and (g1.ord != g.ord or g2.ord == g.ord):
             x, t = _sample_head_type1(blk.d, pp, t, g, g1, g2, rng)
             parts[b] = (x,)
@@ -318,7 +317,7 @@ def _sample_chain(form: PreparedForm, t: int, g: PkSymbol, want_prim: bool, tota
             a, t = _split(pp, t, g, g1, g2, rng)
             parts[b] = _sample_block(blk, pp, a, g1, head_prim, rng)
         c_tot, c_np = tails[j].at(*g2)
-        total, i, g = c_tot - c_np if want_prim else c_np, i2, g2
+        total, g = c_tot - c_np if want_prim else c_np, g2
     parts[last] = _sample_block(blocks[last], pp, t, g, want_prim, rng)
     return [v for part in parts for v in part]
 
@@ -363,42 +362,42 @@ def _sample_head_type1(
 
 
 def _pick_cell(
-    layout: SymbolLayout, head: list[tuple[int, int, int]], tail: Level, i: int, want_prim: bool, r: int
-) -> tuple[int, int, bool, bool]:
-    """The cell (i1, i2, head primitive, tail primitive) of the target at
-    position i whose weight holds r, scanning the head's cells (i1, h,
-    hn) (block_cells), each one's split cells (g1, g2) in partners order
-    and, in the primitive class, each cell's three primitivity splits.
-    A cell weighs its split size times the head's
-    count at g1 times the tail's at g2 in their classes; r must fall
-    below the sum of the weights, the count of the target's class.  The
-    tail is read only at the g2 the scan reaches, and the cells of
-    g1 = g at the orders o + G and above, the last of its partners, are
-    weighed together (tail.above) and scanned only when r falls in them."""
-    ords, sgns = layout.ords, layout.sgns
-    far = layout.first[min(ords[i] + layout.gap, layout.pp.k)] if i else -1
-    for i1, h, hn in head:
-        for i2, size in layout.partners(i, i1):
-            if i2 == far:  # every symbol from here up, but the zero symbol read first
-                (at, an), (zt, zn) = tail.above(ords[far]), tail.at(INF, 0)
+    layout: SymbolLayout, head: list[tuple[PkSymbol, int, int]], tail: Level, g: PkSymbol, want_prim: bool, r: int
+) -> tuple[PkSymbol, PkSymbol, bool, bool]:
+    """The cell (g1, g2, head primitive, tail primitive) of the target of
+    symbol g whose weight holds r, scanning the head's cells (g1, h, hn)
+    (block_cells) and each one's split cells (g1, g2) in partners order.
+    A cell weighs its split size times the head's count at g1 times the
+    tail's at g2 in their classes: in the primitive class the sum of its
+    three primitivity splits, which only the cell that holds r tells
+    apart.  r must fall below the sum of the weights, the count of the
+    target's class.  The tail is read only at the g2 the scan reaches,
+    and the far run of g1 = g, the last of its partners, which starts at
+    the symbol (ord g + G, 1), is weighed whole (tail.above) and scanned
+    only when r falls in it."""
+    far = (g.ord + layout.gap, 1)  # only compared: a plain pair, and no symbol when ord g + G >= k
+    for g1, h, hn in head:
+        for g2, size in layout.partners(g, g1):
+            if g2 == far:  # every symbol from here up, but the zero symbol read first
+                (at, an), (zt, zn) = tail.above(far[0]), tail.at(INF, 0)
                 w = hn * (an - zn) if not want_prim else hn * (at - an - zt + zn) + (h - hn) * (at - zt)
                 if r >= w:
                     r -= w
                     break
-                far = -1  # scan the run cell by cell
-            ct, cn = tail.at(ords[i2], sgns[i2])
-            if want_prim:
-                hp, cp = size * (h - hn), ct - cn
-                splits = ((size * hn * cp, False, True), (hp * cn, True, False), (hp * cp, True, True))
-                for w, head_prim, tail_prim in splits:
-                    if r < w:
-                        return i1, i2, head_prim, tail_prim
-                    r -= w
-            else:
-                w = size * hn * cn
-                if r < w:
-                    return i1, i2, False, False
+                far = None  # scan the run cell by cell
+            ct, cn = tail.at(g2.ord, g2.sgn)  # not at(*g2), which copies a tuple subclass per call
+            sized_hn = size * hn  # each product below takes one big tail count
+            w = size * h * ct - sized_hn * cn if want_prim else sized_hn * cn
+            if r >= w:
                 r -= w
+                continue
+            if not want_prim:
+                return g1, g2, False, False
+            # the splits, in the order (head, tail primitive) = (no, yes), (yes, no), (yes, yes)
+            w = sized_hn * (ct - cn)
+            if r < w:
+                return g1, g2, False, True
+            return g1, g2, True, r - w >= size * (h - hn) * cn
     raise RuntimeError("the chain walk ran past its last cell: a tail disagrees with the count drawn below")
 
 

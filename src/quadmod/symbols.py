@@ -8,16 +8,13 @@ through their symbol.
 
 The chain walk splits a target between a block and the rest by the
 split size: for a target t of symbol g, the number of pairs (a, b) with
-prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` numbers
-the inhabited symbols of one modulus, order by order: the count tables
-are lists indexed by those positions.  The layout holds O(k) word-sized
-ints: per position the order, the sign and the position of the negated
-symbol (each order's slots reversed, or kept when p = 1 mod 4), and per
-order its first position.  It makes a class size, by the rule
-class_size also reads, and a symbol from a position only where one is
-returned.  Its ``partners`` is the single source of split cells: given
-the positions of (g, g1) it yields only the g2 with a non-zero size, as
-(position, size), which is one symbol except when ord(g1) = ord(g).
+prescribed symbols g1, g2 and a + b = t.  A ``SymbolLayout`` gives the
+inhabited symbols of one modulus, in enumerate_symbols order, by rule:
+it holds the modulus and the order gap and nothing per order, and makes
+a symbol, its negation or a class size from an order and a sign where
+one is read.  Its ``partners`` is the single source of split cells:
+given (g, g1) it yields only the g2 with a non-zero size, as (g2,
+size), which is one symbol except when ord(g1) = ord(g).
 ``split_class_size`` looks one triple of symbols up in it.
 
 Beyond an order gap G (3 for p = 2, where three bits of the coprime
@@ -37,7 +34,7 @@ calls.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .modring import INF, DomainError, PrimePower, legendre, valuation
 
@@ -66,8 +63,7 @@ def _check_symbol(pp: PrimePower, g: PkSymbol) -> None:
         raise DomainError(f"order must be an int or INF, got {type(g.ord).__name__}")
     if not 0 <= g.ord < pp.k:
         raise DomainError(f"order {_shown(g.ord)} out of range for k={pp.k}")
-    allowed = (1, 3, 5, 7) if pp.p == 2 else (1, -1)
-    if g.sgn not in allowed:
+    if g.sgn not in ((1, 3, 5, 7) if pp.p == 2 else (1, -1)):
         raise DomainError(f"sign {_shown(g.sgn)} invalid for p={pp.p}")
 
 
@@ -85,8 +81,7 @@ def symbol_of(pp: PrimePower, t: int) -> PkSymbol:
     if r == 0:
         return SYMBOL_ZERO
     ord_, cop = valuation(pp, r)
-    sgn = cop % 8 if pp.p == 2 else legendre(cop, pp.p)
-    return PkSymbol(ord_, sgn)
+    return PkSymbol(ord_, cop % 8 if pp.p == 2 else legendre(cop, pp.p))
 
 
 def enumerate_symbols(pp: PrimePower) -> list[PkSymbol]:
@@ -108,12 +103,7 @@ def class_size(pp: PrimePower, g: PkSymbol) -> int:
     symbols report 0, keeping the partition sum equal to p^k.
     """
     _check_symbol(pp, g)
-    return 0 if _is_empty(pp, g) else _size(pp.p, pp.k, pp.k if g.ord == INF else g.ord)
-
-
-def _size(p: int, k: int, o: int) -> int:
-    """The size of an inhabited class of order o (class_size), 1 at o = k."""
-    return 1 if o == k else (p - 1) // 2 * p ** (k - o - 1) if p != 2 else 1 << max(k - o - 3, 0)
+    return 0 if _is_empty(pp, g) else SymbolLayout(pp).size(pp.k if g.ord == INF else g.ord)
 
 
 def _is_empty(pp: PrimePower, g: PkSymbol) -> bool:
@@ -139,72 +129,67 @@ def split_class_size(pp: PrimePower, g: PkSymbol, g1: PkSymbol, g2: PkSymbol) ->
 
     Well-defined for any t with symbol g: the size SymbolLayout.partners
     lists for g2, or 0 when it does not list g2 or when any of the three
-    classes is empty.  All three symbols are validated.
+    classes is empty.  All three symbols are validated.  A g2 in the far
+    run of g1 = g is sized by its order; any other is looked up in the
+    partners only up to its order, so no cell of the far run is made.
     """
     for h in (g, g1, g2):
         _check_symbol(pp, h)
     if any(_is_empty(pp, h) for h in (g, g1, g2)):
-        return 0  # before index, which knows only inhabited symbols
+        return 0  # partners lists only inhabited symbols
     layout = SymbolLayout(pp)
-    j, cells = layout.index(g2), layout.partners(layout.index(g), layout.index(g1))
-    return next((size if i2 == j else 0 for i2, size in cells if i2 >= j), 0)  # cells in position order
+    if g1 == g and g.ord + layout.gap <= g2.ord < pp.k:
+        return layout.size(g2.ord)
+    cells = layout.partners(g, g1)  # the zero symbol first, then by ascending order
+    return next((size if h == g2 else 0 for h, size in cells if h == g2 or g2.ord < h.ord < INF), 0)
 
 
 class SymbolLayout:
-    """The positions of the inhabited symbols of one modulus, in
-    enumerate_symbols order, which index every count table: the zero
-    symbol at 0, then order o at first[o] <= i < first[o + 1], one slot
-    x = i - first[o] per sign (2x + 1 for p = 2, in min(4, 2^(k-o-1))
-    slots; 1, -1 for odd p).  It holds O(k) word-sized ints: ``first``,
-    and per position ``ords``, the order (k at 0), ``sgns``, the sign (0
-    at 0), and ``neg``, the negated symbol: the slots of each order
-    reversed, or kept when p = 1 mod 4, where -1 is a square.  ``gap``
-    is the order gap G.  Nothing changes after construction: ``size``
-    makes a class size and ``partners`` every split cell by rule.
+    """The inhabited symbols of one modulus, in enumerate_symbols order,
+    by rule: iterating the layout yields the zero symbol, then order by
+    order the symbols of each sign (signs).  It holds the modulus and
+    ``gap``, the order gap G, and nothing per order: ``symbol``, ``neg``
+    and ``size`` make a symbol, its negation and a class size, and
+    ``partners`` every split cell, each from its order and sign.
     """
 
     def __init__(self, pp: PrimePower):
-        p, k = pp.p, pp.k
-        self.pp, self.gap = pp, 3 if p == 2 else 1
-        first, ords, sgns, neg = [0] * (k + 1), [k], [0], [0]
-        for o in range(k):
-            lo, slots = len(ords), 2 if p != 2 else min(4, 1 << (k - o - 1))
-            first[o] = lo
-            ords += [o] * slots
-            sgns += (1, 3, 5, 7)[:slots] if p == 2 else (1, -1)
-            neg += range(lo, lo + slots) if p % 4 == 1 else range(lo + slots - 1, lo - 1, -1)
-        first[k] = len(ords)
-        self.first, self.ords, self.sgns, self.neg = first, ords, sgns, neg
+        self.pp, self.gap = pp, 3 if pp.p == 2 else 1
 
-    def __len__(self) -> int:
-        return len(self.ords)
+    def __iter__(self) -> Iterator[PkSymbol]:
+        yield SYMBOL_ZERO
+        for o in range(self.pp.k):
+            yield from map(PkSymbol, repeat(o), self.signs(o))
+
+    def signs(self, o: int) -> tuple[int, ...]:
+        """The signs of the inhabited symbols of finite order o: 1, -1 for
+        odd p; for p = 2 the odd residues below min(8, 2^(k - o)), the
+        bits of the coprime part that survive below p^k."""
+        return (1, -1) if self.pp.p != 2 else (1, 3, 5, 7)[: 1 << min(self.pp.k - o - 1, 2)]
 
     def size(self, o: int) -> int:
-        """The size of the classes of order o, 1 at o = k (the zero symbol)."""
-        return _size(self.pp.p, self.pp.k, o)
+        """The size of the inhabited classes of order o, 1 at o = k (the
+        zero symbol)."""
+        p, k = self.pp.p, self.pp.k
+        return 1 if o == k else (p - 1) // 2 * p ** (k - o - 1) if p != 2 else 1 << max(k - o - 3, 0)
 
-    def at(self, o: int, s: int) -> int:
-        """The position of the symbol of finite order o and sign s (1 or
-        -1 for odd p; for p = 2 any odd s, read modulo min(8, 2^(k - o)))."""
-        lo = self.first[o]
-        if self.pp.p == 2:
-            return lo + (s % (2 * (self.first[o + 1] - lo)) >> 1)
-        return lo + (s < 0)
+    def symbol(self, o: int, s: int) -> PkSymbol:
+        """The symbol of finite order o and sign s (1 or -1 for odd p; for
+        p = 2 any odd s, read modulo min(8, 2^(k - o)))."""
+        return PkSymbol(o, s if self.pp.p != 2 else s % (2 << min(self.pp.k - o - 1, 2)))
 
-    def index(self, g: PkSymbol) -> int:
-        """The position of the inhabited symbol g."""
-        return 0 if g.ord == INF else self.at(g.ord, g.sgn)
+    def neg(self, g: PkSymbol) -> PkSymbol:
+        """The symbol of -x for x of symbol g: g itself when p = 1 mod 4,
+        where -1 is a square, and at the zero symbol, else of the negated
+        sign."""
+        return g if g.ord == INF or self.pp.p % 4 == 1 else self.symbol(g.ord, -g.sgn)
 
-    def symbol(self, i: int) -> PkSymbol:
-        """The symbol at position i."""
-        return PkSymbol(self.ords[i], self.sgns[i]) if i else SYMBOL_ZERO
-
-    def partners(self, i: int, i1: int) -> Iterable[tuple[int, int]]:
-        """The non-zero split sizes at (symbol(i), symbol(i1)), as
-        (position, size) in position order.
+    def partners(self, g: PkSymbol, g1: PkSymbol) -> Iterable[tuple[PkSymbol, int]]:
+        """The non-zero split sizes at the inhabited symbols (g, g1), as
+        (g2, size) in enumerate_symbols order.
 
         Case analysis on the orders (a + b = t forces the two smallest of
-        the three orders to be equal), for t of symbol g = symbol(i):
+        the three orders to be equal), for t of symbol g:
 
         * a = 0: the pair is (0, t), so g2 = g with one pair.
         * t = 0: pairs are (a, -a), so g2 is the negated class of g1 and
@@ -216,31 +201,29 @@ class SymbolLayout:
           orders apart that is g or -g1.  The size is the g1-class size.
         * ord(g1) = ord(t): b = t - a has order >= ord(t).  b = 0 needs
           g1 = g (one pair).  The rest are the near cells (near), and,
-          when g1 = g, every inhabited symbol of order >= ord(g) + G,
-          each with the size of its class, made as the run is read.
+          when g1 = g, the far run: every inhabited symbol of order
+          >= ord(g) + G, each with the size of its class, made as the run
+          is read.
         """
-        if i1 == 0:
-            return [(i, 1)]
-        o1 = self.ords[i1]
-        if i == 0:
-            return [(self.neg[i1], self.size(o1))]
-        o = self.ords[i]
+        if g1.ord == INF:
+            return [(g, 1)]
+        o, o1 = g.ord, g1.ord
         if o1 >= o + self.gap:
-            return [(i, self.size(o1))]
-        if o1 <= o - self.gap:
-            return [(self.neg[i1], self.size(o1))]
-        near = self.near(i, i1)
-        if i1 != i:
+            return [(g, self.size(o1))]
+        if o1 <= o - self.gap:  # and t = 0, whose order is INF
+            return [(self.neg(g1), self.size(o1))]
+        near = self.near(g, g1)
+        if g1 != g:
             return near
-        first = self.first
-        far = (zip(range(first[u], first[u + 1]), repeat(self.size(u))) for u in range(o + self.gap, self.pp.k))
-        return chain([(0, 1)], near, chain.from_iterable(far))
+        orders = range(o + self.gap, self.pp.k)
+        far = (zip(map(PkSymbol, repeat(u), self.signs(u)), repeat(self.size(u))) for u in orders)
+        return chain([(SYMBOL_ZERO, 1)], near, chain.from_iterable(far))
 
-    def near(self, i: int, i1: int) -> list[tuple[int, int]]:
+    def near(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
         """The partners of finite order below ord(g) + G at two finite
-        symbols g = symbol(i), g1 = symbol(i1) less than G orders apart,
-        in position order: all of partners(i, i1) but, when g1 = g, the
-        zero symbol and the orders >= ord(g) + G.
+        symbols g and g1 less than G orders apart, in enumerate_symbols
+        order: all of partners(g, g1) but, when g1 = g, the zero symbol
+        and the far run.
 
         Unequal orders (p = 2 only): the one partner is the symbol of the
         difference, the lower order with the leading sign.  Equal orders
@@ -255,25 +238,20 @@ class SymbolLayout:
         solutions are the inhabited signs of order o + delta in that
         residue class.
         """
-        p, k, first, out = self.pp.p, self.pp.k, self.first, []
-        o, o1 = self.ords[i], self.ords[i1]
-        if o1 != o:  # the sign of the difference
-            s, s1 = 2 * (i - first[o]) + 1, 2 * (i1 - first[o1]) + 1
-            return [(self.at(o, s - (s1 << o1 - o)) if o1 > o else self.at(o1, (s << o - o1) - s1), self.size(o1))]
+        p, k, out = self.pp.p, self.pp.k, []
+        (o, s), (o1, s1) = g, g1
+        if o1 != o:  # the lower order, with the sign of the difference
+            low, sign = (o, s - (s1 << o1 - o)) if o1 > o else (o1, (s << o - o1) - s1)
+            return [(self.symbol(low, sign), self.size(o1))]
         if p != 2:
-            lo, scale = first[o], p ** (k - o - 1)
-            s, s1 = (1, -1)[i - lo], (1, -1)[i1 - lo]
-            for j, s2 in enumerate((1, -1)):
-                mod_p = split_pair_count_mod_p(p, s1, s2, s)
-                if mod_p:
-                    out.append((lo + j, mod_p * scale))
-            return out
-        m = min(8, 2 ** (k - o))
-        d = 2 * (i - i1) % m  # s - s1, from the slots 2x + 1 of one order
+            scale = p ** (k - o - 1)
+            cells = ((PkSymbol(o, s2), split_pair_count_mod_p(p, s1, s2, s) * scale) for s2 in (1, -1))
+            return [cell for cell in cells if cell[1]]
+        m = 2 << min(k - o - 1, 2)
+        d = (s - s1) % m
         for delta in range(1, min(3, k - o)):
-            e = d >> delta
-            if d & ((1 << delta) - 1) or not e & 1:
-                continue
-            lo, hi = first[o + delta], first[o + delta + 1]
-            out += zip(range(lo + (e >> 1), hi, m >> (delta + 1)), repeat(self.size(o + delta)))  # slots (s2 - 1) / 2
+            e, u = d >> delta, o + delta
+            if e & 1 and not d & ((1 << delta) - 1):
+                signs = self.signs(u)[e >> 1 :: m >> (delta + 1)]  # s2 = e modulo m / 2^delta
+                out += zip(map(PkSymbol, repeat(u), signs), repeat(self.size(u)))
         return out

@@ -12,41 +12,67 @@ a gap or more from ord(g) by running sums by order and the near cells
 in closed form.  dp_chain_tables chains the steps back to front.  It
 shares with counting.chain_tables only the layout and the per-block
 cells (block_cells, on the classes of gauss.block_signs).  A table here
-is dense: (total, non-primitive) lists indexed by every position of the
-layout.  dense spreads a block's cells over the positions, level_lists
-reads a gauss.Level at every position, and table_dict gives a table as
-the {symbol: RepCounts} dict the public functions return.
+is dense: (total, non-primitive) lists indexed by position, the number
+of a symbol in the layout's iteration order (Positions).  dense spreads
+a block's cells over the positions, level_lists reads a gauss.Level at
+every position, and table_dict gives a table as the {symbol: RepCounts}
+dict the public functions return.
 """
 
 from quadmod.counting import RepCounts, block_cells
 from quadmod.gauss import Level, block_classes, block_signs, block_tallies
-from quadmod.symbols import SymbolLayout
+from quadmod.symbols import PkSymbol, SymbolLayout
 
 Table = tuple[list[int], list[int]]
 
 
+class Positions:
+    """The inhabited symbols of a layout numbered in its iteration order:
+    symbols[i] is the symbol at position i, index[g] the position of g,
+    first[o] the first position of order o (first[k] their number), and
+    neg[i] the position of the negation of symbols[i]."""
+
+    def __init__(self, layout: SymbolLayout):
+        k = layout.pp.k
+        self.layout, self.pp, self.size = layout, layout.pp, layout.size
+        self.symbols = list(layout)
+        self.index = {g: i for i, g in enumerate(self.symbols)}
+        self.first = [self.index[PkSymbol(o, 1)] for o in range(k)] + [len(self.symbols)]
+        self.neg = [self.index[layout.neg(g)] for g in self.symbols]
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def at(self, o: int, s: int) -> int:
+        """The position of layout.symbol(o, s)."""
+        return self.index[self.layout.symbol(o, s)]
+
+
 def dense(cells, layout: SymbolLayout) -> Table:
-    """A block's cells (position, total, non-primitive) as a table, with
-    0 at every position they leave out."""
-    total, nprim = [0] * len(layout), [0] * len(layout)
-    for i, tot, np_ in cells:
+    """A block's cells (symbol, total, non-primitive) as a table, with 0
+    at every position they leave out."""
+    pos = Positions(layout)
+    total, nprim = [0] * len(pos), [0] * len(pos)
+    for g, tot, np_ in cells:
+        i = pos.index[g]
         total[i], nprim[i] = tot, np_
     return total, nprim
 
 
 def level_lists(level: Level, layout: SymbolLayout, order=None) -> Table:
-    """The level read at every position of the layout, in the given
-    order of positions (position order by default), as (total,
-    non-primitive) lists indexed by position."""
-    total, nprim = [0] * len(layout), [0] * len(layout)
-    for i in range(len(layout)) if order is None else order:
-        total[i], nprim[i] = level.at(*layout.symbol(i))
+    """The level read at every position, in the given order of positions
+    (position order by default), as (total, non-primitive) lists indexed
+    by position."""
+    pos = Positions(layout)
+    total, nprim = [0] * len(pos), [0] * len(pos)
+    for i in range(len(pos)) if order is None else order:
+        total[i], nprim[i] = level.at(*pos.symbols[i])
     return total, nprim
 
 
 def table_dict(layout: SymbolLayout, table: Table) -> dict:
     """A table as {symbol: RepCounts} in position order."""
-    return {layout.symbol(i): RepCounts(tot, tot - np_, np_) for i, (tot, np_) in enumerate(zip(*table))}
+    return {g: RepCounts(tot, tot - np_, np_) for g, tot, np_ in zip(layout, *table)}
 
 
 def table_classes(blocks, pp):
@@ -117,7 +143,8 @@ def _nonprimitive(layout: SymbolLayout, total: list[int], m: int) -> list[int]:
     the entry two orders below.  At k = 1 the one non-primitive x = 0
     hits only t = 0.
     """
-    p, k, first, size = layout.pp.p, layout.pp.k, layout.first, layout.size
+    pos = Positions(layout)
+    p, k, first, size = pos.pp.p, pos.pp.k, pos.first, pos.size
     nprim = [0] * len(total)
     if k == 1:
         nprim[0] = 1
@@ -131,7 +158,7 @@ def _nonprimitive(layout: SymbolLayout, total: list[int], m: int) -> list[int]:
         step = 1 << (k - o)
         for i in range(first[o], first[o + 1]):
             s = 2 * (i - first[o]) + 1
-            nprim[i] = sum(total[layout.at(o - 2, s + j * step)] for j in range(4)) // lifts
+            nprim[i] = sum(total[pos.at(o - 2, s + j * step)] for j in range(4)) // lifts
     return nprim
 
 
@@ -149,7 +176,7 @@ def _level_odd(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     with H_o and C_o the head and tail summed over both signs of order
     o; (o, eps s) is the negated symbol of g.
     """
-    p, k, size, neg = layout.pp.p, layout.pp.k, layout.size, layout.neg
+    p, k, size, neg = layout.pp.p, layout.pp.k, layout.size, Positions(layout).neg
     p4, eps = (p - p % 4) // 4, 1 if p % 4 == 1 else -1
     level = [0] * len(h)
     # down the orders: A and C over the orders above o
@@ -198,7 +225,7 @@ def _level_two(layout: SymbolLayout, h: list[int], c: list[int]) -> list[int]:
     The slots are read as four, mod 4: an order of M < 4 slots repeated
     4/M times gives the same up(o, x), and 4/M times its D at v mod M.
     """
-    k, first, size = layout.pp.k, layout.first, layout.size
+    k, first, size = layout.pp.k, Positions(layout).first, layout.size
     level = [0] * len(h)
     # down the orders: A and C over the orders >= o + 3, and up(o, x);
     # upper and upper2 are |g1| times the head and tail of orders o + 1

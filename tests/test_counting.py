@@ -32,7 +32,7 @@ from quadmod.counting import (
 from quadmod.modring import INF, DomainError, PrimePower, legendre, valuation
 from quadmod.oracle import histogram_counts, solutions_mod
 from quadmod.sampling import RepKind, sample_prepared
-from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
+from quadmod.symbols import SYMBOL_ZERO, SymbolLayout, class_size, enumerate_symbols, symbol_of
 from test_symbols import dense_split_size
 
 
@@ -371,16 +371,20 @@ def test_scaled_type2_count_matches_recursion():
 def type2_cells_by_order(cls, layout):
     """block_cells of the type II block of class cls, built order by
     order: one _scaled_type2_counts per order, at t2 = 2^(ord - ell - 1)
-    and at t2 = 0 for the zero symbol."""
-    k, first = layout.pp.k, layout.first
+    and at t2 = 0 for the zero symbol, at each symbol of the order in
+    the layout's iteration order."""
+    k = layout.pp.k
     if cls.ell + 1 >= k:
-        return [(0, 4**k, 4 ** (k - 1))]
+        return [(SYMBOL_ZERO, 4**k, 4 ** (k - 1))]
     k2, scale, seeds, cells = k - cls.ell - 1, 4 ** (cls.ell + 1), _type2_seeds(cls.a, cls.b, cls.c), []
+    by_order = {}
+    for g in layout:
+        by_order.setdefault(min(g.ord, k), []).append(g)
     for o in (k, *range(cls.ell + 1, k)):
         prim, np_ = _scaled_type2_counts(seeds, 1 << (o - cls.ell - 1) if o < k else 0, k2)
         if prim + np_:
-            for i in range(first[o], first[o + 1]) if o < k else (0,):
-                cells.append((i, scale * (prim + np_), scale * np_))
+            for g in by_order[o]:
+                cells.append((g, scale * (prim + np_), scale * np_))
     return cells
 
 
@@ -416,7 +420,7 @@ def symbol_chain_tables(blocks, pp):
     symbol dicts: chain_tables' head cells and tail Levels, the last
     block's cells, each cell list spread over the layout
     (dp_reference.dense), and the Level of all the blocks, each Level
-    read at every position (symbol_table)."""
+    read at every symbol of the layout (symbol_table)."""
     layout = SymbolLayout(pp)
     classes = dp_reference.table_classes(blocks, pp)
     per_block, tails = chain_tables(classes, layout)
@@ -552,7 +556,7 @@ def test_nonprimitive_levels_follow_from_the_totals(chain):
     if pp.q**m <= 4096:
         q_mat = [[x % pp.q for x in row] for row in blocks_to_matrix(blocks)]
         for t, counts in enumerate(histogram_counts(q_mat, pp)):
-            i = layout.index(symbol_of(pp, t))
+            i = dp_reference.Positions(layout).index[symbol_of(pp, t)]
             assert (suffix[0][0][i], suffix[0][1][i]) == (counts.total, counts.nonprimitive), t
 
 
@@ -719,7 +723,7 @@ def test_tables_equal_the_dynamic_program(inst):
     per_block, tails = chain_tables(dp_reference.table_classes(walk, pp), layout)
     assert [dp_reference.dense(cells, layout) for cells in per_block] == want_per_block[:-1], (q, pp)
     assert [dp_reference.level_lists(tail, layout) for tail in tails] == want_suffix[1:], (q, pp)
-    down = range(len(layout) - 1, -1, -1)
+    down = range(len(dp_reference.Positions(layout)) - 1, -1, -1)
     read = [dp_reference.level_lists(tail, layout, down) for tail in form_tails]
     assert form_per_block == per_block and read == want_suffix[1:], (q, pp)
     assert form.table == dp_reference.table_dict(layout, want_suffix[0]), (q, pp)
@@ -734,8 +738,7 @@ def test_gauss_sum_count_of_dense_forms(pp, n):
     # of every inhabited symbol
     form = prepare(dense_even_form(n, n), pp)
     table, layout = form.table, form.walk()[0]
-    for i in range(len(layout)):
-        g = layout.symbol(i)
+    for g in layout:
         t = 0 if g.ord == INF else pp.p**g.ord * next(u for u in range(1, 8) if symbol_of(pp, u * pp.p**g.ord) == g)
         assert form.count(t) == table[g], g
 
@@ -759,13 +762,14 @@ def test_a_level_of_one_block_is_its_block_table(p):
             got = dp_reference.level_lists(gauss.Level(pp, 2 if isinstance(cls, TypeII) else 1, tallies), layout)
             cells = block_cells(cls, layout)
             assert got == dp_reference.dense(cells, layout) and all(is_int_counts(lst) for lst in got), (pp, cls)
-            positions = [i for i, _, _ in cells]
+            index = dp_reference.Positions(layout).index
+            positions = [index[g] for g, _, _ in cells]
             assert positions == sorted(set(positions)) and all(tot for _, tot, _ in cells), (pp, cls)
     if p == 2:
         # an anisotropic block has no solution at every other order
         layout = SymbolLayout(PrimePower(2, 8))
-        orders = {layout.ords[i] for i, _, _ in block_cells(TypeII(0, 1, 1, 1), layout)}
-        assert orders == {1, 3, 5, 7, 8}
+        orders = {g.ord for g, _, _ in block_cells(TypeII(0, 1, 1, 1), layout)}
+        assert orders == {1, 3, 5, 7, INF}
 
 
 @pytest.mark.parametrize("kind", [RepKind.ANY, RepKind.PRIMITIVE])
@@ -824,7 +828,7 @@ def test_a_sum_that_is_no_count_raises(monkeypatch):
             layout, _, tails = form.walk()
             assert tails
             for tail in tails:
-                for g in map(layout.symbol, range(len(layout))):
+                for g in layout:
                     with pytest.raises(ArithmeticError):
                         tail.at(*g)
             monkeypatch.setattr(gauss, "_term", term)

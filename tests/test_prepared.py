@@ -20,6 +20,7 @@ import pytest
 from conftest import CallCounter
 
 import quadmod.blockdiag
+import quadmod.cli
 import quadmod.counting
 import quadmod.gauss
 import quadmod.sampling
@@ -44,7 +45,7 @@ from quadmod.counting import RepCounts, block_cells
 from quadmod.modring import INF, legendre
 from quadmod.oracle import solutions_mod
 from quadmod.symbols import SymbolLayout, class_size, enumerate_symbols, symbol_of
-from dp_reference import dense, table_classes, table_dict
+from dp_reference import Positions, dense, table_classes, table_dict
 from test_counting import count_block
 
 P127 = 2**127 - 1
@@ -144,7 +145,8 @@ def test_block_table_equals_count_block(p):
             got = table_dict(layout, dense(cells, layout))
             assert got == want and list(got) == list(want), (pp, blk)
             # the cells are the non-zero entries, in strictly increasing positions
-            positions = [i for i, _, _ in cells]
+            index = Positions(layout).index
+            positions = [index[g] for g, _, _ in cells]
             assert positions == sorted(set(positions)) and all(tot for _, tot, _ in cells), (pp, blk)
 
 
@@ -202,12 +204,12 @@ def count_by_partners(form, t):
     split cell (g1, g2) of t's symbol that layout.partners lists, one
     cell at a time, weighed by the head's cells and the first tail."""
     layout, per_block, tails = form.walk()
-    i = layout.index(symbol_of(form.pp, t))
+    g = symbol_of(form.pp, t)
     head, tail = per_block[0], tails[0]
     total = nprim = 0
-    for i1, h_tot, h_np in head:
-        for i2, size in layout.partners(i, i1):
-            c_tot, c_np = tail.at(*layout.symbol(i2))
+    for g1, h_tot, h_np in head:
+        for g2, size in layout.partners(g, g1):
+            c_tot, c_np = tail.at(*g2)
             total += size * h_tot * c_tot
             nprim += size * h_np * c_np
     return RepCounts(total, total - nprim, nprim)
@@ -237,24 +239,24 @@ def test_count_sums_the_far_cells_by_order(q_mat, pp):
     assert tails
     if pp.p == 2:
         assert [o for o in range(1, pp.k) if layout.size(o - 1) == layout.size(o)] == list(range(max(1, pp.k - 2), pp.k))
-    for i in range(len(layout)):
-        t = symbol_rep(pp, layout.symbol(i))
-        assert count_by_partners(form, t) == form.count(t), layout.symbol(i)
+    for g in layout:
+        t = symbol_rep(pp, g)
+        assert count_by_partners(form, t) == form.count(t), g
 
 
 LEVEL_FORMS = [([[j + 1 if i == j else 0 for j in range(n)] for i in range(n)], PrimePower(3, 4)) for n in range(6)]
 LEVEL_FORMS.append((Q4, PrimePower(2, 6)))  # type II blocks among its blocks
 
 
-def scan_reach(layout, head, i, cell):
-    """The tail positions that the walk's scan at the target position i
-    reads up to the cell (i1, i2) it stops at: every partner of every
-    head cell, in scan order, up to that cell."""
+def scan_reach(layout, head, g, cell):
+    """The tail symbols that the walk's scan at the target symbol g reads
+    up to the cell (g1, g2) it stops at: every partner of every head
+    cell, in scan order, up to that cell."""
     reach = set()
-    for i1, _, _ in head:
-        for i2, _ in layout.partners(i, i1):
-            reach.add(i2)
-            if (i1, i2) == cell:
+    for g1, _, _ in head:
+        for g2, _ in layout.partners(g, g1):
+            reach.add(g2)
+            if (g1, g2) == cell:
                 return reach
     raise AssertionError("the scan never reaches its cell")
 
@@ -266,9 +268,9 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     monkeypatch.setattr(quadmod.counting, "Level", built)
     pick, reached = quadmod.sampling._pick_cell, {}
 
-    def recorded(layout, head, tail, i, want_prim, r):
-        cell = pick(layout, head, tail, i, want_prim, r)
-        reached.setdefault(id(tail), set()).update(scan_reach(layout, head, i, cell[:2]))
+    def recorded(layout, head, tail, g, want_prim, r):
+        cell = pick(layout, head, tail, g, want_prim, r)
+        reached.setdefault(id(tail), set()).update(scan_reach(layout, head, g, cell[:2]))
         return cell
 
     monkeypatch.setattr(quadmod.sampling, "_pick_cell", recorded)
@@ -286,10 +288,10 @@ def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls,
     # each step computes the tail entries its scan reaches, and no other:
     # at a symbol, or (tail.above) from the order of a reached symbol up
     for tail in form_tails:
-        syms = list(map(layout.symbol, reached[id(tail)]))
+        syms = reached[id(tail)]
         keys = {(pp.k, 0) if g.ord == INF else g for g in syms} | {(g.ord, None) for g in syms if g.ord != INF}
         assert tail._read and set(tail._read) <= keys, (set(tail._read), keys)
-        assert len([key for key in tail._read if key[1] is not None]) < len(layout)
+        assert len([key for key in tail._read if key[1] is not None]) < len(list(layout))
     # the top level is read from a new Level on each read of table, and not kept
     assert form.table == form.table
     assert built.calls == 1 + tails + 2 * bool(form.blocks)
@@ -378,6 +380,57 @@ def test_composites_and_densities_check_q_once(monkeypatch, name):
             monkeypatch.setattr(mod, "check_symmetric", check)
     CHECKED_ONCE[name]()
     assert check.calls == 1
+
+
+CLI_INSTANCES = {
+    "single": {"q": Q4, "p": "3", "k": 4, "t": "7"},
+    "three-factors": {"q": Q4, "factors": [{"p": str(pp.p), "k": pp.k} for pp in THREE_FACTORS], "t": "14"},
+}
+CLI_COMMANDS = [
+    ("count", "three-factors", []),
+    ("sample", "three-factors", ["--kind", "primitive", "--seed", "2"]),
+    ("density", "single", []),
+    ("diagonalize", "single", []),
+    ("check", "three-factors", ["--trials", "0"]),
+    ("check", "three-factors", ["--trials", "20", "--seed", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, instance, flags", CLI_COMMANDS, ids=[" ".join([c, *f[:2]]) for c, _, f in CLI_COMMANDS]
+)
+def test_cli_commands_check_q_once_before_any_work(monkeypatch, tmp_path, capsys, command, instance, flags):
+    # the parser checks Q, and no command checks it again: one check in
+    # all, before the first diagonalization, which every count and draw
+    # starts from
+    events = []
+    check = quadmod.blockdiag.check_symmetric
+
+    def counted_check(q_mat):
+        events.append("check")
+        return check(q_mat)
+
+    for mod in (quadmod.blockdiag, quadmod.counting, quadmod.sampling, quadmod.cli):
+        if hasattr(mod, "check_symmetric"):
+            monkeypatch.setattr(mod, "check_symmetric", counted_check)
+        if hasattr(mod, "block_diagonalize"):
+            diag = getattr(mod, "block_diagonalize")
+            monkeypatch.setattr(mod, "block_diagonalize", lambda q, pp, diag=diag: events.append("diag") or diag(q, pp))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(CLI_INSTANCES[instance]))
+    assert main([command, str(path), *flags]) == 0
+    assert events.count("check") == 1 and events[0] == "check", events
+    assert "diag" in events or flags == ["--trials", "0"]
+    capsys.readouterr()
+
+
+def test_cli_check_without_oracle_or_draws_rejects_an_asymmetric_q(tmp_path, capsys):
+    # with the oracle over budget and no trials, check counts nothing, and
+    # the parser's one check still rejects Q
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"q": [[1, 2], [3, 1]], "factors": CLI_INSTANCES["three-factors"]["factors"], "t": "1"}))
+    assert main(["check", str(path), "--trials", "0", "--budget", "0"]) == 3
+    assert capsys.readouterr().err.strip() == "error: q[1][0] != q[0][1]"
 
 
 @pytest.mark.parametrize("kind", list(RepKind))

@@ -180,9 +180,9 @@ def test_dense_reference_matches_brute_force(pp):
 
 
 def partner_symbols(layout, g, g1):
-    """SymbolLayout.partners at the inhabited symbols (g, g1), read back
-    as (g2, size) by layout.symbol."""
-    return [(layout.symbol(i2), size) for i2, size in layout.partners(layout.index(g), layout.index(g1))]
+    """SymbolLayout.partners at the inhabited symbols (g, g1), as a list
+    of (g2, size)."""
+    return list(layout.partners(g, g1))
 
 
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
@@ -219,45 +219,39 @@ LAYOUT_GRID = [PrimePower(2, k) for k in (*range(1, 13), 60)] + [
 
 @pytest.mark.parametrize("pp", LAYOUT_GRID, ids=lambda pp: f"{pp.p if pp.p < 100 else 'P127'}^{pp.k}")
 def test_layout_rule_matches_the_symbol_functions(pp):
-    # positions, per-order sizes, signs and negations come from the
-    # layout's one position rule; each is checked against the per-symbol
-    # functions
+    # the symbols, per-order sizes, signs and negations come from the
+    # layout's rules; each is checked against the per-symbol functions
     layout = SymbolLayout(pp)
     inhabited = [g for g in enumerate_symbols(pp) if class_size(pp, g) > 0]
-    assert [layout.symbol(i) for i in range(len(layout))] == inhabited
-    for i, g in enumerate(inhabited):
-        assert layout.index(layout.symbol(i)) == i
-        assert layout.size(layout.ords[i]) == class_size(pp, g)
-        assert (layout.ords[i], layout.sgns[i]) == ((pp.k, 0) if g.ord == INF else g)
-        assert layout.symbol(layout.neg[i]) == symbol_of(pp, -symbol_rep(pp, g) if i else 0)
-    # O(k) data: no symbol is stored, and no big int: every int the
-    # layout holds fits in a machine word
-    lists = {name: v for name, v in vars(layout).items() if isinstance(v, list)}
-    assert sorted(lists) == ["first", "neg", "ords", "sgns"]
-    assert len(layout.first) == pp.k + 1
-    assert not [v for v in vars(layout).values() if isinstance(v, PkSymbol)]
-    assert all(type(x) is int for v in lists.values() for x in v)
-    held = [x for v in vars(layout).values() for x in (v if isinstance(v, list) else [v])]
-    assert all(-(2**63) <= x < 2**63 for x in held if isinstance(x, int))
-    for v in (layout.ords, layout.neg):
-        assert len(v) == len(layout) and all(0 <= x < len(layout) for x in v)
-    assert len(layout.sgns) == len(layout)
+    assert list(layout) == inhabited
+    for g in inhabited:
+        assert layout.size(pp.k if g.ord == INF else g.ord) == class_size(pp, g)
+        assert layout.neg(g) == symbol_of(pp, -symbol_rep(pp, g) if g.ord != INF else 0)
+        if g.ord != INF:
+            # a sign is read modulo min(8, 2^(k - ord)) at p = 2
+            period = min(8, 2 ** (pp.k - g.ord)) if pp.p == 2 else 0
+            assert layout.symbol(g.ord, g.sgn) == layout.symbol(g.ord, g.sgn + period) == g
+            assert layout.signs(g.ord) == tuple(h.sgn for h in inhabited if h.ord == g.ord)
+    # nothing per order or per symbol: the modulus and the gap only
+    assert vars(layout) == {"pp": pp, "gap": 3 if pp.p == 2 else 1}
 
 
 @pytest.mark.parametrize(
     "pp", [PrimePower(3, 16000), PrimePower(2, 16000), PrimePower(P127, 2000)], ids=["3^16000", "2^16000", "P127^2000"]
 )
-def test_layout_memory_is_o_k_words(pp):
-    # the layout holds word-sized ints only, so building it peaks at a
-    # bounded number of bytes per order; a class size stored per order
-    # took O(k) bits each
-    tracemalloc.start()
-    try:
-        SymbolLayout(pp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 512 * pp.k, peak / pp.k
+def test_layout_and_split_size_memory_does_not_grow_with_k(pp):
+    # the layout holds no table, so building it, and a split size at a
+    # far cell near the top order, peak at a few bytes whatever k is
+    g, g2 = symbol_of(pp, 1), symbol_of(pp, pp.p ** (pp.k - 4))
+    for build in (lambda: SymbolLayout(pp), lambda: split_class_size(pp, g, g, g2)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2048, peak
+    assert split_class_size(pp, g, g, g2) == class_size(pp, g2)
 
 
 @pytest.mark.parametrize("pp", PARTNER_GRID, ids=str)
