@@ -7,7 +7,6 @@ from .blockdiag import (
     TypeI,
     TypeII,
     block_diagonalize,
-    blocks_to_matrix,
     check_symmetric,
 )
 from .counting import (
@@ -76,7 +75,6 @@ __all__ = [
     "Valuation",
     "ZeroTarget",
     "block_diagonalize",
-    "blocks_to_matrix",
     "check_symmetric",
     "class_size",
     "count_composite",

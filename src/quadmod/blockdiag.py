@@ -195,21 +195,6 @@ def integer_det(a: Matrix) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def blocks_to_matrix(bd) -> Matrix:
-    """Direct-sum matrix of the blocks (accepts a BlockDiagForm or a block list)."""
-    blocks = bd.blocks if isinstance(bd, BlockDiagForm) else bd
-    n = sum(b.dim for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    pos = 0
-    for b in blocks:
-        m = b.matrix()
-        for i in range(b.dim):
-            for j in range(b.dim):
-                out[pos + i][pos + j] = m[i][j]
-        pos += b.dim
-    return out
-
-
 def _pivot(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
     """Minimal-order entry (i, j, ord) with pos <= i <= j: the first
     diagonal entry of that order, else the first off-diagonal one in

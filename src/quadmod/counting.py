@@ -29,9 +29,10 @@ blocks.  PreparedForm.walk() builds, on its first call, what a draw's
 walk with a step reads and a count does not: the layout, which holds
 no table (symbols.SymbolLayout), the cells of each block the walk
 peels but the last, highest order first (PreparedForm.walk_order), and
-one Level per tail.  The walk's first step weighs the cells of the top
-level, from the head block's cells and the first tail, and those
-weights sum to the Gauss-sum count.  PreparedForm.table reads a new
+the Level of each tail: the Level before it, the form's own for the
+first, less its head (chain_tables).  The walk's first step weighs the
+cells of the top level, from the head block's cells and the first
+tail, and those weights sum to the Gauss-sum count.  PreparedForm.table reads a new
 Level of all the blocks at every symbol.
 Draws and tables stay at level k.  A composite modulus is a list of
 prepared factors, all of one number of variables.
@@ -45,9 +46,9 @@ from .blockdiag import BlockDiagForm, TypeII, check_symmetric, integer_det
 # the elimination without the check: each public entry below checks Q once per call; it keeps
 # the name under which the tests and perfbench/tracing.py count diagonalizations
 from .blockdiag import _eliminate as block_diagonalize
-from .gauss import BlockClass, Level, block_classes, block_signs, block_tallies, suffix_tallies
-from .modring import INF, DomainError, PrimePower, valuation
-from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout
+from .gauss import BlockClass, Level, block_classes, block_tallies
+from .modring import INF, DomainError, PrimePower, legendre, valuation
+from .symbols import SYMBOL_ZERO, PkSymbol, SymbolLayout, pk_symbol
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -121,7 +122,7 @@ def _scaled_type2_counts(seeds: tuple[int, int], t2: int, k2: int) -> tuple[int,
 
 
 def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[PkSymbol, int, int]]:
-    """The counts of the block of class cls (gauss.block_signs) in closed
+    """The counts of the block of class cls (chain_tables) in closed
     form, as (symbol, total, non-primitive) at every inhabited symbol
     where the total is not 0, in enumerate_symbols order.  A type I block
     d = p^e u reaches the zero symbol and one symbol in each order
@@ -163,26 +164,34 @@ def block_cells(cls: BlockClass, layout: SymbolLayout) -> list[tuple[PkSymbol, i
         total = (even if j else odd) + nprim
         if total:
             o = cls.ell + 1 + j
-            cells += [(PkSymbol(o, s), total, nprim) for s in layout.signs(o)]
+            cells += [(pk_symbol(o, s), total, nprim) for s in layout.signs(o)]
     return cells
 
 
 def chain_tables(
-    blocks: tuple[BlockClass, ...], layout: SymbolLayout
+    blocks: tuple[BlockClass, ...], level: Level, layout: SymbolLayout
 ) -> tuple[list[list[tuple[PkSymbol, int, int]]], list[Level]]:
-    """What a chain walk over the blocks reads, given by their classes as
-    the cells read them (gauss.block_signs): per_block[j], the cells of
-    blocks[j] (block_cells), for each head the walk peels, all but the
-    last block, and tails[j], the Level of the blocks after it,
-    blocks[j + 1:], whose entries are read off the Gauss sums of those
-    blocks on demand.  The tallies of the tails are taken back to front,
-    one block at a time.  Fewer than two blocks give no tables."""
-    pp, tails, n = layout.pp, [], 0
-    for cls, tallies in zip(reversed(blocks[1:]), suffix_tallies(blocks[1:], pp.p)):
-        n += 2 if isinstance(cls, TypeII) else 1
-        tails.append(Level(pp, n, tallies))
-    tails.reverse()
-    return [block_cells(cls, layout) for cls in blocks[:-1]], tails
+    """What a chain walk over the blocks reads, given by their classes
+    (gauss.block_classes) in the order it peels them and by the Level of
+    them all: per_block[j], the cells of blocks[j] (block_cells), for each
+    head the walk peels, all but the last block, and tails[j], the Level
+    of the blocks after it, blocks[j + 1:]: the Level before it less its
+    head (Level.without), whose entries are read off the Gauss sums of
+    those blocks on demand.  At odd p the cells read the head's Legendre
+    symbol: the last block of its order in the Level before it reads the
+    symbol of that order's entry there, and any other head takes one, so
+    a count and the tables take one per block between them.  Fewer than
+    two blocks give no tables."""
+    p, per_block, tails = layout.pp.p, [], []
+    for cls in blocks[:-1]:
+        if p != 2:
+            e, u = cls
+            _, s, c = level.tallies[0][e]
+            cls = e, s if c == 1 or not u else legendre(u, p)
+        level = level.without(cls)
+        per_block.append(block_cells(cls, layout))
+        tails.append(level)
+    return per_block, tails
 
 
 class PreparedForm:
@@ -193,21 +202,20 @@ class PreparedForm:
     u'Qu the direct sum of the blocks mod p^k, is built from those moves
     the first time it is read, and a draw applies the moves to its
     vector instead (diag.u_times).  Making the form takes each block's
-    class once (classes), their tallies and the Level of all the blocks,
-    which count reads: every caller counts.  walk() makes what a draw's
-    chain walk reads, once.  The walk peels the blocks highest order
-    first (walk_order), the reverse of the ascending order in which
-    block_diagonalize, picking a minimal-order pivot each time, leaves
-    them.  table reads a new layout and Level at every symbol on every
-    read.
+    class once (classes) and the Level of all the blocks from their
+    tallies, which count reads: every caller counts.  walk() makes what
+    a draw's chain walk reads, once.  The walk peels the blocks highest
+    order first (walk_order), the reverse of the ascending order in
+    which block_diagonalize, picking a minimal-order pivot each time,
+    leaves them.  table reads a new layout and Level at every symbol on
+    every read.
     """
 
     def __init__(self, pp: PrimePower, diag: BlockDiagForm):
         self.pp, self.diag, self.blocks = pp, diag, diag.blocks
         self.n = sum(blk.dim for blk in self.blocks)
         self.classes = block_classes(self.blocks, pp)
-        self.tallies = block_tallies(self.classes, pp.p)
-        self.level = Level(pp, self.n, self.tallies)
+        self.level = Level(pp, self.n, block_tallies(self.classes, pp.p))
         self._walk = None  # walk()'s tables, made on its first call
 
     @property
@@ -224,12 +232,13 @@ class PreparedForm:
         the form's symbol layout, per_block[j] the non-zero cells of the
         j-th block the walk peels, blocks[walk_order[j]] (block_cells),
         and tails[j] the Level of the direct sum of the blocks it peels
-        after that one (chain_tables).  A one-block form's walk has no
-        step and never calls this."""
+        after that one, the form's Level less the first j + 1 heads
+        (chain_tables).  A one-block form's walk has no step and never
+        calls this."""
         if self._walk is None:
-            signed = block_signs(self.classes, self.tallies, self.pp.p)
             layout = SymbolLayout(self.pp)
-            self._walk = (layout, *chain_tables(tuple(map(signed.__getitem__, self.walk_order)), layout))
+            walk = tuple(map(self.classes.__getitem__, self.walk_order))
+            self._walk = (layout, *chain_tables(walk, self.level, layout))
         return self._walk
 
     @property
@@ -239,7 +248,7 @@ class PreparedForm:
         the one solution at target 0."""
         if not self.blocks:
             return {SYMBOL_ZERO: RepCounts(1, 0, 1)}
-        return symbol_table(SymbolLayout(self.pp), Level(self.pp, self.n, self.tallies))
+        return symbol_table(SymbolLayout(self.pp), Level(self.pp, self.n, self.level.tallies))
 
     def count(self, t: int) -> RepCounts:
         """Total / primitive / non-primitive counts of x'Qx = t mod p^k,

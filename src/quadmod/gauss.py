@@ -24,16 +24,16 @@ the sign of t's unit part too, so the counts of a form at every target
 symbol are prefix sums over j plus at most G edge terms each.
 
 A Level is the one reader of those sums: a count, a whole table and
-each step of a draw's walk read the entries they need from it, and it
-takes the terms only up to the highest order read, one big-integer
-step each, linear in size, in units fixed when it is made.  A count is
-an integer, so a sum that p^k does not divide raises ArithmeticError
-rather than round.
+each step of a draw's walk read the entries they need from it (the
+Level of a walk's tail is the one before it less its head block,
+Level.without), and it takes the terms only up to the highest order
+read, one big-integer step each, linear in size, in units fixed when
+it is made.  A count is an integer, so a sum that p^k does not divide
+raises ArithmeticError rather than round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import product
 
 from .blockdiag import Block, TypeI, TypeII
@@ -42,17 +42,18 @@ from .symbols import Ordinal
 
 # A block as its Gauss sums and tables read it: a type I block p^e u
 # mod p^k as (e, u mod 8) for p = 2 and, for odd p, (e, u mod p) or, in
-# the tables, (e, Legendre symbol of u) (block_signs); (INF, 0) when p^k
-# divides it.  A type II block as itself.
+# the tables, (e, Legendre symbol of u) (counting.chain_tables); (INF, 0)
+# when p^k divides it.  A type II block as itself.
 BlockClass = tuple[Ordinal, int] | TypeII
 
-# A form's blocks as its Gauss sums read them: (order, unit class,
-# number of blocks) for the type I blocks p^e u, and (l, a c mod 2,
-# number of blocks) for the type II blocks.  The class is u mod 8 for
-# p = 2, one entry per order and class, and for odd p the Legendre
-# symbol of the product of one order's units, which is all the Gauss
-# sums read of them.
-Tallies = tuple[tuple[tuple[Ordinal, int, int], ...], tuple[tuple[int, int, int], ...]]
+# A form's blocks as its Gauss sums read them, as entries by key:
+# (order, unit class, number of blocks) for the type I blocks p^e u,
+# and (l, a c mod 2, number of blocks) for the type II blocks, keyed by
+# (l, a c mod 2).  The class is u mod 8 for p = 2, one entry per order
+# and class, keyed by (e, u mod 8), and for odd p the Legendre symbol of
+# the product of one order's units, which is all the Gauss sums read of
+# them, keyed by the order.
+Tallies = tuple[dict[object, tuple[Ordinal, int, int]], dict[tuple[int, int], tuple[int, int, int]]]
 
 
 def block_classes(blocks: tuple[Block, ...], pp: PrimePower) -> tuple[BlockClass, ...]:
@@ -67,47 +68,26 @@ def block_classes(blocks: tuple[Block, ...], pp: PrimePower) -> tuple[BlockClass
     return tuple(classes)
 
 
-def block_signs(classes: tuple[BlockClass, ...], tallies: Tallies, p: int) -> tuple[BlockClass, ...]:
-    """The classes as the tables read them: for odd p each unit's
-    Legendre symbol, the last block of an order taking the order's (the
-    tallies') over the others', so a count and the tables take one each."""
-    if p == 2:
-        return classes  # type II blocks, and units mod 8, read as they are
-    left = {e: [s, c] for e, s, c in tallies[0]}  # an order's symbol and blocks still unsigned
-    signed = []
-    for e, u in classes:
-        order = left[e]
-        order[1] -= 1
-        s = order[0] if not order[1] else legendre(u, p) if u else 0
-        order[0] *= s
-        signed.append((e, s))
-    return tuple(signed)
-
-
-def suffix_tallies(classes: tuple[BlockClass, ...], p: int) -> Iterator[Tallies]:
-    """The Tallies of classes[j:] for j from the last block down to 0,
-    adding the blocks back to front, one at a time.  An entry is kept by
-    key: (order, u mod 8) for p = 2 and the order for odd p, whose class
-    is the product of its blocks', and (l, a c mod 2) for type II."""
-    type1, type2 = {}, {}
-    for cls in reversed(classes):
-        if isinstance(cls, TypeII):
-            key = cls.ell, cls.a * cls.c % 2
-            type2[key] = (*key, type2.get(key, (0, 0, 0))[2] + 1)
-        else:
-            e, s = cls
-            _, prod, c = type1.get(cls if p == 2 else e, (e, 1, 0))
-            type1[cls if p == 2 else e] = e, s if p == 2 else prod * s, c + 1
-        yield tuple(type1.values()), tuple(type2.values())
-
-
 def block_tallies(classes: tuple[BlockClass, ...], p: int) -> Tallies:
-    """The Tallies of all the blocks (block_classes): for odd p one
-    Legendre symbol per order, of the product of its units."""
-    type1, type2 = (), ()
-    for type1, type2 in suffix_tallies(classes, p):
-        pass
-    return tuple((e, legendre(u, p) if p != 2 and u else u, c) for e, u, c in type1), type2
+    """The Tallies of all the blocks (block_classes), in one pass: for
+    odd p one Legendre symbol per order, of the product of its units."""
+    tallies = {}, {}
+    for cls in classes:
+        entries, key = _entry(tallies, cls, p)
+        e, u, c = entries.get(key, (*key, 0) if p == 2 else (key, 1, 0))
+        entries[key] = e, u if p == 2 else u * cls[1] % p, c + 1
+    if p != 2:
+        tallies = {e: (e, legendre(u, p) if u else 0, c) for e, (_, u, c) in tallies[0].items()}, {}
+    return tallies
+
+
+def _entry(tallies: Tallies, cls: BlockClass, p: int) -> tuple[dict, object]:
+    """The entries of the tallies that hold a block of class cls, and the
+    key of its entry there: (l, a c mod 2) for a type II block, and for a
+    type I block its class at p = 2 and its order at odd p."""
+    if isinstance(cls, TypeII):
+        return tallies[1], (cls.ell, cls.a * cls.c % 2)
+    return tallies[0], cls if p == 2 else cls[0]
 
 
 class Level:
@@ -190,6 +170,19 @@ class Level:
             got = self._read[m, None] = self._exact(self._sums[m], extra), nprim
         return got
 
+    def without(self, cls: BlockClass) -> Level:
+        """A new Level of the blocks tallied less one of class cls, as
+        block_classes gives it but, for odd p, with its unit's Legendre
+        symbol (0 when p^k divides it): the block leaves its entry, and at
+        odd p the entry's symbol is multiplied by that sign, which leaves
+        the symbol of the product of the units that stay."""
+        tallies = tuple(map(dict, self.tallies))
+        entries, key = _entry(tallies, cls, self.p)
+        e, u, c = entries.pop(key)
+        if c > 1:
+            entries[key] = e, u if self.p == 2 else u * cls[1], c - 1
+        return Level(self.pp, self.n - (2 if isinstance(cls, TypeII) else 1), tallies)
+
     def _take(self, last: int) -> None:
         """Take the terms up to j = last."""
         p, sums = self.p, self._sums
@@ -265,7 +258,7 @@ def _term(pp: PrimePower, n: int, tallies: Tallies, j: int) -> tuple[int, tuple]
     if p != 2:
         eps = 1 if p % 4 == 1 else -1
         power, odd, lam = 0, 0, 1
-        for e, s, c in type1:
+        for e, s, c in type1.values():
             if e >= j:
                 power += j * c
             else:
@@ -278,7 +271,7 @@ def _term(pp: PrimePower, n: int, tallies: Tallies, j: int) -> tuple[int, tuple]
         w = (sign * (p - 1), -sign, -sign) if odd % 2 == 0 else (0, sign * eps, -sign * eps)
         return n * (k - j) + power + half + j - 1, w
     power, roots, m_sum, d, sign = 0, 0, 0, 0, 1
-    for e, u, c in type1:
+    for e, u, c in type1.values():
         if e >= j:
             power += j * c
             continue
@@ -289,7 +282,7 @@ def _term(pp: PrimePower, n: int, tallies: Tallies, j: int) -> tuple[int, tuple]
         d += c if u % 4 == 1 else -c
         if m % 2 and c % 2 and u % 8 in (3, 5):
             sign = -sign
-    for ell, odd_ac, c in type2:
+    for ell, odd_ac, c in type2.values():
         m = j - ell - 1
         if m <= 0:
             power += 2 * j * c

@@ -51,6 +51,12 @@ class PkSymbol(NamedTuple):
 SYMBOL_ZERO = PkSymbol(INF, 0)
 
 
+def pk_symbol(o: Ordinal, s: int) -> PkSymbol:
+    """PkSymbol(o, s) made without the named tuple's __new__, a Python
+    call: the cells of a walk and a layout's rules make one per symbol."""
+    return tuple.__new__(PkSymbol, (o, s))
+
+
 def _check_symbol(pp: PrimePower, g: PkSymbol) -> None:
     """An order is INF or an int, and a sign an int, of type int exactly."""
     if type(g.sgn) is not int:
@@ -159,7 +165,7 @@ class SymbolLayout:
     def __iter__(self) -> Iterator[PkSymbol]:
         yield SYMBOL_ZERO
         for o in range(self.pp.k):
-            yield from map(PkSymbol, repeat(o), self.signs(o))
+            yield from map(pk_symbol, repeat(o), self.signs(o))
 
     def signs(self, o: int) -> tuple[int, ...]:
         """The signs of the inhabited symbols of finite order o: 1, -1 for
@@ -176,7 +182,7 @@ class SymbolLayout:
     def symbol(self, o: int, s: int) -> PkSymbol:
         """The symbol of finite order o and sign s (1 or -1 for odd p; for
         p = 2 any odd s, read modulo min(8, 2^(k - o)))."""
-        return PkSymbol(o, s if self.pp.p != 2 else s % (2 << min(self.pp.k - o - 1, 2)))
+        return pk_symbol(o, s if self.pp.p != 2 else s % (2 << min(self.pp.k - o - 1, 2)))
 
     def neg(self, g: PkSymbol) -> PkSymbol:
         """The symbol of -x for x of symbol g: g itself when p = 1 mod 4,
@@ -216,7 +222,7 @@ class SymbolLayout:
         if g1 != g:
             return near
         orders = range(o + self.gap, self.pp.k)
-        far = (zip(map(PkSymbol, repeat(u), self.signs(u)), repeat(self.size(u))) for u in orders)
+        far = (zip(map(pk_symbol, repeat(u), self.signs(u)), repeat(self.size(u))) for u in orders)
         return chain([(SYMBOL_ZERO, 1)], near, chain.from_iterable(far))
 
     def near(self, g: PkSymbol, g1: PkSymbol) -> list[tuple[PkSymbol, int]]:
@@ -245,7 +251,7 @@ class SymbolLayout:
             return [(self.symbol(low, sign), self.size(o1))]
         if p != 2:
             scale = p ** (k - o - 1)
-            cells = ((PkSymbol(o, s2), split_pair_count_mod_p(p, s1, s2, s) * scale) for s2 in (1, -1))
+            cells = ((pk_symbol(o, s2), split_pair_count_mod_p(p, s1, s2, s) * scale) for s2 in (1, -1))
             return [cell for cell in cells if cell[1]]
         m = 2 << min(k - o - 1, 2)
         d = (s - s1) % m
@@ -253,5 +259,5 @@ class SymbolLayout:
             e, u = d >> delta, o + delta
             if e & 1 and not d & ((1 << delta) - 1):
                 signs = self.signs(u)[e >> 1 :: m >> (delta + 1)]  # s2 = e modulo m / 2^delta
-                out += zip(map(PkSymbol, repeat(u), signs), repeat(self.size(u)))
+                out += zip(map(pk_symbol, repeat(u), signs), repeat(self.size(u)))
         return out

@@ -11,16 +11,18 @@ follows from the totals two orders down (_nonprimitive).  _level_odd and _level_
 a gap or more from ord(g) by running sums by order and the near cells
 in closed form.  dp_chain_tables chains the steps back to front.  It
 shares with counting.chain_tables only the layout and the per-block
-cells (block_cells, on the classes of gauss.block_signs).  A table here
-is dense: (total, non-primitive) lists indexed by position, the number
-of a symbol in the layout's iteration order (Positions).  dense spreads
-a block's cells over the positions, level_lists reads a gauss.Level at
-every position, and table_dict gives a table as the {symbol: RepCounts}
-dict the public functions return.
+cells (block_cells, each block signed by its own Legendre symbol at odd
+p, table_classes).  A table here is dense: (total, non-primitive)
+lists indexed by position, the number of a symbol in the layout's
+iteration order (Positions).  dense spreads a block's cells over the
+positions, level_lists reads a gauss.Level at every position, and
+table_dict gives a table as the {symbol: RepCounts} dict the public
+functions return.
 """
 
 from quadmod.counting import RepCounts, block_cells
-from quadmod.gauss import Level, block_classes, block_signs, block_tallies
+from quadmod.gauss import Level, block_classes
+from quadmod.modring import legendre
 from quadmod.symbols import PkSymbol, SymbolLayout
 
 Table = tuple[list[int], list[int]]
@@ -76,9 +78,10 @@ def table_dict(layout: SymbolLayout, table: Table) -> dict:
 
 
 def table_classes(blocks, pp):
-    """The blocks' classes as the count tables read them."""
-    classes = block_classes(blocks, pp)
-    return block_signs(classes, block_tallies(classes, pp.p), pp.p)
+    """The blocks' classes as the count tables read them: at odd p each
+    unit's own Legendre symbol, 0 where p^k divides the block."""
+    classes, p = block_classes(blocks, pp), pp.p
+    return classes if p == 2 else tuple((e, legendre(u, p) if u else 0) for e, u in classes)
 
 
 def dp_chain_tables(blocks, layout: SymbolLayout) -> tuple[list[Table], list[Table]]:

@@ -1,8 +1,8 @@
-"""Dense matrix products mod q, the referee of the diagonalization
-contract U'QU = D.  The library applies its basis moves in place and
-needs none of these."""
+"""Dense matrix products mod q and the direct-sum matrix of blocks, the
+referee of the diagonalization contract U'QU = D.  The library applies
+its basis moves in place and needs none of these."""
 
-from quadmod.blockdiag import check_symmetric
+from quadmod.blockdiag import BlockDiagForm, check_symmetric
 from quadmod.modring import DomainError, PrimePower
 
 Matrix = list[list[int]]
@@ -30,3 +30,18 @@ def apply_transform(q_mat: Matrix, u: Matrix, pp: PrimePower) -> Matrix:
         raise DomainError("transform dimensions do not match the form")
     u = [list(map(int, row)) for row in u]
     return mat_mul(transpose(u), mat_mul(q_mat, u, pp.q), pp.q)
+
+
+def blocks_to_matrix(bd) -> Matrix:
+    """Direct-sum matrix of the blocks (accepts a BlockDiagForm or a block list)."""
+    blocks = bd.blocks if isinstance(bd, BlockDiagForm) else bd
+    n = sum(b.dim for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    pos = 0
+    for b in blocks:
+        m = b.matrix()
+        for i in range(b.dim):
+            for j in range(b.dim):
+                out[pos + i][pos + j] = m[i][j]
+        pos += b.dim
+    return out

@@ -12,12 +12,11 @@ import time
 from collections import Counter
 from math import gcd
 
-from matrix_helpers import apply_transform
+from matrix_helpers import apply_transform, blocks_to_matrix
 from quadmod.blockdiag import (
     TypeI,
     TypeII,
     block_diagonalize,
-    blocks_to_matrix,
     integer_det,
 )
 from quadmod.counting import RepCounts, count_composite, count_form, form_counts_by_symbol, prepare

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadmod.blockdiag
-from matrix_helpers import apply_transform, mat_mul
+from matrix_helpers import apply_transform, blocks_to_matrix, mat_mul
 from quadmod.blockdiag import (
     TypeI,
     TypeII,
     block_diagonalize,
-    blocks_to_matrix,
     check_symmetric,
     integer_det,
 )

@@ -10,9 +10,10 @@ import pytest
 from conftest import CallCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from matrix_helpers import blocks_to_matrix
 
 from quadmod import counting, gauss
-from quadmod.blockdiag import TypeI, TypeII, block_diagonalize, blocks_to_matrix
+from quadmod.blockdiag import TypeI, TypeII, block_diagonalize
 from quadmod.counting import (
     RepCounts,
     SingularForm,
@@ -421,11 +422,10 @@ def symbol_chain_tables(blocks, pp):
     block's cells, each cell list spread over the layout
     (dp_reference.dense), and the Level of all the blocks, each Level
     read at every symbol of the layout (symbol_table)."""
-    layout = SymbolLayout(pp)
-    classes = dp_reference.table_classes(blocks, pp)
-    per_block, tails = chain_tables(classes, layout)
-    top = gauss.Level(pp, sum(blk.dim for blk in blocks), gauss.block_tallies(gauss.block_classes(blocks, pp), pp.p))
-    per_block.append(block_cells(classes[-1], layout))
+    layout, classes = SymbolLayout(pp), gauss.block_classes(blocks, pp)
+    top = gauss.Level(pp, sum(blk.dim for blk in blocks), gauss.block_tallies(classes, pp.p))
+    per_block, tails = chain_tables(classes, top, layout)
+    per_block.append(block_cells(dp_reference.table_classes(blocks, pp)[-1], layout))
     heads = [dp_reference.table_dict(layout, dp_reference.dense(cells, layout)) for cells in per_block]
     return heads, [symbol_table(layout, t) for t in (top, *tails)]
 
@@ -720,7 +720,7 @@ def test_tables_equal_the_dynamic_program(inst):
     walk = tuple(form.blocks[j] for j in form.walk_order)
     layout, form_per_block, form_tails = form.walk()
     want_per_block, want_suffix = dp_reference.dp_chain_tables(walk, layout)
-    per_block, tails = chain_tables(dp_reference.table_classes(walk, pp), layout)
+    per_block, tails = chain_tables(gauss.block_classes(walk, pp), form.level, layout)
     assert [dp_reference.dense(cells, layout) for cells in per_block] == want_per_block[:-1], (q, pp)
     assert [dp_reference.level_lists(tail, layout) for tail in tails] == want_suffix[1:], (q, pp)
     down = range(len(dp_reference.Positions(layout)) - 1, -1, -1)
@@ -758,7 +758,10 @@ def test_a_level_of_one_block_is_its_block_table(p):
         if p == 2:
             classes += [TypeII(ell, a, 1, c) for ell in range(k + 1) for a in (0, 1) for c in (0, 1)]
         for cls in classes:
-            (tallies,) = gauss.suffix_tallies((cls,), p)
+            if isinstance(cls, TypeII):
+                tallies = {}, {(cls.ell, cls.a * cls.c % 2): (cls.ell, cls.a * cls.c % 2, 1)}
+            else:
+                tallies = {cls if p == 2 else cls[0]: (*cls, 1)}, {}
             got = dp_reference.level_lists(gauss.Level(pp, 2 if isinstance(cls, TypeII) else 1, tallies), layout)
             cells = block_cells(cls, layout)
             assert got == dp_reference.dense(cells, layout) and all(is_int_counts(lst) for lst in got), (pp, cls)
@@ -868,8 +871,8 @@ def level_tallies(draw):
 
 
 @given(level_tallies())
-@example((PrimePower(2, 9), 1, (((0, 1, 1),), ())))  # one block at p = 2: a term at j = 2 of 2^(k+1)
-@example((PrimePower(3, 9), 1, (((0, 1, 1),), ())))  # one unit block at odd p: a term at j = 1 of p^k
+@example((PrimePower(2, 9), 1, ({(0, 1): (0, 1, 1)}, {})))  # one block at p = 2: a term at j = 2 of 2^(k+1)
+@example((PrimePower(3, 9), 1, ({0: (0, 1, 1)}, {})))  # one unit block at odd p: a term at j = 1 of p^k
 @settings(max_examples=300, deadline=None)
 def test_every_term_is_a_multiple_of_the_unit(inst):
     # a Level keeps its sums in units of p^unit, fixed when it is made:
@@ -879,6 +882,67 @@ def test_every_term_is_a_multiple_of_the_unit(inst):
     terms = [gauss._term(pp, n, tallies, j) for j in range(1, pp.k + 1)]
     lows = [e for e, _ in filter(None, terms)]
     assert all(e >= unit for e in lows), (unit, lows)
+
+
+@st.composite
+def walk_classes(draw):
+    """(p^k, classes): the block classes of 0 to 5 blocks mod p^k, p in
+    {2, 3, 5, 7, 2^127 - 1} and k <= 12, in walk order (highest order
+    first), of orders 0, 1, 2 and k, so that orders repeat and p^k | d
+    is among them, and at p = 2 type II blocks of every parity."""
+    pp = PrimePower(draw(st.sampled_from((2, 3, 5, 7, P127))), draw(st.integers(1, 12)))
+    p, orders, blocks = pp.p, st.sampled_from((0, 1, 2, pp.k)), []
+    for _ in range(draw(st.integers(0, 5))):
+        if p == 2 and draw(st.booleans()):
+            a, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            blocks.append(TypeII(draw(orders), a, 2 * draw(st.integers(0, 7)) + 1, c))
+        else:
+            u = draw(st.integers(1, 10**4).filter(lambda u: u % p))
+            blocks.append(TypeI(u * p ** draw(orders)))
+    classes = gauss.block_classes(tuple(blocks), pp)
+    return pp, tuple(sorted(classes, key=lambda cls: cls.ell if isinstance(cls, TypeII) else cls[0], reverse=True))
+
+
+def direct_level(pp, classes):
+    """The Level of the blocks of the given classes, from their tallies."""
+    n = sum(2 if isinstance(cls, TypeII) else 1 for cls in classes)
+    return gauss.Level(pp, n, gauss.block_tallies(classes, pp.p))
+
+
+@given(walk_classes())
+@settings(max_examples=200, deadline=None)
+def test_each_tail_is_the_level_before_it_less_its_head(inst):
+    # the walk peels its head off the Level before it (Level.without):
+    # each tail equals, at every symbol and above every order, the Level
+    # made directly from the blocks left, and each head's cells read the
+    # head's own Legendre symbol at odd p
+    pp, classes = inst
+    p, layout = pp.p, SymbolLayout(pp)
+    per_block, tails = chain_tables(classes, direct_level(pp, classes), layout)
+    assert len(per_block) == len(tails) == max(0, len(classes) - 1)
+    for j, (cells, tail) in enumerate(zip(per_block, tails)):
+        head = classes[j]
+        if p != 2:
+            head = head[0], legendre(head[1], p) if head[1] else 0
+        assert cells == block_cells(head, layout), (pp, classes, j)
+        want = direct_level(pp, classes[j + 1 :])
+        assert tail.n == want.n, (pp, classes, j)
+        assert all(tail.at(*g) == want.at(*g) for g in layout), (pp, classes, j)
+        assert all(tail.above(m) == want.above(m) for m in range(pp.k + 1)), (pp, classes, j)
+
+
+@given(walk_classes())
+@settings(max_examples=200, deadline=None)
+def test_above_sums_the_entries_from_an_order_up(inst):
+    # above(m) is the sum over the symbols of order at least m, the zero
+    # symbol among them, of class size times the entry, for the totals
+    # and the non-primitive counts alike
+    pp, classes = inst
+    layout, level = SymbolLayout(pp), direct_level(pp, classes)
+    entries = [(pp.k if g.ord == INF else g.ord, level.at(*g)) for g in layout]
+    for m in range(pp.k + 1):
+        want = [sum(layout.size(o) * entry[i] for o, entry in entries if o >= m) for i in (0, 1)]
+        assert list(level.above(m)) == want, (pp, classes, m)
 
 
 def test_counts_build_no_table(monkeypatch, tmp_path):

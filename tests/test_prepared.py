@@ -264,8 +264,9 @@ def scan_reach(layout, head, g, cell):
 @pytest.mark.parametrize("q_mat, pp", LEVEL_FORMS, ids=[f"n{len(q)}-{pp}" for q, pp in LEVEL_FORMS])
 def test_prepare_builds_only_the_levels_the_walk_reads(monkeypatch, layer_calls, q_mat, pp):
     _, tables = layer_calls
-    built = CallCounter(quadmod.counting.Level)
-    monkeypatch.setattr(quadmod.counting, "Level", built)
+    # every Level made, by counting or by Level.without
+    built = CallCounter(quadmod.gauss.Level.__init__)
+    monkeypatch.setattr(quadmod.gauss.Level, "__init__", lambda level, *args: built(level, *args))
     pick, reached = quadmod.sampling._pick_cell, {}
 
     def recorded(layout, head, tail, g, want_prim, r):
