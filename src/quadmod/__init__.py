@@ -40,7 +40,6 @@ from .sampling import (
     sample_symbol_elem,
 )
 from .sqroots import (
-    LasVegasFail,
     NonResidue,
     NotASquare,
     lift_sqrt_odd,
@@ -61,7 +60,6 @@ __all__ = [
     "INF",
     "BlockDiagForm",
     "DomainError",
-    "LasVegasFail",
     "NonResidue",
     "NotASquare",
     "PkSymbol",

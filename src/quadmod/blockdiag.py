@@ -59,9 +59,6 @@ class TypeI(Frozen):
     def dim(self) -> int:
         return 1
 
-    def matrix(self) -> Matrix:
-        return [[self.d]]
-
 
 class TypeII(Frozen):
     """2x2 block 2^ell * [[2a, b], [b, 2c]] with b odd (p = 2 only)."""
@@ -83,10 +80,6 @@ class TypeII(Frozen):
     @property
     def dim(self) -> int:
         return 2
-
-    def matrix(self) -> Matrix:
-        s = 2**self.ell
-        return [[2 * s * self.a, s * self.b], [s * self.b, 2 * s * self.c]]
 
 
 Block = TypeI | TypeII

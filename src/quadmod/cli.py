@@ -12,9 +12,10 @@ Matrix entries and t may be integers or decimal strings (decimal strings
 keep arbitrary precision safe in JSON); every emitted number that can
 exceed 64 bits is a decimal string.
 
-Exit codes: 0 success, 1 no solution exists, 2 randomized failure or a
-failed self-check, 3 malformed input or command line, 4 internal error
-(a bug: one line on stderr).
+Exit codes: 0 success, 1 no solution exists, 2 a failed self-check
+(check), 3 malformed input or command line, 4 internal error (a bug:
+one line on stderr).  A draw cannot fail: its rejection loops have no
+cap.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .counting import _local_density as local_density
 from .counting import _prepare, count_factors
 from .modring import DomainError, Frozen, PrimePower, _set
 from .sampling import RepKind, sample_factors
-from .sqroots import LasVegasFail
 
 
 class ParseError(DomainError):
@@ -306,7 +306,7 @@ def run(command: str, instance: Instance, flags) -> tuple[int, str]:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse would exit with 2, the code of a randomized failure
+        # argparse would exit with 2, the code of a failed check
         self.print_usage(sys.stderr)
         raise UsageError(message)
 
@@ -356,9 +356,6 @@ def _main(argv) -> int:
         args = _build_parser().parse_intermixed_args(argv)
         instance = parse_instance(args.instance)
         code, report = run(args.command, instance, args)
-    except LasVegasFail as exc:
-        print(f"fail: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

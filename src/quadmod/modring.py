@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from typing import NamedTuple
 
 INF = math.inf  # p-adic order of 0
@@ -238,3 +239,13 @@ def uniform_below(n: int, rng: RandomSource) -> int:
     if n < 1:
         raise DomainError("uniform_below needs n >= 1")
     return rng.randrange(n)
+
+
+def draw_until(lo: int, n: int, accept: Callable[[int], bool], rng: RandomSource) -> int:
+    """The first v = lo + uniform_below(n) with accept(v): uniform over
+    the accepted values of lo..lo+n-1, which must not all be refused.
+    The loop has no cap, so a rejection draw has exactly this law."""
+    while True:
+        v = lo + uniform_below(n, rng)
+        if accept(v):
+            return v

@@ -20,26 +20,26 @@ a composite NONPRIMITIVE draw) is made without a draw.
 
 Outcomes: a Solution is returned as a plain value (ring element for
 one-dimensional samplers, tuple of ring elements for forms); an empty
-solution class returns None (NoSolution); exhausting the retry cap of
-a randomized search raises LasVegasFail (Fail); a kind that is not a
-RepKind, or a t that is not an int, raises DomainError before any
-draw.  All case selection
-draws exact big-integer weights via uniform_below -- no floats, so a
-fixed seed gives a fixed transcript.
+solution class returns None (NoSolution); a kind that is not a RepKind,
+or a t that is not an int, raises DomainError before any draw.  All
+case selection draws exact big-integer weights via uniform_below -- no
+floats, so a fixed seed gives a fixed transcript.
 
-Only odd-p rejection steps can fail: the unit-digit draw of a symbol
-class, the unit-digit loop of a cell whose three orders are equal
-(_draw_unit_digit, which a split and a type I head step share), and the
-non-residue search that starts a square root mod a prime p = 1 mod 8.
+Only odd-p steps reject, each by one uncapped loop (modring.draw_until),
+so a draw never fails and its law is exactly uniform; each trial
+accepts with probability at least: 1/3 for the digit of a symbol class
+(sample_symbol_elem); 1/6 for the unit digit of a split cell whose
+three orders are equal; 1/3 for the unit digit of a type I head step in
+such a cell; about 1/2 for the non-residue that starts a square root
+mod a prime p = 1 mod 8.  The walk never splits such a cell (a type I
+head draws its x there), so its loops take at most 3 trials on average.
 Every p = 2 path is deterministic once its random free digits are drawn.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from enum import Enum
-from typing import TypeVar
 
 from .blockdiag import Block, TypeI, TypeII, check_symmetric
 from .counting import (
@@ -57,14 +57,13 @@ from .modring import (
     DomainError,
     PrimePower,
     RandomSource,
+    draw_until,
     legendre,
     uniform_below,
     valuation,
 )
-from .sqroots import RETRY_CAP, LasVegasFail, lift_sqrt_odd, sqrt_unit_mod_2k
+from .sqroots import lift_sqrt_odd, sqrt_unit_mod_2k
 from .symbols import PkSymbol, SymbolLayout, _check_symbol, _is_empty, split_class_size, symbol_of
-
-T = TypeVar("T")
 
 
 class RepKind(Enum):
@@ -93,27 +92,25 @@ def sample_symbol_elem(pp: PrimePower, g: PkSymbol, rng: RandomSource) -> int:
             return (2**i * g.sgn) % q
         d = uniform_below(2 ** (m - 3), rng)
         return 2**i * (8 * d + g.sgn)
-    # odd p: rejection on the unit digit (accepts w.p. (p-1)/2p), then
-    # uniform higher digits
-    for _ in range(RETRY_CAP):
-        tau = uniform_below(p, rng)
-        if _is_unit_of_sign(tau, p, g.sgn):
-            d = uniform_below(p ** (k - i - 1), rng)
-            return (p**i * (d * p + tau)) % q
-    raise LasVegasFail("no unit digit with the requested sign found")
+    # odd p: rejection on the digit 0..p-1 (accepts w.p. (p-1)/2p, at
+    # least 1/3), then uniform higher digits
+    tau = draw_until(0, p, lambda u: _is_unit_of_sign(u, p, g.sgn), rng)
+    d = uniform_below(p ** (k - i - 1), rng)
+    return (p**i * (d * p + tau)) % q
 
 
 def sample_split(
     pp: PrimePower, t: int, g1: PkSymbol, g2: PkSymbol, rng: RandomSource
 ) -> tuple[int, int] | None:
     """Uniform pair (a, b) with symbol(a) = g1, symbol(b) = g2, a + b = t;
-    None when no such pair exists.  A draw whose equal-orders rejection
-    loop runs out is started again, RETRY_CAP times in all."""
+    None when no such pair exists.  A cell whose three orders are equal
+    draws a's unit digit until both signs come out right, with no cap:
+    each trial succeeds with probability at least 1/6."""
     g = symbol_of(pp, t)  # and checks t
     t %= pp.q
     if split_class_size(pp, g, g1, g2) == 0:
         return None
-    return _restarting(lambda: _split(pp, t, g, g1, g2, rng))
+    return _split(pp, t, g, g1, g2, rng)
 
 
 def _split(
@@ -133,25 +130,13 @@ def _split(
         return 0, 0
     # equal finite orders: odd p only (the p = 2 split size is 0).  Both
     # parts' signs rest on a's unit digit alone, so draw it until both
-    # come out right, and only then a's higher digits
+    # come out right (each trial does w.p. at least 1/6, tending to 1/4),
+    # and only then a's higher digits
     i = g.ord
     ct = (t // p**i) % p
-    a1 = _draw_unit_digit(p, lambda u: legendre(u, p) == g1.sgn and _is_unit_of_sign(ct - u, p, g2.sgn), rng)
+    a1 = draw_until(1, p - 1, lambda u: legendre(u, p) == g1.sgn and _is_unit_of_sign(ct - u, p, g2.sgn), rng)
     a = p**i * (a1 + p * uniform_below(p ** (k - i - 1), rng))
     return a, (t - a) % q
-
-
-def _draw_unit_digit(p: int, accept: Callable[[int], bool], rng: RandomSource) -> int:
-    """The rejection loop of an odd-p cell whose three orders are equal:
-    a unit digit in 1..p-1, drawn again until accept holds for it.  A
-    split accepts with probability at least 1/6 (tending to 1/4), a type
-    I head step at least 1/3 (tending to 1/2).  RETRY_CAP trials without
-    success raise LasVegasFail."""
-    for _ in range(RETRY_CAP):
-        y0 = 1 + uniform_below(p - 1, rng)
-        if accept(y0):
-            return y0
-    raise LasVegasFail("equal-orders rejection exhausted")
 
 
 def _is_unit_of_sign(b: int, p: int, sgn: int) -> bool:
@@ -338,11 +323,10 @@ def _sample_head_type1(
     every x of the set leaves the tail a target of symbol g2.  The cell
     with ord g1 = ord g2 = ord g occurs for odd p only (at p = 2 it is
     empty); there the tail's sign rests on y mod p alone, so y's unit
-    digit is drawn again until that sign is g2's (_draw_unit_digit, the
-    loop an equal-orders split also runs; each trial succeeds with
-    probability at least 1/3, tending to 1/2), and only then its higher
-    digits.  The cell's weight already makes x primitive exactly when
-    e = 0.
+    digit is drawn again until that sign is g2's (draw_until, as in an
+    equal-orders split; each trial succeeds with probability at least
+    1/3, tending to 1/2), and only then its higher digits.  The cell's
+    weight already makes x primitive exactly when e = 0.
     """
     p, k, q = pp.p, pp.k, pp.q
     ord_d, cop_d = valuation(pp, d % q)
@@ -353,7 +337,7 @@ def _sample_head_type1(
     else:
         if g1.ord == g.ord:
             ct, cd = (t // p**g.ord) % p, cop_d % p
-            y0 = _draw_unit_digit(p, lambda u: _is_unit_of_sign(ct - cd * u * u, p, g2.sgn), rng)
+            y0 = draw_until(1, p - 1, lambda u: _is_unit_of_sign(ct - cd * u * u, p, g2.sgn), rng)
         else:
             y0 = 1 + uniform_below(p - 1, rng)
         y = y0 + p * uniform_below(p ** (m - 1), rng)
@@ -399,17 +383,6 @@ def _pick_cell(
                 return g1, g2, False, True
             return g1, g2, True, r - w >= size * (h - hn) * cn
     raise RuntimeError("the chain walk ran past its last cell: a tail disagrees with the count drawn below")
-
-
-def _restarting(draw: Callable[[], T]) -> T:
-    """draw(), started again after each LasVegasFail; the RETRY_CAP-th
-    failure is raised."""
-    for _ in range(RETRY_CAP):
-        try:
-            return draw()
-        except LasVegasFail:
-            continue
-    raise LasVegasFail("every restart of the draw failed")
 
 
 def sample_form(
@@ -491,7 +464,7 @@ def sample_factors(
         else:
             want_prim = bool(c.primitive)
         pp, total = form.pp, c.primitive if want_prim else c.nonprimitive
-        y = _restarting(lambda: _sample_chain(form, t % pp.q, g, want_prim, total, rng)) if form.blocks else []
+        y = _sample_chain(form, t % pp.q, g, want_prim, total, rng) if form.blocks else []
         m = q // pp.q
         e = m * pow(m, -1, pp.q)  # 1 mod this factor's modulus, 0 mod the others'
         for i, v in enumerate(form.diag.u_times(y)):

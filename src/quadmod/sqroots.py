@@ -14,12 +14,9 @@ from .modring import (
     DomainError,
     PrimePower,
     RandomSource,
+    draw_until,
     legendre,
-    uniform_below,
 )
-
-# One Las Vegas attempt block: this many rejections in a row aborts with Fail.
-RETRY_CAP = 64
 
 
 class NonResidue(DomainError):
@@ -30,10 +27,6 @@ class NotASquare(DomainError):
     """The argument is not a square in Z/2^k."""
 
 
-class LasVegasFail(RuntimeError):
-    """A randomized search exhausted its retry cap (probability ~2^-64)."""
-
-
 def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
     """Both square roots of a unit residue t mod an odd prime p.
 
@@ -41,8 +34,9 @@ def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
     v = (2t)^((p-5)/8), i = 2t v^2 (a square root of -1, since 2 is a
     non-residue), x = t v (i - 1).  Either way a non-residue t shows as
     x^2 != t, and rng is not read.  p = 1 mod 8: Tonelli-Shanks; the
-    non-residue needed to start is found by random draws (each succeeds
-    with probability 1/2).
+    non-residue needed to start is drawn from 2..p-1 until one is found
+    (each trial succeeds with probability (p-1)/(2(p-2)), about 1/2).
+    The roots do not depend on which non-residue is drawn.
     """
     if p % 2 == 0:
         raise DomainError("sqrt_unit_mod_p needs an odd prime")
@@ -68,12 +62,7 @@ def sqrt_unit_mod_p(p: int, t: int, rng: RandomSource) -> tuple[int, int]:
     while u % 2 == 0:
         u //= 2
         e += 1
-    for _ in range(RETRY_CAP):
-        z = 2 + uniform_below(p - 2, rng)
-        if legendre(z, p) == -1:
-            break
-    else:
-        raise LasVegasFail("no quadratic non-residue found")
+    z = draw_until(2, p - 2, lambda v: legendre(v, p) == -1, rng)
     c = pow(z, u, p)  # generator of the 2-Sylow of (Z/p)*
     x = pow(t, (u + 1) // 2, p)
     b = pow(t, u, p)

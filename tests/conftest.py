@@ -44,21 +44,25 @@ def root_calls(monkeypatch):
 
 @pytest.fixture
 def unit_digit_trials(monkeypatch):
-    """Trials and rejections of sampling's equal-orders rejection loop
-    (_draw_unit_digit), which a split and a type I head step share: each
-    call of the loop's accept test is a trial, and each False a
-    rejection."""
+    """Trials and rejections of sampling's equal-orders rejection loop,
+    the draw_until over the unit digits 1..p-1 that a split and a type I
+    head step share (a symbol class's digit, drawn from 0..p-1, is not
+    counted): each call of the loop's accept test is a trial, and each
+    False a rejection."""
     counts = SimpleNamespace(trials=0, rejects=0)
-    draw = quadmod.sampling._draw_unit_digit
+    draw = quadmod.sampling.draw_until
 
-    def counted(p, accept, rng):
+    def counted(lo, n, accept, rng):
+        if lo != 1:
+            return draw(lo, n, accept, rng)
+
         def watched(u):
             ok = accept(u)
             counts.trials += 1
             counts.rejects += not ok
             return ok
 
-        return draw(p, watched, rng)
+        return draw(lo, n, watched, rng)
 
-    monkeypatch.setattr(quadmod.sampling, "_draw_unit_digit", counted)
+    monkeypatch.setattr(quadmod.sampling, "draw_until", counted)
     return counts

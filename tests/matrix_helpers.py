@@ -2,7 +2,7 @@
 referee of the diagonalization contract U'QU = D.  The library applies
 its basis moves in place and needs none of these."""
 
-from quadmod.blockdiag import BlockDiagForm, check_symmetric
+from quadmod.blockdiag import BlockDiagForm, TypeI, check_symmetric
 from quadmod.modring import DomainError, PrimePower
 
 Matrix = list[list[int]]
@@ -32,6 +32,15 @@ def apply_transform(q_mat: Matrix, u: Matrix, pp: PrimePower) -> Matrix:
     return mat_mul(transpose(u), mat_mul(q_mat, u, pp.q), pp.q)
 
 
+def block_matrix(blk) -> Matrix:
+    """The matrix of one block: [[d]] for TypeI(d), and
+    2^ell [[2a, b], [b, 2c]] for TypeII(ell, a, b, c)."""
+    if isinstance(blk, TypeI):
+        return [[blk.d]]
+    s = 2**blk.ell
+    return [[2 * s * blk.a, s * blk.b], [s * blk.b, 2 * s * blk.c]]
+
+
 def blocks_to_matrix(bd) -> Matrix:
     """Direct-sum matrix of the blocks (accepts a BlockDiagForm or a block list)."""
     blocks = bd.blocks if isinstance(bd, BlockDiagForm) else bd
@@ -39,7 +48,7 @@ def blocks_to_matrix(bd) -> Matrix:
     out = [[0] * n for _ in range(n)]
     pos = 0
     for b in blocks:
-        m = b.matrix()
+        m = block_matrix(b)
         for i in range(b.dim):
             for j in range(b.dim):
                 out[pos + i][pos + j] = m[i][j]

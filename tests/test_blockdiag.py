@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadmod.blockdiag
-from matrix_helpers import apply_transform, blocks_to_matrix, mat_mul
+from matrix_helpers import apply_transform, block_matrix, blocks_to_matrix, mat_mul
 from quadmod.blockdiag import (
     TypeI,
     TypeII,
@@ -70,7 +70,7 @@ def test_matrix_helpers():
 
 def test_type2_matrix_scaling():
     blk = TypeII(1, 1, 3, 0)
-    assert blk.matrix() == [[4, 6], [6, 0]]
+    assert block_matrix(blk) == [[4, 6], [6, 0]]
     with pytest.raises(DomainError):
         TypeII(0, 1, 2, 1)  # middle coefficient must be odd
 

@@ -182,7 +182,7 @@ def test_options_after_instance_path(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
-    # a malformed command line is malformed input, not a sampler failure
+    # a malformed command line is malformed input (3), not a failed check (2)
     path = write_instance(tmp_path, {"q": [[1]], "p": "5", "k": 1, "t": "1"})
     for argv in (["count", path, "--kind", "bogus"], ["count", path, "extra"], ["bogus", path], ["count", "--seed", "x"]):
         assert main(argv) == 3, argv

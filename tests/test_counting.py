@@ -10,7 +10,7 @@ import pytest
 from conftest import CallCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from matrix_helpers import blocks_to_matrix
+from matrix_helpers import block_matrix, blocks_to_matrix
 
 from quadmod import counting, gauss
 from quadmod.blockdiag import TypeI, TypeII, block_diagonalize
@@ -164,7 +164,7 @@ def test_count_type2_brute():
             a, c = rng.randrange(8), rng.randrange(8)
             b = 2 * rng.randrange(8) + 1
             blk = TypeII(ell, a, b, c)
-            mat = [[v % pp.q for v in row] for row in blk.matrix()]
+            mat = [[v % pp.q for v in row] for row in block_matrix(blk)]
             per_t = histogram_counts(mat, pp)
             for t in range(pp.q):
                 assert count_type2(blk, k, symbol_of(pp, t)) == per_t[t], (k, blk, t)

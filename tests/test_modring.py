@@ -12,6 +12,7 @@ from quadmod.modring import (
     DomainError,
     PrimePower,
     Valuation,
+    draw_until,
     is_probable_prime,
     legendre,
     uniform_below,
@@ -224,3 +225,23 @@ def test_uniform_below_deterministic_and_in_range():
         uniform_below(0, rng)
     with pytest.raises(DomainError):
         uniform_below(-(10**5000), rng)
+
+
+class ScriptedRng:
+    """Answers randrange calls from a script, and records each call's n."""
+
+    def __init__(self, answers):
+        self.answers, self.calls = list(answers), []
+
+    def randrange(self, n):
+        self.calls.append(n)
+        return self.answers.pop(0)
+
+
+def test_draw_until_returns_the_first_accepted_answer():
+    # 5 + 4 = 9 and 5 + 0 = 5 are odd, 5 + 3 = 8 is the first even value;
+    # the answers after it are not read
+    rng = ScriptedRng([4, 0, 3, 1, 2])
+    assert draw_until(5, 6, lambda v: v % 2 == 0, rng) == 8
+    assert rng.calls == [6, 6, 6]
+    assert rng.answers == [1, 2]

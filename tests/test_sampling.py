@@ -5,6 +5,7 @@ import pytest
 from conftest import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_helpers import block_matrix
 
 import quadmod.counting
 import quadmod.modring
@@ -32,6 +33,7 @@ from quadmod.sampling import (
     sample_split,
     sample_symbol_elem,
 )
+from quadmod.sqroots import sqrt_unit_mod_p
 from quadmod.symbols import PkSymbol, class_size, enumerate_symbols, split_class_size, symbol_of
 
 I2 = [[1, 0], [0, 1]]
@@ -134,23 +136,23 @@ class StuckRng:
         return self.rng.randrange(n)
 
 
-def test_sample_split_restarts_an_exhausted_rejection_loop():
-    # a's unit digit 1 + 2 = 3 is a non-residue mod 7, so every trial of
-    # a cell with g1 = (0, +1) rejects it: the first RETRY_CAP trials
-    # exhaust one round, and the split starts again
-    pp, t, g1, g2 = PrimePower(7, 2), 26, PkSymbol(0, 1), PkSymbol(0, 1)
-    cap = quadmod.sqroots.RETRY_CAP
-    a, b = sample_split(pp, t, g1, g2, StuckRng(7, cap, 2))
-    assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
-    # the restarts are bounded: RETRY_CAP rounds of RETRY_CAP trials
-    with pytest.raises(quadmod.sqroots.LasVegasFail):
-        sample_split(pp, t, g1, g2, StuckRng(7, cap * cap, 2))
+@pytest.mark.parametrize("stuck", [64, 64 * 64])
+def test_rejection_loops_have_no_cap(stuck):
+    # every stuck answer is rejected: in a cell with g1 = (0, +1), a's
+    # unit digit 1 + 2 = 3 and the class digit 3 are non-residues mod 7,
+    # and the non-residue candidate 2 + 0 = 2 is a square mod 17.  Each
+    # loop goes on until the answers come unstuck, and then returns
+    pp, t, g1 = PrimePower(7, 2), 26, PkSymbol(0, 1)
+    a, b = sample_split(pp, t, g1, g1, StuckRng(7, stuck, 2))
+    assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g1, t)
+    assert symbol_of(pp, sample_symbol_elem(pp, g1, StuckRng(7, stuck, 3))) == g1
+    assert sqrt_unit_mod_p(17, 2, StuckRng(7, stuck, 0)) == (6, 11)
 
 
 def one_block(blk, pp):
     """The prepared form of blk's matrix mod p^k: the block itself,
     or, where the matrix vanishes mod p^k, zero blocks."""
-    return prepare([[v % pp.q for v in row] for row in blk.matrix()], pp)
+    return prepare([[v % pp.q for v in row] for row in block_matrix(blk)], pp)
 
 
 def test_sample_type1_examples():
@@ -210,7 +212,7 @@ def test_sample_type2_matches_enumeration():
     for k in (1, 2, 3, 4):
         pp = PrimePower(2, k)
         for blk in (TypeII(0, 0, 1, 0), TypeII(0, 1, 1, 1), TypeII(1, 0, 1, 0), TypeII(0, 1, 3, 2)):
-            mat = [[v % pp.q for v in row] for row in blk.matrix()]
+            mat = [[v % pp.q for v in row] for row in block_matrix(blk)]
             form = one_block(blk, pp)
             assert [type(b) for b in form.blocks] == ([TypeII] if blk.ell < k else [TypeI, TypeI])
             for t in range(pp.q):
@@ -553,7 +555,6 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, unit_digit_tri
     # the sum of those shares
     stats = unit_digit_trials
     expected = variance = 0.0
-    failures = 0
 
     def euler(b):
         b %= p
@@ -568,13 +569,8 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, unit_digit_tri
     head = quadmod.sampling._sample_head_type1
 
     def watched(d, pp, t, g, g1, g2, rng):
-        nonlocal failures
         before = stats.trials
-        try:
-            out = head(d, pp, t, g, g1, g2, rng)
-        except quadmod.sqroots.LasVegasFail:
-            failures += 1
-            raise
+        out = head(d, pp, t, g, g1, g2, rng)
         trials = stats.trials - before
         if g1.ord != g.ord:
             assert trials == 0
@@ -606,13 +602,11 @@ def test_equal_orders_head_rejects_at_the_exact_rate(monkeypatch, unit_digit_tri
         for _ in range(6000):
             t, g1, g2 = cells[uniform_below(len(cells), rng)]
             before = stats.trials
-            # a cell with one good digit in six exhausts a round of the
-            # loop w.p. (5/6)^RETRY_CAP (the 776th call at p = 7); the
-            # split starts again, and every trial counts
+            # a cell with one good digit in six takes six trials on
+            # average, and its loop has no cap: every trial counts
             a, b = sample_split(pp, t, g1, g2, rng)
             assert (symbol_of(pp, a), symbol_of(pp, b), (a + b) % pp.q) == (g1, g2, t)
             account(stats.trials - before, lambda a1: euler(a1) != g1.sgn or euler(t - a1) != g2.sgn)
-    assert failures == 0
     assert stats.trials > 1000, stats.trials
     assert abs(stats.rejects - expected) <= 5 * variance**0.5, (stats.rejects, expected, variance)
 

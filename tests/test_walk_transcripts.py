@@ -8,7 +8,9 @@ weighed and entered, changes the transcript.  The deep cases pin Q4 at
 Level.above and Level.at sees, over those cases, a far run weighed and
 skipped and one scanned into.  The workload-shape case pins 300 fresh
 draws over the shapes of perfbench's draws workload: moduli with
-k <= 10, composites, and a type II block at 2^10.
+k <= 10, composites, and a type II block at 2^10.  The Tonelli-Shanks
+case pins Q4 at unit targets mod primes p = 1 mod 8, where a square
+root mod p starts from a randomly drawn non-residue.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import math
 import random
 
 import quadmod.gauss
+import quadmod.sqroots
 from quadmod import PrimePower, RepKind, sample_composite, sample_form
 
 Q4 = [[2, 1, 0, 3], [1, 4, 1, 0], [0, 1, 6, 1], [3, 0, 1, 8]]
@@ -148,3 +151,39 @@ def test_workload_shape_draws_pinned():
             got.append(sample_composite(q, pps, t, kind, rng))
     assert None not in got
     assert hashlib.sha256(repr(got).encode()).hexdigest() == SHAPE_DIGEST
+
+
+# (name, factors, t): t is a unit at 17 and 41; at 3^2 it is 0, so the
+# composite's non-primitive class is not empty
+TS_CASES = [("17^3", [(17, 3)], 7), ("41^2", [(41, 2)], 7), ("17^2*3^2", [(17, 2), (3, 2)], 45)]
+TS_DRAWS = 6
+TS_GOLDEN = {
+    ('17^3', 'any'): '394c1f7e3ae5c6c534bbd8b405cf0c89b40ed569b3082b8acf4a5ce6140363aa',
+    ('17^3', 'primitive'): '4ec2477d4d68f3a24014e3c833be9e2a5a57fc8e73f052fe4f247248b7e0a1b3',
+    ('17^3', 'nonprimitive'): '97feebf13ebdd66935da2417ff2aec541ab3c7377996e5b98874b5ad9a959051',
+    ('41^2', 'any'): '4832897a5f45260575bec32ac0b87d66702dd104052ca5182006e0dcc5f4c413',
+    ('41^2', 'primitive'): '0ed723d0bc5ec10e04de502ff8062d24fa5537adc3b87a068c3e9650bbbd08db',
+    ('41^2', 'nonprimitive'): '97feebf13ebdd66935da2417ff2aec541ab3c7377996e5b98874b5ad9a959051',
+    ('17^2*3^2', 'any'): '9ef9f20d3529d1d25d348749f43fa58add0d8b0c8f5913f212431a4404692ba6',
+    ('17^2*3^2', 'primitive'): '7ed9301fa721f86f6703a16dafaaaebbcbd0c581fc6165259c1c2077190d52dd',
+    ('17^2*3^2', 'nonprimitive'): 'ba624ccfddc11ece1b6dea0f6e351ff6fa0ea440484d8e0b69f341171fee67fc',
+}
+
+
+def test_tonelli_shanks_draws_pinned(monkeypatch):
+    primes = []
+    root = quadmod.sqroots.sqrt_unit_mod_p
+
+    def watched(p, t, rng):
+        primes.append(p)
+        return root(p, t, rng)
+
+    monkeypatch.setattr(quadmod.sqroots, "sqrt_unit_mod_p", watched)
+    for name, factors, t in TS_CASES:
+        pps = [PrimePower(p, k) for p, k in factors]
+        for kind in RepKind:
+            rng = random.Random(f"{name}:{t}:{kind.value}")
+            got = [sample_composite(Q4, pps, t, kind, rng) for _ in range(TS_DRAWS)]
+            digest = hashlib.sha256(repr(got).encode()).hexdigest()
+            assert digest == TS_GOLDEN[name, kind.value], (name, kind)
+    assert {17, 41} <= set(primes), primes
