@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .modring import DomainError, Frozen, PrimePower, _set
+from .modring import DomainError, Frozen, PrimePower, _set, valuation
 
 Matrix = list[list[int]]
 
@@ -204,9 +204,7 @@ def _pivot(m: Matrix, pp: PrimePower, pos: int) -> tuple[int, int, int]:
             g, first = g_row, i
             if g == 1:
                 break  # no diagonal unit: row i holds the pivot
-    o, rest = 0, g
-    while rest > 1:
-        o, rest = o + 1, rest // p
+    o = valuation(pp, g).ord
     if o == pp.k:
         return pos, pos, o
     above = g * p  # entries of order o are those it does not divide

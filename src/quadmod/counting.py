@@ -328,12 +328,8 @@ def _local_density(q_mat: Matrix, p: int, t: int) -> Fraction:
         raise SingularForm("det Q = 0")
     if t == 0:
         raise ZeroTarget("local density needs t != 0")
-    base = PrimePower(p, 1)  # validate p first: p = 1 or -1 never leaves the loop below
-    arg = 8 * t * det
-    s = 1
-    while arg % p == 0:
-        arg //= p
-        s += 1
+    base = PrimePower(p, 1)  # validate p first: valuation never ends for p = 1 or -1
+    s = 1 + valuation(base, 8 * t * det).ord
     pp = base.with_exponent(s)
     total = _count_form(q_mat, pp, t).total
     return Fraction(total) / Fraction(p) ** (s * (n - 1))  # exact at n = 0 too

@@ -207,15 +207,26 @@ class Valuation(NamedTuple):
 def valuation(pp: PrimePower, a: int) -> Valuation:
     """Split the integer a as cop * p**ord with p not dividing cop.
 
-    The order of 0 is INF (with coprime part 0 by convention).
+    The order of 0 is INF (with coprime part 0 by convention).  A unit
+    costs one %.  Otherwise a is divided by p, and then by p, p^2, p^4,
+    ... while each divides, which leaves an order below the first power
+    that did not, and then by each smaller power on the way back down
+    (the isqrt of the last) that divides: O(log ord) divisions, not one
+    per p.  Every p-adic order of a ring element or target is taken
+    here.
     """
     if a == 0:
         return Valuation(INF, 0)
     p = pp.p
-    ord_ = 0
-    while a % p == 0:
-        a //= p
-        ord_ += 1
+    if a % p:
+        return Valuation(0, a)
+    a, ord_, n, pw = a // p, 1, 1, p  # pw = p^n
+    while not (qr := divmod(a, pw))[1]:  # one division gives both
+        a, ord_, n, pw = qr[0], ord_ + n, 2 * n, pw * pw
+    while n > 1:  # the order left is below n
+        n, pw = n // 2, math.isqrt(pw)
+        if not (qr := divmod(a, pw))[1]:
+            a, ord_ = qr[0], ord_ + n
     return Valuation(ord_, a)
 
 

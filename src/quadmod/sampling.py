@@ -187,6 +187,10 @@ def _sample_scaled_type2(
     those levels first, drawing at each whether the inner solution is
     primitive, solves the last level, then draws the free top bits on
     the way back up: the draw order of a recursion, without its depth.
+    A primitive solution draws its start mod 2 and the k2 - 1 higher
+    bits of its odd coordinate, lowest first, and solves for the other
+    coordinate by Newton's iteration: O(log k2) steps, and the same
+    draws and solution as fixing one bit per level.
     """
     seeds = _type2_seeds(a, b, c)
     upper = []  # exponents of the non-primitive levels above the last
@@ -196,29 +200,31 @@ def _sample_scaled_type2(
         t2 = (t2 // 4) % 2**k2
         p4, n4 = _scaled_type2_counts(seeds, t2, k2)
         want_prim = uniform_below(p4 + n4, rng) < p4
-    q2 = 2**k2
     if want_prim:
         starts = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
         y1, y2 = starts[uniform_below(len(starts), rng)]
-        for j in range(1, k2):
-            # F(y) = t2 mod 2^j so far; fix the next bit.  Adding
-            # (b1, b2)*2^j changes F by b*(y1 b2 + y2 b1)*2^j mod 2^(j+1),
-            # so with b odd one bit is forced and one is free.
-            r = ((t2 - a * y1 * y1 - b * y1 * y2 - c * y2 * y2) >> j) & 1
-            if y1 % 2:
-                b1 = uniform_below(2, rng)
-                b2 = (r - y2 * b1) % 2
-            else:
-                b2 = uniform_below(2, rng)
-                b1 = r
-            y1 += b1 << j
-            y2 += b2 << j
-        y1, y2 = y1 % q2, y2 % q2
+        # The coordinate that starts odd, x, is free at every level: its
+        # bits 1..k2-1 are drawn lowest first and placed in one pass.
+        # The other, y, solves G(y) = F = t2.  G'(y) = b x + 2 c' y is
+        # odd, so Newton's iteration lifts y's start mod 2 to the one
+        # root mod 2^k2: from G(y) = 0 and w G'(y) = 1 mod 2^e, y - G(y) w
+        # is a root mod 2^2e, and a Newton step for 1/G' at the new y
+        # makes w right mod 2^2e too.  A mask reduces mod 2^e without a
+        # division.
+        a_x, y, c_y = (a, y2, c) if y1 % 2 else (c, y1, a)
+        bits = [str(uniform_below(2, rng)) for _ in range(1, k2)]
+        x = int("".join(reversed(bits)) + "1", 2)
+        e, w = 1, 1
+        while e < k2:
+            e = min(2 * e, k2)
+            mask = 2**e - 1
+            y = (y - (a_x * x * x + b * x * y + c_y * y * y - t2) * w) & mask
+            w = w * (2 - (b * x + 2 * c_y * y) * w) & mask
+        y1, y2 = (x, y) if y1 % 2 else (y, x)
     elif k2 == 1:
         y1, y2 = 0, 0
     else:  # k2 == 2: z is free mod 2
-        z1, z2 = uniform_below(2, rng), uniform_below(2, rng)
-        y1, y2 = 2 * z1 % q2, 2 * z2 % q2
+        y1, y2 = 2 * uniform_below(2, rng), 2 * uniform_below(2, rng)
     for k_up in reversed(upper):
         m = k_up - 2
         z1 = y1 + (uniform_below(2, rng) << m)

@@ -5,7 +5,9 @@ Odd p: one root mod p, by a single exponentiation when p = 3 mod 4
 which needs a random non-residue, when p = 1 mod 8; then Newton's
 iteration for the inverse square root 1/sqrt(t), which doubles the
 precision each step and takes no inverse beyond the one mod p.  p = 2:
-closed-form root sets for k <= 3, digit-by-digit lifting above that.
+closed-form root sets for k <= 3, and above that the same Newton
+iteration from 1/sqrt(t) = 1 mod 8, whose precision goes from 2^e to
+2^(2e-2) each step.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def sqrt_unit_mod_2k(k: int, t: int) -> tuple[int, ...]:
     """All square roots of odd t in Z/2^k, sorted.
 
     Squares of odd numbers are exactly the residues = 1 mod min(8, 2^k);
-    the root count is 1, 2, 4 for k = 1, 2, >= 3.
+    the root count is 1, 2, 4 for k = 1, 2, >= 3.  For k >= 3 one root
+    b comes from O(log k) Newton steps on 1/sqrt(t), and the four are
+    +-b and 2^(k-1) +- b.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -123,12 +127,15 @@ def sqrt_unit_mod_2k(k: int, t: int) -> tuple[int, ...]:
         return (1,)
     if k == 2:
         return (1, 3)
-    # Lift b from mod 8 upward: given b^2 = t mod 2^j, the correction
-    # b += 2^(j-1)*d with d = ((t - b^2)/2^j mod 2) fixes the next bit
-    # (the 2^(2j-2) term is invisible mod 2^(j+1) once j >= 3).
-    b = 1
-    for j in range(3, k):
-        d = ((t - b * b) >> j) & 1
-        b += d << (j - 1)
+    # Newton's iteration for r = 1/sqrt(t) from r = 1 mod 8: if
+    # t r^2 = 1 + eps with 2^e | eps, then r (3 - t r^2)/2 = r (1 - eps/2)
+    # leaves t r^2 = 1 - 3 eps^2/4 + eps^3/4, right mod 2^(2e-2).  3 - t r^2
+    # is even, so a shift halves it, and a mask reduces mod 2^e without a
+    # division.  The root is t r.
+    r, e = 1, 3
+    while e < k:
+        e = min(2 * e - 2, k)
+        r = r * ((3 - t * r * r) >> 1) & (2**e - 1)
+    b = t * r
     half = q // 2
     return tuple(sorted({b % q, (q - b) % q, (half + b) % q, (half - b) % q}))

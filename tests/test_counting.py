@@ -283,7 +283,7 @@ def test_local_density_of_the_form_in_no_variables(p):
 
 @pytest.mark.parametrize("p", [1, -1, 0, 4])
 def test_local_density_rejects_a_non_prime_p(p):
-    # checked before the stabilizing loop, which would never end for p = +-1
+    # checked before the stabilizing level's valuation, which would never end for p = +-1
     with pytest.raises(DomainError):
         local_density([[1]], p, 1)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lift_reference import valuation_by_digits
 
 from quadmod.counting import count_form
 from quadmod.modring import (
@@ -166,6 +167,16 @@ def test_valuation_reconstructs(p, k, a):
     else:
         assert (p**o * c - a) % pp.q == 0
         assert c % p != 0
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 2**127 - 1]),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=-(10**40), max_value=10**40),
+)
+def test_valuation_matches_one_division_per_digit(p, o, c):
+    a = c * p**o  # c = 0, c divisible by p and a negative a included
+    assert valuation(PrimePower(p, 1), a) == valuation_by_digits(p, a)
 
 
 def test_legendre_matches_squares():

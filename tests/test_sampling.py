@@ -5,6 +5,7 @@ import pytest
 from conftest import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lift_reference import primitive_type2_by_bits
 from matrix_helpers import block_matrix
 
 import quadmod.counting
@@ -386,19 +387,7 @@ def recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, rng):
     """Reference: the sampler as a recursion, one call per two bits."""
     q2 = 2**k2
     if want_prim:
-        seeds = [s for s in ((0, 1), (1, 0), (1, 1)) if (a * s[0] + b * s[0] * s[1] + c * s[1] - t2) % 2 == 0]
-        y1, y2 = seeds[uniform_below(len(seeds), rng)]
-        for j in range(1, k2):
-            r = ((t2 - a * y1 * y1 - b * y1 * y2 - c * y2 * y2) >> j) & 1
-            if y1 % 2:
-                b1 = uniform_below(2, rng)
-                b2 = (r - y2 * b1) % 2
-            else:
-                b2 = uniform_below(2, rng)
-                b1 = r
-            y1 += b1 << j
-            y2 += b2 << j
-        return y1 % q2, y2 % q2
+        return primitive_type2_by_bits(a, b, c, t2, k2, rng)
     if k2 == 1:
         return 0, 0
     m = k2 - 2
@@ -428,6 +417,27 @@ def test_scaled_type2_sampler_matches_recursion():
                     got = _sample_scaled_type2(a, b, c, t2, k2, want_prim, r1)
                     assert got == recursive_sample_scaled_type2(a, b, c, t2, k2, want_prim, r2)
                     assert r1.getstate() == r2.getstate()
+
+
+@given(
+    st.integers(min_value=-(2**210), max_value=2**210),
+    st.integers(min_value=-(2**209), max_value=2**209),
+    st.integers(min_value=-(2**210), max_value=2**210),
+    st.integers(min_value=0, max_value=2**200),
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150)
+def test_primitive_type2_draw_matches_the_bit_by_bit_lift(a, half_b, c, t2, k2, seed):
+    # the free coordinate's k2 - 1 bits are the same calls in the same
+    # order, and the Newton-lifted one is the root the bits would force
+    b = 2 * half_b + 1
+    t2 %= 2**k2
+    if a % 2 and c % 2:
+        t2 |= 1  # F(x) is odd at every primitive x, so an even t2 has none
+    r1, r2 = random.Random(seed), random.Random(seed)
+    assert _sample_scaled_type2(a, b, c, t2, k2, True, r1) == primitive_type2_by_bits(a, b, c, t2, k2, r2)
+    assert r1.getstate() == r2.getstate()
 
 
 def test_sample_form_tests_no_known_prime_again(monkeypatch):

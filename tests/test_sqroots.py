@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lift_reference import sqrt_unit_mod_2k_by_digits
 
 from quadmod.modring import PrimePower
 from quadmod.sqroots import (
@@ -107,6 +108,13 @@ def test_lift_sqrt_odd_matches_sympy(p):
             else:
                 with pytest.raises(NonResidue):
                     lift_sqrt_odd(pp, t, rng)
+
+
+@given(st.integers(min_value=3, max_value=400), st.integers(min_value=-(2**420), max_value=2**420))
+@settings(max_examples=200)
+def test_sqrt_unit_mod_2k_matches_the_bit_by_bit_lift(k, m):
+    t = 1 + 8 * m  # a square mod 2^k, given unreduced
+    assert sqrt_unit_mod_2k(k, t) == sqrt_unit_mod_2k_by_digits(k, t)
 
 
 def test_sqrt_unit_mod_2k_matches_sympy():
